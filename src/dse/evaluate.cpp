@@ -103,8 +103,7 @@ PointMetrics evaluate_point(const DesignPoint& p, const EvalOptions& opts,
       m.error = "latency: " + lat.error;
       return m;
     }
-    const auto se =
-        eval::measure_search_energy(p.design, fopts, lat.sized_timing);
+    const auto se = eval::measure_search_energy(p.design, fopts, lat);
     if (!se.ok) {
       m.error = "search energy: " + se.error;
       return m;

@@ -366,6 +366,9 @@ inline std::optional<std::vector<std::vector<NearestRecord>>>
 decode_nearest_result(const std::uint8_t* payload, std::size_t len) {
   if (len < 4) return std::nullopt;
   const std::uint32_t count = get_u32(payload);
+  // Every query list carries at least its 4-byte length, so bound the
+  // untrusted count by the bytes present before reserving for it.
+  if (count > (len - 4) / 4) return std::nullopt;
   std::vector<std::vector<NearestRecord>> queries;
   queries.reserve(count);
   std::size_t off = 4;

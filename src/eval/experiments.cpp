@@ -223,7 +223,7 @@ std::vector<SweepPoint> fig7_sweep(TcamDesign design,
         pt.n_bits = word_lengths[k];
         const auto lat = measure_worst_latency(design, opts);
         if (!lat.ok) return pt;
-        const auto e = measure_search_energy(design, opts, lat.sized_timing);
+        const auto e = measure_search_energy(design, opts, lat);
         if (!e.ok) return pt;
         pt.ok = true;
         pt.latency_full_ps = lat.latency_full * 1e12;

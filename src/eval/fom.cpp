@@ -1,6 +1,7 @@
 #include "eval/fom.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "devices/fefet.hpp"
 #include "tcam/cell_1p5t1fe.hpp"
@@ -97,20 +98,22 @@ LatencyResult measure_worst_latency(TcamDesign design, const FomOptions& opts) {
   base_pattern(opts.n_bits, stored, query);
   inject_mismatch(stored, query, 1);
   tcam::SearchConfig cfg2{stored, query, out.sized_timing, 2};
-  const auto m2 = tcam::measure_search(design, wopts, cfg2);
+  auto m2 = tcam::measure_search(design, wopts, cfg2);
   if (!m2.ok || !m2.latency.has_value()) {
     out.error = m2.ok ? "no SA transition in step-2 latency probe" : m2.error;
     return out;
   }
   out.latency_full = *m2.latency;
+  out.step2 = std::move(m2);
   out.ok = true;
   return out;
 }
 
 SearchEnergyResult measure_search_energy(TcamDesign design,
                                          const FomOptions& opts,
-                                         const tcam::SearchTiming& timing) {
+                                         const LatencyResult& lat) {
   SearchEnergyResult out;
+  const tcam::SearchTiming& timing = lat.sized_timing;
   const tcam::WordOptions wopts = word_options(opts);
 
   TernaryWord stored;
@@ -138,11 +141,17 @@ SearchEnergyResult measure_search_energy(TcamDesign design,
     out.error = m1.error;
     return out;
   }
-  // 2-step: step-2 miss, both steps run.
-  base_pattern(opts.n_bits, stored, query);
-  inject_mismatch(stored, query, 1);
-  tcam::SearchConfig cfg2{stored, query, timing, 2};
-  const auto m2 = tcam::measure_search(design, wopts, cfg2);
+  // 2-step: step-2 miss, both steps run.  This is the latency pass-2
+  // search (same word, mismatch and window), so reuse it when present.
+  tcam::SearchMeasurement m2;
+  if (lat.step2.has_value()) {
+    m2 = *lat.step2;
+  } else {
+    base_pattern(opts.n_bits, stored, query);
+    inject_mismatch(stored, query, 1);
+    tcam::SearchConfig cfg2{stored, query, timing, 2};
+    m2 = tcam::measure_search(design, wopts, cfg2);
+  }
   if (!m2.ok) {
     out.error = m2.error;
     return out;
@@ -218,7 +227,7 @@ DesignFom evaluate_fom(TcamDesign design, const FomOptions& opts) {
   fom.latency_1step_ps = lat.latency_1step * 1e12;
   fom.latency_ps = lat.latency_full * 1e12;
 
-  const auto energy = measure_search_energy(design, opts, lat.sized_timing);
+  const auto energy = measure_search_energy(design, opts, lat);
   if (!energy.ok) {
     fom.error = "search energy: " + energy.error;
     return fom;

@@ -76,13 +76,19 @@ struct LatencyResult {
   double latency_1step = 0.0;  ///< 1.5T1Fe only
   double latency_full = 0.0;
   tcam::SearchTiming sized_timing;  ///< window sized to the measured latency
+  /// 1.5T1Fe only: the full two-step search with a cell2-position mismatch
+  /// in `sized_timing`.  It is also the 2-step energy scenario, so
+  /// measure_search_energy reuses it instead of simulating it again.
+  std::optional<tcam::SearchMeasurement> step2;
 };
 LatencyResult measure_worst_latency(arch::TcamDesign design,
                                     const FomOptions& opts);
 
-/// Average-case search energy per cell (joules) using `timing`; for 1.5T1Fe
-/// designs returns the (1-step, 2-step, miss-weighted average) triple, for
-/// others the same single value three times.
+/// Average-case search energy per cell (joules) in `lat.sized_timing`; for
+/// 1.5T1Fe designs returns the (1-step, 2-step, miss-weighted average)
+/// triple, for others the same single value three times.  The 2-step
+/// scenario is taken from `lat.step2` when present and simulated otherwise;
+/// both give the same bits.
 struct SearchEnergyResult {
   bool ok = false;
   std::string error;
@@ -91,7 +97,7 @@ struct SearchEnergyResult {
 };
 SearchEnergyResult measure_search_energy(arch::TcamDesign design,
                                          const FomOptions& opts,
-                                         const tcam::SearchTiming& timing);
+                                         const LatencyResult& lat);
 
 /// Average-case write energy per cell (joules); nullopt for designs whose
 /// write path is not modeled (16T CMOS).

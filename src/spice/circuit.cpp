@@ -10,56 +10,6 @@ namespace fetcam::spice {
 // Stamper
 // ---------------------------------------------------------------------------
 
-Stamper::Stamper(const Circuit& ckt, const num::Vector& x, JacobianSink& jac,
-                 num::Vector& residual)
-    : ckt_(ckt), x_(x), jac_(jac), residual_(residual) {}
-
-num::Index Stamper::sys_index_node(NodeId n) const {
-  return ckt_.node_sys_index(n);
-}
-
-num::Index Stamper::sys_index_branch(num::Index b) const {
-  return ckt_.branch_sys_index(b);
-}
-
-double Stamper::v(NodeId n) const {
-  const num::Index i = sys_index_node(n);
-  return i < 0 ? 0.0 : x_[i];
-}
-
-double Stamper::branch_current(num::Index branch_index) const {
-  return x_[sys_index_branch(branch_index)];
-}
-
-void Stamper::stamp_conductance(NodeId a, NodeId b, double g) {
-  const double i = g * (v(a) - v(b));
-  add_current(a, b, i);
-  add_current_derivative(a, b, a, g);
-  add_current_derivative(a, b, b, -g);
-}
-
-void Stamper::add_current(NodeId a, NodeId b, double current) {
-  const num::Index ia = sys_index_node(a);
-  const num::Index ib = sys_index_node(b);
-  if (ia >= 0) residual_[ia] += current;
-  if (ib >= 0) residual_[ib] -= current;
-}
-
-void Stamper::add_current_derivative(NodeId a, NodeId b, NodeId wrt,
-                                     double dIdV) {
-  const num::Index ia = sys_index_node(a);
-  const num::Index ib = sys_index_node(b);
-  const num::Index iw = sys_index_node(wrt);
-  if (iw < 0) return;
-  if (ia >= 0) jac_.add(ia, iw, dIdV);
-  if (ib >= 0) jac_.add(ib, iw, -dIdV);
-}
-
-void Stamper::add_gmin(NodeId n, double gmin) {
-  if (gmin <= 0.0) return;
-  stamp_conductance(n, kGround, gmin);
-}
-
 void Stamper::stamp_branch_voltage(num::Index branch_index, NodeId plus,
                                    NodeId minus, double target_voltage) {
   const num::Index ibr = sys_index_branch(branch_index);
@@ -70,16 +20,16 @@ void Stamper::stamp_branch_voltage(num::Index branch_index, NodeId plus,
   // KCL contributions of the branch current (leaves `plus`, enters `minus`).
   if (ip >= 0) {
     residual_[ip] += i_br;
-    jac_.add(ip, ibr, 1.0);
+    jac_add(ip, ibr, 1.0);
   }
   if (im >= 0) {
     residual_[im] -= i_br;
-    jac_.add(im, ibr, -1.0);
+    jac_add(im, ibr, -1.0);
   }
   // KVL row: v(plus) - v(minus) - target = 0.
   residual_[ibr] += v(plus) - v(minus) - target_voltage;
-  if (ip >= 0) jac_.add(ibr, ip, 1.0);
-  if (im >= 0) jac_.add(ibr, im, -1.0);
+  if (ip >= 0) jac_add(ibr, ip, 1.0);
+  if (im >= 0) jac_add(ibr, im, -1.0);
 }
 
 void Stamper::stamp_branch_vcvs(num::Index branch_index, NodeId plus,
@@ -92,8 +42,8 @@ void Stamper::stamp_branch_vcvs(num::Index branch_index, NodeId plus,
   const num::Index ibr = sys_index_branch(branch_index);
   const num::Index icp = sys_index_node(ctrl_plus);
   const num::Index icm = sys_index_node(ctrl_minus);
-  if (icp >= 0) jac_.add(ibr, icp, -gain);
-  if (icm >= 0) jac_.add(ibr, icm, gain);
+  if (icp >= 0) jac_add(ibr, icp, -gain);
+  if (icm >= 0) jac_add(ibr, icm, gain);
 }
 
 // ---------------------------------------------------------------------------

@@ -58,38 +58,26 @@ struct EvalContext {
 
 class Circuit;
 
-/// Destination for Jacobian entries: dense matrix for small systems,
-/// triplet accumulator or slot-resolved flat CSC feeding the sparse LU for
-/// large ones.  Devices stamp through this interface and never know which
+/// Destination for Jacobian entries on the sparse paths: a triplet
+/// accumulator (pattern discovery) or the slot-resolved flat CSC of
+/// StampedCsc (replay).  Devices stamp through Stamper and never know which
 /// solver runs.  Aliased to the numeric-layer interface so the Newton
-/// drivers can hand their own sinks (e.g. the StampedCsc replay sink) to
-/// circuit assembly without a dependency inversion.
+/// drivers can hand their own sinks to circuit assembly without a
+/// dependency inversion.
 using JacobianSink = num::JacobianSink;
 
-class DenseJacobianSink final : public JacobianSink {
- public:
-  explicit DenseJacobianSink(num::Matrix& m) : m_(m) {}
-  void add(num::Index r, num::Index c, double v) override { m_(r, c) += v; }
-
- private:
-  num::Matrix& m_;
-};
-
-class TripletJacobianSink final : public JacobianSink {
- public:
-  explicit TripletJacobianSink(num::TripletAccumulator& t) : t_(t) {}
-  void add(num::Index r, num::Index c, double v) override { t_.add(r, c, v); }
-
- private:
-  num::TripletAccumulator& t_;
-};
-
 /// Write access to the MNA Jacobian and residual for one Newton iteration,
-/// plus read access to the candidate solution.
+/// plus read access to the candidate solution.  The Jacobian destination is
+/// either a dense matrix, written directly, or a JacobianSink; entries are
+/// added in the same order either way.
 class Stamper {
  public:
+  Stamper(const Circuit& ckt, const num::Vector& x, num::Matrix& jac,
+          num::Vector& residual)
+      : ckt_(ckt), x_(x), dense_(&jac), residual_(residual) {}
   Stamper(const Circuit& ckt, const num::Vector& x, JacobianSink& jac,
-          num::Vector& residual);
+          num::Vector& residual)
+      : ckt_(ckt), x_(x), sink_(&jac), residual_(residual) {}
 
   /// Candidate voltage of a node (0 for ground).
   double v(NodeId n) const;
@@ -121,10 +109,18 @@ class Stamper {
  private:
   num::Index sys_index_node(NodeId n) const;  // -1 for ground
   num::Index sys_index_branch(num::Index b) const;
+  void jac_add(num::Index r, num::Index c, double v) {
+    if (dense_ != nullptr) {
+      (*dense_)(r, c) += v;
+    } else {
+      sink_->add(r, c, v);
+    }
+  }
 
   const Circuit& ckt_;
   const num::Vector& x_;
-  JacobianSink& jac_;
+  num::Matrix* dense_ = nullptr;
+  JacobianSink* sink_ = nullptr;
   num::Vector& residual_;
 };
 
@@ -248,5 +244,54 @@ class Circuit {
   bool finalized_ = false;
   int internal_counter_ = 0;
 };
+
+// Stamper hot path, inline: device stamp() code calls these for every
+// Jacobian entry of every Newton iteration.
+
+inline num::Index Stamper::sys_index_node(NodeId n) const {
+  return ckt_.node_sys_index(n);
+}
+
+inline num::Index Stamper::sys_index_branch(num::Index b) const {
+  return ckt_.branch_sys_index(b);
+}
+
+inline double Stamper::v(NodeId n) const {
+  const num::Index i = sys_index_node(n);
+  return i < 0 ? 0.0 : x_[i];
+}
+
+inline double Stamper::branch_current(num::Index branch_index) const {
+  return x_[sys_index_branch(branch_index)];
+}
+
+inline void Stamper::add_current(NodeId a, NodeId b, double current) {
+  const num::Index ia = sys_index_node(a);
+  const num::Index ib = sys_index_node(b);
+  if (ia >= 0) residual_[ia] += current;
+  if (ib >= 0) residual_[ib] -= current;
+}
+
+inline void Stamper::add_current_derivative(NodeId a, NodeId b, NodeId wrt,
+                                            double dIdV) {
+  const num::Index ia = sys_index_node(a);
+  const num::Index ib = sys_index_node(b);
+  const num::Index iw = sys_index_node(wrt);
+  if (iw < 0) return;
+  if (ia >= 0) jac_add(ia, iw, dIdV);
+  if (ib >= 0) jac_add(ib, iw, -dIdV);
+}
+
+inline void Stamper::stamp_conductance(NodeId a, NodeId b, double g) {
+  const double i = g * (v(a) - v(b));
+  add_current(a, b, i);
+  add_current_derivative(a, b, a, g);
+  add_current_derivative(a, b, b, -g);
+}
+
+inline void Stamper::add_gmin(NodeId n, double gmin) {
+  if (gmin <= 0.0) return;
+  stamp_conductance(n, kGround, gmin);
+}
 
 }  // namespace fetcam::spice

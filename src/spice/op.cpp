@@ -15,26 +15,34 @@ const char* to_string(OpStrategy s) {
   return "failed";
 }
 
-void assemble_system(const Circuit& ckt, const EvalContext& ctx,
-                     const num::Vector& x, JacobianSink& jac,
-                     num::Vector& residual) {
-  Stamper st(ckt, x, jac, residual);
+namespace {
+
+void stamp_all(const Circuit& ckt, const EvalContext& ctx, Stamper& st) {
   for (const auto& dev : ckt.devices()) {
     dev->stamp(ctx, st);
   }
 }
 
+}  // namespace
+
+void assemble_system(const Circuit& ckt, const EvalContext& ctx,
+                     const num::Vector& x, JacobianSink& jac,
+                     num::Vector& residual) {
+  Stamper st(ckt, x, jac, residual);
+  stamp_all(ckt, ctx, st);
+}
+
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, num::Matrix& jac,
                      num::Vector& residual) {
-  DenseJacobianSink sink(jac);
-  assemble_system(ckt, ctx, x, sink, residual);
+  Stamper st(ckt, x, jac, residual);
+  stamp_all(ckt, ctx, st);
 }
 
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, num::TripletAccumulator& jac,
                      num::Vector& residual) {
-  TripletJacobianSink sink(jac);
+  num::TripletSink sink(jac);
   assemble_system(ckt, ctx, x, sink, residual);
 }
 

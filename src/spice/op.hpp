@@ -48,7 +48,9 @@ struct OpResult {
 };
 
 /// Assemble the MNA Jacobian/residual for all devices at candidate `x`.
-/// Shared by OP, DC sweep, and transient.
+/// Shared by OP, DC sweep, and transient.  The dense overload stamps the
+/// matrix directly; the triplet overload delegates to the sink overload.
+/// All three add the same entries in the same order.
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, num::Matrix& jac,
                      num::Vector& residual);
@@ -56,8 +58,7 @@ void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, num::TripletAccumulator& jac,
                      num::Vector& residual);
 /// Sink overload: lets the sparse Newton driver choose the assembly
-/// destination (triplet pattern discovery vs stamp-slot replay).  The
-/// dense/triplet overloads above delegate to this one.
+/// destination (triplet pattern discovery vs stamp-slot replay).
 void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      const num::Vector& x, JacobianSink& jac,
                      num::Vector& residual);

@@ -212,6 +212,27 @@ TEST(WireProtocol, OverflowingCountTimesWidthIsRejected) {
       wire::decode_search_batch(payload.data(), payload.size()).has_value());
 }
 
+TEST(WireProtocol, NearestResultCountIsBoundedBeforeReserve) {
+  // A 4-byte kNearestResult payload claiming 2^32-1 query lists: the
+  // decoder must reject it before reserving room for the claimed count.
+  std::vector<std::uint8_t> payload;
+  wire::put_u32(payload, 0xFFFFFFFFu);
+  EXPECT_FALSE(
+      wire::decode_nearest_result(payload.data(), payload.size()).has_value());
+
+  // The bound is exact: two empty lists need 4 + 2*4 bytes.
+  std::vector<std::uint8_t> two;
+  wire::put_u32(two, 2);
+  wire::put_u32(two, 0);
+  wire::put_u32(two, 0);
+  const auto lists = wire::decode_nearest_result(two.data(), two.size());
+  ASSERT_TRUE(lists.has_value());
+  EXPECT_EQ(lists->size(), 2u);
+  two[0] = 3;  // claims one list more than the bytes can hold
+  EXPECT_FALSE(
+      wire::decode_nearest_result(two.data(), two.size()).has_value());
+}
+
 TEST(SearchServer, OverflowingBatchCountsGetErrorFrameNotCrash) {
   // The same crafted 20-byte frame over the wire: it must earn a
   // kMalformed error frame on that connection only — not an uncaught

@@ -58,7 +58,7 @@ TEST(Fom, EarlyTerminationSavesEnergy) {
   for (const auto d : {TcamDesign::k1p5SgFe, TcamDesign::k1p5DgFe}) {
     const auto lat = measure_worst_latency(d, opts);
     ASSERT_TRUE(lat.ok);
-    const auto e = measure_search_energy(d, opts, lat.sized_timing);
+    const auto e = measure_search_energy(d, opts, lat);
     ASSERT_TRUE(e.ok) << e.error;
     EXPECT_LT(e.e1, e.e2) << arch::design_name(d);
     // Average with 90% step-1 misses sits near the 1-step energy.
