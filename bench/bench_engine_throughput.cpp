@@ -347,58 +347,68 @@ SimdReport measure_simd() {
 }
 
 struct MulticoreConfig {
+  int rules = 0;
+  int mats = 0;
   int dispatch_threads = 1;
-  int mat_groups = 1;
-  std::size_t coalesce_batches = 1;
   double qps = 0.0;
 };
 
-/// Search-only trace through the engine under different dispatcher-pool /
-/// mat-group / coalescing shapes.  Results are identical by the engine's
-/// determinism contract; only the throughput moves.
+/// Search-only trace through the engine at 1, 2 and 4 dispatcher threads
+/// (query blocks spread across dispatchers, each block over every mat) on
+/// two tables: the 2,048-rule / 8-mat / 64-bit bench table (32 KiB of
+/// planar words: it fits in cache, so it mostly measures dispatch
+/// overhead), and a 65,536-rule / 64-mat / 128-bit table (2 MiB of planar
+/// words plus row metadata: larger than a 2 MiB L2, so matching
+/// dominates).  Results are identical by the engine's determinism
+/// contract; only the throughput moves.
 std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
-  engine::TraceSpec spec;
-  spec.kind = engine::TraceKind::kIpPrefix;
-  spec.cols = 64;
-  spec.rules = 2048;
-  spec.queries = 20000;
-  spec.match_rate = 0.25;
-  spec.seed = 11;
-  const auto trace = engine::generate_trace(spec);
-
-  engine::TableConfig cfg;
-  cfg.mats = 8;
-  cfg.rows_per_mat = 256;
-  cfg.cols = 64;
-  cfg.subarrays_per_mat = 4;
-
-  std::vector<MulticoreConfig> configs = {
-      {1, 1, 1, 0.0},  // the PR-5 single-dispatcher baseline shape
-      {1, 1, 4, 0.0},  // + window coalescing
-      {2, 4, 4, 0.0},  // small dispatcher pool over 4 mat groups
-      {0, 8, 4, 0.0},  // pool-sized dispatchers, one group per mat
+  struct Table {
+    int rules;
+    int mats;
+    int rows_per_mat;
+    int cols;
   };
+  const Table tables[] = {{2048, 8, 256, 64}, {65536, 64, 1024, 128}};
+  std::vector<MulticoreConfig> configs;
   *best_qps = 0.0;
-  for (auto& c : configs) {
+  for (const Table& t : tables) {
+    engine::TraceSpec spec;
+    spec.kind = engine::TraceKind::kIpPrefix;
+    spec.cols = t.cols;
+    spec.rules = t.rules;
+    spec.queries = 20000;
+    spec.match_rate = 0.25;
+    spec.seed = 11;
+    const auto trace = engine::generate_trace(spec);
+
+    engine::TableConfig cfg;
+    cfg.mats = t.mats;
+    cfg.rows_per_mat = t.rows_per_mat;
+    cfg.cols = t.cols;
+    cfg.subarrays_per_mat = 4;
     engine::TcamTable table(cfg);
     const auto ids = engine::load_rules(table, trace);
-    engine::EngineOptions eopts;
-    eopts.dispatch_threads = c.dispatch_threads;
-    eopts.mat_groups = c.mat_groups;
-    eopts.coalesce_batches = c.coalesce_batches;
-    engine::SearchEngine eng(table, eopts);
-    engine::RunOptions ropts;
-    ropts.batch_size = 512;
-    ropts.update_rate = 0.0;  // pure search: the coalescer's best case
-    ropts.seed = 11;
-    const engine::RunSummary s =
-        engine::run_trace(eng, table, trace, ids, ropts);
-    c.qps = s.qps;
-    *best_qps = std::max(*best_qps, c.qps);
-    std::cerr << "multicore dispatch=" << c.dispatch_threads
-              << " groups=" << c.mat_groups
-              << " coalesce=" << c.coalesce_batches << ": " << c.qps
-              << " qps\n";
+    for (const int dispatchers : {1, 2, 4}) {
+      engine::EngineOptions eopts;
+      eopts.dispatch_threads = dispatchers;
+      engine::SearchEngine eng(table, eopts);
+      engine::RunOptions ropts;
+      ropts.batch_size = 512;
+      ropts.update_rate = 0.0;  // pure search: the table never changes
+      ropts.seed = 11;
+      const engine::RunSummary s =
+          engine::run_trace(eng, table, trace, ids, ropts);
+      MulticoreConfig c;
+      c.rules = t.rules;
+      c.mats = t.mats;
+      c.dispatch_threads = dispatchers;
+      c.qps = s.qps;
+      configs.push_back(c);
+      *best_qps = std::max(*best_qps, c.qps);
+      std::cerr << "multicore rules=" << c.rules << " mats=" << c.mats
+                << " dispatch=" << c.dispatch_threads << ": " << c.qps
+                << " qps\n";
+    }
   }
   return configs;
 }
@@ -548,9 +558,7 @@ WireReport measure_wire() {
   engine::TcamTable table(cfg);
   engine::load_rules(table, trace);
 
-  engine::EngineOptions eopts;
-  eopts.coalesce_batches = 4;
-  engine::SearchEngine eng(table, eopts);
+  engine::SearchEngine eng(table);
   engine::SearchServer server(eng, cfg.cols);
   server.start();
 
@@ -726,9 +734,8 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
   os << "  \"multicore\": {\n    \"configs\": [\n";
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const MulticoreConfig& c = configs[i];
-    os << "      {\"dispatch_threads\": " << c.dispatch_threads
-       << ", \"mat_groups\": " << c.mat_groups
-       << ", \"coalesce_batches\": " << c.coalesce_batches
+    os << "      {\"rules\": " << c.rules << ", \"mats\": " << c.mats
+       << ", \"dispatch_threads\": " << c.dispatch_threads
        << ", \"qps\": " << c.qps << "}"
        << (i + 1 < configs.size() ? "," : "") << "\n";
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -23,7 +24,6 @@ struct EngineMetrics {
   obs::Counter& writes;
   obs::Counter& driver_stalls;
   obs::Counter& write_cycles;
-  obs::Counter& windows;
   obs::Counter& mats_considered;
   obs::Counter& mats_skipped;
   obs::Gauge& queue_hwm;
@@ -31,16 +31,10 @@ struct EngineMetrics {
   obs::Gauge& in_flight;
   // Per-stage request attribution (docs/OBSERVABILITY.md stage catalog).
   obs::LatencyRecorder& queue_wait;
-  obs::LatencyRecorder& coalesce_delay;
   /// Phase-A latency per kernel tier, indexed by KernelTier.
   obs::LatencyRecorder* match_tier[2];
-  obs::LatencyRecorder& merge;
   obs::LatencyRecorder& apply;
   obs::LatencyRecorder& batch_total;
-  /// Digit-distance histogram of nearest-search winners.  Distances are
-  /// recorded as raw bucket values (LatencyRecorder's log buckets double
-  /// as a cheap fixed-memory histogram), riding fetcam.stats.v1 stages.
-  obs::LatencyRecorder& near_distance;
 
   static EngineMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -52,34 +46,20 @@ struct EngineMetrics {
         reg.counter("engine.writes"),
         reg.counter("engine.driver_stalls"),
         reg.counter("engine.write_cycles"),
-        reg.counter("engine.windows"),
         reg.counter("engine.mats_considered"),
         reg.counter("engine.mats_skipped"),
         reg.gauge("engine.queue_high_watermark"),
         reg.gauge("engine.queue.depth"),
         reg.gauge("engine.in_flight"),
         reg.latency("engine.stage.queue_wait"),
-        reg.latency("engine.stage.coalesce_delay"),
         {&reg.latency("engine.stage.match.scalar"),
          &reg.latency("engine.stage.match.avx2")},
-        reg.latency("engine.stage.merge"),
         reg.latency("engine.stage.apply"),
         reg.latency("engine.batch.total"),
-        reg.latency("engine.near_distance"),
     };
     return m;
   }
 };
-
-bool is_pure_search(const std::vector<Request>& batch) {
-  for (const Request& r : batch) {
-    if (r.kind != RequestKind::kSearch &&
-        r.kind != RequestKind::kSearchNearest) {
-      return false;
-    }
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -89,21 +69,11 @@ EngineOptions SearchEngine::validate_options(EngineOptions options) {
         "EngineOptions.queue_capacity must be > 0 (a zero-capacity queue "
         "can never admit a batch)");
   }
-  if (options.mat_groups <= 0) {
-    throw std::invalid_argument(
-        "EngineOptions.mat_groups must be > 0, got " +
-        std::to_string(options.mat_groups));
-  }
   if (options.dispatch_threads < 0) {
     throw std::invalid_argument(
         "EngineOptions.dispatch_threads must be >= 0 (0 = auto via "
         "util::thread_count()), got " +
         std::to_string(options.dispatch_threads));
-  }
-  if (options.coalesce_batches == 0) {
-    throw std::invalid_argument(
-        "EngineOptions.coalesce_batches must be > 0 (every window drains "
-        "at least one batch)");
   }
   if (options.query_block < 1 || options.query_block > kMaxQueryBlock) {
     throw std::invalid_argument(
@@ -128,25 +98,10 @@ SearchEngine::SearchEngine(TcamTable& table, EngineOptions options)
       options_(validate_options(options)),
       queue_(options_.queue_capacity) {
   const TableConfig& cfg = table.config();
-  mat_groups_ = std::clamp(options_.mat_groups, 1, cfg.mats);
   dispatch_threads_ = options_.dispatch_threads > 0
                           ? options_.dispatch_threads
                           : util::thread_count();
   if (dispatch_threads_ < 1) dispatch_threads_ = 1;
-  // Contiguous, near-even group split: group g covers
-  // [g*mats/G, (g+1)*mats/G) — fixed at construction, so the fold order
-  // (and with it every merged result) is a pure function of the config.
-  group_bounds_.resize(static_cast<std::size_t>(mat_groups_) + 1);
-  for (int g = 0; g <= mat_groups_; ++g) {
-    group_bounds_[static_cast<std::size_t>(g)] =
-        static_cast<int>(static_cast<long long>(g) * cfg.mats / mat_groups_);
-  }
-  group_match_lat_.resize(static_cast<std::size_t>(mat_groups_));
-  for (int g = 0; g < mat_groups_; ++g) {
-    group_match_lat_[static_cast<std::size_t>(g)] =
-        &obs::MetricsRegistry::instance().latency(
-            "engine.stage.match.group" + std::to_string(g));
-  }
   // Don't attribute pre-engine pruning activity to this engine's registry
   // counters.
   last_mats_considered_ = table.mats_considered();
@@ -280,62 +235,30 @@ void SearchEngine::run_round(std::size_t count,
 }
 
 void SearchEngine::coordinator_loop() {
-  for (;;) {
-    std::vector<Work> window = queue_.pop_some(options_.coalesce_batches);
-    if (window.empty()) return;  // closed and drained
-    std::uint64_t dequeue_ns = 0;
+  while (std::optional<Work> popped = queue_.pop()) {
+    Work& work = *popped;
     if (obs::metrics_on()) {
-      dequeue_ns = obs::now_ns();
       auto& em = EngineMetrics::get();
       em.queue_depth.set(static_cast<double>(queue_.size()));
       em.in_flight.set(static_cast<double>(in_flight()));
-      for (const Work& w : window) {
-        if (w.submit_ns != 0 && dequeue_ns > w.submit_ns) {
-          em.queue_wait.record_ns(dequeue_ns - w.submit_ns);
-        }
+      const std::uint64_t dequeue_ns = obs::now_ns();
+      if (work.submit_ns != 0 && dequeue_ns > work.submit_ns) {
+        em.queue_wait.record_ns(dequeue_ns - work.submit_ns);
       }
     }
-    std::size_t begin = 0;
-    while (begin < window.size()) {
-      // Coalescing rule: extend the sub-window through pure-search
-      // batches; the first batch carrying a mutation closes it.  All
-      // matches in the sub-window therefore see the same table state a
-      // batch-at-a-time coordinator would have shown them.
-      std::size_t end = begin;
-      while (end < window.size()) {
-        const bool pure = is_pure_search(window[end].batch);
-        ++end;
-        if (!pure) break;
-      }
-      const double t0 = obs::now_us();
-      if (dequeue_ns != 0 && obs::metrics_on()) {
-        // Time a batch waited past its dequeue for earlier sub-windows of
-        // the same coalesced window to finish.
-        const std::uint64_t sub_start_ns = obs::now_ns();
-        auto& em = EngineMetrics::get();
-        for (std::size_t w = begin; w < end; ++w) {
-          em.coalesce_delay.record_ns(sub_start_ns - dequeue_ns);
-        }
-      }
-      std::vector<std::vector<TableMatch>> matches;
-      std::vector<std::vector<NearestMatch>> nears;
-      match_window(window, begin, end, matches, nears);
-      // Count the window before resolving its promises, so a caller that
-      // blocks on execute() observes the window as processed.
-      windows_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::metrics_on()) EngineMetrics::get().windows.add();
-      for (std::size_t w = begin; w < end; ++w) {
-        obs::ScopedSpan span("engine.apply", "engine", window[w].trace_id);
-        BatchResult res =
-            apply(window[w], matches[w - begin], nears[w - begin], t0);
-        // Count the completion BEFORE resolving the future so a caller that
-        // has waited on every future observes in_flight() == 0
-        // deterministically (the transient is a brief under-report, never
-        // an underflow: completed_ trails its own submitted_ increment).
-        completed_.fetch_add(1, std::memory_order_release);
-        window[w].promise.set_value(std::move(res));
-      }
-      begin = end;
+    const double t0 = obs::now_us();
+    std::vector<TableMatch> matches;
+    std::vector<NearestMatch> nears;
+    match_batch(work, matches, nears);
+    {
+      obs::ScopedSpan span("engine.apply", "engine", work.trace_id);
+      BatchResult res = apply(work, matches, nears, t0);
+      // Count the completion BEFORE resolving the future so a caller that
+      // has waited on every future observes in_flight() == 0
+      // deterministically (the transient is a brief under-report, never
+      // an underflow: completed_ trails its own submitted_ increment).
+      completed_.fetch_add(1, std::memory_order_release);
+      work.promise.set_value(std::move(res));
     }
     if (obs::metrics_on()) {
       auto& em = EngineMetrics::get();
@@ -345,159 +268,88 @@ void SearchEngine::coordinator_loop() {
   }
 }
 
-void SearchEngine::match_window(
-    std::vector<Work>& works, std::size_t begin, std::size_t end,
-    std::vector<std::vector<TableMatch>>& matches,
-    std::vector<std::vector<NearestMatch>>& nears) {
-  matches.resize(end - begin);
-  nears.resize(end - begin);
-  struct SearchRef {
-    std::size_t w = 0;  ///< index into works
-    std::size_t i = 0;  ///< request index within its batch
-  };
-  struct NearestRef {
-    std::size_t w = 0;
-    std::size_t i = 0;
-    int k = 1;          ///< resolved (engine default applied)
-    int threshold = 0;  ///< resolved (engine default applied)
-  };
-  std::vector<SearchRef> searches;
-  std::vector<NearestRef> nearest;
-  for (std::size_t w = begin; w < end; ++w) {
-    matches[w - begin].resize(works[w].batch.size());
-    nears[w - begin].resize(works[w].batch.size());
-    for (std::size_t i = 0; i < works[w].batch.size(); ++i) {
-      const Request& req = works[w].batch[i];
-      if (req.kind == RequestKind::kSearch) {
-        searches.push_back({w, i});
-      } else if (req.kind == RequestKind::kSearchNearest) {
-        NearestRef ref;
-        ref.w = w;
-        ref.i = i;
-        // Request-level overrides; non-positive / negative values defer to
-        // the validated engine defaults, so the table layer only ever sees
-        // legal (k, threshold) pairs.
-        ref.k = req.k > 0 ? req.k : options_.k;
-        ref.threshold = req.distance_threshold >= 0
-                            ? req.distance_threshold
-                            : options_.distance_threshold;
-        nearest.push_back(ref);
-      }
+void SearchEngine::match_batch(const Work& work,
+                               std::vector<TableMatch>& matches,
+                               std::vector<NearestMatch>& nears) {
+  const std::vector<Request>& batch = work.batch;
+  matches.resize(batch.size());
+  nears.resize(batch.size());
+  std::vector<std::size_t> searches;  ///< kSearch request indices
+  std::vector<std::size_t> nearest;   ///< kSearchNearest request indices
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].kind == RequestKind::kSearch) {
+      searches.push_back(i);
+    } else if (batch[i].kind == RequestKind::kSearchNearest) {
+      nearest.push_back(i);
     }
   }
   if (searches.empty() && nearest.empty()) return;
 
-  // Pack every search lane once per window (nearest lanes after exact
-  // ones).  Each of the G mat-group tasks touching a block previously
-  // re-packed the same queries, so this removes a G-fold redundant
-  // digit-to-bit conversion from the hot path (coordinator-only state;
-  // tasks read the packs immutably).
-  if (packed_queries_.size() < searches.size() + nearest.size()) {
-    packed_queries_.resize(searches.size() + nearest.size());
-  }
+  // Pack every search lane once per batch (nearest lanes after exact
+  // ones); tasks read the packs immutably.
+  const std::size_t lanes = searches.size() + nearest.size();
+  if (packed_queries_.size() < lanes) packed_queries_.resize(lanes);
   for (std::size_t s = 0; s < searches.size(); ++s) {
-    const SearchRef& ref = searches[s];
-    packed_queries_[s].repack(works[ref.w].batch[ref.i].query);
+    packed_queries_[s].repack(batch[searches[s]].query);
   }
-  for (std::size_t s = 0; s < nearest.size(); ++s) {
-    const NearestRef& ref = nearest[s];
-    packed_queries_[searches.size() + s].repack(
-        works[ref.w].batch[ref.i].query);
+  for (std::size_t n = 0; n < nearest.size(); ++n) {
+    packed_queries_[searches.size() + n].repack(batch[nearest[n]].query);
   }
 
-  // Phase A fan-out.  The window's searches are chunked into fixed
-  // submission-order blocks of `query_block` lanes; task k =
-  // (block k/G, group k%G).  Every partial writes its own pre-indexed
-  // slot, so the claim schedule is invisible — and because per-lane
-  // results never depend on block composition (table.cpp), neither is
-  // the block size: any B yields the same partials, hence the same fold.
-  const std::size_t groups = static_cast<std::size_t>(mat_groups_);
+  // Phase A.  The exact searches are chunked into fixed submission-order
+  // blocks of `query_block` lanes; task k < blocks matches block k over
+  // every mat, task blocks + n runs nearest search n.  Each task writes
+  // only its own requests' slots, so the claim schedule is invisible —
+  // and because per-lane results never depend on block composition
+  // (table.cpp), neither is the block size.
   const std::size_t block = static_cast<std::size_t>(options_.query_block);
   const std::size_t blocks = (searches.size() + block - 1) / block;
-  const std::size_t exact_tasks = blocks * groups;
-  std::vector<TableMatch> partials(searches.size() * groups);
-  std::vector<NearestMatch> near_partials(nearest.size() * groups);
   const std::function<void(std::size_t)> task = [&](std::size_t k) {
-    if (k >= exact_tasks) {
-      // Nearest fan-out: task (s, g) scans one mat group for one query.
-      // Same pre-indexed-slot discipline as the exact path; the kernels
-      // are per-query streams, so there is no block dimension here.
-      const std::size_t n = k - exact_tasks;
-      const std::size_t s = n / groups;
-      const std::size_t g = n % groups;
-      const NearestRef& ref = nearest[s];
-      const bool timed = obs::metrics_on();
-      const std::uint64_t t0_ns = timed ? obs::now_ns() : 0;
-      obs::ScopedSpan span("engine.near_task", "engine",
-                           works[ref.w].trace_id);
+    if (k >= blocks) {
+      const std::size_t n = k - blocks;
+      const Request& req = batch[nearest[n]];
+      // Request-level overrides; non-positive / negative values defer to
+      // the validated engine defaults, so the table layer only ever sees
+      // legal (k, threshold) pairs.
+      const int top_k = req.k > 0 ? req.k : options_.k;
+      const int threshold = req.distance_threshold >= 0
+                                ? req.distance_threshold
+                                : options_.distance_threshold;
+      obs::ScopedSpan span("engine.near_task", "engine", work.trace_id);
       thread_local NearestScratch scratch;
-      table_.nearest_mats(packed_queries_[searches.size() + s], ref.k,
-                          ref.threshold, group_bounds_[g],
-                          group_bounds_[g + 1], scratch,
-                          near_partials[s * groups + g]);
-      if (timed) group_match_lat_[g]->record_ns(obs::now_ns() - t0_ns);
+      table_.nearest_mats(packed_queries_[searches.size() + n], top_k,
+                          threshold, scratch, nears[nearest[n]]);
       return;
     }
-    const std::size_t s0 = (k / groups) * block;
+    const std::size_t s0 = k * block;
     const std::size_t s1 = std::min(s0 + block, searches.size());
-    const std::size_t g = k % groups;
-    const bool timed = obs::metrics_on();
-    const std::uint64_t t0_ns = timed ? obs::now_ns() : 0;
-    obs::ScopedSpan span("engine.match_task", "engine",
-                         works[searches[s0].w].trace_id);
+    obs::ScopedSpan span("engine.match_task", "engine", work.trace_id);
     if (s1 - s0 == 1) {
-      // Single lane (block size 1, or the window's tail): the scalar
+      // Single lane (block size 1, or the batch's tail): the scalar
       // single-query path — also the golden reference the blocked path
       // must reproduce bit for bit.
       thread_local MatchScratch scratch;
-      table_.match_mats(packed_queries_[s0], group_bounds_[g],
-                        group_bounds_[g + 1], scratch,
-                        partials[s0 * groups + g]);
+      table_.match_mats(packed_queries_[s0], scratch, matches[searches[s0]]);
     } else {
       thread_local BlockMatchScratch scratch;
       const PackedQuery* queries[kMaxQueryBlock];
       TableMatch* outs[kMaxQueryBlock];
       for (std::size_t s = s0; s < s1; ++s) {
         queries[s - s0] = &packed_queries_[s];
-        outs[s - s0] = &partials[s * groups + g];
+        outs[s - s0] = &matches[searches[s]];
       }
-      table_.match_mats_block(queries, static_cast<int>(s1 - s0),
-                              group_bounds_[g], group_bounds_[g + 1],
-                              scratch, outs);
+      table_.match_mats_block(queries, static_cast<int>(s1 - s0), scratch,
+                              outs);
     }
-    if (timed) group_match_lat_[g]->record_ns(obs::now_ns() - t0_ns);
   };
   const bool metrics = obs::metrics_on();
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;
-  run_round(exact_tasks + nearest.size() * groups, task);
-  std::uint64_t a1_ns = 0;
+  run_round(blocks + nearest.size(), task);
   if (metrics) {
-    a1_ns = obs::now_ns();
     EngineMetrics::get()
         .match_tier[static_cast<int>(active_kernel_tier())]
-        ->record_ns(a1_ns - a0_ns);
+        ->record_ns(obs::now_ns() - a0_ns);
   }
-
-  // Fixed group-order fold: merge_match resolves by (priority, id), so
-  // the merged winner equals the single-dispatcher broadcast bit for bit.
-  for (std::size_t s = 0; s < searches.size(); ++s) {
-    TableMatch& out = matches[searches[s].w - begin][searches[s].i];
-    out = std::move(partials[s * groups]);
-    for (std::size_t g = 1; g < groups; ++g) {
-      merge_match(out, partials[s * groups + g]);
-    }
-  }
-  // Same fixed-order fold for nearest partials: merge_nearest's sorted
-  // k-truncating merge over the strict (distance, priority, id) order is
-  // associative, so the global top-k equals the single-group scan's.
-  for (std::size_t s = 0; s < nearest.size(); ++s) {
-    NearestMatch& out = nears[nearest[s].w - begin][nearest[s].i];
-    out = std::move(near_partials[s * groups]);
-    for (std::size_t g = 1; g < groups; ++g) {
-      merge_nearest(out, near_partials[s * groups + g], nearest[s].k);
-    }
-  }
-  if (metrics) EngineMetrics::get().merge.record_ns(obs::now_ns() - a1_ns);
 }
 
 BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,
@@ -549,10 +401,6 @@ BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,
           out.entry = m.top.front().entry;
           out.priority = m.top.front().priority;
           out.distance = m.top.front().distance;
-          if (metrics) {
-            EngineMetrics::get().near_distance.record_ns(
-                static_cast<std::uint64_t>(out.distance));
-          }
         }
         out.neighbors = std::move(m.top);
         res.stats.rows += m.stats.rows;

@@ -1,31 +1,28 @@
-// Concurrent TCAM request engine: bounded batch admission with window
-// coalescing, per-mat-group parallel match dispatch, deterministic
-// in-order application, and a shared-HV-driver admission model.
+// Concurrent TCAM request engine: bounded batch admission, query-block
+// parallel match dispatch, deterministic in-order application, and a
+// shared-HV-driver admission model.
 //
 // Execution model (the determinism contract, docs/ENGINE.md):
 //
 //   * Producers submit BATCHES of requests into a bounded MPMC queue
 //     (backpressure: submit blocks while the queue is full).
-//   * One coordinator thread drains batches strictly in submission order,
-//     coalescing up to `coalesce_batches` per wakeup into a WINDOW.  A
-//     window holds multiple batches only while they are pure-search — the
-//     first batch carrying any mutation closes it — so how many batches
-//     happen to be queued (a timing artifact) can never change results.
-//   * Phase A — parallel match: the table's mats are split into
-//     `mat_groups` contiguous groups, and every (search, group) pair in
-//     the window becomes one partial-match task.  `dispatch_threads`
-//     dispatcher threads (the coordinator counts as one) claim tasks from
-//     a shared cursor; each partial writes its own pre-indexed slot, so
-//     the claim schedule cannot influence anything observable.  The
-//     coordinator then folds each search's partials in fixed group order
-//     with merge_match — an associative (priority, id) resolution, so the
-//     merged winner equals the single-dispatcher winner bit for bit.
+//   * One coordinator thread pops batches strictly in submission order,
+//     one at a time.
+//   * Phase A — parallel match: the batch's exact searches are chunked
+//     into fixed submission-order blocks of `query_block` lanes, and each
+//     block is one task that broadcasts over every mat (paper Sec. III-C:
+//     a search drives all mats in lock-step).  Each nearest search is one
+//     more task.  `dispatch_threads` dispatcher threads (the coordinator
+//     counts as one) claim tasks from a shared cursor; each task writes
+//     only its own requests' result slots, and each slot is written once
+//     by its own task, so the claim schedule cannot influence anything
+//     observable and nothing is left to merge.
 //   * Phase B — serial application per batch, in submission order, on the
 //     coordinator: ALL accounting and ALL writes apply in request order.
 //   * Result: batch results, table contents, energy/endurance totals, and
 //     search statistics are bit-identical for any dispatcher thread count
-//     (1, 2, 8, ...), any mat_groups, any queue capacity, any coalescing
-//     window, and any producer interleaving of distinct batches.
+//     (1, 2, 8, ...), any query block size, any queue capacity, and any
+//     producer interleaving of distinct batches.
 //
 // Driver-multiplex admission (paper Sec. III-C / Fig. 6): within a mat,
 // four 90-degree-rotated subarrays time-multiplex shared HV driver banks —
@@ -50,10 +47,6 @@
 #include "arch/hv_driver.hpp"
 #include "engine/queue.hpp"
 #include "engine/table.hpp"
-
-namespace fetcam::obs {
-class LatencyRecorder;
-}
 
 namespace fetcam::engine {
 
@@ -174,35 +167,23 @@ struct BatchResult {
 
 /// Engine configuration.  SearchEngine's constructor validates every
 /// field and throws std::invalid_argument naming the offending one —
-/// degenerate values (zero capacity, zero coalescing, non-positive
-/// groups) used to reach the dispatcher as silent near-deadlocks.
+/// degenerate values (zero capacity, negative dispatchers) used to reach
+/// the dispatcher as silent near-deadlocks.
 struct EngineOptions {
   std::size_t queue_capacity = 8;  ///< batches admitted before submit blocks
                                    ///< (must be > 0)
   /// Duration of one HV write phase (a 1.5T1Fe row update issues 3).
   double write_pulse_s = 50e-9;
-  /// Contiguous mat groups the broadcast is split into; every
-  /// (search block, group) pair is one independently dispatched
-  /// partial-match task.  Must be > 0; values above the table's mat count
-  /// clamp down to it.  Purely a parallelism knob: partials merge in
-  /// fixed group order, so results never depend on it.
-  int mat_groups = 1;
-  /// Dispatcher threads claiming partial-match tasks (the coordinator
+  /// Dispatcher threads claiming query-block match tasks (the coordinator
   /// counts as one; n - 1 helpers are spawned).  0 resolves through
   /// util::thread_count() (--threads / FETCAM_THREADS), so existing
   /// thread sweeps exercise the multi-dispatcher path; negative values
   /// throw.
   int dispatch_threads = 0;
-  /// Max batches the coordinator drains per wakeup into one fan-out
-  /// window (must be > 0).  A window keeps multiple batches only while
-  /// they are pure-search (the first mutating batch closes it), so
-  /// coalescing is invisible in every result — it only amortizes fan-out
-  /// overhead.
-  std::size_t coalesce_batches = 4;
-  /// Queries matched per kernel pass (1..kMaxQueryBlock): each window's
-  /// searches are chunked into fixed submission-order blocks of this size
-  /// so one streaming pass over a shard's planar words serves the whole
-  /// block (docs/ENGINE.md "Query blocking").  1 = the single-query path.
+  /// Queries matched per kernel pass (1..kMaxQueryBlock): each batch's
+  /// exact searches are chunked into fixed submission-order blocks of this
+  /// size so one streaming pass over a shard's planar words serves the
+  /// whole block (docs/ENGINE.md "Query blocking").  1 = the single-query path.
   /// Purely a bandwidth knob: per-query results are bit-identical for
   /// every block size.
   int query_block = 8;
@@ -252,8 +233,7 @@ class SearchEngine {
   /// Block until every batch submitted so far has been applied.
   void drain();
 
-  /// Resolved (post-clamp) parallelism for reporting.
-  int mat_groups() const { return mat_groups_; }
+  /// Resolved parallelism for reporting.
   int dispatch_threads() const { return dispatch_threads_; }
   int query_block() const { return options_.query_block; }
 
@@ -262,15 +242,13 @@ class SearchEngine {
   long long mats_skipped() const { return table_.mats_skipped(); }
 
   // Telemetry (totals over the engine lifetime; deterministic except where
-  // noted on BatchResult and for windows(), which depends on queue timing).
+  // noted on BatchResult).
   std::uint64_t batches() const { return batches_.load(); }
   std::uint64_t requests() const { return requests_.load(); }
   std::uint64_t searches() const { return searches_.load(); }
   /// kSearchNearest requests applied (also counted in searches()).
   std::uint64_t nearest_searches() const { return nearest_.load(); }
   std::uint64_t writes() const { return writes_.load(); }
-  /// Coalesced fan-out windows processed (<= batches; timing-dependent).
-  std::uint64_t windows() const { return windows_.load(); }
   long long driver_stalls() const { return driver_stalls_.load(); }
   long long driver_cycles() const { return driver_cycles_.load(); }
   double model_time_s() const { return model_time_s_.load(); }
@@ -326,14 +304,11 @@ class SearchEngine {
   /// tasks completed.  Serial in-line when there are no helpers.
   void run_round(std::size_t count,
                  const std::function<void(std::size_t)>& fn);
-  /// Phase A for works[begin, end): fan out (search x group) partials —
-  /// exact matches into per-request TableMatch slots, nearest searches
-  /// into per-request NearestMatch slots (same pre-indexed-slot +
-  /// fixed-group-order-fold contract, so both are dispatcher-invariant).
-  void match_window(std::vector<Work>& works, std::size_t begin,
-                    std::size_t end,
-                    std::vector<std::vector<TableMatch>>& matches,
-                    std::vector<std::vector<NearestMatch>>& nears);
+  /// Phase A for one batch: query-block tasks write exact matches into
+  /// matches[i], one task per nearest search writes nears[i] (each slot
+  /// written once by its own task, so both are dispatcher-invariant).
+  void match_batch(const Work& work, std::vector<TableMatch>& matches,
+                   std::vector<NearestMatch>& nears);
   /// Phase B + admission model for one batch (serial, coordinator only).
   BatchResult apply(Work& work, std::vector<TableMatch>& matches,
                     std::vector<NearestMatch>& nears, double t0);
@@ -343,17 +318,9 @@ class SearchEngine {
 
   TcamTable& table_;
   EngineOptions options_;
-  int mat_groups_ = 1;        ///< clamped to [1, mats]
   int dispatch_threads_ = 1;  ///< resolved (>= 1)
-  /// Group g covers mats [bounds[g], bounds[g+1]).
-  std::vector<int> group_bounds_;
-  /// Per-mat-group phase-A latency recorders ("engine.stage.match.group<g>"),
-  /// resolved once at construction so the task hot path never touches the
-  /// registry mutex.
-  std::vector<obs::LatencyRecorder*> group_match_lat_;
-  /// Window-scoped query packs (coordinator only): each search lane is
-  /// bit-packed once per window, then shared read-only by every
-  /// (block, mat-group) task instead of being re-packed per task.
+  /// Batch-scoped query packs (coordinator only): each search lane is
+  /// bit-packed once per batch, then read by its task.
   std::vector<PackedQuery> packed_queries_;
   BoundedQueue<Work> queue_;
   /// One shared-driver scheduler per mat, persistent across batches.
@@ -384,7 +351,6 @@ class SearchEngine {
   std::atomic<std::uint64_t> searches_{0};
   std::atomic<std::uint64_t> nearest_{0};
   std::atomic<std::uint64_t> writes_{0};
-  std::atomic<std::uint64_t> windows_{0};
   std::atomic<long long> driver_stalls_{0};
   std::atomic<long long> driver_cycles_{0};
   std::atomic<double> model_time_s_{0.0};

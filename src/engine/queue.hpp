@@ -10,16 +10,6 @@
 // coarse (hundreds of requests), so queue overhead is noise, and the
 // determinism contract lives in the engine's in-order batch application,
 // not here.
-//
-// Bulk pops (pop_some / try_pop_some) exist for batch coalescing: the
-// engine coordinator drains several pending batches in one lock
-// acquisition and matches them in one fan-out round.  A bulk pop frees
-// MULTIPLE capacity slots at once, so it must notify_all on not_full_:
-// waking a single producer (pop()'s discipline, correct for one slot)
-// would strand every other producer blocked on the full queue — if the
-// consumer then waits for their items before popping again (exactly what
-// a drain-on-shutdown does), nobody ever wakes and both sides deadlock.
-// tests/engine/queue_test.cpp pins this as a regression test.
 #pragma once
 
 #include <condition_variable>
@@ -28,7 +18,6 @@
 #include <mutex>
 #include <optional>
 #include <utility>
-#include <vector>
 
 namespace fetcam::engine {
 
@@ -73,35 +62,6 @@ class BoundedQueue {
     return item;
   }
 
-  /// Blocks while empty, then drains up to `max` items in one lock
-  /// acquisition (batch coalescing).  Empty vector once closed AND
-  /// drained.  Frees up to `max` slots, so every blocked producer is
-  /// woken (see the header comment).
-  std::vector<T> pop_some(std::size_t max) {
-    std::vector<T> out;
-    if (max == 0) return out;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-      take_locked(max, out);
-    }
-    if (!out.empty()) not_full_.notify_all();
-    return out;
-  }
-
-  /// Non-blocking bulk pop: whatever is immediately available, up to
-  /// `max` items (possibly none).
-  std::vector<T> try_pop_some(std::size_t max) {
-    std::vector<T> out;
-    if (max == 0) return out;
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      take_locked(max, out);
-    }
-    if (!out.empty()) not_full_.notify_all();
-    return out;
-  }
-
   /// Wake all waiters; subsequent pushes fail, pops drain then end.
   void close() {
     {
@@ -131,15 +91,6 @@ class BoundedQueue {
   }
 
  private:
-  void take_locked(std::size_t max, std::vector<T>& out) {
-    const std::size_t n = items_.size() < max ? items_.size() : max;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-  }
-
   const std::size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable not_full_;

@@ -45,7 +45,6 @@ std::string stats_snapshot_json(const SearchEngine& engine,
   out += ", \"requests\": " + u64(engine.requests());
   out += ", \"searches\": " + u64(engine.searches());
   out += ", \"writes\": " + u64(engine.writes());
-  out += ", \"windows\": " + u64(engine.windows());
   out += ", \"driver_stalls\": " + std::to_string(engine.driver_stalls());
   out += ", \"driver_cycles\": " + std::to_string(engine.driver_cycles());
   out += ", \"model_time_s\": " + json_number(engine.model_time_s());
@@ -53,7 +52,6 @@ std::string stats_snapshot_json(const SearchEngine& engine,
   out += ", \"queue_capacity\": " + u64(engine.queue_capacity());
   out += ", \"queue_high_watermark\": " + u64(engine.queue_high_watermark());
   out += ", \"in_flight\": " + u64(engine.in_flight());
-  out += ", \"mat_groups\": " + std::to_string(engine.mat_groups());
   out +=
       ", \"dispatch_threads\": " + std::to_string(engine.dispatch_threads());
   out += ", \"query_block\": " + std::to_string(engine.query_block());

@@ -462,47 +462,14 @@ void TcamTable::scan_hits(std::size_t mat, const std::uint64_t* mask,
   }
 }
 
-void merge_match(TableMatch& into, const TableMatch& part) {
-  into.stats.rows += part.stats.rows;
-  into.stats.step1_misses += part.stats.step1_misses;
-  into.stats.step2_evaluated += part.stats.step2_evaluated;
-  into.stats.matches += part.stats.matches;
-  if (into.per_mat.size() < part.per_mat.size()) {
-    into.per_mat.resize(part.per_mat.size());
-  }
-  for (std::size_t m = 0; m < part.per_mat.size(); ++m) {
-    into.per_mat[m].rows += part.per_mat[m].rows;
-    into.per_mat[m].step1_misses += part.per_mat[m].step1_misses;
-    into.per_mat[m].step2_evaluated += part.per_mat[m].step2_evaluated;
-    into.per_mat[m].matches += part.per_mat[m].matches;
-  }
-  if (part.hit &&
-      (!into.hit || part.priority < into.priority ||
-       (part.priority == into.priority && part.entry < into.entry))) {
-    into.hit = true;
-    into.entry = part.entry;
-    into.priority = part.priority;
-  }
-}
-
 void TcamTable::match(const arch::BitWord& query, MatchScratch& scratch,
                       TableMatch& out) const {
-  match_mats(query, 0, config_.mats, scratch, out);
-}
-
-void TcamTable::match_mats(const arch::BitWord& query, int mat_begin,
-                           int mat_end, MatchScratch& scratch,
-                           TableMatch& out) const {
   scratch.query.repack(query);
-  match_mats(scratch.query, mat_begin, mat_end, scratch, out);
+  match_mats(scratch.query, scratch, out);
 }
 
-void TcamTable::match_mats(const PackedQuery& query, int mat_begin,
-                           int mat_end, MatchScratch& scratch,
+void TcamTable::match_mats(const PackedQuery& query, MatchScratch& scratch,
                            TableMatch& out) const {
-  if (mat_begin < 0 || mat_end > config_.mats || mat_begin > mat_end) {
-    throw std::out_of_range("mat range out of range");
-  }
   out.hit = false;
   out.entry = kInvalidEntry;
   out.priority = 0;
@@ -511,7 +478,7 @@ void TcamTable::match_mats(const PackedQuery& query, int mat_begin,
                      arch::SearchStats{});
 
   long long skipped = 0;
-  for (int m = mat_begin; m < mat_end; ++m) {
+  for (int m = 0; m < config_.mats; ++m) {
     if (config_.mat_skip && mat_skips(static_cast<std::size_t>(m), query)) {
       const arch::SearchStats s = skipped_stats();
       out.per_mat[static_cast<std::size_t>(m)] = s;
@@ -534,14 +501,13 @@ void TcamTable::match_mats(const PackedQuery& query, int mat_begin,
     scan_hits(static_cast<std::size_t>(m), scratch.mask.data(),
               scratch.mask.size(), out);
   }
-  mats_considered_.fetch_add(mat_end - mat_begin, std::memory_order_relaxed);
+  mats_considered_.fetch_add(config_.mats, std::memory_order_relaxed);
   if (skipped != 0) {
     mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   }
 }
 
 void TcamTable::match_mats_block(const arch::BitWord* const* queries, int nq,
-                                 int mat_begin, int mat_end,
                                  BlockMatchScratch& scratch,
                                  TableMatch* const* outs) const {
   if (nq < 1 || nq > kMaxQueryBlock) {
@@ -557,16 +523,12 @@ void TcamTable::match_mats_block(const arch::BitWord* const* queries, int nq,
     scratch.queries[static_cast<std::size_t>(q)].repack(*queries[q]);
     packed[q] = &scratch.queries[static_cast<std::size_t>(q)];
   }
-  match_mats_block(packed, nq, mat_begin, mat_end, scratch, outs);
+  match_mats_block(packed, nq, scratch, outs);
 }
 
 void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
-                                 int mat_begin, int mat_end,
                                  BlockMatchScratch& scratch,
                                  TableMatch* const* outs) const {
-  if (mat_begin < 0 || mat_end > config_.mats || mat_begin > mat_end) {
-    throw std::out_of_range("mat range out of range");
-  }
   if (nq < 1 || nq > kMaxQueryBlock) {
     throw std::invalid_argument("query block size must be in [1, " +
                                 std::to_string(kMaxQueryBlock) + "], got " +
@@ -596,7 +558,7 @@ void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
   arch::SearchStats kernel_stats[kMaxQueryBlock];
   int lane_of[kMaxQueryBlock];
   long long skipped = 0;
-  for (int m = mat_begin; m < mat_end; ++m) {
+  for (int m = 0; m < config_.mats; ++m) {
     int live = 0;
     for (int q = 0; q < nq; ++q) {
       if (config_.mat_skip &&
@@ -637,46 +599,11 @@ void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
                 out);
     }
   }
-  mats_considered_.fetch_add(
-      static_cast<long long>(mat_end - mat_begin) * nq,
-      std::memory_order_relaxed);
+  mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
+                             std::memory_order_relaxed);
   if (skipped != 0) {
     mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   }
-}
-
-void merge_nearest(NearestMatch& into, const NearestMatch& part, int k) {
-  into.stats.rows += part.stats.rows;
-  into.stats.step1_misses += part.stats.step1_misses;
-  into.stats.step2_evaluated += part.stats.step2_evaluated;
-  into.stats.matches += part.stats.matches;
-  if (into.per_mat.size() < part.per_mat.size()) {
-    into.per_mat.resize(part.per_mat.size());
-  }
-  for (std::size_t m = 0; m < part.per_mat.size(); ++m) {
-    into.per_mat[m].rows += part.per_mat[m].rows;
-    into.per_mat[m].step1_misses += part.per_mat[m].step1_misses;
-    into.per_mat[m].step2_evaluated += part.per_mat[m].step2_evaluated;
-    into.per_mat[m].matches += part.per_mat[m].matches;
-  }
-  if (part.top.empty()) return;
-  std::vector<NearCandidate> merged;
-  merged.reserve(
-      std::min(into.top.size() + part.top.size(),
-               static_cast<std::size_t>(k)));
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (merged.size() < static_cast<std::size_t>(k) &&
-         (i < into.top.size() || j < part.top.size())) {
-    if (j >= part.top.size() ||
-        (i < into.top.size() &&
-         near_candidate_less(into.top[i], part.top[j]))) {
-      merged.push_back(into.top[i++]);
-    } else {
-      merged.push_back(part.top[j++]);
-    }
-  }
-  into.top = std::move(merged);
 }
 
 bool TcamTable::nearest_mat_skips(std::size_t mat, const PackedQuery& query,
@@ -706,21 +633,9 @@ bool TcamTable::nearest_mat_skips(std::size_t mat, const PackedQuery& query,
   return false;
 }
 
-void TcamTable::nearest_mats(const arch::BitWord& query, int k, int threshold,
-                             int mat_begin, int mat_end,
-                             NearestScratch& scratch,
-                             NearestMatch& out) const {
-  scratch.query.repack(query);
-  nearest_mats(scratch.query, k, threshold, mat_begin, mat_end, scratch, out);
-}
-
 void TcamTable::nearest_mats(const PackedQuery& query, int k, int threshold,
-                             int mat_begin, int mat_end,
                              NearestScratch& scratch,
                              NearestMatch& out) const {
-  if (mat_begin < 0 || mat_end > config_.mats || mat_begin > mat_end) {
-    throw std::out_of_range("mat range out of range");
-  }
   if (k < 1) {
     throw std::invalid_argument("k must be >= 1, got " + std::to_string(k));
   }
@@ -734,7 +649,7 @@ void TcamTable::nearest_mats(const PackedQuery& query, int k, int threshold,
                      arch::SearchStats{});
 
   long long skipped = 0;
-  for (int m = mat_begin; m < mat_end; ++m) {
+  for (int m = 0; m < config_.mats; ++m) {
     if (config_.mat_skip &&
         nearest_mat_skips(static_cast<std::size_t>(m), query, threshold)) {
       // Accounting identical to the kernel scan this skip replaces
@@ -786,7 +701,7 @@ void TcamTable::nearest_mats(const PackedQuery& query, int k, int threshold,
       }
     }
   }
-  mats_considered_.fetch_add(mat_end - mat_begin, std::memory_order_relaxed);
+  mats_considered_.fetch_add(config_.mats, std::memory_order_relaxed);
   if (skipped != 0) {
     mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   }
@@ -796,7 +711,8 @@ NearestMatch TcamTable::search_nearest(const arch::BitWord& query, int k,
                                        int threshold) {
   NearestScratch scratch;
   NearestMatch out;
-  nearest_mats(query, k, threshold, 0, config_.mats, scratch, out);
+  scratch.query.repack(query);
+  nearest_mats(scratch.query, k, threshold, scratch, out);
   account_nearest(out);
   return out;
 }

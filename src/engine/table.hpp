@@ -103,15 +103,9 @@ struct BlockMatchScratch {
   std::vector<std::vector<std::uint64_t>> masks;
 };
 
-/// Fold a partial (per-mat-group) match into an accumulated one: stats and
-/// per_mat add, the winner resolves by (priority, id).  Associative and
-/// commutative, so group merge order cannot change the result.
-void merge_match(TableMatch& into, const TableMatch& part);
-
 /// One approximate-match candidate.  The global order is (distance,
 /// priority, id) ascending — a strict total order because ids are unique,
-/// which is what makes the top-k merge deterministic at any dispatch
-/// shape.
+/// which is what makes the top-k selection deterministic.
 struct NearCandidate {
   EntryId entry = kInvalidEntry;
   int priority = 0;
@@ -126,7 +120,7 @@ inline bool near_candidate_less(const NearCandidate& a,
   return a.entry < b.entry;
 }
 
-/// Result of one top-k threshold search (whole table or one mat group).
+/// Result of one top-k threshold search.
 /// `top` is sorted by near_candidate_less and holds at most k candidates;
 /// `stats`/`per_mat` follow the single-step accounting the approx kernels
 /// report (approx_kernel.hpp).
@@ -143,13 +137,6 @@ struct NearestScratch {
   std::vector<std::uint64_t> within;
   std::vector<std::uint16_t> distances;
 };
-
-/// Fold a partial (per-mat-group) nearest result: stats and per_mat add,
-/// the sorted top lists merge and truncate to k.  Associative and
-/// commutative (sorted-merge over a strict total order), so group merge
-/// order cannot change the result — the engine folds groups in fixed
-/// order anyway.
-void merge_nearest(NearestMatch& into, const NearestMatch& part, int k);
 
 /// Physical location of an entry (used by the driver-multiplex model).
 struct EntryLocation {
@@ -227,57 +214,40 @@ class TcamTable {
   void match(const arch::BitWord& query, MatchScratch& scratch,
              TableMatch& out) const;
 
-  /// Partial broadcast over mats [mat_begin, mat_end): the unit of work a
-  /// per-mat-group dispatcher claims.  `out.per_mat` is sized to ALL mats
-  /// with zeros outside the range, so partials from disjoint groups merge
-  /// by plain addition; the winner is this group's best (priority, id) —
-  /// merge_match() folds group winners in any order to the same global
-  /// winner match() reports.  Const and concurrency-safe like match().
-  void match_mats(const arch::BitWord& query, int mat_begin, int mat_end,
-                  MatchScratch& scratch, TableMatch& out) const;
-  /// Pre-packed variant: the caller packed the query once (e.g. per
-  /// engine window) and fans the same PackedQuery out to every mat-group
-  /// task, so the per-task repack disappears from the hot path.
-  void match_mats(const PackedQuery& query, int mat_begin, int mat_end,
-                  MatchScratch& scratch, TableMatch& out) const;
+  /// Pre-packed match(): the caller packed the query once (e.g. per
+  /// engine batch), so the hot path does no repack.  Broadcasts over every
+  /// mat; const and concurrency-safe like match().
+  void match_mats(const PackedQuery& query, MatchScratch& scratch,
+                  TableMatch& out) const;
 
-  /// Query-blocked partial broadcast: nq (1..kMaxQueryBlock) queries
-  /// against mats [mat_begin, mat_end) in ONE pass per shard, so each
-  /// planar care/value word loaded from memory serves all nq queries.
-  /// outs[q] receives exactly what match_mats(queries[q], ...) would have
-  /// produced — per-query results never depend on block composition, the
-  /// invariant the engine's block scheduler (and its determinism sweep)
-  /// relies on.  Mats the pruning index proves matchless for a lane are
-  /// skipped for that lane only; survivors form the kernel sub-block.
-  /// Const and concurrency-safe like match().
+  /// Query-blocked broadcast: nq (1..kMaxQueryBlock) queries against
+  /// every mat in ONE pass per shard, so each planar care/value word
+  /// loaded from memory serves all nq queries.  outs[q] receives exactly
+  /// what match_mats(queries[q], ...) would have produced — per-query
+  /// results never depend on block composition, the invariant the
+  /// engine's block scheduler (and its determinism sweep) relies on.  Mats
+  /// the pruning index proves matchless for a lane are skipped for that
+  /// lane only; survivors form the kernel sub-block.  Const and
+  /// concurrency-safe like match().
   void match_mats_block(const arch::BitWord* const* queries, int nq,
-                        int mat_begin, int mat_end,
                         BlockMatchScratch& scratch,
                         TableMatch* const* outs) const;
-  /// Pre-packed variant (see the PackedQuery match_mats overload).
+  /// Pre-packed variant (see match_mats).
   void match_mats_block(const PackedQuery* const* queries, int nq,
-                        int mat_begin, int mat_end,
                         BlockMatchScratch& scratch,
                         TableMatch* const* outs) const;
 
-  /// Partial top-k threshold search over mats [mat_begin, mat_end) — the
-  /// approximate-match analogue of match_mats.  Rows whose digit distance
+  /// Top-k threshold search over every mat — the approximate-match
+  /// analogue of match_mats.  Rows whose digit distance
   /// (config().digit_bits bits per digit) is <= threshold are candidates;
-  /// the k best by (distance, priority, id) are returned sorted.
-  /// `out.per_mat` is sized to ALL mats with zeros outside the range, so
-  /// disjoint-group partials fold with merge_nearest in any order.  Mats
+  /// the k best by (distance, priority, id) are returned sorted.  Mats
   /// the WIDENED pruning proof (see nearest_mat_skips) shows are beyond
   /// the threshold are skipped with accounting identical to a kernel
   /// scan, so mat_skip on/off cannot change results or energy.  Const and
   /// concurrency-safe like match().  Throws std::invalid_argument naming
   /// `k` / `distance_threshold` when out of range.
-  void nearest_mats(const arch::BitWord& query, int k, int threshold,
-                    int mat_begin, int mat_end, NearestScratch& scratch,
-                    NearestMatch& out) const;
-  /// Pre-packed variant (see the PackedQuery match_mats overload).
   void nearest_mats(const PackedQuery& query, int k, int threshold,
-                    int mat_begin, int mat_end, NearestScratch& scratch,
-                    NearestMatch& out) const;
+                    NearestScratch& scratch, NearestMatch& out) const;
 
   /// Serial convenience: whole-table nearest_mats + accounting.  At
   /// digit_bits = 1, threshold = 0, k = 1 the single candidate equals the

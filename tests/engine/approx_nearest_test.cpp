@@ -136,25 +136,21 @@ TEST(ApproxNearest, EngineResultsInvariantAcrossDispatchShapes) {
   const auto ids = load_rules(ref_table, trace);
 
   struct Shape {
-    int mat_groups;
     int dispatch_threads;
     int query_block;
-    std::size_t coalesce;
   };
   const Shape shapes[] = {
-      {1, 1, 1, 1}, {1, 2, 8, 4}, {2, 2, 4, 2}, {4, 3, 8, 4}, {3, 1, 2, 1},
+      {1, 1}, {2, 8}, {2, 4}, {3, 8}, {1, 2},
   };
   for (const Shape& shape : shapes) {
     TcamTable table(nearest_config(d, true));
     load_rules(table, trace);
     EngineOptions opts;
-    opts.mat_groups = shape.mat_groups;
     opts.dispatch_threads = shape.dispatch_threads;
     opts.query_block = shape.query_block;
-    opts.coalesce_batches = shape.coalesce;
     SearchEngine eng(table, opts);
     // Mixed batches: exact searches interleaved with nearest requests so
-    // the window carries both task kinds at once.
+    // the batch carries both task kinds at once.
     std::vector<Request> batch;
     for (std::size_t q = 0; q < trace.queries.size(); ++q) {
       if (q % 3 == 0) {
@@ -181,12 +177,12 @@ TEST(ApproxNearest, EngineResultsInvariantAcrossDispatchShapes) {
           trace, ids, trace.queries[q], d, 1 + static_cast<int>(q % 4),
           static_cast<int>(q % 3));
       ASSERT_EQ(r.neighbors.size(), want.size())
-          << "groups=" << shape.mat_groups
-          << " threads=" << shape.dispatch_threads
+          << "threads=" << shape.dispatch_threads
           << " block=" << shape.query_block << " q=" << q;
       for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(r.neighbors[i].entry, want[i].entry)
-            << "groups=" << shape.mat_groups << " q=" << q << " i=" << i;
+            << "threads=" << shape.dispatch_threads << " q=" << q
+            << " i=" << i;
         ASSERT_EQ(r.neighbors[i].distance, want[i].distance);
       }
       ASSERT_EQ(r.hit, !want.empty());

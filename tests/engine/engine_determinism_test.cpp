@@ -1,11 +1,9 @@
 // SearchEngine thread-count-invariance golden tests (same contract as
 // eval/variability_determinism_test): batch results, table contents,
 // energy/endurance totals, and search statistics must be BIT-IDENTICAL
-// for 1, 2, and 8 worker threads at a fixed seed — and, since the
-// per-mat-group dispatcher split, for every combination of dispatcher
-// thread count (1, 2, 8), mat-group count (1, 4), and coalescing window.
-// wall_us (and the windows() telemetry counter) are the only fields
-// outside the contract.
+// for 1, 2, and 8 worker threads at a fixed seed — and for every
+// combination of dispatcher thread count (1, 2, 8) and query block size.
+// wall_us is the only field outside the contract.
 //
 // All comparisons are exact (EXPECT_EQ on doubles, deliberately): any
 // schedule-ordered accumulation in the engine would fail here.
@@ -222,34 +220,23 @@ TEST(EngineDeterminism, ProducerInterleavingDoesNotChangeBatchResults) {
   }
 }
 
-TEST(EngineDeterminism, InvariantAcrossDispatchersGroupsAndCoalescing) {
-  // The tentpole contract: the per-mat-group dispatcher split is a pure
-  // parallelism knob.  Sweep dispatcher threads x mat groups x coalescing
-  // window and require byte-identical outcomes against the fully serial
-  // configuration.
+TEST(EngineDeterminism, InvariantAcrossDispatchersAndQueryBlocks) {
+  // The dispatch contract: dispatcher threads and query block size are
+  // pure parallelism/bandwidth knobs.  Sweep both and require
+  // byte-identical outcomes against the fully serial configuration.
   EngineOptions serial;
   serial.dispatch_threads = 1;
-  serial.mat_groups = 1;
-  serial.coalesce_batches = 1;
   serial.query_block = 1;  // the single-query scalar reference path
   const RunOutcome golden = run_workload(serial);
   ASSERT_FALSE(golden.batches.empty());
   for (const int threads : kThreadCounts) {
-    for (const int groups : {1, 4}) {
-      for (const std::size_t coalesce : {std::size_t{1}, std::size_t{4}}) {
-        for (const int qblock : {1, 5, 8}) {
-          EngineOptions opts;
-          opts.dispatch_threads = threads;
-          opts.mat_groups = groups;
-          opts.coalesce_batches = coalesce;
-          opts.query_block = qblock;
-          SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
-                       " groups=" + std::to_string(groups) +
-                       " coalesce=" + std::to_string(coalesce) +
-                       " query_block=" + std::to_string(qblock));
-          expect_identical(run_workload(opts), golden, threads);
-        }
-      }
+    for (const int qblock : {1, 5, 8}) {
+      EngineOptions opts;
+      opts.dispatch_threads = threads;
+      opts.query_block = qblock;
+      SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
+                   " query_block=" + std::to_string(qblock));
+      expect_identical(run_workload(opts), golden, threads);
     }
   }
 }
@@ -269,31 +256,27 @@ TEST(EngineDeterminism, EngineOptionsValidation) {
   opts.queue_capacity = 0;
   expect_throws(opts, "queue_capacity");
   opts = {};
-  opts.mat_groups = 0;
-  expect_throws(opts, "mat_groups");
-  opts = {};
-  opts.mat_groups = -3;
-  expect_throws(opts, "mat_groups");
-  opts = {};
   opts.dispatch_threads = -1;
   expect_throws(opts, "dispatch_threads");
-  opts = {};
-  opts.coalesce_batches = 0;
-  expect_throws(opts, "coalesce_batches");
   opts = {};
   opts.query_block = 0;
   expect_throws(opts, "query_block");
   opts = {};
   opts.query_block = kMaxQueryBlock + 1;
   expect_throws(opts, "query_block");
-  // The documented escape hatches stay valid: 0 dispatch threads (pool
-  // auto-resolve) and a mat_groups above mats (clamped down).
+  // The documented escape hatch stays valid: 0 dispatch threads (pool
+  // auto-resolve).
   opts = {};
   opts.dispatch_threads = 0;
-  opts.mat_groups = 64;
   SearchEngine ok(table, opts);
-  EXPECT_EQ(ok.mat_groups(), test_config().mats);
+  EXPECT_GE(ok.dispatch_threads(), 1);
   EXPECT_EQ(ok.query_block(), 8);
+  // An explicit dispatcher count is reported as configured.
+  opts.dispatch_threads = 2;
+  SearchEngine two(table, opts);
+  EXPECT_EQ(two.dispatch_threads(), 2);
+  EXPECT_EQ(two.execute({make_search(arch::BitWord(16, 0))}).results.size(),
+            1u);
 }
 
 TEST(EngineDeterminism, DispatchThreadsZeroFollowsParallelPool) {
@@ -302,38 +285,22 @@ TEST(EngineDeterminism, DispatchThreadsZeroFollowsParallelPool) {
   // split too.  Results must still match the serial golden.
   EngineOptions serial;
   serial.dispatch_threads = 1;
-  serial.mat_groups = 1;
-  serial.coalesce_batches = 1;
   const RunOutcome golden = run_workload(serial);
   ThreadSweep sweep;
   sweep.check([&](int threads) {
-    EngineOptions opts;
-    opts.mat_groups = 4;  // dispatch_threads stays 0 (pool-resolved)
+    EngineOptions opts;  // dispatch_threads stays 0 (pool-resolved)
     expect_identical(run_workload(opts), golden, threads);
   });
 }
 
-TEST(EngineDeterminism, MatGroupsClampAndReporting) {
-  TcamTable table(test_config());
-  EngineOptions opts;
-  opts.mat_groups = 64;  // more groups than mats: clamps to mats
-  opts.dispatch_threads = 2;
-  SearchEngine engine(table, opts);
-  EXPECT_EQ(engine.mat_groups(), test_config().mats);
-  EXPECT_EQ(engine.dispatch_threads(), 2);
-  const auto res = engine.execute({make_search(arch::BitWord(16, 0))});
-  EXPECT_EQ(res.results.size(), 1u);
-  EXPECT_GE(engine.windows(), 1u);
-}
-
 TEST(EngineDeterminism, StressConcurrentCompilerUpdatesOldNewOrShadow) {
-  // TSan-filtered stress: searcher threads hammer a multi-dispatcher
-  // engine (8 dispatchers x 4 mat groups, small queue to force coalescing
-  // and backpressure) while the main thread applies a compiler update
-  // plan.  Every observed result must be the OLD winner, the NEW winner,
-  // or a newly inserted entry still at its shadow priority — the same
+  // Stress (run under TSan in CI): searcher threads hammer a
+  // multi-dispatcher engine (8 dispatchers, small queue to force
+  // backpressure) while the main thread applies a compiler update plan.
+  // Every observed result must be the OLD winner, the NEW winner, or a
+  // newly inserted entry still at its shadow priority — the same
   // acceptance as the make-before-break applier tests, now crossing the
-  // fan-out/merge machinery.
+  // query-block dispatch.
   namespace cc = fetcam::compiler;
   TraceSpec spec = test_spec();
   spec.rules = 48;
@@ -357,8 +324,6 @@ TEST(EngineDeterminism, StressConcurrentCompilerUpdatesOldNewOrShadow) {
   EngineOptions opts;
   opts.queue_capacity = 2;
   opts.dispatch_threads = 8;
-  opts.mat_groups = 4;
-  opts.coalesce_batches = 3;
   SearchEngine eng(table, opts);
   const cc::UpdatePlan planA = cc::plan_update({}, setA, table);
   const cc::Installation installedA =

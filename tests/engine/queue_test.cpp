@@ -128,99 +128,5 @@ TEST(BoundedQueue, MpmcDeliversEveryItemExactlyOnce) {
   }
 }
 
-TEST(BoundedQueue, PopSomeDrainsFifoUpToMax) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(q.push(i));
-  const std::vector<int> first = q.pop_some(3);
-  EXPECT_EQ(first, (std::vector<int>{0, 1, 2}));
-  const std::vector<int> rest = q.pop_some(10);
-  EXPECT_EQ(rest, (std::vector<int>{3, 4}));
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(BoundedQueue, TryPopSomeNeverBlocks) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.try_pop_some(4).empty()) << "empty queue: no items, no wait";
-  ASSERT_TRUE(q.push(1));
-  ASSERT_TRUE(q.push(2));
-  EXPECT_EQ(q.try_pop_some(1), (std::vector<int>{1}));
-  EXPECT_EQ(q.try_pop_some(8), (std::vector<int>{2}));
-  EXPECT_TRUE(q.try_pop_some(8).empty());
-  EXPECT_TRUE(q.pop_some(0).empty()) << "max=0 is a no-op";
-}
-
-TEST(BoundedQueue, PopSomeAfterCloseDrainsThenReportsEmpty) {
-  BoundedQueue<int> q(4);
-  q.push(1);
-  q.push(2);
-  q.push(3);
-  q.close();
-  EXPECT_EQ(q.pop_some(10), (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(q.pop_some(10).empty()) << "closed and drained";
-}
-
-// Regression: a bulk pop frees SEVERAL capacity slots at once, so it must
-// notify_all on not_full_.  With pop()'s notify_one discipline, only one
-// of the producers blocked on the full queue would wake; the consumer
-// below then waits for every producer's item before popping again —
-// exactly a drain-on-shutdown — and the test deadlocks.
-TEST(BoundedQueue, BulkPopWakesEveryBlockedProducer) {
-  constexpr int kProducers = 4;
-  BoundedQueue<int> q(2);
-  ASSERT_TRUE(q.push(-1));
-  ASSERT_TRUE(q.push(-2));  // full: every producer below blocks
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] { ASSERT_TRUE(q.push(p)); });
-  }
-  // Let the producers reach the blocked wait (best effort; correctness
-  // does not depend on it — it just makes the regression scenario real).
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // One bulk pop frees BOTH slots; all four producers must make progress
-  // even though the consumer now waits for all their items.
-  std::multiset<int> seen;
-  for (const int v : q.pop_some(2)) seen.insert(v);
-  while (seen.size() < static_cast<std::size_t>(kProducers + 2)) {
-    for (const int v : q.pop_some(2)) seen.insert(v);
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_EQ(seen.size(), static_cast<std::size_t>(kProducers + 2));
-  for (int v = -2; v < kProducers; ++v) EXPECT_EQ(seen.count(v), 1u) << v;
-}
-
-TEST(BoundedQueue, MpmcBulkConsumersDeliverEveryItemExactlyOnce) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 200;
-  BoundedQueue<int> q(4);  // small: producers block constantly
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(p * kPerProducer + i));
-      }
-    });
-  }
-  std::multiset<int> seen;
-  std::mutex seen_mu;
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < 3; ++c) {
-    consumers.emplace_back([&] {
-      for (;;) {
-        const std::vector<int> items = q.pop_some(3);
-        if (items.empty()) return;  // closed and drained
-        const std::lock_guard<std::mutex> lock(seen_mu);
-        for (const int v : items) seen.insert(v);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.close();
-  for (auto& t : consumers) t.join();
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  for (int v = 0; v < kProducers * kPerProducer; ++v) {
-    EXPECT_EQ(seen.count(v), 1u) << v;
-  }
-}
-
 }  // namespace
 }  // namespace fetcam::engine

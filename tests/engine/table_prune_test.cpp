@@ -140,8 +140,7 @@ void run_churn(arch::TcamDesign design, std::uint64_t trial) {
         qp[q] = &queries[static_cast<std::size_t>(q)];
         outs[q] = &got[static_cast<std::size_t>(q)];
       }
-      pruned.match_mats_block(qp, nq, 0, pruned_cfg.mats, block_scratch,
-                              outs);
+      pruned.match_mats_block(qp, nq, block_scratch, outs);
       for (int q = 0; q < nq; ++q) {
         expect_match_eq(want[static_cast<std::size_t>(q)],
                         got[static_cast<std::size_t>(q)], "blocked", step);

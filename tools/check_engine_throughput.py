@@ -140,9 +140,8 @@ def check_scale(report: dict, min_qps: float) -> bool:
         return False
     for cfg in multicore["configs"]:
         print(
-            f"multicore dispatch={cfg.get('dispatch_threads')} "
-            f"groups={cfg.get('mat_groups')} "
-            f"coalesce={cfg.get('coalesce_batches')}: "
+            f"multicore rules={cfg.get('rules')} "
+            f"dispatch={cfg.get('dispatch_threads')}: "
             f"{cfg.get('qps', 0.0):.0f} qps"
         )
         if cfg.get("qps", 0.0) <= 0.0:
