@@ -1,5 +1,6 @@
 #include "arch/ternary.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace fetcam::arch {
@@ -77,6 +78,23 @@ int mismatch_count(const TernaryWord& stored, const BitWord& query) {
     if (!ternary_matches(stored[i], query[i] != 0)) ++n;
   }
   return n;
+}
+
+void pack_ternary(const TernaryWord& word, std::uint64_t* care,
+                  std::uint64_t* value, std::size_t stride) {
+  const std::size_t n = word.size();
+  for (std::size_t base = 0; base < n; base += 64) {
+    const std::size_t len = std::min<std::size_t>(64, n - base);
+    std::uint64_t c = 0;
+    std::uint64_t v = 0;
+    for (std::size_t k = 0; k < len; ++k) {
+      const Ternary t = word[base + k];
+      c |= std::uint64_t{t != Ternary::kX} << k;
+      v |= std::uint64_t{t == Ternary::kOne} << k;
+    }
+    care[(base >> 6) * stride] = c;
+    value[(base >> 6) * stride] = v;
+  }
 }
 
 }  // namespace fetcam::arch

@@ -2,6 +2,7 @@
 // TCAM models.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -37,5 +38,19 @@ bool word_matches(const TernaryWord& stored, const BitWord& query);
 
 /// Number of mismatching digit positions (X never mismatches).
 int mismatch_count(const TernaryWord& stored, const BitWord& query);
+
+/// 64-digit lanes needed to pack a `digits`-wide word.
+inline int ternary_lanes(std::size_t digits) {
+  return static_cast<int>((digits + 63) / 64);
+}
+
+/// Pack a word into (care, value) lanes, the bit-packed layout the service
+/// engine stores rows in: digit c is bit (c & 63) of lane (c >> 6); its
+/// care bit is set unless it is 'X' and its value bit is set when it is
+/// '1' (so value is 0 wherever care is 0).  Bits past the end of the word
+/// are 0.  Writes ternary_lanes(word.size()) lanes, lane w at
+/// care[w * stride] and value[w * stride].
+void pack_ternary(const TernaryWord& word, std::uint64_t* care,
+                  std::uint64_t* value, std::size_t stride = 1);
 
 }  // namespace fetcam::arch

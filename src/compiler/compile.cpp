@@ -41,6 +41,82 @@ std::vector<arch::TernaryWord> expand_range(std::uint64_t lo, std::uint64_t hi,
   return out;
 }
 
+namespace {
+
+/// Lanes where packed `outer` fails to cover packed `inner`: outer cares
+/// where inner is 'X', or both care and disagree.  Zero means covered.
+inline std::uint64_t cover_miss(std::uint64_t outer_care,
+                                std::uint64_t outer_value,
+                                std::uint64_t inner_care,
+                                std::uint64_t inner_value) {
+  return (outer_care & ~inner_care) |
+         ((outer_value ^ inner_value) & outer_care);
+}
+
+/// Packed (care, value) lanes of the pass-2 survivors, one contiguous
+/// plane per lane so lane 0 scans as a flat array.
+class SurvivorLanes {
+ public:
+  explicit SurvivorLanes(int lanes)
+      : care_(static_cast<std::size_t>(lanes)),
+        value_(static_cast<std::size_t>(lanes)) {}
+
+  void push(const std::uint64_t* care, const std::uint64_t* value) {
+    for (std::size_t w = 0; w < care_.size(); ++w) {
+      care_[w].push_back(care[w]);
+      value_[w].push_back(value[w]);
+    }
+  }
+
+  /// Index of the first survivor that covers the packed word, or the
+  /// survivor count when none does.  Lane 0 is tested eight survivors at
+  /// a time without branches; hits are confirmed on the other lanes in
+  /// ascending order, so the first coverer is the one returned.
+  std::size_t first_cover(const std::uint64_t* care,
+                          const std::uint64_t* value) const {
+    const std::uint64_t* c0 = care_[0].data();
+    const std::uint64_t* v0 = value_[0].data();
+    const std::size_t n = care_[0].size();
+    std::size_t k = 0;
+    for (; k + 8 <= n; k += 8) {
+      unsigned hits = 0;
+      for (unsigned u = 0; u < 8; ++u) {
+        hits |= unsigned{cover_miss(c0[k + u], v0[k + u], care[0],
+                                    value[0]) == 0}
+                << u;
+      }
+      for (; hits != 0; hits &= hits - 1) {
+        const std::size_t h =
+            k + static_cast<std::size_t>(std::countr_zero(hits));
+        if (upper_lanes_cover(h, care, value)) return h;
+      }
+    }
+    for (; k < n; ++k) {
+      if (cover_miss(c0[k], v0[k], care[0], value[0]) == 0 &&
+          upper_lanes_cover(k, care, value)) {
+        return k;
+      }
+    }
+    return n;
+  }
+
+ private:
+  bool upper_lanes_cover(std::size_t k, const std::uint64_t* care,
+                         const std::uint64_t* value) const {
+    for (std::size_t w = 1; w < care_.size(); ++w) {
+      if (cover_miss(care_[w][k], value_[w][k], care[w], value[w]) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  std::vector<std::vector<std::uint64_t>> care_;
+  std::vector<std::vector<std::uint64_t>> value_;
+};
+
+}  // namespace
+
 bool covers(const arch::TernaryWord& outer, const arch::TernaryWord& inner) {
   if (outer.size() != inner.size()) return false;
   for (std::size_t c = 0; c < outer.size(); ++c) {
@@ -103,39 +179,44 @@ CompiledRuleSet compile_rules(const RuleSet& rules) {
                      return a.rule < b.rule;
                    });
 
-  // Pass 2 — drop entries covered by an earlier (winning) survivor.
-  std::vector<Expanded> kept;
+  // Pass 2 — drop entries covered by an earlier (winning) survivor.  Each
+  // entry is packed once; survivors' lanes live in one contiguous plane
+  // per lane, scanned in kept order so the FIRST coverer decides the
+  // shadowed / redundant split.
+  const int lanes = arch::ternary_lanes(static_cast<std::size_t>(rules.cols));
+  SurvivorLanes survivors(lanes);
+  std::vector<std::size_t> kept;  // indices into expanded, in kept order
   kept.reserve(expanded.size());
-  for (const auto& e : expanded) {
-    const Expanded* coverer = nullptr;
-    for (const auto& k : kept) {
-      if (covers(k.word, e.word)) {
-        coverer = &k;
-        break;
-      }
-    }
-    if (coverer != nullptr) {
-      if (coverer->priority < e.priority) {
+  std::vector<std::uint64_t> care(static_cast<std::size_t>(lanes));
+  std::vector<std::uint64_t> value(static_cast<std::size_t>(lanes));
+  for (std::size_t i = 0; i < expanded.size(); ++i) {
+    const Expanded& e = expanded[i];
+    arch::pack_ternary(e.word, care.data(), value.data());
+    const std::size_t k = survivors.first_cover(care.data(), value.data());
+    if (k < kept.size()) {
+      if (expanded[kept[k]].priority < e.priority) {
         ++out.stats.shadowed_removed;
       } else {
         ++out.stats.redundant_removed;
       }
       continue;
     }
-    kept.push_back(e);
+    survivors.push(care.data(), value.data());
+    kept.push_back(i);
   }
 
   // Pass 3 — dense priority per surviving rule, in winning order.
   int next_priority = 0;
   int last_rule = -1;
   out.entries.reserve(kept.size());
-  for (const auto& e : kept) {
+  for (const std::size_t i : kept) {
+    Expanded& e = expanded[i];
     if (e.rule != last_rule) {
       last_rule = e.rule;
       ++next_priority;
     }
     CompiledEntry ce;
-    ce.word = e.word;
+    ce.word = std::move(e.word);
     ce.priority = next_priority - 1;
     ce.source_rule = e.rule;
     out.entries.push_back(std::move(ce));

@@ -1,20 +1,74 @@
 #include "compiler/planner.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <unordered_map>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace fetcam::compiler {
 namespace {
 
-int digit_distance(const arch::TernaryWord& a, const arch::TernaryWord& b) {
-  int d = 0;
-  for (std::size_t c = 0; c < a.size(); ++c) {
-    if (a[c] != b[c]) ++d;
+/// Words of one width packed once into (care, value) lanes
+/// (arch::pack_ternary), row-major: word i owns lanes
+/// [i * lanes, (i + 1) * lanes).
+class PackedWords {
+ public:
+  PackedWords(int cols, std::size_t words)
+      : lanes_(static_cast<std::size_t>(
+            arch::ternary_lanes(static_cast<std::size_t>(cols)))),
+        cols_(static_cast<std::size_t>(cols)),
+        care_(words * lanes_),
+        value_(words * lanes_) {}
+
+  void set(std::size_t i, const arch::TernaryWord& word) {
+    if (word.size() != cols_) {
+      throw std::invalid_argument("entry word width disagrees with cols");
+    }
+    arch::pack_ternary(word, &care_[i * lanes_], &value_[i * lanes_]);
   }
-  return d;
-}
+
+  bool equal(std::size_t i, const PackedWords& other, std::size_t j) const {
+    for (std::size_t w = 0; w < lanes_; ++w) {
+      if (care_[i * lanes_ + w] != other.care_[j * lanes_ + w] ||
+          value_[i * lanes_ + w] != other.value_[j * lanes_ + w]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Digits that differ ('X' differs from '0' and '1').
+  int distance(std::size_t i, const PackedWords& other, std::size_t j) const {
+    int d = 0;
+    for (std::size_t w = 0; w < lanes_; ++w) {
+      d += std::popcount(
+          (care_[i * lanes_ + w] ^ other.care_[j * lanes_ + w]) |
+          (value_[i * lanes_ + w] ^ other.value_[j * lanes_ + w]));
+    }
+    return d;
+  }
+
+  /// Each lane passes through a full splitmix64 round, so words that
+  /// differ in any one digit land on unrelated keys.
+  std::uint64_t hash(std::size_t i) const {
+    std::uint64_t h = 0;
+    for (std::size_t w = 0; w < lanes_; ++w) {
+      h = util::SplitMix64(h ^ care_[i * lanes_ + w]).next();
+      h = util::SplitMix64(h ^ value_[i * lanes_ + w]).next();
+    }
+    return h;
+  }
+
+ private:
+  std::size_t lanes_;
+  std::size_t cols_;
+  std::vector<std::uint64_t> care_;
+  std::vector<std::uint64_t> value_;
+};
 
 void add_cost(PlanCost& cost, const engine::WriteCost& wc) {
   cost.write_phases += wc.phases;
@@ -42,57 +96,69 @@ UpdatePlan plan_update(const Installation& current, const CompiledRuleSet& next,
   std::vector<int> cur_match(n_cur, -1);   // compiled index claimed by entry
   std::vector<int> next_match(n_next, -1);  // installed index claimed
 
-  // Pass 1 — exact word reuse.  Prefer a same-priority row (a pure keep)
-  // over one that needs a flip; within a bucket, earlier installed entries
-  // are claimed first (deterministic).
-  std::unordered_map<std::string, std::vector<std::size_t>> by_word;
+  PackedWords cur_words(next.cols, n_cur);
   for (std::size_t i = 0; i < n_cur; ++i) {
-    by_word[arch::to_string(current.entries[i].word)].push_back(i);
+    cur_words.set(i, current.entries[i].word);
+  }
+  PackedWords next_words(next.cols, n_next);
+  for (std::size_t j = 0; j < n_next; ++j) {
+    next_words.set(j, next.entries[j].word);
+  }
+
+  // Pass 1 — exact word reuse.  Prefer a same-priority row (a pure keep)
+  // over one that needs a flip; among equal words, earlier installed
+  // entries are claimed first (deterministic).  Buckets are keyed by a
+  // hash of the packed lanes and may mix words on a collision, so each
+  // candidate is checked for equality.
+  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_word;
+  for (std::size_t i = 0; i < n_cur; ++i) {
+    by_word[cur_words.hash(i)].push_back(i);
   }
   for (std::size_t j = 0; j < n_next; ++j) {
-    auto it = by_word.find(arch::to_string(next.entries[j].word));
+    auto it = by_word.find(next_words.hash(j));
     if (it == by_word.end()) continue;
-    auto& bucket = it->second;
-    std::size_t pick = bucket.size();
-    for (std::size_t k = 0; k < bucket.size(); ++k) {
-      if (cur_match[bucket[k]] >= 0) continue;
-      if (pick == bucket.size()) pick = k;
-      if (current.entries[bucket[k]].priority == next.entries[j].priority) {
-        pick = k;
+    std::size_t pick = n_cur;
+    for (const std::size_t i : it->second) {
+      if (cur_match[i] >= 0 || !cur_words.equal(i, next_words, j)) continue;
+      if (pick == n_cur) pick = i;
+      if (current.entries[i].priority == next.entries[j].priority) {
+        pick = i;
         break;
       }
     }
-    if (pick == bucket.size()) continue;
-    cur_match[bucket[pick]] = static_cast<int>(j);
-    next_match[j] = static_cast<int>(bucket[pick]);
+    if (pick == n_cur) continue;
+    cur_match[pick] = static_cast<int>(j);
+    next_match[j] = static_cast<int>(pick);
   }
 
   // Pass 2 — pair leftovers greedily by digit distance (ties: lowest
   // installed index) for in-place delta rewrites.  A rewrite of d digits
   // never costs more than a fresh write, and it spares a row.
-  for (std::size_t j = 0; j < n_next; ++j) {
+  std::vector<std::size_t> unpaired;  // installed, ascending index
+  for (std::size_t i = 0; i < n_cur; ++i) {
+    if (cur_match[i] < 0) unpaired.push_back(i);
+  }
+  for (std::size_t j = 0; j < n_next && !unpaired.empty(); ++j) {
     if (next_match[j] >= 0) continue;
-    int best = -1;
-    int best_d = 0;
-    for (std::size_t i = 0; i < n_cur; ++i) {
-      if (cur_match[i] >= 0) continue;
-      const int d = digit_distance(current.entries[i].word,
-                                   next.entries[j].word);
-      if (best < 0 || d < best_d) {
-        best = static_cast<int>(i);
+    std::size_t best = 0;
+    int best_d = cur_words.distance(unpaired[0], next_words, j);
+    for (std::size_t k = 1; k < unpaired.size(); ++k) {
+      const int d = cur_words.distance(unpaired[k], next_words, j);
+      if (d < best_d) {
+        best = k;
         best_d = d;
       }
     }
-    if (best < 0) break;  // no installed rows left to reuse
-    cur_match[static_cast<std::size_t>(best)] = static_cast<int>(j);
-    next_match[j] = best;
+    cur_match[unpaired[best]] = static_cast<int>(j);
+    next_match[j] = static_cast<int>(unpaired[best]);
+    unpaired.erase(unpaired.begin() + static_cast<std::ptrdiff_t>(best));
   }
 
   // Emit ops for paired entries, with the placer steering wear.
   for (std::size_t j = 0; j < n_next; ++j) {
     if (next_match[j] < 0) continue;
-    const InstalledEntry& cur =
-        current.entries[static_cast<std::size_t>(next_match[j])];
+    const auto i = static_cast<std::size_t>(next_match[j]);
+    const InstalledEntry& cur = current.entries[i];
     const CompiledEntry& want = next.entries[j];
     PlanOp op;
     op.target = cur.id;
@@ -101,7 +167,7 @@ UpdatePlan plan_update(const Installation& current, const CompiledRuleSet& next,
     if (!loc.has_value()) {
       throw std::invalid_argument("installation references a dead entry id");
     }
-    if (cur.word == want.word) {
+    if (cur_words.equal(i, next_words, j)) {
       op.kind = cur.priority == want.priority ? PlanOpKind::kKeep
                                               : PlanOpKind::kSetPriority;
       if (op.kind == PlanOpKind::kKeep) {
@@ -145,7 +211,7 @@ UpdatePlan plan_update(const Installation& current, const CompiledRuleSet& next,
       }
     }
     op.kind = PlanOpKind::kRewrite;
-    op.changed_digits = digit_distance(cur.word, want.word);
+    op.changed_digits = cur_words.distance(i, next_words, j);
     plan.ops.push_back(op);
     ++plan.rewrites;
     add_cost(plan.cost, table.cost_rewrite(want.word, cur.word));

@@ -394,18 +394,9 @@ void PackedShard::write(int row, const arch::TernaryWord& entry) {
   if (static_cast<int>(entry.size()) != cols_) {
     throw std::invalid_argument("entry width mismatch");
   }
-  for (int w = 0; w < words_per_row_; ++w) {
-    care_[plane_index(row, w)] = 0;
-    value_[plane_index(row, w)] = 0;
-  }
-  for (int c = 0; c < cols_; ++c) {
-    const arch::Ternary t = entry[static_cast<std::size_t>(c)];
-    if (t == arch::Ternary::kX) continue;
-    const std::size_t word = plane_index(row, c >> 6);
-    const std::uint64_t bit = 1ULL << (c & 63);
-    care_[word] |= bit;
-    if (t == arch::Ternary::kOne) value_[word] |= bit;
-  }
+  arch::pack_ternary(entry, &care_[plane_index(row, 0)],
+                     &value_[plane_index(row, 0)],
+                     static_cast<std::size_t>(rows_pad_));
   valid_[static_cast<std::size_t>(row) >> 6] |= 1ULL << (row & 63);
 }
 

@@ -291,37 +291,71 @@ std::size_t TcamTable::free_rows(int mat) const {
   return free_rows_[checked_mat(mat)].size();
 }
 
+// The cost_* functions count what the arch write plans would drive
+// (three_step_plan / complementary_plan and their incremental variants)
+// without building the plans: phases issued and cells switched.
 WriteCost TcamTable::cost_write(const arch::TernaryWord& next,
                                 const arch::TernaryWord* previous) const {
-  const arch::TernaryWord empty;
-  const arch::WritePlan plan =
-      two_step_
-          ? arch::three_step_plan(next, previous != nullptr ? *previous : empty,
-                                  write_voltages_)
-          : arch::complementary_plan(next, write_voltages_);
   WriteCost cost;
-  cost.phases = static_cast<int>(plan.phases.size());
-  // Same charging policy as write_slot: the 1.5T1Fe plans pay switching
-  // cells only, the 2FeFET designs pay every cell.
-  cost.cells = two_step_ ? plan.total_switching_cells() : config_.cols;
+  if (two_step_) {
+    // Erase pulls every non-'0' previous cell to HVT (an absent or empty
+    // previous is erased already); program-1 / program-X switch the '1'
+    // and 'X' cells of the new word.
+    if (previous != nullptr && !previous->empty() &&
+        previous->size() != next.size()) {
+      throw std::invalid_argument("previous/data width mismatch");
+    }
+    int cells = 0;
+    for (const arch::Ternary t : next) {
+      cells += t == arch::Ternary::kOne || t == arch::Ternary::kX ? 1 : 0;
+    }
+    if (previous != nullptr) {
+      for (const arch::Ternary t : *previous) {
+        cells += t != arch::Ternary::kZero ? 1 : 0;
+      }
+    }
+    cost.phases = 3;
+    // Same charging policy as write_slot: the 1.5T1Fe plans pay switching
+    // cells only.
+    cost.cells = cells;
+  } else {
+    // One complementary phase; the 2FeFET designs pay every cell.
+    cost.phases = 1;
+    cost.cells = config_.cols;
+  }
   cost.energy_j = energy_[0].projected_write_energy_j(cost.cells);
   return cost;
 }
 
 WriteCost TcamTable::cost_rewrite(const arch::TernaryWord& next,
                                   const arch::TernaryWord& previous) const {
-  const arch::WritePlan plan =
-      two_step_
-          ? arch::incremental_three_step_plan(next, previous, write_voltages_)
-          : arch::incremental_complementary_plan(next, previous,
-                                                 write_voltages_);
+  if (previous.size() != next.size()) {
+    throw std::invalid_argument("previous/data width mismatch");
+  }
+  // Only changed digits are driven: erase where the previous cell sits
+  // above HVT, program-1 / program-X where the new digit is '1' / 'X'.
   int changed = 0;
+  int erase = 0;
+  int program_one = 0;
+  int program_x = 0;
   for (std::size_t c = 0; c < next.size(); ++c) {
-    if (next[c] != previous[c]) ++changed;
+    if (next[c] == previous[c]) continue;
+    ++changed;
+    erase += previous[c] != arch::Ternary::kZero ? 1 : 0;
+    program_one += next[c] == arch::Ternary::kOne ? 1 : 0;
+    program_x += next[c] == arch::Ternary::kX ? 1 : 0;
   }
   WriteCost cost;
-  cost.phases = static_cast<int>(plan.phases.size());
-  cost.cells = two_step_ ? plan.total_switching_cells() : changed;
+  if (two_step_) {
+    // Phases that drive no column are omitted.
+    cost.phases = (erase > 0 ? 1 : 0) + (program_one > 0 ? 1 : 0) +
+                  (program_x > 0 ? 1 : 0);
+    cost.cells = erase + program_one + program_x;
+  } else {
+    // One delta phase when anything changed; pays the changed columns.
+    cost.phases = changed > 0 ? 1 : 0;
+    cost.cells = changed;
+  }
   cost.energy_j = energy_[0].projected_write_energy_j(cost.cells);
   return cost;
 }

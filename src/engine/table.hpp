@@ -202,10 +202,14 @@ class TcamTable {
   /// Free rows remaining on one mat (planner capacity checks).
   std::size_t free_rows(int mat) const;
   /// Price the write `next` would cost on top of `previous` (nullptr =
-  /// erased slot), with this table's design/voltages.  Pure projection.
+  /// erased slot), with this table's design/voltages.  Pure projection:
+  /// counts what the arch write plan would drive without building it.
+  /// Throws std::invalid_argument when a two-step design is given a
+  /// non-empty `previous` of another width (the 2FeFET write ignores it).
   WriteCost cost_write(const arch::TernaryWord& next,
                        const arch::TernaryWord* previous) const;
   /// Price a rewrite_digits of `next` over `previous` (delta plan).
+  /// Throws std::invalid_argument when the widths differ.
   WriteCost cost_rewrite(const arch::TernaryWord& next,
                          const arch::TernaryWord& previous) const;
 

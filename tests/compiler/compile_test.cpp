@@ -2,9 +2,11 @@
 // coverage elimination, priority flattening, and rule-set file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "arch/ternary.hpp"
 #include "compiler/compile.hpp"
@@ -217,6 +219,156 @@ TEST(CompileRules, RejectsMalformedInput) {
   bad.match = from_string("10XX");
   rules.rules = {bad};
   EXPECT_THROW(compile_rules(rules), std::invalid_argument);
+}
+
+// Byte-wise oracle of compile_rules: the same three passes, with pass 2 a
+// nested digit-by-digit covers() scan of the survivors in kept order.
+CompiledRuleSet bytewise_compile(const RuleSet& rules) {
+  struct Expanded {
+    arch::TernaryWord word;
+    int priority = 0;
+    int rule = -1;
+  };
+  CompiledRuleSet out;
+  out.cols = rules.cols;
+  out.stats.source_rules = static_cast<int>(rules.rules.size());
+  std::vector<Expanded> expanded;
+  for (std::size_t ri = 0; ri < rules.rules.size(); ++ri) {
+    const RuleSpec& spec = rules.rules[ri];
+    if (!spec.has_range) {
+      expanded.push_back({spec.match, spec.priority, static_cast<int>(ri)});
+      continue;
+    }
+    const auto suffixes = expand_range(spec.lo, spec.hi, rules.range_bits);
+    if (suffixes.empty()) ++out.stats.empty_rules;
+    for (const auto& suffix : suffixes) {
+      arch::TernaryWord word = spec.match;
+      word.insert(word.end(), suffix.begin(), suffix.end());
+      expanded.push_back({word, spec.priority, static_cast<int>(ri)});
+    }
+  }
+  out.stats.expanded_entries = static_cast<long long>(expanded.size());
+  std::stable_sort(expanded.begin(), expanded.end(),
+                   [](const Expanded& a, const Expanded& b) {
+                     if (a.priority != b.priority) {
+                       return a.priority < b.priority;
+                     }
+                     return a.rule < b.rule;
+                   });
+  std::vector<Expanded> kept;
+  for (const auto& e : expanded) {
+    const Expanded* coverer = nullptr;
+    for (const auto& k : kept) {
+      if (covers(k.word, e.word)) {
+        coverer = &k;
+        break;
+      }
+    }
+    if (coverer == nullptr) {
+      kept.push_back(e);
+    } else if (coverer->priority < e.priority) {
+      ++out.stats.shadowed_removed;
+    } else {
+      ++out.stats.redundant_removed;
+    }
+  }
+  int next_priority = 0;
+  int last_rule = -1;
+  for (const auto& e : kept) {
+    if (e.rule != last_rule) {
+      last_rule = e.rule;
+      ++next_priority;
+    }
+    out.entries.push_back({e.word, next_priority - 1, e.rule});
+  }
+  out.stats.priority_levels = next_priority;
+  out.stats.expansion_factor =
+      out.stats.source_rules > 0
+          ? static_cast<double>(out.entries.size()) /
+                static_cast<double>(out.stats.source_rules)
+          : 0.0;
+  return out;
+}
+
+// A random rule set built to nest: every head is a prefix of one of a few
+// template words (the rest 'X'), so shorter prefixes cover longer ones
+// across lane boundaries; exact duplicates, all-'X' rules and few priority
+// levels make both shadowed and redundant removals occur.
+RuleSet nesting_rule_set(int cols, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  RuleSet rules;
+  rules.cols = cols;
+  rules.range_bits = static_cast<int>(rng() % (std::min(cols, 16) + 1));
+  std::vector<arch::TernaryWord> templates(3);
+  for (auto& t : templates) {
+    for (int c = 0; c < cols; ++c) {
+      t.push_back(rng() % 2 != 0 ? arch::Ternary::kOne : arch::Ternary::kZero);
+    }
+  }
+  const int n_rules = 150;
+  for (int i = 0; i < n_rules; ++i) {
+    RuleSpec r;
+    r.priority = static_cast<int>(rng() % 4);
+    if (i > 0 && rng() % 8 == 0) {
+      r = rules.rules[rng() % rules.rules.size()];  // duplicate
+      rules.rules.push_back(r);
+      continue;
+    }
+    r.has_range = rules.range_bits > 0 && rng() % 2 == 0;
+    const int head = cols - (r.has_range ? rules.range_bits : 0);
+    const auto& t = templates[rng() % templates.size()];
+    const int fixed = rng() % 10 == 0 ? 0 : static_cast<int>(rng() % (head + 1));
+    for (int c = 0; c < head; ++c) {
+      r.match.push_back(c < fixed ? t[static_cast<std::size_t>(c)]
+                                  : arch::Ternary::kX);
+    }
+    if (r.has_range) {
+      const std::uint64_t span = std::uint64_t{1} << rules.range_bits;
+      r.lo = rng() % span;
+      r.hi = rng() % 6 == 0 ? span - 1 : rng() % span;  // lo > hi: empty
+      if (rng() % 6 == 0) r.lo = 0;
+    }
+    rules.rules.push_back(std::move(r));
+  }
+  return rules;
+}
+
+TEST(CompileRules, MatchesBytewiseOracleAcrossLaneBoundaries) {
+  long long shadowed = 0;
+  long long redundant = 0;
+  long long empty = 0;
+  for (const int cols : {1, 63, 64, 65, 128, 130}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const RuleSet rules = nesting_rule_set(cols, seed * 1000 + cols);
+      const CompiledRuleSet want = bytewise_compile(rules);
+      const CompiledRuleSet got = compile_rules(rules);
+      SCOPED_TRACE("cols " + std::to_string(cols) + " seed " +
+                   std::to_string(seed) + " range-bits " +
+                   std::to_string(rules.range_bits));
+      EXPECT_EQ(got.cols, want.cols);
+      ASSERT_EQ(got.entries.size(), want.entries.size());
+      for (std::size_t i = 0; i < want.entries.size(); ++i) {
+        EXPECT_EQ(got.entries[i].word, want.entries[i].word) << i;
+        EXPECT_EQ(got.entries[i].priority, want.entries[i].priority) << i;
+        EXPECT_EQ(got.entries[i].source_rule, want.entries[i].source_rule)
+            << i;
+      }
+      EXPECT_EQ(got.stats.source_rules, want.stats.source_rules);
+      EXPECT_EQ(got.stats.empty_rules, want.stats.empty_rules);
+      EXPECT_EQ(got.stats.expanded_entries, want.stats.expanded_entries);
+      EXPECT_EQ(got.stats.shadowed_removed, want.stats.shadowed_removed);
+      EXPECT_EQ(got.stats.redundant_removed, want.stats.redundant_removed);
+      EXPECT_EQ(got.stats.priority_levels, want.stats.priority_levels);
+      EXPECT_EQ(got.stats.expansion_factor, want.stats.expansion_factor);
+      shadowed += want.stats.shadowed_removed;
+      redundant += want.stats.redundant_removed;
+      empty += want.stats.empty_rules;
+    }
+  }
+  // The generator has to exercise every elimination path.
+  EXPECT_GT(shadowed, 0);
+  EXPECT_GT(redundant, 0);
+  EXPECT_GT(empty, 0);
 }
 
 TEST(RuleSetIo, SaveLoadRoundTrip) {

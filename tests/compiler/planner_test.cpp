@@ -3,6 +3,8 @@
 // levers (cold-mat inserts, hot-row rewrite spreading, relocation).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +14,7 @@
 #include "compiler/planner.hpp"
 #include "engine/engine.hpp"
 #include "engine/table.hpp"
+#include "engine/workload.hpp"
 
 namespace fetcam::compiler {
 namespace {
@@ -308,6 +311,196 @@ TEST(Planner, WornKeptRowsRelocate) {
   EXPECT_EQ(table.write_pulses() - pulses_before, plan.cost.write_phases);
   EXPECT_EQ(installedB.entries[0].id, id) << "relocation preserves the id";
   EXPECT_NE(table.locate(id)->mat, loc.mat);
+}
+
+// Oracle of plan_update's pairing passes, byte-wise: exact reuse bucketed
+// by arch::to_string (same-priority row first, else the earliest free
+// one), then greedy pairing by digit-by-digit distance (ties: lowest
+// installed index).  Returns the installed index paired with each compiled
+// entry, -1 when unpaired.
+std::vector<int> bytewise_pairing(const Installation& current,
+                                  const CompiledRuleSet& next) {
+  const auto distance = [](const arch::TernaryWord& a,
+                           const arch::TernaryWord& b) {
+    int d = 0;
+    for (std::size_t c = 0; c < a.size(); ++c) d += a[c] != b[c] ? 1 : 0;
+    return d;
+  };
+  const std::size_t n_cur = current.entries.size();
+  const std::size_t n_next = next.entries.size();
+  std::vector<bool> claimed(n_cur, false);
+  std::vector<int> pair(n_next, -1);
+  std::map<std::string, std::vector<std::size_t>> by_word;
+  for (std::size_t i = 0; i < n_cur; ++i) {
+    by_word[arch::to_string(current.entries[i].word)].push_back(i);
+  }
+  for (std::size_t j = 0; j < n_next; ++j) {
+    const auto it = by_word.find(arch::to_string(next.entries[j].word));
+    if (it == by_word.end()) continue;
+    int pick = -1;
+    for (const std::size_t i : it->second) {
+      if (claimed[i]) continue;
+      if (pick < 0) pick = static_cast<int>(i);
+      if (current.entries[i].priority == next.entries[j].priority) {
+        pick = static_cast<int>(i);
+        break;
+      }
+    }
+    if (pick < 0) continue;
+    claimed[static_cast<std::size_t>(pick)] = true;
+    pair[j] = pick;
+  }
+  for (std::size_t j = 0; j < n_next; ++j) {
+    if (pair[j] >= 0) continue;
+    int best = -1;
+    int best_d = 0;
+    for (std::size_t i = 0; i < n_cur; ++i) {
+      if (claimed[i]) continue;
+      const int d = distance(current.entries[i].word, next.entries[j].word);
+      if (best < 0 || d < best_d) {
+        best = static_cast<int>(i);
+        best_d = d;
+      }
+    }
+    if (best < 0) break;
+    claimed[static_cast<std::size_t>(best)] = true;
+    pair[j] = best;
+  }
+  return pair;
+}
+
+/// Checks a plan's pairing against bytewise_pairing: every keep / flip /
+/// rewrite targets the oracle's partner row, a rewrite's changed_digits is
+/// the byte-wise distance, and a rewrite spread to an insert erases the
+/// partner row.  Returns the number of (keep + flip, rewrite) ops checked.
+std::pair<int, int> expect_oracle_pairing(const Installation& installed,
+                                          const CompiledRuleSet& compiled,
+                                          const UpdatePlan& plan) {
+  const std::vector<int> pair = bytewise_pairing(installed, compiled);
+  std::vector<bool> erased(installed.entries.size(), false);
+  for (const PlanOp& op : plan.ops) {
+    if (op.kind != PlanOpKind::kErase) continue;
+    for (std::size_t i = 0; i < installed.entries.size(); ++i) {
+      if (installed.entries[i].id == op.target) erased[i] = true;
+    }
+  }
+  int keeps = 0;
+  int rewrites = 0;
+  for (const PlanOp& op : plan.ops) {
+    if (op.kind == PlanOpKind::kErase || op.kind == PlanOpKind::kRelocate) {
+      continue;
+    }
+    const auto j = static_cast<std::size_t>(op.compiled_index);
+    if (op.kind == PlanOpKind::kInsert) {
+      // A fresh write, or a hot row's rewrite spread to another mat: then
+      // the oracle's partner row must be the one erased.
+      if (pair[j] >= 0) {
+        EXPECT_TRUE(erased[static_cast<std::size_t>(pair[j])]) << "entry " << j;
+      }
+      continue;
+    }
+    if (pair[j] < 0) {
+      ADD_FAILURE() << "entry " << j << " paired, oracle leaves it unpaired";
+      continue;
+    }
+    const InstalledEntry& partner =
+        installed.entries[static_cast<std::size_t>(pair[j])];
+    EXPECT_EQ(op.target, partner.id) << "entry " << j;
+    const arch::TernaryWord& want = compiled.entries[j].word;
+    if (op.kind == PlanOpKind::kRewrite) {
+      int d = 0;
+      for (std::size_t c = 0; c < want.size(); ++c) {
+        d += partner.word[c] != want[c] ? 1 : 0;
+      }
+      EXPECT_EQ(op.changed_digits, d) << "entry " << j;
+      ++rewrites;
+    } else {
+      EXPECT_EQ(partner.word, want) << "entry " << j;
+      ++keeps;
+    }
+  }
+  return {keeps, rewrites};
+}
+
+TEST(Planner, PairingMatchesBytewiseOracleUnderChurn) {
+  for (const int cols : {64, 100}) {
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    engine::TraceSpec spec;
+    spec.kind = engine::TraceKind::kClassifier;
+    spec.cols = cols;
+    spec.rules = 192;
+    spec.queries = 1;
+    spec.seed = 7;
+    const engine::Trace trace = engine::generate_trace(spec);
+    engine::ChurnSpec churn;
+    churn.seed = 7;
+    churn.hot_fraction = 0.25;
+    churn.hot_modify_rate = 0.9;
+    churn.modify_rate = 0.1;
+    churn.add_remove_rate = 0.05;
+    churn.priority_jitter_rate = 0.05;
+
+    engine::TableConfig cfg;
+    cfg.design = arch::TcamDesign::k1p5DgFe;
+    cfg.mats = 4;
+    cfg.rows_per_mat = 256;
+    cfg.cols = cols;
+    engine::TcamTable table(cfg);
+    engine::SearchEngine eng(table);
+
+    Installation installed;
+    std::vector<engine::TraceRule> rules = trace.rules;
+    long long rewrites = 0;
+    long long keeps = 0;
+    for (int step = 0; step <= 20; ++step) {
+      if (step > 0) {
+        rules = engine::churn_rules(rules, spec.kind, cols, churn, step);
+      }
+      const CompiledRuleSet compiled =
+          compile_rules(rule_set_from_rules(cols, rules));
+      SCOPED_TRACE("step " + std::to_string(step));
+      const UpdatePlan plan = plan_update(installed, compiled, table);
+      const auto [k, r] = expect_oracle_pairing(installed, compiled, plan);
+      keeps += k;
+      rewrites += r;
+      installed = apply_plan(eng, plan, compiled).installed;
+    }
+    EXPECT_GT(rewrites, 0);
+    EXPECT_GT(keeps, 0);
+  }
+}
+
+TEST(Planner, PairingPrefersSamePriorityDuplicatesLikeOracle) {
+  // Compiled sets never repeat a word, but an installation can: exact
+  // reuse must then claim the same-priority row, else the earliest one.
+  engine::TableConfig cfg = test_config();
+  cfg.rows_per_mat = 64;
+  engine::TcamTable table(cfg);
+  const std::vector<std::string> pool = {"10XX0101", "10XX0100", "XXXXXXXX",
+                                         "0000XXXX", "11110000", "1X1X1X1X"};
+  std::mt19937_64 rng(5);
+  int total_keeps = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    Installation installed;
+    installed.cols = cfg.cols;
+    for (int i = 0; i < 24; ++i) {
+      InstalledEntry e;
+      e.word = from_string(pool[rng() % pool.size()]);
+      e.priority = static_cast<int>(rng() % 4);
+      e.id = table.insert(e.word, e.priority);
+      ASSERT_NE(e.id, engine::kInvalidEntry);
+      installed.entries.push_back(e);
+    }
+    std::vector<std::pair<std::string, int>> specs;
+    for (const auto& w : pool) {
+      if (rng() % 3 != 0) specs.emplace_back(w, static_cast<int>(rng() % 6));
+    }
+    const CompiledRuleSet compiled = compile_rules(plain_rules(specs));
+    const UpdatePlan plan = plan_update(installed, compiled, table);
+    total_keeps += expect_oracle_pairing(installed, compiled, plan).first;
+    for (const auto& e : installed.entries) table.erase(e.id);
+  }
+  EXPECT_GT(total_keeps, 0);
 }
 
 TEST(Planner, RejectsWidthMismatch) {

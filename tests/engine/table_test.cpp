@@ -350,6 +350,86 @@ TEST(TcamTable, RelocateChargesDestinationWriteExactlyOnce) {
   EXPECT_EQ(t2.total_energy_j(), e2);
 }
 
+TEST(TcamTable, WriteCostCountsMatchTheArchPlanBuilders) {
+  // cost_write / cost_rewrite count phases and cells without building the
+  // plans; they must agree with the arch builders under the table's
+  // charging policy (1.5T1Fe: switching cells; 2FeFET / CMOS: every
+  // column for a fresh write, the changed ones for a rewrite).
+  std::mt19937_64 rng(99);
+  const auto random_word = [&rng](int cols) {
+    arch::TernaryWord w;
+    for (int c = 0; c < cols; ++c) {
+      w.push_back(static_cast<arch::Ternary>(rng() % 3));
+    }
+    return w;
+  };
+  const arch::WriteVoltages v;
+  for (const auto design :
+       {arch::TcamDesign::kCmos16T, arch::TcamDesign::k2SgFefet,
+        arch::TcamDesign::k2DgFefet, arch::TcamDesign::k1p5SgFe,
+        arch::TcamDesign::k1p5DgFe}) {
+    for (const int cols : {2, 8, 64, 66}) {
+      TableConfig cfg = small_config();
+      cfg.design = design;
+      cfg.cols = cols;
+      const TcamTable t(cfg);
+      const arch::ArrayEnergyModel energy(design, cfg.rows_per_mat, cols);
+      SCOPED_TRACE(arch::design_name(design) + " cols " +
+                   std::to_string(cols));
+      for (int trial = 0; trial < 40; ++trial) {
+        const auto next = random_word(cols);
+        // Rewrites also see near-identical words (including unchanged).
+        arch::TernaryWord prev = trial % 4 == 0 ? next : random_word(cols);
+        if (trial % 4 == 1) {
+          prev = next;
+          prev[rng() % prev.size()] = static_cast<arch::Ternary>(rng() % 3);
+        }
+
+        const auto fresh = t.cost_write(next, nullptr);
+        const auto over = t.cost_write(next, &prev);
+        const auto delta = t.cost_rewrite(next, prev);
+        arch::WritePlan fresh_plan;
+        arch::WritePlan over_plan;
+        arch::WritePlan delta_plan;
+        int changed = 0;
+        for (int c = 0; c < cols; ++c) {
+          const auto k = static_cast<std::size_t>(c);
+          changed += next[k] != prev[k] ? 1 : 0;
+        }
+        if (t.two_step()) {
+          fresh_plan = arch::three_step_plan(next, {}, v);
+          over_plan = arch::three_step_plan(next, prev, v);
+          delta_plan = arch::incremental_three_step_plan(next, prev, v);
+        } else {
+          fresh_plan = arch::complementary_plan(next, v);
+          over_plan = fresh_plan;
+          delta_plan = arch::incremental_complementary_plan(next, prev, v);
+        }
+        const auto expect = [&](const WriteCost& got,
+                                const arch::WritePlan& plan, int flat_cells) {
+          EXPECT_EQ(got.phases, static_cast<int>(plan.phases.size()));
+          const int cells =
+              t.two_step() ? plan.total_switching_cells() : flat_cells;
+          EXPECT_EQ(got.cells, cells);
+          EXPECT_EQ(got.energy_j, energy.projected_write_energy_j(cells));
+        };
+        expect(fresh, fresh_plan, cols);
+        expect(over, over_plan, cols);
+        expect(delta, delta_plan, changed);
+      }
+
+      // Width mismatches still throw where a plan builder would.
+      const auto word = random_word(cols);
+      const auto wider = random_word(cols + 1);
+      EXPECT_THROW(t.cost_rewrite(word, wider), std::invalid_argument);
+      EXPECT_THROW(t.cost_rewrite(wider, word), std::invalid_argument);
+      if (t.two_step()) {
+        EXPECT_THROW(t.cost_write(word, &wider), std::invalid_argument);
+      }
+    }
+  }
+}
+
 TEST(TcamTable, SingleStepDesignUsesFullMatch) {
   TableConfig cfg = small_config();
   cfg.design = arch::TcamDesign::kCmos16T;
