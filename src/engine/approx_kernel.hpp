@@ -20,7 +20,7 @@
 //           word's low bits are shifted in and the start mask cycles with
 //           the word's phase (64w mod 3):
 //           (mis | (mis >> 1 | next << 63) | (mis >> 2 | next << 62))
-//             & kThirdMask[(3 - w % 3) % 3]
+//             & kDigitStarts3[(3 - w % 3) % 3]
 //
 // popcount of the collapsed word counts each digit exactly once, at the
 // word its group starts in.  At d = 1 and threshold = 0 the within mask
@@ -28,10 +28,18 @@
 // anchor).
 //
 // Early exit: a row (scalar) or a 4-row vector group (AVX2) stops
-// accumulating once every row in it is already past the threshold.  This
-// changes cost only — rows within the threshold always accumulate their
-// full distance, so the reported (within, distance) pairs are bit-exact
-// across tiers.  Rows past the threshold report kDistanceOverflow.
+// accumulating once it is past the threshold of EVERY query in the block;
+// at d in {1, 2} its remaining words are then never loaded (d = 3 reads
+// one word ahead for the straddling digit).  This changes cost only — rows
+// within a query's threshold always accumulate their full distance, so
+// the reported (within, distance) pairs are bit-exact across tiers and
+// block compositions.  Rows past the threshold report kDistanceOverflow.
+//
+// Query blocking: one pass over the planar words serves nq (1..
+// kMaxQueryBlock) queries, each with its own threshold — every care/value
+// word is loaded once per block instead of once per query.  The kernels
+// are templates on (digit width, nq), so the digit collapse is resolved at
+// compile time; the single-query search is the nq = 1 instance.
 //
 // Statistics are single-step (full-match convention): every row fires
 // once, step1_misses = 0, step2_evaluated = rows, matches = rows within
@@ -50,43 +58,40 @@ inline constexpr std::uint16_t kDistanceOverflow = 0xFFFF;
 
 namespace detail {
 
+/// Digit-start bits of one word: every even bit at d = 2; at d = 3 bits i
+/// with (64w + i) % 3 == 0, indexed by the word's phase (3 - w % 3) % 3.
+inline constexpr std::uint64_t kDigitStarts2 = 0x5555555555555555ULL;
+inline constexpr std::uint64_t kDigitStarts3[3] = {
+    0x9249249249249249ULL,  // bits 0, 3, ..., 63
+    0x2492492492492492ULL,  // bits 1, 4, ..., 61
+    0x4924924924924924ULL,  // bits 2, 5, ..., 62
+};
+
 /// Fold mismatch word `mis` (word index w of a row) onto its digit-start
 /// bits; `next` is the row's following mismatch word (0 for the last).
 /// Exposed for the differential tests.
 std::uint64_t collapse_digits(std::uint64_t mis, std::uint64_t next, int w,
                               int digit_bits);
 
-// Per-tier kernels.  within_mask: rows_pad/64 words, fully overwritten
-// (bit r set = valid row r within threshold).  distances: rows_pad
-// entries; entries for rows within the threshold hold the digit distance,
-// all other entries (past-threshold, invalid-but-close, padded) hold
-// kDistanceOverflow.
-arch::SearchStats approx_match_scalar(const ShardView& s,
-                                      const std::uint64_t* query,
-                                      int digit_bits, int threshold,
-                                      std::uint64_t* within_mask,
-                                      std::uint16_t* distances);
-// Defined in approx_kernel_avx2.cpp (FETCAM_HAVE_AVX2 builds only).
-arch::SearchStats approx_match_avx2(const ShardView& s,
-                                    const std::uint64_t* query,
-                                    int digit_bits, int threshold,
-                                    std::uint64_t* within_mask,
-                                    std::uint16_t* distances);
-
-// Query-blocked variants (nq in 1..kMaxQueryBlock), bit-exact per query
-// vs the single-query kernels.  Approximate traffic is a small fraction
-// of exact traffic, so these delegate per query rather than sharing the
-// planar pass; the signature matches the exact blocked kernels so the
-// shared-pass optimization can land without touching callers.
+// Per-tier blocked kernels: nq (1..kMaxQueryBlock) queries in one pass
+// over the shard's planar words.  queries[q] points to wpr packed words
+// and thresholds[q] (>= 0) is query q's own threshold.  within_masks[q]
+// (rows_pad/64 words) is fully overwritten: bit r set = valid row r
+// within thresholds[q].  distances[q] (rows_pad entries) is fully
+// overwritten: rows within the threshold hold the digit distance, all
+// other entries (past-threshold, invalid-but-close, padded) hold
+// kDistanceOverflow.  stats[q] is reset and filled.  Per-query outputs
+// never depend on the rest of the block.
 void approx_match_block_scalar(const ShardView& s,
                                const std::uint64_t* const* queries, int nq,
-                               int digit_bits, int threshold,
+                               int digit_bits, const int* thresholds,
                                std::uint64_t* const* within_masks,
                                std::uint16_t* const* distances,
                                arch::SearchStats* stats);
+// Defined in approx_kernel_avx2.cpp (FETCAM_HAVE_AVX2 builds only).
 void approx_match_block_avx2(const ShardView& s,
                              const std::uint64_t* const* queries, int nq,
-                             int digit_bits, int threshold,
+                             int digit_bits, const int* thresholds,
                              std::uint64_t* const* within_masks,
                              std::uint16_t* const* distances,
                              arch::SearchStats* stats);
@@ -97,7 +102,7 @@ void approx_match_block_avx2(const ShardView& s,
 /// threshold get their within bit set and their distance recorded.
 /// within_mask is resized to shard.mask_words(), distances to the padded
 /// row count.  Requires query.cols == shard.cols(), cols % digit_bits ==
-/// 0, digit_bits in [1, 3], threshold >= 0.  The tier-less overload uses
+/// 0, digit_bits in [1, 3], threshold >= 0.  The tier-less overloads use
 /// active_kernel_tier().
 arch::SearchStats approx_match(const PackedShard& shard,
                                const PackedQuery& query, int digit_bits,
@@ -110,5 +115,25 @@ arch::SearchStats approx_match(const PackedShard& shard,
                                std::vector<std::uint64_t>& within_mask,
                                std::vector<std::uint16_t>& distances,
                                KernelTier tier);
+
+/// Query-blocked threshold match: nq (1..kMaxQueryBlock) queries, each
+/// with its own threshold, in one pass over the shard.  within_masks[q]
+/// must hold shard.mask_words() words and distances[q] mask_words() * 64
+/// entries; both are fully overwritten, and stats[q] is reset.  Lane q's
+/// outputs equal approx_match(shard, *queries[q], digit_bits,
+/// thresholds[q], ...) bit for bit, whatever the rest of the block holds.
+/// Same argument checks as approx_match, per lane.
+void approx_match_block(const PackedShard& shard,
+                        const PackedQuery* const* queries, int nq,
+                        int digit_bits, const int* thresholds,
+                        std::uint64_t* const* within_masks,
+                        std::uint16_t* const* distances,
+                        arch::SearchStats* stats);
+void approx_match_block(const PackedShard& shard,
+                        const PackedQuery* const* queries, int nq,
+                        int digit_bits, const int* thresholds,
+                        std::uint64_t* const* within_masks,
+                        std::uint16_t* const* distances,
+                        arch::SearchStats* stats, KernelTier tier);
 
 }  // namespace fetcam::engine

@@ -296,29 +296,39 @@ void SearchEngine::match_batch(const Work& work,
     packed_queries_[searches.size() + n].repack(batch[nearest[n]].query);
   }
 
-  // Phase A.  The exact searches are chunked into fixed submission-order
-  // blocks of `query_block` lanes; task k < blocks matches block k over
-  // every mat, task blocks + n runs nearest search n.  Each task writes
-  // only its own requests' slots, so the claim schedule is invisible —
-  // and because per-lane results never depend on block composition
-  // (table.cpp), neither is the block size.
+  // Phase A.  Exact and nearest lanes are each chunked into fixed
+  // submission-order blocks of `query_block` lanes: task k < blocks
+  // matches exact block k over every mat, task blocks + j runs nearest
+  // block j.  Each task writes only its own requests' slots, so the claim
+  // schedule is invisible — and because per-lane results never depend on
+  // block composition (table.cpp), neither is the block size.
   const std::size_t block = static_cast<std::size_t>(options_.query_block);
   const std::size_t blocks = (searches.size() + block - 1) / block;
+  const std::size_t near_blocks = (nearest.size() + block - 1) / block;
   const std::function<void(std::size_t)> task = [&](std::size_t k) {
     if (k >= blocks) {
-      const std::size_t n = k - blocks;
-      const Request& req = batch[nearest[n]];
-      // Request-level overrides; non-positive / negative values defer to
-      // the validated engine defaults, so the table layer only ever sees
-      // legal (k, threshold) pairs.
-      const int top_k = req.k > 0 ? req.k : options_.k;
-      const int threshold = req.distance_threshold >= 0
-                                ? req.distance_threshold
-                                : options_.distance_threshold;
+      const std::size_t n0 = (k - blocks) * block;
+      const std::size_t n1 = std::min(n0 + block, nearest.size());
       obs::ScopedSpan span("engine.near_task", "engine", work.trace_id);
       thread_local NearestScratch scratch;
-      table_.nearest_mats(packed_queries_[searches.size() + n], top_k,
-                          threshold, scratch, nears[nearest[n]]);
+      const PackedQuery* queries[kMaxQueryBlock];
+      int ks[kMaxQueryBlock];
+      int thresholds[kMaxQueryBlock];
+      NearestMatch* outs[kMaxQueryBlock];
+      for (std::size_t n = n0; n < n1; ++n) {
+        const Request& req = batch[nearest[n]];
+        queries[n - n0] = &packed_queries_[searches.size() + n];
+        outs[n - n0] = &nears[nearest[n]];
+        // Request-level overrides; non-positive / negative values defer to
+        // the validated engine defaults, so the table layer only ever sees
+        // legal (k, threshold) pairs.
+        ks[n - n0] = req.k > 0 ? req.k : options_.k;
+        thresholds[n - n0] = req.distance_threshold >= 0
+                                 ? req.distance_threshold
+                                 : options_.distance_threshold;
+      }
+      table_.nearest_mats_block(queries, ks, thresholds,
+                                static_cast<int>(n1 - n0), scratch, outs);
       return;
     }
     const std::size_t s0 = k * block;
@@ -344,7 +354,7 @@ void SearchEngine::match_batch(const Work& work,
   };
   const bool metrics = obs::metrics_on();
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;
-  run_round(blocks + nearest.size(), task);
+  run_round(blocks + near_blocks, task);
   if (metrics) {
     EngineMetrics::get()
         .match_tier[static_cast<int>(active_kernel_tier())]

@@ -8,15 +8,15 @@
 //     (backpressure: submit blocks while the queue is full).
 //   * One coordinator thread pops batches strictly in submission order,
 //     one at a time.
-//   * Phase A — parallel match: the batch's exact searches are chunked
-//     into fixed submission-order blocks of `query_block` lanes, and each
-//     block is one task that broadcasts over every mat (paper Sec. III-C:
-//     a search drives all mats in lock-step).  Each nearest search is one
-//     more task.  `dispatch_threads` dispatcher threads (the coordinator
-//     counts as one) claim tasks from a shared cursor; each task writes
-//     only its own requests' result slots, and each slot is written once
-//     by its own task, so the claim schedule cannot influence anything
-//     observable and nothing is left to merge.
+//   * Phase A — parallel match: the batch's exact searches, and
+//     separately its nearest searches, are chunked into fixed
+//     submission-order blocks of `query_block` lanes, and each block is
+//     one task that broadcasts over every mat (paper Sec. III-C: a search
+//     drives all mats in lock-step).  `dispatch_threads` dispatcher
+//     threads (the coordinator counts as one) claim tasks from a shared
+//     cursor; each task writes only its own requests' result slots, and
+//     each slot is written once by its own task, so the claim schedule
+//     cannot influence anything observable and nothing is left to merge.
 //   * Phase B — serial application per batch, in submission order, on the
 //     coordinator: ALL accounting and ALL writes apply in request order.
 //   * Result: batch results, table contents, energy/endurance totals, and
@@ -181,9 +181,10 @@ struct EngineOptions {
   /// throw.
   int dispatch_threads = 0;
   /// Queries matched per kernel pass (1..kMaxQueryBlock): each batch's
-  /// exact searches are chunked into fixed submission-order blocks of this
-  /// size so one streaming pass over a shard's planar words serves the
-  /// whole block (docs/ENGINE.md "Query blocking").  1 = the single-query path.
+  /// exact searches, and separately its nearest searches, are chunked into
+  /// fixed submission-order blocks of this size so one streaming pass over
+  /// a shard's planar words serves the whole block (docs/ENGINE.md "Query
+  /// blocking").  1 = the single-query path.
   /// Purely a bandwidth knob: per-query results are bit-identical for
   /// every block size.
   int query_block = 8;
@@ -305,8 +306,8 @@ class SearchEngine {
   void run_round(std::size_t count,
                  const std::function<void(std::size_t)>& fn);
   /// Phase A for one batch: query-block tasks write exact matches into
-  /// matches[i], one task per nearest search writes nears[i] (each slot
-  /// written once by its own task, so both are dispatcher-invariant).
+  /// matches[i] and nearest results into nears[i] (each slot written once
+  /// by its own block's task, so both are dispatcher-invariant).
   void match_batch(const Work& work, std::vector<TableMatch>& matches,
                    std::vector<NearestMatch>& nears);
   /// Phase B + admission model for one batch (serial, coordinator only).

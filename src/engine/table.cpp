@@ -670,72 +670,129 @@ bool TcamTable::nearest_mat_skips(std::size_t mat, const PackedQuery& query,
 void TcamTable::nearest_mats(const PackedQuery& query, int k, int threshold,
                              NearestScratch& scratch,
                              NearestMatch& out) const {
-  if (k < 1) {
-    throw std::invalid_argument("k must be >= 1, got " + std::to_string(k));
-  }
-  if (threshold < 0) {
-    throw std::invalid_argument("distance_threshold must be >= 0, got " +
-                                std::to_string(threshold));
-  }
-  out.top.clear();
-  out.stats = arch::SearchStats{};
-  out.per_mat.assign(static_cast<std::size_t>(config_.mats),
-                     arch::SearchStats{});
+  const PackedQuery* queries[1] = {&query};
+  NearestMatch* outs[1] = {&out};
+  nearest_mats_block(queries, &k, &threshold, 1, scratch, outs);
+}
 
+void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
+                                   const int* ks, const int* thresholds,
+                                   int nq, NearestScratch& scratch,
+                                   NearestMatch* const* outs) const {
+  if (nq < 1 || nq > kMaxQueryBlock) {
+    throw std::invalid_argument("query block size must be in [1, " +
+                                std::to_string(kMaxQueryBlock) + "], got " +
+                                std::to_string(nq));
+  }
+  for (int q = 0; q < nq; ++q) {
+    if (ks[q] < 1) {
+      throw std::invalid_argument("k must be >= 1, got " +
+                                  std::to_string(ks[q]));
+    }
+    if (thresholds[q] < 0) {
+      throw std::invalid_argument("distance_threshold must be >= 0, got " +
+                                  std::to_string(thresholds[q]));
+    }
+  }
+  if (scratch.within.size() < static_cast<std::size_t>(nq)) {
+    scratch.within.resize(static_cast<std::size_t>(nq));
+    scratch.distances.resize(static_cast<std::size_t>(nq));
+  }
+  const std::size_t mask_words = shards_[0].mask_words();
+  for (int q = 0; q < nq; ++q) {
+    // The kernel overwrites both buffers in full, so no fill is needed.
+    scratch.within[static_cast<std::size_t>(q)].resize(mask_words);
+    scratch.distances[static_cast<std::size_t>(q)].resize(mask_words * 64);
+    NearestMatch& out = *outs[q];
+    out.top.clear();
+    out.stats = arch::SearchStats{};
+    out.per_mat.assign(static_cast<std::size_t>(config_.mats),
+                       arch::SearchStats{});
+  }
+
+  // Per mat: prune per lane, then one blocked kernel pass over the
+  // surviving lanes.  Lane results are independent of the sub-block's
+  // composition, so a lane sees identical candidates and stats whether its
+  // neighbors were pruned or not.
+  const PackedQuery* kernel_queries[kMaxQueryBlock];
+  int kernel_thresholds[kMaxQueryBlock];
+  std::uint64_t* kernel_within[kMaxQueryBlock];
+  std::uint16_t* kernel_distances[kMaxQueryBlock];
+  arch::SearchStats kernel_stats[kMaxQueryBlock];
+  int lane_of[kMaxQueryBlock];
   long long skipped = 0;
   for (int m = 0; m < config_.mats; ++m) {
-    if (config_.mat_skip &&
-        nearest_mat_skips(static_cast<std::size_t>(m), query, threshold)) {
-      // Accounting identical to the kernel scan this skip replaces
-      // (single-step: every row fires, nothing is within the threshold),
-      // so the knob changes cost only.
-      arch::SearchStats s;
-      s.rows = config_.rows_per_mat;
-      s.step2_evaluated = config_.rows_per_mat;
+    int live = 0;
+    for (int q = 0; q < nq; ++q) {
+      if (config_.mat_skip &&
+          nearest_mat_skips(static_cast<std::size_t>(m), *queries[q],
+                            thresholds[q])) {
+        // Accounting identical to the kernel scan this skip replaces
+        // (single-step: every row fires, nothing is within the
+        // threshold), so the knob changes cost only.
+        arch::SearchStats s;
+        s.rows = config_.rows_per_mat;
+        s.step2_evaluated = config_.rows_per_mat;
+        NearestMatch& out = *outs[q];
+        out.per_mat[static_cast<std::size_t>(m)] = s;
+        out.stats.rows += s.rows;
+        out.stats.step2_evaluated += s.step2_evaluated;
+        ++skipped;
+        continue;
+      }
+      kernel_queries[live] = queries[q];
+      kernel_thresholds[live] = thresholds[q];
+      kernel_within[live] = scratch.within[static_cast<std::size_t>(q)].data();
+      kernel_distances[live] =
+          scratch.distances[static_cast<std::size_t>(q)].data();
+      lane_of[live] = q;
+      ++live;
+    }
+    if (live == 0) continue;
+    approx_match_block(shards_[static_cast<std::size_t>(m)], kernel_queries,
+                       live, config_.digit_bits, kernel_thresholds,
+                       kernel_within, kernel_distances, kernel_stats);
+    const auto& rows = row_entry_[static_cast<std::size_t>(m)];
+    for (int j = 0; j < live; ++j) {
+      const int q = lane_of[j];
+      NearestMatch& out = *outs[q];
+      const std::size_t k = static_cast<std::size_t>(ks[q]);
+      const arch::SearchStats& s = kernel_stats[j];
       out.per_mat[static_cast<std::size_t>(m)] = s;
       out.stats.rows += s.rows;
+      out.stats.step1_misses += s.step1_misses;
       out.stats.step2_evaluated += s.step2_evaluated;
-      ++skipped;
-      continue;
-    }
-    const auto& shard = shards_[static_cast<std::size_t>(m)];
-    const arch::SearchStats s =
-        approx_match(shard, query, config_.digit_bits, threshold,
-                     scratch.within, scratch.distances);
-    out.per_mat[static_cast<std::size_t>(m)] = s;
-    out.stats.rows += s.rows;
-    out.stats.step1_misses += s.step1_misses;
-    out.stats.step2_evaluated += s.step2_evaluated;
-    out.stats.matches += s.matches;
-    // Candidate scan: bounded insertion keeps out.top sorted by
-    // (distance, priority, id), at most k entries.
-    const auto& rows = row_entry_[static_cast<std::size_t>(m)];
-    for (std::size_t w = 0; w < scratch.within.size(); ++w) {
-      std::uint64_t bits = scratch.within[w];
-      while (bits != 0) {
-        const int r = static_cast<int>(w * 64) + std::countr_zero(bits);
-        bits &= bits - 1;
-        NearCandidate cand;
-        cand.entry = rows[static_cast<std::size_t>(r)];
-        cand.priority =
-            slots_[static_cast<std::size_t>(cand.entry)].priority;
-        cand.distance =
-            static_cast<int>(scratch.distances[static_cast<std::size_t>(r)]);
-        if (out.top.size() == static_cast<std::size_t>(k) &&
-            !near_candidate_less(cand, out.top.back())) {
-          continue;
+      out.stats.matches += s.matches;
+      // Candidate scan: bounded insertion keeps out.top sorted by
+      // (distance, priority, id), at most k entries.
+      for (std::size_t w = 0; w < mask_words; ++w) {
+        std::uint64_t bits = kernel_within[j][w];
+        while (bits != 0) {
+          const int r = static_cast<int>(w * 64) + std::countr_zero(bits);
+          bits &= bits - 1;
+          NearCandidate cand;
+          cand.entry = rows[static_cast<std::size_t>(r)];
+          cand.priority =
+              slots_[static_cast<std::size_t>(cand.entry)].priority;
+          cand.distance = static_cast<int>(
+              kernel_distances[j][static_cast<std::size_t>(r)]);
+          if (out.top.size() == k &&
+              !near_candidate_less(cand, out.top.back())) {
+            continue;
+          }
+          const auto at = std::upper_bound(
+              out.top.begin(), out.top.end(), cand,
+              [](const NearCandidate& a, const NearCandidate& b) {
+                return near_candidate_less(a, b);
+              });
+          out.top.insert(at, cand);
+          if (out.top.size() > k) out.top.pop_back();
         }
-        const auto at = std::upper_bound(
-            out.top.begin(), out.top.end(), cand,
-            [](const NearCandidate& a, const NearCandidate& b) {
-              return near_candidate_less(a, b);
-            });
-        out.top.insert(at, cand);
-        if (out.top.size() > static_cast<std::size_t>(k)) out.top.pop_back();
       }
     }
   }
-  mats_considered_.fetch_add(config_.mats, std::memory_order_relaxed);
+  mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
+                             std::memory_order_relaxed);
   if (skipped != 0) {
     mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
   }

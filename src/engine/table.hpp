@@ -130,12 +130,14 @@ struct NearestMatch {
   std::vector<arch::SearchStats> per_mat;
 };
 
-/// Reusable buffers for TcamTable::nearest_mats (packed query + within
-/// mask + per-row distances).
+/// Reusable buffers for TcamTable::nearest_mats / nearest_mats_block: a
+/// packed query (search_nearest) plus one within mask and one per-row
+/// distance array per block lane.  After the first call every lane's
+/// buffers are warm, so a steady-state blocked search allocates nothing.
 struct NearestScratch {
   PackedQuery query;
-  std::vector<std::uint64_t> within;
-  std::vector<std::uint16_t> distances;
+  std::vector<std::vector<std::uint64_t>> within;
+  std::vector<std::vector<std::uint16_t>> distances;
 };
 
 /// Physical location of an entry (used by the driver-multiplex model).
@@ -252,6 +254,17 @@ class TcamTable {
   /// `k` / `distance_threshold` when out of range.
   void nearest_mats(const PackedQuery& query, int k, int threshold,
                     NearestScratch& scratch, NearestMatch& out) const;
+  /// Query-blocked nearest_mats: nq (1..kMaxQueryBlock) lanes, lane q with
+  /// its own ks[q] / thresholds[q], in ONE kernel pass per shard.  outs[q]
+  /// receives exactly what nearest_mats(*queries[q], ks[q], thresholds[q],
+  /// ...) would have produced, whatever the rest of the block holds.  Mats
+  /// the widened proof skips for a lane are skipped for that lane only;
+  /// the surviving lanes form the kernel sub-block (the match_mats_block
+  /// pattern).  nearest_mats is the one-lane call.
+  void nearest_mats_block(const PackedQuery* const* queries, const int* ks,
+                          const int* thresholds, int nq,
+                          NearestScratch& scratch,
+                          NearestMatch* const* outs) const;
 
   /// Serial convenience: whole-table nearest_mats + accounting.  At
   /// digit_bits = 1, threshold = 0, k = 1 the single candidate equals the

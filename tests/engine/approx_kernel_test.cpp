@@ -8,6 +8,7 @@
 // kDistanceOverflow regardless of where the early exit fired.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 #include <vector>
 
@@ -171,7 +172,13 @@ TEST(ApproxKernel, ExactDegenerationAtDigitOneThresholdZero) {
 }
 
 TEST(ApproxKernel, BlockedVariantsMatchSingleQueryKernels) {
-  const bool simd = kernel_tier_available(KernelTier::kAvx2);
+  // Every lane carries its own threshold (0, small, whole-row), so lanes
+  // that settle after one word share groups with lanes that read them
+  // all; each lane must still equal the single-query kernel bit for bit.
+  std::vector<KernelTier> tiers = {KernelTier::kScalar};
+  if (kernel_tier_available(KernelTier::kAvx2)) {
+    tiers.push_back(KernelTier::kAvx2);
+  }
   for (std::uint64_t trial = 0; trial < 12; ++trial) {
     auto rng = util::trial_rng(34, trial, 0);
     for (const int d : {1, 2, 3}) {
@@ -182,64 +189,106 @@ TEST(ApproxKernel, BlockedVariantsMatchSingleQueryKernels) {
       PackedShard p(rows, cols);
       build_pair(rng, rows, cols, a, p);
       const detail::ShardView view = p.view();
-      const int threshold = static_cast<int>(trial % 4);
-      for (int nq = 1; nq <= 8; ++nq) {
+      for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
         std::vector<PackedQuery> queries;
-        queries.reserve(static_cast<std::size_t>(nq));
+        std::vector<int> thresholds;
         for (int q = 0; q < nq; ++q) {
           queries.push_back(PackedQuery::pack(random_query(rng, cols)));
+          const int t = static_cast<int>(trial + 3 * q) % 6;
+          thresholds.push_back(t == 5 ? digits : t);
         }
         std::vector<const std::uint64_t*> qptrs;
         std::vector<std::vector<std::uint64_t>> masks(
             static_cast<std::size_t>(nq),
-            std::vector<std::uint64_t>(p.mask_words()));
+            std::vector<std::uint64_t>(p.mask_words(), 0xA5A5ULL));
         std::vector<std::vector<std::uint16_t>> dists(
             static_cast<std::size_t>(nq),
             std::vector<std::uint16_t>(
-                static_cast<std::size_t>(p.mask_words()) * 64));
+                static_cast<std::size_t>(p.mask_words()) * 64, 7));
         std::vector<std::uint64_t*> mptrs;
         std::vector<std::uint16_t*> dptrs;
-        std::vector<arch::SearchStats> stats(static_cast<std::size_t>(nq));
         for (int q = 0; q < nq; ++q) {
           qptrs.push_back(queries[static_cast<std::size_t>(q)].bits.data());
           mptrs.push_back(masks[static_cast<std::size_t>(q)].data());
           dptrs.push_back(dists[static_cast<std::size_t>(q)].data());
         }
-        detail::approx_match_block_scalar(view, qptrs.data(), nq, d,
-                                          threshold, mptrs.data(),
-                                          dptrs.data(), stats.data());
-        for (int q = 0; q < nq; ++q) {
-          std::vector<std::uint64_t> single_mask;
-          std::vector<std::uint16_t> single_dist;
-          const arch::SearchStats single = approx_match(
-              p, queries[static_cast<std::size_t>(q)], d, threshold,
-              single_mask, single_dist, KernelTier::kScalar);
-          ASSERT_EQ(masks[static_cast<std::size_t>(q)], single_mask)
-              << "scalar block nq=" << nq << " q=" << q << " d=" << d;
-          ASSERT_EQ(dists[static_cast<std::size_t>(q)], single_dist);
-          ASSERT_EQ(stats[static_cast<std::size_t>(q)].matches,
-                    single.matches);
-        }
-        if (simd) {
-          std::vector<arch::SearchStats> vstats(
-              static_cast<std::size_t>(nq));
-          detail::approx_match_block_avx2(view, qptrs.data(), nq, d,
-                                          threshold, mptrs.data(),
-                                          dptrs.data(), vstats.data());
+        for (const KernelTier tier : tiers) {
+          std::vector<arch::SearchStats> stats(static_cast<std::size_t>(nq));
+          if (tier == KernelTier::kScalar) {
+            detail::approx_match_block_scalar(view, qptrs.data(), nq, d,
+                                              thresholds.data(), mptrs.data(),
+                                              dptrs.data(), stats.data());
+          } else {
+            detail::approx_match_block_avx2(view, qptrs.data(), nq, d,
+                                            thresholds.data(), mptrs.data(),
+                                            dptrs.data(), stats.data());
+          }
           for (int q = 0; q < nq; ++q) {
+            const std::size_t qi = static_cast<std::size_t>(q);
             std::vector<std::uint64_t> single_mask;
             std::vector<std::uint16_t> single_dist;
-            approx_match(p, queries[static_cast<std::size_t>(q)], d,
-                         threshold, single_mask, single_dist,
-                         KernelTier::kScalar);
-            ASSERT_EQ(masks[static_cast<std::size_t>(q)], single_mask)
-                << "avx2 block nq=" << nq << " q=" << q << " d=" << d;
-            ASSERT_EQ(dists[static_cast<std::size_t>(q)], single_dist);
+            const arch::SearchStats single =
+                approx_match(p, queries[qi], d, thresholds[qi], single_mask,
+                             single_dist, KernelTier::kScalar);
+            ASSERT_EQ(masks[qi], single_mask)
+                << kernel_tier_name(tier) << " block nq=" << nq
+                << " q=" << q << " d=" << d << " t=" << thresholds[qi];
+            ASSERT_EQ(dists[qi], single_dist)
+                << kernel_tier_name(tier) << " block nq=" << nq
+                << " q=" << q << " d=" << d << " t=" << thresholds[qi];
+            EXPECT_EQ(stats[qi].rows, single.rows);
+            EXPECT_EQ(stats[qi].step1_misses, single.step1_misses);
+            EXPECT_EQ(stats[qi].step2_evaluated, single.step2_evaluated);
+            EXPECT_EQ(stats[qi].matches, single.matches);
           }
         }
       }
     }
   }
+}
+
+TEST(ApproxKernel, PublicBlockEntryMatchesSingleAndValidatesLanes) {
+  auto rng = util::trial_rng(35, 0, 0);
+  const int d = 2, cols = 130, rows = 97;
+  arch::TcamArray a(rows, cols);
+  PackedShard p(rows, cols);
+  build_pair(rng, rows, cols, a, p);
+  const PackedQuery q0 = PackedQuery::pack(random_query(rng, cols));
+  const PackedQuery q1 = PackedQuery::pack(random_query(rng, cols));
+  const PackedQuery* queries[2] = {&q0, &q1};
+  const int thresholds[2] = {cols / d, 1};
+  std::vector<std::uint64_t> m0(p.mask_words()), m1(p.mask_words());
+  std::vector<std::uint16_t> d0(p.mask_words() * 64), d1(p.mask_words() * 64);
+  std::uint64_t* masks[2] = {m0.data(), m1.data()};
+  std::uint16_t* dists[2] = {d0.data(), d1.data()};
+  arch::SearchStats stats[2];
+  approx_match_block(p, queries, 2, d, thresholds, masks, dists, stats);
+  std::vector<std::uint64_t> want_mask;
+  std::vector<std::uint16_t> want_dist;
+  approx_match(p, q1, d, 1, want_mask, want_dist);
+  EXPECT_EQ(m1, want_mask);
+  EXPECT_EQ(d1, want_dist);
+  approx_match(p, q0, d, cols / d, want_mask, want_dist);
+  EXPECT_EQ(m0, want_mask);
+  EXPECT_EQ(d0, want_dist);
+  EXPECT_EQ(stats[0].matches, std::popcount(m0[0]) + std::popcount(m0[1]));
+
+  // Every lane is checked, not just the first.
+  const int bad_thresholds[2] = {0, -1};
+  EXPECT_THROW(approx_match_block(p, queries, 2, d, bad_thresholds, masks,
+                                  dists, stats),
+               std::invalid_argument);
+  const PackedQuery narrow = PackedQuery::pack(arch::BitWord(12, 0));
+  const PackedQuery* mixed[2] = {&q0, &narrow};
+  EXPECT_THROW(
+      approx_match_block(p, mixed, 2, d, thresholds, masks, dists, stats),
+      std::invalid_argument);
+  EXPECT_THROW(
+      approx_match_block(p, queries, 0, d, thresholds, masks, dists, stats),
+      std::invalid_argument);
+  EXPECT_THROW(approx_match_block(p, queries, kMaxQueryBlock + 1, d,
+                                  thresholds, masks, dists, stats),
+               std::invalid_argument);
 }
 
 TEST(ApproxKernel, CollapseDigitsFoldsStraddlingGroups) {

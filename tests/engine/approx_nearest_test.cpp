@@ -1,12 +1,14 @@
 // Approximate-match / kNN subsystem tests: TcamTable::search_nearest
 // against the brute-force digit-distance reference (mat-skip pruning on
-// AND off, digit widths 1-3), exact-path degeneration at d = 1 /
+// AND off, digit widths 1-3), query-blocked nearest_mats_block against
+// the one-lane search, exact-path degeneration at d = 1 /
 // threshold = 0 / k = 1, engine-level determinism of kSearchNearest
 // across every dispatch shape, option-validation naming, the workload
 // recall golden, and the kNearest wire round-trip plus the uniform
 // unknown-opcode containment the protocol promises.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -192,6 +194,153 @@ TEST(ApproxNearest, EngineResultsInvariantAcrossDispatchShapes) {
       }
     }
   }
+}
+
+void expect_same_nearest(const NearestMatch& got, const NearestMatch& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.top.size(), want.top.size()) << what;
+  for (std::size_t i = 0; i < want.top.size(); ++i) {
+    ASSERT_EQ(got.top[i].entry, want.top[i].entry) << what << " i=" << i;
+    ASSERT_EQ(got.top[i].priority, want.top[i].priority) << what;
+    ASSERT_EQ(got.top[i].distance, want.top[i].distance) << what;
+  }
+  const auto same_stats = [&](const arch::SearchStats& a,
+                              const arch::SearchStats& b,
+                              const std::string& where) {
+    ASSERT_EQ(a.rows, b.rows) << where;
+    ASSERT_EQ(a.step1_misses, b.step1_misses) << where;
+    ASSERT_EQ(a.step2_evaluated, b.step2_evaluated) << where;
+    ASSERT_EQ(a.matches, b.matches) << where;
+  };
+  same_stats(got.stats, want.stats, what + " stats");
+  ASSERT_EQ(got.per_mat.size(), want.per_mat.size()) << what;
+  for (std::size_t m = 0; m < want.per_mat.size(); ++m) {
+    same_stats(got.per_mat[m], want.per_mat[m],
+               what + " mat " + std::to_string(m));
+  }
+}
+
+TEST(ApproxNearest, BlockedLanesMatchSingleLaneSearch) {
+  // nearest_mats_block must hand every lane exactly what nearest_mats
+  // gives it alone — top-k, merged and per-mat stats, and the pruning
+  // counters — whatever (k, threshold) its block neighbours carry and
+  // whichever mats the widened proof skips for them.
+  bool saw_split_skips = false;
+  for (const int d : {1, 2, 3}) {
+    for (const int digits : {63, 64, 65}) {
+      TraceSpec spec;
+      spec.kind = TraceKind::kEmbedding;
+      spec.cols = digits * d;
+      spec.rules = 500;
+      spec.queries = 96;
+      spec.match_rate = 0.6;
+      spec.digit_bits = d;
+      spec.seed = static_cast<std::uint64_t>(71 + 10 * d + digits);
+      const Trace trace = generate_trace(spec);
+      const int thresholds_menu[] = {0, 1, 2, digits};
+      for (const bool skip : {false, true}) {
+        TableConfig cfg;
+        // Single-step design: the two-step 1.5T1Fe array needs even widths
+        // and 63 * d is odd.
+        cfg.design = arch::TcamDesign::k2DgFefet;
+        cfg.mats = 6;
+        cfg.rows_per_mat = 96;
+        cfg.cols = spec.cols;
+        cfg.subarrays_per_mat = 2;
+        cfg.digit_bits = d;
+        cfg.mat_skip = skip;
+        TcamTable table(cfg);
+        load_rules_clustered(table, trace);
+        NearestScratch single_scratch;
+        NearestScratch block_scratch;  // reused: lanes warm up as nq grows
+        for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
+          std::vector<PackedQuery> packed;
+          int ks[kMaxQueryBlock];
+          int thresholds[kMaxQueryBlock];
+          for (int q = 0; q < nq; ++q) {
+            const std::size_t at =
+                static_cast<std::size_t>(nq * 11 + q) % trace.queries.size();
+            packed.push_back(PackedQuery::pack(trace.queries[at]));
+            ks[q] = 1 + (3 * q + nq) % 6;
+            thresholds[q] = thresholds_menu[(q + nq) % 4];
+          }
+          std::vector<NearestMatch> want(static_cast<std::size_t>(nq));
+          std::vector<long long> lane_skips;
+          for (int q = 0; q < nq; ++q) {
+            const long long before = table.mats_skipped();
+            table.nearest_mats(packed[static_cast<std::size_t>(q)], ks[q],
+                               thresholds[q], single_scratch,
+                               want[static_cast<std::size_t>(q)]);
+            lane_skips.push_back(table.mats_skipped() - before);
+          }
+          const PackedQuery* queries[kMaxQueryBlock];
+          std::vector<NearestMatch> got(static_cast<std::size_t>(nq));
+          NearestMatch* outs[kMaxQueryBlock];
+          for (int q = 0; q < nq; ++q) {
+            queries[q] = &packed[static_cast<std::size_t>(q)];
+            outs[q] = &got[static_cast<std::size_t>(q)];
+          }
+          const long long considered0 = table.mats_considered();
+          const long long skipped0 = table.mats_skipped();
+          table.nearest_mats_block(queries, ks, thresholds, nq, block_scratch,
+                                   outs);
+          long long want_skips = 0;
+          for (const long long n : lane_skips) want_skips += n;
+          EXPECT_EQ(table.mats_considered() - considered0,
+                    static_cast<long long>(cfg.mats) * nq);
+          EXPECT_EQ(table.mats_skipped() - skipped0, want_skips);
+          for (int q = 0; q < nq; ++q) {
+            expect_same_nearest(
+                got[static_cast<std::size_t>(q)],
+                want[static_cast<std::size_t>(q)],
+                "d=" + std::to_string(d) + " digits=" +
+                    std::to_string(digits) + " skip=" + std::to_string(skip) +
+                    " nq=" + std::to_string(nq) + " lane=" +
+                    std::to_string(q));
+          }
+          const auto [lo, hi] =
+              std::minmax_element(lane_skips.begin(), lane_skips.end());
+          if (*lo != *hi) saw_split_skips = true;
+        }
+      }
+    }
+  }
+  // The sweep must exercise blocks whose lanes prune different mats.
+  EXPECT_TRUE(saw_split_skips);
+}
+
+TEST(ApproxNearest, BlockedSearchValidatesEveryLane) {
+  TcamTable table(nearest_config(2, true));
+  const PackedQuery q = PackedQuery::pack(arch::BitWord(24, 0));
+  const PackedQuery* queries[2] = {&q, &q};
+  NearestScratch scratch;
+  NearestMatch a, b;
+  NearestMatch* outs[2] = {&a, &b};
+  const int ks_ok[2] = {1, 4};
+  const int ks_bad[2] = {1, 0};
+  const int t_ok[2] = {0, 2};
+  const int t_bad[2] = {0, -1};
+  EXPECT_NO_THROW(table.nearest_mats_block(queries, ks_ok, t_ok, 2, scratch,
+                                           outs));
+  try {
+    table.nearest_mats_block(queries, ks_bad, t_ok, 2, scratch, outs);
+    FAIL() << "k = 0 on lane 1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("k"), std::string::npos);
+  }
+  try {
+    table.nearest_mats_block(queries, ks_ok, t_bad, 2, scratch, outs);
+    FAIL() << "threshold -1 on lane 1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("distance_threshold"),
+              std::string::npos);
+  }
+  EXPECT_THROW(table.nearest_mats_block(queries, ks_ok, t_ok, 0, scratch,
+                                        outs),
+               std::invalid_argument);
+  EXPECT_THROW(table.nearest_mats_block(queries, ks_ok, t_ok,
+                                        kMaxQueryBlock + 1, scratch, outs),
+               std::invalid_argument);
 }
 
 TEST(ApproxNearest, RequestDefaultsResolveFromEngineOptions) {

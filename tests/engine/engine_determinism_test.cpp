@@ -2,7 +2,8 @@
 // eval/variability_determinism_test): batch results, table contents,
 // energy/endurance totals, and search statistics must be BIT-IDENTICAL
 // for 1, 2, and 8 worker threads at a fixed seed — and for every
-// combination of dispatcher thread count (1, 2, 8) and query block size.
+// combination of dispatcher thread count (1, 2, 8) and query block size,
+// for exact traffic and for nearest-only (kSearchNearest) batches.
 // wall_us is the only field outside the contract.
 //
 // All comparisons are exact (EXPECT_EQ on doubles, deliberately): any
@@ -237,6 +238,158 @@ TEST(EngineDeterminism, InvariantAcrossDispatchersAndQueryBlocks) {
       SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
                    " query_block=" + std::to_string(qblock));
       expect_identical(run_workload(opts), golden, threads);
+    }
+  }
+}
+
+/// Everything a nearest-only run must reproduce at every dispatch shape.
+struct NearestOutcome {
+  std::vector<BatchResult> batches;
+  long long mats_considered = 0;
+  long long mats_skipped = 0;
+  double table_energy_j = 0.0;
+  arch::SearchStatsAccumulator search_stats;
+};
+
+TraceSpec nearest_only_spec() {
+  TraceSpec spec;
+  spec.kind = TraceKind::kEmbedding;
+  spec.cols = 64;
+  spec.digit_bits = 2;
+  spec.rules = 400;
+  spec.queries = 146;  // 1 + 7 + 9 + 64 + 65
+  spec.match_rate = 0.6;
+  spec.seed = 97;
+  return spec;
+}
+
+TableConfig nearest_only_config() {
+  TableConfig cfg;
+  cfg.mats = 8;
+  cfg.rows_per_mat = 64;
+  cfg.cols = 64;
+  cfg.subarrays_per_mat = 2;
+  cfg.digit_bits = 2;
+  return cfg;
+}
+
+constexpr int kNearestDefaultK = 3;
+constexpr int kNearestDefaultThreshold = 1;
+
+/// Request i's k: 0 defers to the engine default.
+int nearest_k(std::size_t i) {
+  return i % 5 == 0 ? 0 : 1 + static_cast<int>(i % 6);
+}
+
+/// Request i's threshold: -1 defers to the engine default; 32 (every
+/// digit) makes every row a candidate, so k decides the result.
+int nearest_threshold(std::size_t i) {
+  constexpr int kMenu[4] = {0, 2, 6, 32};
+  return i % 7 == 0 ? -1 : kMenu[i % 4];
+}
+
+/// Nearest-only batches of 1, 7, 9, 64 and 65 requests (block tails,
+/// exact multiples and single lanes) on a clustered d = 2 table, with
+/// per-request (k, threshold) overrides mixed with engine defaults.
+NearestOutcome run_nearest_workload(const Trace& trace, int dispatch_threads,
+                                    int query_block) {
+  TcamTable table(nearest_only_config());
+  load_rules_clustered(table, trace);
+
+  NearestOutcome out;
+  {
+    EngineOptions opts;
+    opts.dispatch_threads = dispatch_threads;
+    opts.query_block = query_block;
+    opts.k = kNearestDefaultK;
+    opts.distance_threshold = kNearestDefaultThreshold;
+    SearchEngine engine(table, opts);
+    std::size_t next = 0;
+    for (const std::size_t size : {1, 7, 9, 64, 65}) {
+      std::vector<Request> batch;
+      for (std::size_t i = 0; i < size; ++i, ++next) {
+        batch.push_back(make_search_nearest(
+            trace.queries[next], nearest_k(next), nearest_threshold(next)));
+      }
+      out.batches.push_back(engine.execute(std::move(batch)));
+    }
+  }
+  out.mats_considered = table.mats_considered();
+  out.mats_skipped = table.mats_skipped();
+  out.table_energy_j = table.total_energy_j();
+  out.search_stats = table.search_stats();
+  return out;
+}
+
+TEST(EngineDeterminism, NearestOnlyBatchesInvariantAcrossBlocksAndDispatchers) {
+  const Trace trace = generate_trace(nearest_only_spec());
+  const NearestOutcome golden = run_nearest_workload(trace, 1, 1);
+  ASSERT_EQ(golden.batches.size(), 5u);
+  ASSERT_GT(golden.mats_skipped, 0) << "the sweep must exercise pruning";
+  // The golden itself must be right: each request resolves its own (k,
+  // threshold) and gets the serial table search's neighbours.
+  TcamTable ref(nearest_only_config());
+  load_rules_clustered(ref, trace);
+  std::size_t next = 0;
+  long long hits = 0;
+  for (const auto& b : golden.batches) {
+    for (const auto& r : b.results) {
+      const int k = nearest_k(next) > 0 ? nearest_k(next) : kNearestDefaultK;
+      const int t = nearest_threshold(next) >= 0 ? nearest_threshold(next)
+                                                 : kNearestDefaultThreshold;
+      const NearestMatch want = ref.search_nearest(trace.queries[next], k, t);
+      ASSERT_EQ(r.neighbors.size(), want.top.size()) << "req " << next;
+      for (std::size_t i = 0; i < want.top.size(); ++i) {
+        EXPECT_EQ(r.neighbors[i].entry, want.top[i].entry) << "req " << next;
+        EXPECT_EQ(r.neighbors[i].distance, want.top[i].distance);
+      }
+      hits += r.hit ? 1 : 0;
+      ++next;
+    }
+  }
+  ASSERT_GT(hits, 0);
+  for (const int threads : {1, 2, 4}) {
+    for (const int qblock : {1, 3, 8}) {
+      SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
+                   " query_block=" + std::to_string(qblock));
+      const NearestOutcome got = run_nearest_workload(trace, threads, qblock);
+      ASSERT_EQ(got.batches.size(), golden.batches.size());
+      for (std::size_t b = 0; b < golden.batches.size(); ++b) {
+        const BatchResult& gb = got.batches[b];
+        const BatchResult& wb = golden.batches[b];
+        ASSERT_EQ(gb.results.size(), wb.results.size()) << "batch " << b;
+        for (std::size_t r = 0; r < wb.results.size(); ++r) {
+          const RequestResult& g = gb.results[r];
+          const RequestResult& w = wb.results[r];
+          EXPECT_EQ(g.hit, w.hit) << "batch " << b << " req " << r;
+          EXPECT_EQ(g.entry, w.entry) << "batch " << b << " req " << r;
+          EXPECT_EQ(g.priority, w.priority) << "batch " << b << " req " << r;
+          EXPECT_EQ(g.distance, w.distance) << "batch " << b << " req " << r;
+          ASSERT_EQ(g.neighbors.size(), w.neighbors.size())
+              << "batch " << b << " req " << r;
+          for (std::size_t i = 0; i < w.neighbors.size(); ++i) {
+            EXPECT_EQ(g.neighbors[i].entry, w.neighbors[i].entry);
+            EXPECT_EQ(g.neighbors[i].priority, w.neighbors[i].priority);
+            EXPECT_EQ(g.neighbors[i].distance, w.neighbors[i].distance);
+          }
+        }
+        EXPECT_EQ(gb.stats.rows, wb.stats.rows) << "batch " << b;
+        EXPECT_EQ(gb.stats.step1_misses, wb.stats.step1_misses);
+        EXPECT_EQ(gb.stats.step2_evaluated, wb.stats.step2_evaluated);
+        EXPECT_EQ(gb.stats.matches, wb.stats.matches) << "batch " << b;
+        EXPECT_EQ(gb.model_latency_s, wb.model_latency_s) << "batch " << b;
+      }
+      EXPECT_EQ(got.mats_considered, golden.mats_considered);
+      EXPECT_EQ(got.mats_skipped, golden.mats_skipped);
+      EXPECT_EQ(got.table_energy_j, golden.table_energy_j);
+      EXPECT_EQ(got.search_stats.searches(), golden.search_stats.searches());
+      EXPECT_EQ(got.search_stats.rows_searched(),
+                golden.search_stats.rows_searched());
+      EXPECT_EQ(got.search_stats.step2_evaluations(),
+                golden.search_stats.step2_evaluations());
+      EXPECT_EQ(got.search_stats.matches(), golden.search_stats.matches());
+      EXPECT_EQ(got.search_stats.step1_miss_rate(),
+                golden.search_stats.step1_miss_rate());
     }
   }
 }
