@@ -28,19 +28,23 @@ SharedDriverScheduler::SharedDriverScheduler(MatGeometry g, HvDriverParams p)
   if (g.subarrays % 2 != 0) {
     throw std::invalid_argument("shared mat needs an even subarray count");
   }
+  if (g.subarrays > 64) {
+    throw std::invalid_argument(
+        "shared mat supports at most 64 subarrays (one grant bit each)");
+  }
   if (!p.voltages_match) {
     throw std::invalid_argument(
         "driver sharing requires the write/select voltage co-optimization");
   }
 }
 
-std::vector<bool> SharedDriverScheduler::submit(
+std::uint64_t SharedDriverScheduler::submit(
     const std::vector<MatOp>& requests) {
   if (static_cast<int>(requests.size()) != geom_.subarrays) {
     throw std::invalid_argument("one request per subarray expected");
   }
   ++cycles_;
-  std::vector<bool> granted(requests.size(), false);
+  std::uint64_t granted = 0;
   // Subarrays are paired (0,1), (2,3), ...: each pair shares one bank that
   // can serve, per cycle, EITHER the write lines of one member OR the select
   // lines of the other member — but both members may search concurrently
@@ -52,26 +56,33 @@ std::vector<bool> SharedDriverScheduler::submit(
     const bool bank_used = a != MatOp::kIdle || b != MatOp::kIdle;
     if (a == MatOp::kWrite && b != MatOp::kIdle) {
       // Write monopolizes the bank: the neighbour stalls.
-      granted[p] = true;
+      granted |= 1ULL << p;
       ++grants_;
       ++stalls_;
     } else if (b == MatOp::kWrite && a != MatOp::kIdle) {
-      granted[p + 1] = true;
+      granted |= 1ULL << (p + 1);
       ++grants_;
       ++stalls_;
     } else {
       if (a != MatOp::kIdle) {
-        granted[p] = true;
+        granted |= 1ULL << p;
         ++grants_;
       }
       if (b != MatOp::kIdle) {
-        granted[p + 1] = true;
+        granted |= 1ULL << (p + 1);
         ++grants_;
       }
     }
     if (bank_used) ++busy_bank_cycles_;
   }
   return granted;
+}
+
+void SharedDriverScheduler::broadcast(long long n) {
+  if (n < 0) throw std::invalid_argument("broadcast cycle count must be >= 0");
+  cycles_ += n;
+  grants_ += n * geom_.subarrays;
+  busy_bank_cycles_ += n * (geom_.subarrays / 2);
 }
 
 double SharedDriverScheduler::utilization() const {

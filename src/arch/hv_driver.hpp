@@ -12,6 +12,7 @@
 // conflicts the time multiplexing introduces.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -60,9 +61,14 @@ class SharedDriverScheduler {
   SharedDriverScheduler(MatGeometry g, HvDriverParams p);
 
   /// Submit one cycle of per-subarray requests (size == subarrays).
-  /// Returns which subarrays were granted this cycle; denied requests are
-  /// counted as stalls (the caller retries next cycle).
-  std::vector<bool> submit(const std::vector<MatOp>& requests);
+  /// Returns which subarrays were granted this cycle, bit i for subarray
+  /// i; denied requests are counted as stalls (the caller retries next
+  /// cycle).
+  std::uint64_t submit(const std::vector<MatOp>& requests);
+  /// n all-kSearch cycles in closed form: a search broadcast needs no
+  /// write lines, so every subarray is granted and every bank is busy —
+  /// exactly what n submit() calls of all-kSearch requests would count.
+  void broadcast(long long n);
 
   long long cycles() const { return cycles_; }
   long long grants() const { return grants_; }

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -235,6 +234,10 @@ void SearchEngine::run_round(std::size_t count,
 }
 
 void SearchEngine::coordinator_loop() {
+  // Phase-A result slots, reused across batches so their buffers stay
+  // warm (match_batch only grows them).
+  std::vector<TableMatch> matches;
+  std::vector<NearestMatch> nears;
   while (std::optional<Work> popped = queue_.pop()) {
     Work& work = *popped;
     if (obs::metrics_on()) {
@@ -247,8 +250,6 @@ void SearchEngine::coordinator_loop() {
       }
     }
     const double t0 = obs::now_us();
-    std::vector<TableMatch> matches;
-    std::vector<NearestMatch> nears;
     match_batch(work, matches, nears);
     {
       obs::ScopedSpan span("engine.apply", "engine", work.trace_id);
@@ -272,8 +273,10 @@ void SearchEngine::match_batch(const Work& work,
                                std::vector<TableMatch>& matches,
                                std::vector<NearestMatch>& nears) {
   const std::vector<Request>& batch = work.batch;
-  matches.resize(batch.size());
-  nears.resize(batch.size());
+  // Grow only: a slot is rewritten in full by the match call that owns it,
+  // and apply reads only the slots of this batch's searches.
+  if (matches.size() < batch.size()) matches.resize(batch.size());
+  if (nears.size() < batch.size()) nears.resize(batch.size());
   std::vector<std::size_t> searches;  ///< kSearch request indices
   std::vector<std::size_t> nearest;   ///< kSearchNearest request indices
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -494,53 +497,67 @@ BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,
   // Driver-multiplex admission: write phases first (write-priority; one
   // phase per mat per cycle, a pending search broadcast stalls on the
   // paired subarray), then the search broadcast runs unobstructed.
-  long long stalls_before = 0;
-  for (const auto& s : mat_schedulers_) stalls_before += s.stalls();
-  const int subarrays = table_.config().subarrays_per_mat;
-  std::vector<std::deque<PendingWrite>> mat_queue(
-      static_cast<std::size_t>(table_.mats()));
-  for (const auto& w : pending_writes) {
-    mat_queue[static_cast<std::size_t>(w.mat)].push_back(w);
-  }
-  std::vector<arch::MatOp> cycle_req(static_cast<std::size_t>(subarrays));
-  bool writes_pending = !pending_writes.empty();
-  while (writes_pending) {
-    writes_pending = false;
-    for (int m = 0; m < table_.mats(); ++m) {
-      auto& q = mat_queue[static_cast<std::size_t>(m)];
-      if (q.empty()) continue;
-      PendingWrite& head = q.front();
-      std::fill(cycle_req.begin(), cycle_req.end(), arch::MatOp::kIdle);
-      cycle_req[static_cast<std::size_t>(head.subarray)] = arch::MatOp::kWrite;
-      // The blocked search broadcast keeps requesting the paired
-      // subarray's select lines; the shared bank denies it (stall).
-      const int paired = head.subarray ^ 1;
-      if (n_search > 0) {
-        cycle_req[static_cast<std::size_t>(paired)] = arch::MatOp::kSearch;
+  if (!pending_writes.empty()) {
+    // Flat per-mat FIFOs: writes grouped by mat in ascending mat order,
+    // request order kept within a mat; runs[i] is [head, end) of one mat.
+    std::stable_sort(pending_writes.begin(), pending_writes.end(),
+                     [](const PendingWrite& a, const PendingWrite& b) {
+                       return a.mat < b.mat;
+                     });
+    struct Run {
+      std::size_t head = 0;
+      std::size_t end = 0;
+    };
+    std::vector<Run> runs;
+    for (std::size_t i = 0; i < pending_writes.size();) {
+      std::size_t j = i + 1;
+      while (j < pending_writes.size() &&
+             pending_writes[j].mat == pending_writes[i].mat) {
+        ++j;
       }
-      const auto granted =
-          mat_schedulers_[static_cast<std::size_t>(m)].submit(cycle_req);
-      if (granted[static_cast<std::size_t>(head.subarray)]) {
-        if (--head.phases == 0) q.pop_front();
-      }
-      if (!q.empty()) writes_pending = true;
+      runs.push_back({i, j});
+      i = j;
     }
-    ++res.write_cycles;
+    long long stalls_before = 0;
+    for (const auto& s : mat_schedulers_) stalls_before += s.stalls();
+    std::vector<arch::MatOp> cycle_req(
+        static_cast<std::size_t>(table_.config().subarrays_per_mat));
+    while (!runs.empty()) {
+      for (Run& run : runs) {
+        PendingWrite& head = pending_writes[run.head];
+        std::fill(cycle_req.begin(), cycle_req.end(), arch::MatOp::kIdle);
+        cycle_req[static_cast<std::size_t>(head.subarray)] =
+            arch::MatOp::kWrite;
+        // The blocked search broadcast keeps requesting the paired
+        // subarray's select lines; the shared bank denies it (stall).
+        const int paired = head.subarray ^ 1;
+        if (n_search > 0) {
+          cycle_req[static_cast<std::size_t>(paired)] = arch::MatOp::kSearch;
+        }
+        const std::uint64_t granted =
+            mat_schedulers_[static_cast<std::size_t>(head.mat)].submit(
+                cycle_req);
+        if ((granted >> head.subarray & 1) != 0 && --head.phases == 0) {
+          ++run.head;
+        }
+      }
+      std::erase_if(runs, [](const Run& r) { return r.head == r.end; });
+      ++res.write_cycles;
+    }
+    long long stalls_after = 0;
+    for (const auto& s : mat_schedulers_) stalls_after += s.stalls();
+    res.driver_stalls = stalls_after - stalls_before;
   }
-  // Search broadcast: all subarrays of all mats search in lock-step.
+  // Search broadcast: all subarrays of all mats search in lock-step — a
+  // closed form per mat, since nothing can stall it.
   if (n_search > 0) {
-    std::fill(cycle_req.begin(), cycle_req.end(), arch::MatOp::kSearch);
-    for (std::size_t c = 0; c < n_search; ++c) {
-      for (auto& sched : mat_schedulers_) sched.submit(cycle_req);
+    for (auto& sched : mat_schedulers_) {
+      sched.broadcast(static_cast<long long>(n_search));
     }
   }
-  long long stalls_after = 0;
-  for (const auto& s : mat_schedulers_) stalls_after += s.stalls();
-  res.driver_stalls = stalls_after - stalls_before;
   res.model_latency_s =
       static_cast<double>(res.write_cycles) * options_.write_pulse_s +
-      static_cast<double>(n_search) *
-          table_.energy(0).costs().latency_full;
+      static_cast<double>(n_search) * table_.op_costs().latency_full;
 
   // Totals + obs counters.
   batches_.fetch_add(1, std::memory_order_relaxed);

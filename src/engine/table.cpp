@@ -75,15 +75,18 @@ TcamTable::TcamTable(const TableConfig& config)
     row_entry_[static_cast<std::size_t>(m)].assign(
         static_cast<std::size_t>(config.rows_per_mat), kInvalidEntry);
   }
+  search_counts_.resize(static_cast<std::size_t>(config.mats));
   aggregates_.resize(static_cast<std::size_t>(config.mats));
-  const std::size_t agg_words =
-      (static_cast<std::size_t>(config.cols) + 63) / 64;
+  agg_words_ = (static_cast<std::size_t>(config.cols) + 63) / 64;
   for (MatAggregate& ag : aggregates_) {
-    ag.require_one.assign(agg_words, 0);
-    ag.require_zero.assign(agg_words, 0);
+    ag.require_one.assign(agg_words_, 0);
+    ag.require_zero.assign(agg_words_, 0);
     ag.one_count.assign(static_cast<std::size_t>(config.cols), 0);
     ag.zero_count.assign(static_cast<std::size_t>(config.cols), 0);
   }
+  skip_masks_.resize(static_cast<std::size_t>(config.mats) *
+                     (1 + 2 * agg_words_));
+  for (int m = 0; m < config.mats; ++m) refresh_skip_masks(m);
 }
 
 std::size_t TcamTable::capacity() const {
@@ -371,6 +374,7 @@ void TcamTable::aggregate_add(int mat, const arch::TernaryWord& word) {
   }
   ++ag.valid_rows;
   rebuild_aggregate_masks(ag);
+  refresh_skip_masks(mat);
 }
 
 void TcamTable::aggregate_remove(int mat, const arch::TernaryWord& word) {
@@ -384,6 +388,7 @@ void TcamTable::aggregate_remove(int mat, const arch::TernaryWord& word) {
   }
   --ag.valid_rows;
   rebuild_aggregate_masks(ag);
+  refresh_skip_masks(mat);
 }
 
 void TcamTable::rebuild_aggregate_masks(MatAggregate& ag) const {
@@ -397,6 +402,22 @@ void TcamTable::rebuild_aggregate_masks(MatAggregate& ag) const {
     } else if (ag.zero_count[static_cast<std::size_t>(c)] == ag.valid_rows) {
       ag.require_zero[static_cast<std::size_t>(c) >> 6] |= bit;
     }
+  }
+}
+
+void TcamTable::refresh_skip_masks(int mat) {
+  const MatAggregate& ag = aggregates_[static_cast<std::size_t>(mat)];
+  std::uint64_t* row =
+      skip_masks_.data() + static_cast<std::size_t>(mat) * (1 + 2 * agg_words_);
+  row[0] = ag.valid_rows == 0 ? ~0ULL : 0;  // nothing stored: matchless
+  // Two-step designs only accept proofs on even (cell1) columns: a step-1
+  // wipeout has exactly-known stats (every row is a step-1 miss), while an
+  // odd-column proof would leave step1/step2 accounting unknowable without
+  // the scan the skip exists to avoid.
+  const std::uint64_t keep = two_step_ ? kEvenDigits : ~0ULL;
+  for (std::size_t w = 0; w < agg_words_; ++w) {
+    row[1 + w] = ag.require_one[w] & keep;
+    row[1 + agg_words_ + w] = ag.require_zero[w] & keep;
   }
 }
 
@@ -450,18 +471,14 @@ int TcamTable::aggregate_overlap(int mat, const arch::TernaryWord& word) const {
 }
 
 bool TcamTable::mat_skips(std::size_t mat, const PackedQuery& query) const {
-  const MatAggregate& ag = aggregates_[mat];
-  if (ag.valid_rows == 0) return true;  // nothing stored: trivially matchless
-  std::uint64_t miss = 0;
-  for (std::size_t w = 0; w < ag.require_one.size(); ++w) {
-    miss |= (ag.require_one[w] & ~query.bits[w]) |
-            (ag.require_zero[w] & query.bits[w]);
+  const std::uint64_t* row = skip_masks_.data() + mat * (1 + 2 * agg_words_);
+  const std::uint64_t* require_one = row + 1;
+  const std::uint64_t* require_zero = row + 1 + agg_words_;
+  std::uint64_t miss = row[0];
+  for (std::size_t w = 0; w < agg_words_; ++w) {
+    miss |= (require_one[w] & ~query.bits[w]) |
+            (require_zero[w] & query.bits[w]);
   }
-  // Two-step designs only accept proofs on even (cell1) columns: a step-1
-  // wipeout has exactly-known stats (every row is a step-1 miss), while an
-  // odd-column proof would leave step1/step2 accounting unknowable without
-  // the scan the skip exists to avoid.
-  if (two_step_) miss &= kEvenDigits;
   return miss != 0;
 }
 
@@ -475,6 +492,34 @@ arch::SearchStats TcamTable::skipped_stats() const {
   }
   return s;
 }
+
+arch::SearchStats TcamTable::nearest_skipped_stats() const {
+  arch::SearchStats s;
+  s.rows = config_.rows_per_mat;
+  s.step2_evaluated = config_.rows_per_mat;
+  return s;
+}
+
+namespace {
+
+void add_stats(arch::SearchStats& into, const arch::SearchStats& s) {
+  into.rows += s.rows;
+  into.step1_misses += s.step1_misses;
+  into.step2_evaluated += s.step2_evaluated;
+  into.matches += s.matches;
+}
+
+/// Fold `skips` skipped mats' stats into a lane's merged stats at once:
+/// integer sums, so this equals adding them one mat at a time.
+void add_skipped(arch::SearchStats& into, const arch::SearchStats& skipped,
+                 int skips) {
+  into.rows += skips * skipped.rows;
+  into.step1_misses += skips * skipped.step1_misses;
+  into.step2_evaluated += skips * skipped.step2_evaluated;
+  into.matches += skips * skipped.matches;
+}
+
+}  // namespace
 
 void TcamTable::scan_hits(std::size_t mat, const std::uint64_t* mask,
                           std::size_t words, TableMatch& out) const {
@@ -508,17 +553,11 @@ void TcamTable::match_mats(const PackedQuery& query, MatchScratch& scratch,
   out.entry = kInvalidEntry;
   out.priority = 0;
   out.stats = arch::SearchStats{};
-  out.per_mat.assign(static_cast<std::size_t>(config_.mats),
-                     arch::SearchStats{});
+  out.scanned.clear();
 
-  long long skipped = 0;
+  int skipped = 0;
   for (int m = 0; m < config_.mats; ++m) {
     if (config_.mat_skip && mat_skips(static_cast<std::size_t>(m), query)) {
-      const arch::SearchStats s = skipped_stats();
-      out.per_mat[static_cast<std::size_t>(m)] = s;
-      out.stats.rows += s.rows;
-      out.stats.step1_misses += s.step1_misses;
-      out.stats.step2_evaluated += s.step2_evaluated;
       ++skipped;
       continue;
     }
@@ -526,15 +565,13 @@ void TcamTable::match_mats(const PackedQuery& query, MatchScratch& scratch,
     const arch::SearchStats s =
         two_step_ ? shard.two_step_match(query, scratch.mask)
                   : shard.full_match(query, scratch.mask);
-    out.per_mat[static_cast<std::size_t>(m)] = s;
-    out.stats.rows += s.rows;
-    out.stats.step1_misses += s.step1_misses;
-    out.stats.step2_evaluated += s.step2_evaluated;
-    out.stats.matches += s.matches;
+    out.scanned.push_back({m, s});
+    add_stats(out.stats, s);
     // Priority scan over this shard's hits: lowest (priority, id) wins.
     scan_hits(static_cast<std::size_t>(m), scratch.mask.data(),
               scratch.mask.size(), out);
   }
+  add_skipped(out.stats, skipped_stats(), skipped);
   mats_considered_.fetch_add(config_.mats, std::memory_order_relaxed);
   if (skipped != 0) {
     mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
@@ -579,8 +616,7 @@ void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
     out.entry = kInvalidEntry;
     out.priority = 0;
     out.stats = arch::SearchStats{};
-    out.per_mat.assign(static_cast<std::size_t>(config_.mats),
-                       arch::SearchStats{});
+    out.scanned.clear();
   }
 
   // Per mat: prune per lane, then one blocked kernel pass over the
@@ -591,19 +627,13 @@ void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
   std::uint64_t* kernel_masks[kMaxQueryBlock];
   arch::SearchStats kernel_stats[kMaxQueryBlock];
   int lane_of[kMaxQueryBlock];
-  long long skipped = 0;
+  int skips[kMaxQueryBlock] = {};
   for (int m = 0; m < config_.mats; ++m) {
     int live = 0;
     for (int q = 0; q < nq; ++q) {
       if (config_.mat_skip &&
           mat_skips(static_cast<std::size_t>(m), *queries[q])) {
-        const arch::SearchStats s = skipped_stats();
-        TableMatch& out = *outs[q];
-        out.per_mat[static_cast<std::size_t>(m)] = s;
-        out.stats.rows += s.rows;
-        out.stats.step1_misses += s.step1_misses;
-        out.stats.step2_evaluated += s.step2_evaluated;
-        ++skipped;
+        ++skips[q];
         continue;
       }
       kernel_queries[live] = queries[q];
@@ -624,14 +654,17 @@ void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
     for (int j = 0; j < live; ++j) {
       TableMatch& out = *outs[lane_of[j]];
       const arch::SearchStats& s = kernel_stats[j];
-      out.per_mat[static_cast<std::size_t>(m)] = s;
-      out.stats.rows += s.rows;
-      out.stats.step1_misses += s.step1_misses;
-      out.stats.step2_evaluated += s.step2_evaluated;
-      out.stats.matches += s.matches;
+      out.scanned.push_back({m, s});
+      add_stats(out.stats, s);
       scan_hits(static_cast<std::size_t>(m), kernel_masks[j], mask_words,
                 out);
     }
+  }
+  const arch::SearchStats skipped_mat = skipped_stats();
+  long long skipped = 0;
+  for (int q = 0; q < nq; ++q) {
+    add_skipped(outs[q]->stats, skipped_mat, skips[q]);
+    skipped += skips[q];
   }
   mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
                              std::memory_order_relaxed);
@@ -706,8 +739,7 @@ void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
     NearestMatch& out = *outs[q];
     out.top.clear();
     out.stats = arch::SearchStats{};
-    out.per_mat.assign(static_cast<std::size_t>(config_.mats),
-                       arch::SearchStats{});
+    out.scanned.clear();
   }
 
   // Per mat: prune per lane, then one blocked kernel pass over the
@@ -720,24 +752,16 @@ void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
   std::uint16_t* kernel_distances[kMaxQueryBlock];
   arch::SearchStats kernel_stats[kMaxQueryBlock];
   int lane_of[kMaxQueryBlock];
-  long long skipped = 0;
+  int skips[kMaxQueryBlock] = {};
   for (int m = 0; m < config_.mats; ++m) {
     int live = 0;
     for (int q = 0; q < nq; ++q) {
       if (config_.mat_skip &&
           nearest_mat_skips(static_cast<std::size_t>(m), *queries[q],
                             thresholds[q])) {
-        // Accounting identical to the kernel scan this skip replaces
-        // (single-step: every row fires, nothing is within the
-        // threshold), so the knob changes cost only.
-        arch::SearchStats s;
-        s.rows = config_.rows_per_mat;
-        s.step2_evaluated = config_.rows_per_mat;
-        NearestMatch& out = *outs[q];
-        out.per_mat[static_cast<std::size_t>(m)] = s;
-        out.stats.rows += s.rows;
-        out.stats.step2_evaluated += s.step2_evaluated;
-        ++skipped;
+        // Charged nearest_skipped_stats() below — identical to the kernel
+        // scan this skip replaces, so the knob changes cost only.
+        ++skips[q];
         continue;
       }
       kernel_queries[live] = queries[q];
@@ -758,11 +782,8 @@ void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
       NearestMatch& out = *outs[q];
       const std::size_t k = static_cast<std::size_t>(ks[q]);
       const arch::SearchStats& s = kernel_stats[j];
-      out.per_mat[static_cast<std::size_t>(m)] = s;
-      out.stats.rows += s.rows;
-      out.stats.step1_misses += s.step1_misses;
-      out.stats.step2_evaluated += s.step2_evaluated;
-      out.stats.matches += s.matches;
+      out.scanned.push_back({m, s});
+      add_stats(out.stats, s);
       // Candidate scan: bounded insertion keeps out.top sorted by
       // (distance, priority, id), at most k entries.
       for (std::size_t w = 0; w < mask_words; ++w) {
@@ -791,6 +812,12 @@ void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
       }
     }
   }
+  const arch::SearchStats skipped_mat = nearest_skipped_stats();
+  long long skipped = 0;
+  for (int q = 0; q < nq; ++q) {
+    add_skipped(outs[q]->stats, skipped_mat, skips[q]);
+    skipped += skips[q];
+  }
   mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
                              std::memory_order_relaxed);
   if (skipped != 0) {
@@ -808,10 +835,17 @@ NearestMatch TcamTable::search_nearest(const arch::BitWord& query, int k,
   return out;
 }
 
+void TcamTable::charge_scan(const MatStats& s) {
+  MatSearchCounts& c = search_counts_[static_cast<std::size_t>(s.mat)];
+  c.terminated_rows += s.stats.rows - s.stats.step2_evaluated;
+  c.step2_rows += s.stats.step2_evaluated;
+}
+
 void TcamTable::account_nearest(const NearestMatch& m) {
-  for (int mat = 0; mat < config_.mats; ++mat) {
-    energy_[static_cast<std::size_t>(mat)].on_search(
-        m.per_mat[static_cast<std::size_t>(mat)]);
+  ++nearest_searches_;
+  for (const MatStats& s : m.scanned) {
+    ++search_counts_[static_cast<std::size_t>(s.mat)].nearest_scans;
+    charge_scan(s);
   }
   stats_.add(m.stats);
 }
@@ -825,16 +859,42 @@ TableMatch TcamTable::search(const arch::BitWord& query) {
 }
 
 void TcamTable::account_search(const TableMatch& m) {
-  for (int mat = 0; mat < config_.mats; ++mat) {
-    energy_[static_cast<std::size_t>(mat)].on_search(
-        m.per_mat[static_cast<std::size_t>(mat)]);
+  ++exact_searches_;
+  for (const MatStats& s : m.scanned) {
+    ++search_counts_[static_cast<std::size_t>(s.mat)].exact_scans;
+    charge_scan(s);
   }
   stats_.add(m.stats);
 }
 
 double TcamTable::total_energy_j() const {
+  // Each search not scanned on a mat skipped it: charge those in closed
+  // form, then price the rows like ArrayEnergyModel::on_search — step-1
+  // terminated rows at the 1-step energy and step-2 rows at the full
+  // energy on two-step designs, every row at the full energy otherwise.
+  const arch::SearchStats exact_skip = skipped_stats();
+  const arch::SearchStats near_skip = nearest_skipped_stats();
+  const arch::OpCosts& costs = op_costs();
   double e = 0.0;
-  for (const auto& model : energy_) e += model.total_energy_j();
+  for (int m = 0; m < config_.mats; ++m) {
+    const MatSearchCounts& c = search_counts_[static_cast<std::size_t>(m)];
+    const long long exact_skips = exact_searches_ - c.exact_scans;
+    const long long near_skips = nearest_searches_ - c.nearest_scans;
+    const long long terminated =
+        c.terminated_rows +
+        exact_skips * (exact_skip.rows - exact_skip.step2_evaluated) +
+        near_skips * (near_skip.rows - near_skip.step2_evaluated);
+    const long long step2 = c.step2_rows +
+                            exact_skips * exact_skip.step2_evaluated +
+                            near_skips * near_skip.step2_evaluated;
+    const double search_e =
+        costs.two_step
+            ? terminated * config_.cols * costs.search_e1 +
+                  static_cast<double>(step2) * config_.cols * costs.search_e2
+            : static_cast<double>(terminated + step2) * config_.cols *
+                  costs.search_e2;
+    e += energy_[static_cast<std::size_t>(m)].total_energy_j() + search_e;
+  }
   return e;
 }
 

@@ -10,11 +10,15 @@
 // model (engine.hpp) interesting: a mat that is writing cannot serve the
 // search broadcast.
 //
-// Accounting reuses the arch layer unchanged: one ArrayEnergyModel and one
-// EnduranceModel per mat, fed the same per-mat SearchStats / switching-cell
-// counts a TcamController would produce.  Matching itself is pure
-// (TcamTable::match is const and thread-safe against other match calls);
-// accounting and mutation are serial — the engine's dispatcher owns them.
+// Accounting: writes reuse the arch layer unchanged (one ArrayEnergyModel
+// and one EnduranceModel per mat, fed the switching-cell counts a
+// TcamController would produce).  Searches are charged as integer counts
+// per mat — scans, step-1-terminated rows, step-2 rows — for the mats a
+// search actually scanned; a mat the pruning proof skipped has exactly
+// known stats, so it is charged in closed form on read (total_energy_j).
+// Matching itself is pure (TcamTable::match is const and thread-safe
+// against other match calls); accounting and mutation are serial — the
+// engine's dispatcher owns them.
 #pragma once
 
 #include <atomic>
@@ -78,14 +82,22 @@ struct MatAggregate {
   bool operator==(const MatAggregate&) const = default;
 };
 
-/// Result of one broadcast search.  `stats` merges all mats; `per_mat`
-/// carries each mat's own step accounting (what its energy model charges).
+/// Step accounting of one mat a search scanned.
+struct MatStats {
+  int mat = 0;
+  arch::SearchStats stats;
+};
+
+/// Result of one broadcast search.  `stats` merges all mats; `scanned`
+/// carries the own step accounting of each mat the kernel scanned, in
+/// ascending mat order.  A mat absent from it was skipped by the pruning
+/// proof and reported TcamTable::skipped_stats().
 struct TableMatch {
   bool hit = false;
   EntryId entry = kInvalidEntry;
   int priority = 0;
   arch::SearchStats stats;
-  std::vector<arch::SearchStats> per_mat;
+  std::vector<MatStats> scanned;
 };
 
 /// Reusable per-thread buffers for TcamTable::match (query packing + row
@@ -122,12 +134,13 @@ inline bool near_candidate_less(const NearCandidate& a,
 
 /// Result of one top-k threshold search.
 /// `top` is sorted by near_candidate_less and holds at most k candidates;
-/// `stats`/`per_mat` follow the single-step accounting the approx kernels
-/// report (approx_kernel.hpp).
+/// `stats`/`scanned` follow the single-step accounting the approx kernels
+/// report (approx_kernel.hpp).  A mat absent from `scanned` was skipped
+/// and reported TcamTable::nearest_skipped_stats().
 struct NearestMatch {
   std::vector<NearCandidate> top;
   arch::SearchStats stats;
-  std::vector<arch::SearchStats> per_mat;
+  std::vector<MatStats> scanned;
 };
 
 /// Reusable buffers for TcamTable::nearest_mats / nearest_mats_block: a
@@ -304,9 +317,16 @@ class TcamTable {
   void account_search(const TableMatch& m);
 
   const PackedShard& shard(int mat) const { return shards_[checked_mat(mat)]; }
-  const arch::ArrayEnergyModel& energy(int mat) const {
-    return energy_[checked_mat(mat)];
-  }
+  /// Calibrated per-cell costs of this table's design (every mat shares
+  /// them).
+  const arch::OpCosts& op_costs() const { return energy_[0].costs(); }
+  /// Stats a mat the exact-match proof skips (or an empty mat) reports —
+  /// exactly what its kernel would have produced, so accounting stays
+  /// bit-identical.
+  arch::SearchStats skipped_stats() const;
+  /// Same for a threshold search: single-step accounting, every row fires
+  /// and nothing is within the threshold.
+  arch::SearchStats nearest_skipped_stats() const;
   const arch::EnduranceModel& endurance(int mat) const {
     return endurance_[checked_mat(mat)];
   }
@@ -314,6 +334,8 @@ class TcamTable {
   long long write_pulses() const { return write_pulses_; }
   /// Write phases the last insert/update issued (driver-occupancy model).
   int last_write_phases() const { return last_write_phases_; }
+  /// Write energy plus search energy derived from the per-mat counts,
+  /// skipped mats charged in closed form.
   double total_energy_j() const;
 
  private:
@@ -332,8 +354,11 @@ class TcamTable {
   void aggregate_add(int mat, const arch::TernaryWord& word);
   void aggregate_remove(int mat, const arch::TernaryWord& word);
   void rebuild_aggregate_masks(MatAggregate& ag) const;
-  /// Two-AND-per-word matchless proof for one (mat, query) pair.
+  /// Two-AND-per-word matchless proof for one (mat, query) pair, read
+  /// from skip_masks_.
   bool mat_skips(std::size_t mat, const PackedQuery& query) const;
+  /// Refresh mat's row of skip_masks_ from its aggregate.
+  void refresh_skip_masks(int mat);
   /// Widened proof for threshold search: the aggregate's guaranteed-miss
   /// columns, collapsed onto digit groups, lower-bound EVERY row's
   /// distance — the mat is skippable only when that bound exceeds the
@@ -341,9 +366,6 @@ class TcamTable {
   /// silently mis-prune rows within the threshold.
   bool nearest_mat_skips(std::size_t mat, const PackedQuery& query,
                          int threshold) const;
-  /// Stats a skipped (or empty) mat reports — exactly what its kernel
-  /// would have produced, so accounting stays bit-identical.
-  arch::SearchStats skipped_stats() const;
   /// Priority-scan one shard's hit mask into the accumulated winner.
   void scan_hits(std::size_t mat, const std::uint64_t* mask,
                  std::size_t words, TableMatch& out) const;
@@ -351,8 +373,23 @@ class TcamTable {
   TableConfig config_;
   bool two_step_;
   arch::WriteVoltages write_voltages_;
+  /// Search energy counts of one mat (scans of each kind, and the rows
+  /// they charged at the step-1 and at the full energy).
+  struct MatSearchCounts {
+    long long exact_scans = 0;
+    long long nearest_scans = 0;
+    long long terminated_rows = 0;  ///< rows - step2_evaluated
+    long long step2_rows = 0;
+  };
+  /// Fold one scanned mat's stats into its counts.
+  void charge_scan(const MatStats& s);
+
   std::vector<PackedShard> shards_;
+  /// Write energy per mat (searches are charged through search_counts_).
   std::vector<arch::ArrayEnergyModel> energy_;
+  std::vector<MatSearchCounts> search_counts_;
+  long long exact_searches_ = 0;
+  long long nearest_searches_ = 0;
   std::vector<arch::EnduranceModel> endurance_;
   arch::SearchStatsAccumulator stats_;
   /// Per-mat min-heaps of free rows (smallest row first).
@@ -367,6 +404,12 @@ class TcamTable {
   /// Per-mat pruning aggregates (maintained even when mat_skip is off, so
   /// toggling the knob or asking the placer never needs a rebuild).
   std::vector<MatAggregate> aggregates_;
+  /// The exact-match proof's view of aggregates_, one contiguous row per
+  /// mat: [empty flag | require_one words | require_zero words].  The flag
+  /// word is all ones for an empty mat, and two-step designs pre-mask the
+  /// words to the even (step-1) columns, so mat_skips is one OR-reduce.
+  std::vector<std::uint64_t> skip_masks_;
+  std::size_t agg_words_ = 0;
   /// Pruning counters; mutable atomics because match paths are const and
   /// concurrency-safe.  Totals are deterministic, increment order is not.
   mutable std::atomic<long long> mats_considered_{0};

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace fetcam::arch {
 namespace {
 
@@ -27,7 +29,7 @@ TEST(Scheduler, ConcurrentSearchesBothGranted) {
   SharedDriverScheduler s({.rows = 16, .cols = 16, .subarrays = 4}, {});
   const auto g = s.submit({MatOp::kSearch, MatOp::kSearch, MatOp::kSearch,
                            MatOp::kSearch});
-  EXPECT_TRUE(g[0] && g[1] && g[2] && g[3]);
+  EXPECT_EQ(g, 0b1111u);
   EXPECT_EQ(s.stalls(), 0);
   EXPECT_EQ(s.grants(), 4);
 }
@@ -35,15 +37,14 @@ TEST(Scheduler, ConcurrentSearchesBothGranted) {
 TEST(Scheduler, WriteStallsPairedSearch) {
   SharedDriverScheduler s({.rows = 16, .cols = 16, .subarrays = 2}, {});
   const auto g = s.submit({MatOp::kWrite, MatOp::kSearch});
-  EXPECT_TRUE(g[0]);
-  EXPECT_FALSE(g[1]);
+  EXPECT_EQ(g, 0b01u) << "write granted, paired search denied";
   EXPECT_EQ(s.stalls(), 1);
 }
 
 TEST(Scheduler, IdlePairDoesNotConflict) {
   SharedDriverScheduler s({.rows = 16, .cols = 16, .subarrays = 2}, {});
   const auto g = s.submit({MatOp::kWrite, MatOp::kIdle});
-  EXPECT_TRUE(g[0]);
+  EXPECT_EQ(g, 0b01u);
   EXPECT_EQ(s.stalls(), 0);
 }
 
@@ -64,8 +65,43 @@ TEST(Scheduler, RejectsBadConfigs) {
   EXPECT_THROW(
       SharedDriverScheduler({.rows = 8, .cols = 8, .subarrays = 4}, p),
       std::invalid_argument);
+  EXPECT_THROW(
+      SharedDriverScheduler({.rows = 8, .cols = 8, .subarrays = 66}, {}),
+      std::invalid_argument)
+      << "grants are one bit per subarray";
   SharedDriverScheduler s({.rows = 8, .cols = 8, .subarrays = 4}, {});
   EXPECT_THROW(s.submit({MatOp::kIdle}), std::invalid_argument);
+  EXPECT_THROW(s.broadcast(-1), std::invalid_argument);
+}
+
+TEST(Scheduler, BroadcastEqualsPerCycleSubmits) {
+  // broadcast(n) is the closed form of n all-kSearch submit() cycles:
+  // interleaved with write cycles (which do stall the paired search), the
+  // two schedulers must agree on every counter after every step.
+  for (const int subarrays : {2, 4, 8}) {
+    SharedDriverScheduler closed({.rows = 8, .cols = 8,
+                                  .subarrays = subarrays}, {});
+    SharedDriverScheduler cycled({.rows = 8, .cols = 8,
+                                  .subarrays = subarrays}, {});
+    const std::vector<MatOp> all_search(static_cast<std::size_t>(subarrays),
+                                        MatOp::kSearch);
+    std::vector<MatOp> write_cycle(static_cast<std::size_t>(subarrays),
+                                   MatOp::kIdle);
+    write_cycle[1] = MatOp::kWrite;
+    write_cycle[0] = MatOp::kSearch;  // stalled by the write on its pair
+    for (const long long n : {0LL, 1LL, 7LL, 1000LL}) {
+      EXPECT_EQ(closed.submit(write_cycle), cycled.submit(write_cycle));
+      closed.broadcast(n);
+      for (long long c = 0; c < n; ++c) {
+        ASSERT_EQ(cycled.submit(all_search), (1ULL << subarrays) - 1);
+      }
+      EXPECT_EQ(closed.cycles(), cycled.cycles()) << "n=" << n;
+      EXPECT_EQ(closed.grants(), cycled.grants()) << "n=" << n;
+      EXPECT_EQ(closed.stalls(), cycled.stalls()) << "n=" << n;
+      EXPECT_EQ(closed.utilization(), cycled.utilization()) << "n=" << n;
+    }
+    EXPECT_GT(closed.stalls(), 0) << "the write cycles must have stalled";
+  }
 }
 
 }  // namespace

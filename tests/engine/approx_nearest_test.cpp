@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "dense_stats.hpp"
 #include "engine/client.hpp"
 #include "engine/engine.hpp"
 #include "engine/server.hpp"
@@ -107,6 +108,7 @@ TEST(ApproxNearest, MatSkipNeverChangesResultsOrKernelStats) {
         ASSERT_EQ(a.stats.matches, b.stats.matches);
       }
     }
+    EXPECT_EQ(on.total_energy_j(), off.total_energy_j()) << "d=" << d;
   }
 }
 
@@ -196,8 +198,8 @@ TEST(ApproxNearest, EngineResultsInvariantAcrossDispatchShapes) {
   }
 }
 
-void expect_same_nearest(const NearestMatch& got, const NearestMatch& want,
-                         const std::string& what) {
+void expect_same_nearest(const TcamTable& table, const NearestMatch& got,
+                         const NearestMatch& want, const std::string& what) {
   ASSERT_EQ(got.top.size(), want.top.size()) << what;
   for (std::size_t i = 0; i < want.top.size(); ++i) {
     ASSERT_EQ(got.top[i].entry, want.top[i].entry) << what << " i=" << i;
@@ -213,10 +215,15 @@ void expect_same_nearest(const NearestMatch& got, const NearestMatch& want,
     ASSERT_EQ(a.matches, b.matches) << where;
   };
   same_stats(got.stats, want.stats, what + " stats");
-  ASSERT_EQ(got.per_mat.size(), want.per_mat.size()) << what;
-  for (std::size_t m = 0; m < want.per_mat.size(); ++m) {
-    same_stats(got.per_mat[m], want.per_mat[m],
-               what + " mat " + std::to_string(m));
+  // Same table, same proof: the lanes must scan the same mats.
+  ASSERT_EQ(got.scanned.size(), want.scanned.size()) << what;
+  for (std::size_t i = 0; i < want.scanned.size(); ++i) {
+    ASSERT_EQ(got.scanned[i].mat, want.scanned[i].mat) << what << " i=" << i;
+  }
+  const std::vector<arch::SearchStats> got_mats = dense_per_mat(table, got);
+  const std::vector<arch::SearchStats> want_mats = dense_per_mat(table, want);
+  for (std::size_t m = 0; m < want_mats.size(); ++m) {
+    same_stats(got_mats[m], want_mats[m], what + " mat " + std::to_string(m));
   }
 }
 
@@ -291,7 +298,7 @@ TEST(ApproxNearest, BlockedLanesMatchSingleLaneSearch) {
           EXPECT_EQ(table.mats_skipped() - skipped0, want_skips);
           for (int q = 0; q < nq; ++q) {
             expect_same_nearest(
-                got[static_cast<std::size_t>(q)],
+                table, got[static_cast<std::size_t>(q)],
                 want[static_cast<std::size_t>(q)],
                 "d=" + std::to_string(d) + " digits=" +
                     std::to_string(digits) + " skip=" + std::to_string(skip) +

@@ -11,19 +11,24 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
+#include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "compiler/applier.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/planner.hpp"
+#include "dense_stats.hpp"
 #include "engine/engine.hpp"
 #include "engine/table.hpp"
 #include "engine/workload.hpp"
 #include "util/parallel.hpp"
+#include "util/rng.hpp"
 
 namespace fetcam::engine {
 namespace {
@@ -624,6 +629,376 @@ TEST(EngineDeterminism, TelemetryCountsRequests) {
   for (int m = 0; m < table.mats(); ++m) {
     EXPECT_GE(engine.mat_utilization(m), 0.0);
     EXPECT_LE(engine.mat_utilization(m), 1.0);
+  }
+}
+
+/// The apply-phase accounting as it stood before the search broadcast and
+/// the search energy became closed forms, kept as the reference: every
+/// search charges a dense per-mat ArrayEnergyModel::on_search, every
+/// broadcast cycle is one submit() per mat, and writes wait in per-mat
+/// deques.  Its table runs with mat_skip off, so every mat's stats come
+/// from a kernel scan rather than from the skip proof.
+class PerCycleReference {
+ public:
+  PerCycleReference(const TableConfig& cfg, EngineOptions opts)
+      : table_(unpruned(cfg)), opts_(opts) {
+    arch::MatGeometry geom;
+    geom.rows = cfg.rows_per_mat / cfg.subarrays_per_mat;
+    geom.cols = cfg.cols;
+    geom.subarrays = cfg.subarrays_per_mat;
+    for (int m = 0; m < cfg.mats; ++m) {
+      energy_.emplace_back(cfg.design, cfg.rows_per_mat, cfg.cols);
+      writes_.emplace_back(cfg.design, cfg.rows_per_mat, cfg.cols);
+      sched_.emplace_back(geom, arch::HvDriverParams{});
+    }
+    terminated_.assign(static_cast<std::size_t>(cfg.mats), 0);
+    step2_.assign(static_cast<std::size_t>(cfg.mats), 0);
+  }
+
+  static TableConfig unpruned(TableConfig cfg) {
+    cfg.mat_skip = false;
+    return cfg;
+  }
+
+  const TcamTable& table() const { return table_; }
+  const arch::SearchStatsAccumulator& stats() const { return stats_; }
+  double utilization(int mat) const {
+    return sched_[static_cast<std::size_t>(mat)].utilization();
+  }
+  /// The old total: per-mat models fed searches and writes in order.
+  double float_sum_energy_j() const {
+    double e = 0.0;
+    for (const auto& model : energy_) e += model.total_energy_j();
+    return e;
+  }
+  /// The count closed form the table must reproduce bit for bit.
+  double closed_form_energy_j() const {
+    const arch::OpCosts c = arch::default_op_costs(table_.config().design);
+    const int cols = table_.config().cols;
+    double e = 0.0;
+    for (std::size_t m = 0; m < writes_.size(); ++m) {
+      const double search_e =
+          c.two_step ? terminated_[m] * cols * c.search_e1 +
+                           static_cast<double>(step2_[m]) * cols * c.search_e2
+                     : static_cast<double>(terminated_[m] + step2_[m]) *
+                           cols * c.search_e2;
+      e += writes_[m].total_energy_j() + search_e;
+    }
+    return e;
+  }
+
+  BatchResult apply(const std::vector<Request>& batch) {
+    // Phase A against the pre-batch state, as the engine does.
+    std::vector<TableMatch> matches(batch.size());
+    std::vector<NearestMatch> nears(batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Request& req = batch[i];
+      if (req.kind == RequestKind::kSearch) {
+        MatchScratch scratch;
+        table_.match(req.query, scratch, matches[i]);
+      } else if (req.kind == RequestKind::kSearchNearest) {
+        NearestScratch scratch;
+        table_.nearest_mats(PackedQuery::pack(req.query),
+                            req.k > 0 ? req.k : opts_.k,
+                            req.distance_threshold >= 0
+                                ? req.distance_threshold
+                                : opts_.distance_threshold,
+                            scratch, nears[i]);
+      }
+    }
+    BatchResult res;
+    res.results.resize(batch.size());
+    struct PendingWrite {
+      int mat = 0;
+      int subarray = 0;
+      int phases = 0;
+    };
+    std::vector<PendingWrite> pending;
+    const auto written = [&](EntryId id, int cells) {
+      const EntryLocation loc = *table_.locate(id);
+      if (cells > 0) {
+        writes_[static_cast<std::size_t>(loc.mat)].on_write(cells);
+        energy_[static_cast<std::size_t>(loc.mat)].on_write(cells);
+      }
+      if (table_.last_write_phases() > 0) {
+        pending.push_back({loc.mat, loc.subarray, table_.last_write_phases()});
+      }
+    };
+    std::size_t n_search = 0;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const Request& req = batch[i];
+      RequestResult& out = res.results[i];
+      switch (req.kind) {
+        case RequestKind::kSearch:
+        case RequestKind::kSearchNearest: {
+          ++n_search;
+          const bool exact = req.kind == RequestKind::kSearch;
+          const arch::SearchStats& merged =
+              exact ? matches[i].stats : nears[i].stats;
+          const std::vector<arch::SearchStats> per_mat =
+              exact ? dense_per_mat(table_, matches[i])
+                    : dense_per_mat(table_, nears[i]);
+          for (std::size_t m = 0; m < per_mat.size(); ++m) {
+            energy_[m].on_search(per_mat[m]);
+            terminated_[m] += per_mat[m].rows - per_mat[m].step2_evaluated;
+            step2_[m] += per_mat[m].step2_evaluated;
+          }
+          stats_.add(merged);
+          res.stats.rows += merged.rows;
+          res.stats.step1_misses += merged.step1_misses;
+          res.stats.step2_evaluated += merged.step2_evaluated;
+          res.stats.matches += merged.matches;
+          if (exact) {
+            out.hit = matches[i].hit;
+            out.entry = matches[i].entry;
+          } else if (!nears[i].top.empty()) {
+            out.hit = true;
+            out.entry = nears[i].top.front().entry;
+          }
+          break;
+        }
+        case RequestKind::kInsert: {
+          const int cells = table_.cost_write(req.entry, nullptr).cells;
+          const EntryId id = table_.insert(req.entry, req.priority, req.mat);
+          if (id == kInvalidEntry) break;
+          written(id, cells);
+          out.hit = true;
+          out.entry = id;
+          break;
+        }
+        case RequestKind::kUpdate: {
+          if (!table_.contains(req.target)) break;
+          const arch::TernaryWord prev = table_.entry_word(req.target);
+          int cells = 0;
+          if (req.incremental) {
+            cells = table_.cost_rewrite(req.entry, prev).cells;
+            table_.rewrite_digits(req.target, req.entry);
+          } else {
+            cells = table_.cost_write(req.entry, &prev).cells;
+            table_.update(req.target, req.entry);
+          }
+          written(req.target, cells);
+          out.hit = true;
+          out.entry = req.target;
+          break;
+        }
+        case RequestKind::kRelocate: {
+          if (!table_.contains(req.target)) break;
+          const int cells =
+              table_.cost_write(table_.entry_word(req.target), nullptr).cells;
+          if (!table_.relocate(req.target, req.mat)) break;
+          written(req.target, cells);
+          out.hit = true;
+          out.entry = req.target;
+          break;
+        }
+        case RequestKind::kErase:
+          if (!table_.contains(req.target)) break;
+          table_.erase(req.target);
+          out.hit = true;
+          out.entry = req.target;
+          break;
+        case RequestKind::kSetPriority:
+          if (!table_.contains(req.target)) break;
+          table_.set_priority(req.target, req.priority);
+          out.hit = true;
+          out.entry = req.target;
+          break;
+      }
+    }
+
+    long long stalls_before = 0;
+    for (const auto& s : sched_) stalls_before += s.stalls();
+    const int subarrays = table_.config().subarrays_per_mat;
+    std::vector<std::deque<PendingWrite>> mat_queue(sched_.size());
+    for (const auto& w : pending) {
+      mat_queue[static_cast<std::size_t>(w.mat)].push_back(w);
+    }
+    std::vector<arch::MatOp> cycle_req(static_cast<std::size_t>(subarrays));
+    bool writes_pending = !pending.empty();
+    while (writes_pending) {
+      writes_pending = false;
+      for (std::size_t m = 0; m < sched_.size(); ++m) {
+        auto& q = mat_queue[m];
+        if (q.empty()) continue;
+        PendingWrite& head = q.front();
+        std::fill(cycle_req.begin(), cycle_req.end(), arch::MatOp::kIdle);
+        cycle_req[static_cast<std::size_t>(head.subarray)] =
+            arch::MatOp::kWrite;
+        if (n_search > 0) {
+          cycle_req[static_cast<std::size_t>(head.subarray ^ 1)] =
+              arch::MatOp::kSearch;
+        }
+        const std::uint64_t granted = sched_[m].submit(cycle_req);
+        if ((granted >> head.subarray & 1) != 0 && --head.phases == 0) {
+          q.pop_front();
+        }
+        if (!q.empty()) writes_pending = true;
+      }
+      ++res.write_cycles;
+    }
+    std::fill(cycle_req.begin(), cycle_req.end(), arch::MatOp::kSearch);
+    for (std::size_t c = 0; c < n_search; ++c) {
+      for (auto& sched : sched_) sched.submit(cycle_req);
+    }
+    long long stalls_after = 0;
+    for (const auto& s : sched_) stalls_after += s.stalls();
+    res.driver_stalls = stalls_after - stalls_before;
+    res.model_latency_s =
+        static_cast<double>(res.write_cycles) * opts_.write_pulse_s +
+        static_cast<double>(n_search) *
+            arch::default_op_costs(table_.config().design).latency_full;
+    return res;
+  }
+
+ private:
+  TcamTable table_;
+  EngineOptions opts_;
+  std::vector<arch::ArrayEnergyModel> energy_;
+  std::vector<arch::ArrayEnergyModel> writes_;
+  std::vector<long long> terminated_;
+  std::vector<long long> step2_;
+  std::vector<arch::SharedDriverScheduler> sched_;
+  arch::SearchStatsAccumulator stats_;
+};
+
+TEST(EngineDeterminism, AccountingMatchesPerCycleReference) {
+  // Mixed batches — exact and nearest searches, inserts, full updates,
+  // zero-pulse delta rewrites, changed rewrites, relocations, erases —
+  // through the engine (closed-form broadcast, count-based energy over
+  // scanned mats only) and through the per-cycle reference must agree on
+  // the whole admission model and on the energy.
+  const Trace trace = generate_trace(test_spec());
+  for (const arch::TcamDesign design :
+       {arch::TcamDesign::k1p5DgFe, arch::TcamDesign::k2DgFefet}) {
+    for (const int subarrays : {2, 4}) {
+      const std::string where =
+          "design=" + std::to_string(static_cast<int>(design)) +
+          " subarrays=" + std::to_string(subarrays);
+      TableConfig cfg = test_config();
+      cfg.design = design;
+      cfg.subarrays_per_mat = subarrays;
+      // Two mats start empty, so the skip proof fires from the first
+      // search, and sparsely filled mats keep it firing afterwards.
+      cfg.mats = 6;
+      EngineOptions opts;
+      opts.dispatch_threads = 2;
+      opts.k = 3;
+      opts.distance_threshold = 1;
+      TcamTable table(cfg);
+      PerCycleReference ref(cfg, opts);
+      SearchEngine engine(table, opts);
+      std::mt19937 rng = util::trial_rng(
+          0xACC0u, static_cast<std::uint64_t>(
+                       10 * static_cast<int>(design) + subarrays));
+      std::uniform_real_distribution<double> u(0.0, 1.0);
+      std::vector<EntryId> live;
+      long long stalls = 0;
+      long long zero_pulse_rewrites = 0;
+
+      const auto run_batch = [&](const std::vector<Request>& batch,
+                                 std::size_t b) {
+        const BatchResult want = ref.apply(batch);
+        const BatchResult got = engine.execute(batch);
+        ASSERT_EQ(got.results.size(), want.results.size()) << where;
+        for (std::size_t r = 0; r < want.results.size(); ++r) {
+          ASSERT_EQ(got.results[r].hit, want.results[r].hit)
+              << where << " batch " << b << " req " << r;
+          ASSERT_EQ(got.results[r].entry, want.results[r].entry)
+              << where << " batch " << b << " req " << r;
+          if (batch[r].kind == RequestKind::kInsert && got.results[r].hit) {
+            live.push_back(got.results[r].entry);
+          }
+        }
+        EXPECT_EQ(got.stats.rows, want.stats.rows) << where << " batch " << b;
+        EXPECT_EQ(got.stats.step1_misses, want.stats.step1_misses)
+            << where << " batch " << b;
+        EXPECT_EQ(got.stats.step2_evaluated, want.stats.step2_evaluated)
+            << where << " batch " << b;
+        EXPECT_EQ(got.stats.matches, want.stats.matches)
+            << where << " batch " << b;
+        EXPECT_EQ(got.driver_stalls, want.driver_stalls)
+            << where << " batch " << b;
+        EXPECT_EQ(got.write_cycles, want.write_cycles)
+            << where << " batch " << b;
+        EXPECT_EQ(got.model_latency_s, want.model_latency_s)
+            << where << " batch " << b;
+        stalls += got.driver_stalls;
+      };
+
+      // Batch 0 loads the rules onto mats 0-3 (writes only); the rest mix
+      // everything.
+      std::vector<Request> load;
+      for (std::size_t i = 0; i < trace.rules.size(); ++i) {
+        load.push_back(make_insert(trace.rules[i].entry,
+                                   trace.rules[i].priority,
+                                   static_cast<int>(i % 4)));
+      }
+      run_batch(load, 0);
+      if (HasFailure()) return;
+      for (std::size_t b = 1; b <= 16; ++b) {
+        std::vector<Request> batch;
+        for (int r = 0; r < 40; ++r) {
+          const double op = u(rng);
+          const arch::BitWord& q =
+              trace.queries[static_cast<std::size_t>(rng()) %
+                            trace.queries.size()];
+          const EntryId id =
+              live[static_cast<std::size_t>(rng()) % live.size()];
+          const arch::TernaryWord& word =
+              trace.rules[static_cast<std::size_t>(rng()) %
+                          trace.rules.size()]
+                  .entry;
+          if (op < 0.45) {
+            batch.push_back(make_search(q));
+          } else if (op < 0.60) {
+            batch.push_back(make_search_nearest(q, static_cast<int>(b % 4),
+                                                static_cast<int>(r % 3) - 1));
+          } else if (op < 0.68) {
+            batch.push_back(make_insert(word, static_cast<int>(rng() % 50),
+                                        r % 3 == 0 ? r % cfg.mats : -1));
+          } else if (op < 0.76) {
+            batch.push_back(make_update(id, word));
+          } else if (op < 0.84) {
+            // Unchanged word: a delta rewrite of zero pulses, which must
+            // stay out of the admission model.
+            if (ref.table().contains(id)) {
+              batch.push_back(make_rewrite(id, ref.table().entry_word(id)));
+              ++zero_pulse_rewrites;
+            }
+          } else if (op < 0.90) {
+            batch.push_back(make_rewrite(id, word));
+          } else if (op < 0.96) {
+            batch.push_back(
+                make_relocate(id, static_cast<int>(rng() % 6)));
+          } else {
+            batch.push_back(make_erase(id));
+          }
+        }
+        run_batch(batch, b);
+        if (HasFailure()) return;
+      }
+      engine.drain();
+
+      for (int m = 0; m < cfg.mats; ++m) {
+        EXPECT_EQ(engine.mat_utilization(m), ref.utilization(m))
+            << where << " mat " << m;
+      }
+      const auto& got = table.search_stats();
+      const auto& want = ref.stats();
+      EXPECT_EQ(got.searches(), want.searches()) << where;
+      EXPECT_EQ(got.rows_searched(), want.rows_searched()) << where;
+      EXPECT_EQ(got.step2_evaluations(), want.step2_evaluations()) << where;
+      EXPECT_EQ(got.matches(), want.matches()) << where;
+      EXPECT_EQ(got.step1_miss_rate(), want.step1_miss_rate()) << where;
+      EXPECT_EQ(table.total_energy_j(), ref.closed_form_energy_j()) << where;
+      const double old_sum = ref.float_sum_energy_j();
+      EXPECT_NEAR(table.total_energy_j(), old_sum, 1e-12 * old_sum) << where;
+      // The sweep must reach the paths it exists to pin.
+      EXPECT_GT(stalls, 0) << where;
+      EXPECT_GT(zero_pulse_rewrites, 0) << where;
+      EXPECT_GT(table.mats_skipped(), 0) << where;
+    }
   }
 }
 

@@ -8,14 +8,18 @@
 //     relocate / set_priority, the incrementally maintained MatAggregate
 //     equals the one rebuilt from a full shard scan;
 //   * a search against a pruning table returns exactly the TableMatch of
-//     a non-pruning table — including SearchStats and per-mat stats,
-//     because a skip is only taken when its stats are exactly knowable;
+//     a non-pruning table — including SearchStats and per-mat stats
+//     (a skipped mat counted at the table's skipped stats), because a skip
+//     is only taken when its stats are exactly knowable;
+//   * so accounting those searches, exact and nearest, leaves the two
+//     tables at bit-identical total_energy_j();
 //   * match_mats_block over any lane mix equals per-lane match_mats.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <vector>
 
+#include "dense_stats.hpp"
 #include "engine/packed_kernel.hpp"
 #include "engine/table.hpp"
 #include "util/rng.hpp"
@@ -60,8 +64,8 @@ arch::BitWord random_query(std::mt19937& rng, int cols) {
   return q;
 }
 
-void expect_match_eq(const TableMatch& want, const TableMatch& got,
-                     const char* what, int step) {
+void expect_match_eq(const TcamTable& table, const TableMatch& want,
+                     const TableMatch& got, const char* what, int step) {
   ASSERT_EQ(want.hit, got.hit) << what << " step=" << step;
   ASSERT_EQ(want.entry, got.entry) << what << " step=" << step;
   if (want.hit) {
@@ -74,17 +78,16 @@ void expect_match_eq(const TableMatch& want, const TableMatch& got,
       << what << " step=" << step;
   ASSERT_EQ(want.stats.matches, got.stats.matches)
       << what << " step=" << step;
-  ASSERT_EQ(want.per_mat.size(), got.per_mat.size())
-      << what << " step=" << step;
-  for (std::size_t m = 0; m < want.per_mat.size(); ++m) {
-    ASSERT_EQ(want.per_mat[m].rows, got.per_mat[m].rows)
+  const std::vector<arch::SearchStats> want_mats = dense_per_mat(table, want);
+  const std::vector<arch::SearchStats> got_mats = dense_per_mat(table, got);
+  for (std::size_t m = 0; m < want_mats.size(); ++m) {
+    ASSERT_EQ(want_mats[m].rows, got_mats[m].rows)
         << what << " mat=" << m << " step=" << step;
-    ASSERT_EQ(want.per_mat[m].step1_misses, got.per_mat[m].step1_misses)
+    ASSERT_EQ(want_mats[m].step1_misses, got_mats[m].step1_misses)
         << what << " mat=" << m << " step=" << step;
-    ASSERT_EQ(want.per_mat[m].step2_evaluated,
-              got.per_mat[m].step2_evaluated)
+    ASSERT_EQ(want_mats[m].step2_evaluated, got_mats[m].step2_evaluated)
         << what << " mat=" << m << " step=" << step;
-    ASSERT_EQ(want.per_mat[m].matches, got.per_mat[m].matches)
+    ASSERT_EQ(want_mats[m].matches, got_mats[m].matches)
         << what << " mat=" << m << " step=" << step;
   }
 }
@@ -128,9 +131,29 @@ void run_churn(arch::TcamDesign design, std::uint64_t trial) {
       flat.match(queries[q], scratch, want[q]);
       TableMatch got;
       pruned.match(queries[q], scratch, got);
-      expect_match_eq(want[q], got, "pruned vs flat", step);
+      expect_match_eq(pruned, want[q], got, "pruned vs flat", step);
       if (::testing::Test::HasFailure()) return;
+      // Charge both: the pruned table pays its skipped mats in closed
+      // form, the flat one scans them, and the energies must not differ
+      // by one bit.
+      pruned.account_search(got);
+      flat.account_search(want[q]);
     }
+    const int threshold = static_cast<int>(step % 3);
+    const NearestMatch near_pruned =
+        pruned.search_nearest(queries[0], 2, threshold);
+    const NearestMatch near_flat = flat.search_nearest(queries[0], 2, threshold);
+    ASSERT_EQ(near_pruned.top.size(), near_flat.top.size()) << "step=" << step;
+    for (std::size_t i = 0; i < near_flat.top.size(); ++i) {
+      ASSERT_EQ(near_pruned.top[i].entry, near_flat.top[i].entry)
+          << "step=" << step;
+    }
+    ASSERT_EQ(pruned.total_energy_j(), flat.total_energy_j())
+        << "mat_skip on vs off, step=" << step;
+    ASSERT_EQ(pruned.search_stats().rows_searched(),
+              flat.search_stats().rows_searched());
+    ASSERT_EQ(pruned.search_stats().step2_evaluations(),
+              flat.search_stats().step2_evaluations());
     BlockMatchScratch block_scratch;
     for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
       const arch::BitWord* qp[kMaxQueryBlock];
@@ -142,7 +165,7 @@ void run_churn(arch::TcamDesign design, std::uint64_t trial) {
       }
       pruned.match_mats_block(qp, nq, block_scratch, outs);
       for (int q = 0; q < nq; ++q) {
-        expect_match_eq(want[static_cast<std::size_t>(q)],
+        expect_match_eq(pruned, want[static_cast<std::size_t>(q)],
                         got[static_cast<std::size_t>(q)], "blocked", step);
         if (::testing::Test::HasFailure()) return;
       }

@@ -6,8 +6,10 @@
 #include <algorithm>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "arch/behavioral_array.hpp"
+#include "dense_stats.hpp"
 #include "engine/table.hpp"
 #include "util/rng.hpp"
 
@@ -158,8 +160,9 @@ TEST(TcamTable, MatchIsPureAndSearchAccounts) {
   EXPECT_GT(t.total_energy_j(), e_writes);
   EXPECT_EQ(t.search_stats().searches(), 1);
   // Per-mat stats must cover every mat's rows exactly once.
-  ASSERT_EQ(m.per_mat.size(), 2u);
-  EXPECT_EQ(m.per_mat[0].rows + m.per_mat[1].rows, 16);
+  const std::vector<arch::SearchStats> per_mat = dense_per_mat(t, m);
+  ASSERT_EQ(per_mat.size(), 2u);
+  EXPECT_EQ(per_mat[0].rows + per_mat[1].rows, 16);
   EXPECT_EQ(m.stats.rows, 16);
 }
 
