@@ -133,16 +133,26 @@ void FeFet::initialize_state(const spice::EvalContext& ctx,
   // Polarization is non-volatile: deliberately NOT reset here.
 }
 
-void FeFet::commit_step(const spice::EvalContext& ctx,
-                        const spice::Solution& sol) {
+double FeFet::next_polarization(const spice::EvalContext& ctx,
+                                const spice::Solution& sol) const {
   const double v_fe =
       fe_drive_voltage(sol.v(fg_), sol.v(d_), sol.v(s_));
-  p_ = advance_polarization(params_.fe, p_, v_fe, ctx.dt).p_end;
+  return advance_polarization(params_.fe, p_, v_fe, ctx.dt).p_end;
+}
+
+void FeFet::commit_step(const spice::EvalContext& ctx,
+                        const spice::Solution& sol) {
+  p_ = next_polarization(ctx, sol);
   cfg_s_.commit(ctx, sol, fg_, s_);
   cfg_d_.commit(ctx, sol, fg_, d_);
   cbg_s_.commit(ctx, sol, bg_, s_);
   cdb_.commit(ctx, sol, d_, bg_);
   csb_.commit(ctx, sol, s_, bg_);
+}
+
+double FeFet::state_change(const spice::EvalContext& ctx,
+                           const spice::Solution& sol) const {
+  return std::abs(next_polarization(ctx, sol) - p_) / params_.fe.ps;
 }
 
 double FeFet::drain_current(const spice::Solution& sol) const {

@@ -76,6 +76,9 @@ class FeFet : public spice::Device {
                         const spice::Solution& sol) override;
   void commit_step(const spice::EvalContext& ctx,
                    const spice::Solution& sol) override;
+  /// |dP| / Ps over the trial step.
+  double state_change(const spice::EvalContext& ctx,
+                      const spice::Solution& sol) const override;
   std::vector<spice::NodeId> terminals() const override {
     return {d_, fg_, s_, bg_};
   }
@@ -110,6 +113,9 @@ class FeFet : public spice::Device {
   double fe_drive_voltage(double vfg, double vd, double vs) const {
     return vfg - 0.5 * (vd + vs);
   }
+  /// Polarization after the step ending at `sol` (commit_step's update).
+  double next_polarization(const spice::EvalContext& ctx,
+                           const spice::Solution& sol) const;
 
   spice::NodeId d_, fg_, s_, bg_;
   FeFetParams params_;

@@ -166,6 +166,17 @@ class Device {
     (void)sol;
   }
 
+  /// History-state change the converged trial step ending at `sol` would
+  /// commit, normalised to the state's full scale (e.g. |dP|/Ps).  The
+  /// transient step controller keeps grown steps under a fixed bound on it;
+  /// devices without non-electrical state report 0.
+  virtual double state_change(const EvalContext& ctx,
+                              const Solution& sol) const {
+    (void)ctx;
+    (void)sol;
+    return 0.0;
+  }
+
   /// Source breakpoints in [0, t_stop] (edges the transient engine must hit).
   virtual std::vector<double> breakpoints(double t_stop) const {
     (void)t_stop;

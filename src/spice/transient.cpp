@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -12,13 +13,53 @@ namespace fetcam::spice {
 
 namespace {
 
+/// Step controller.  A steady step is k*dt, k a power of two up to
+/// kMaxGrowth.  Its error ratio is the larger of the backward-Euler LTE
+/// estimate over every node voltage (in units of kLteRelTol*|v| +
+/// kLteAbsTol) and the largest device state change (in units of
+/// kStateTol).  k halves above kShrinkRatio and doubles below kGrowRatio
+/// (BE LTE scales as h^2, so a doubled step predicts 4x the ratio); a grown
+/// step above 1 is rejected and retried at k = 1.
+constexpr int kMaxGrowth = 16;
+constexpr double kLteRelTol = 1e-3;
+constexpr double kLteAbsTol = 100e-6;
+constexpr double kStateTol = 0.01;
+constexpr double kShrinkRatio = 0.5;
+constexpr double kGrowRatio = 0.125;
+
+/// Error ratio of the converged trial step x_prev -> x -> x_new (steps h_prev
+/// then h).  BE LTE = (h^2 / 2) |v''| with v'' from the second divided
+/// difference of the last two steps.  NaN propagates to the caller.
+double step_error_ratio(const Circuit& ckt, const EvalContext& ctx,
+                        const num::Vector& x_prev, const num::Vector& x,
+                        const num::Vector& x_new, double h_prev) {
+  const double h = ctx.dt;
+  const num::Index nodes = ckt.node_count() - 1;
+  double ratio = 0.0;
+  for (num::Index i = 0; i < nodes; ++i) {
+    const double slope_change =
+        (x_new[i] - x[i]) / h - (x[i] - x_prev[i]) / h_prev;
+    const double lte = h * h * std::abs(slope_change) / (h + h_prev);
+    const double r = lte / (kLteRelTol * std::abs(x_new[i]) + kLteAbsTol);
+    if (!(r <= ratio)) ratio = r;
+  }
+  const Solution sol(ckt, x_new);
+  for (const auto& dev : ckt.devices()) {
+    const double r = dev->state_change(ctx, sol) / kStateTol;
+    if (!(r <= ratio)) ratio = r;
+  }
+  return ratio;
+}
+
 /// Transient solver-health metrics: step accounting plus the per-step
 /// Newton cost distribution (the dominant term of transient wall time).
 struct TransientMetrics {
   obs::Counter& runs;
   obs::Counter& failed;
   obs::Counter& steps_accepted;
+  obs::Counter& steps_grown;
   obs::Counter& steps_rejected;
+  obs::Counter& steps_lte_rejected;
   obs::Counter& dt_exhausted;
   obs::Histogram& newton_per_step;
 
@@ -28,7 +69,9 @@ struct TransientMetrics {
         reg.counter("transient.runs"),
         reg.counter("transient.failed"),
         reg.counter("transient.steps_accepted"),
+        reg.counter("transient.steps_grown"),
         reg.counter("transient.steps_rejected"),
+        reg.counter("transient.steps_lte_rejected"),
         reg.counter("transient.dt_exhausted"),
         reg.histogram("transient.newton_per_step",
                       {1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
@@ -44,7 +87,10 @@ void record_transient(const TransientResult& res, bool dt_exhausted) {
   if (!res.ok) m.failed.add();
   if (dt_exhausted) m.dt_exhausted.add();
   m.steps_accepted.add(static_cast<std::uint64_t>(res.accepted_steps));
+  m.steps_grown.add(static_cast<std::uint64_t>(res.grown_steps));
   m.steps_rejected.add(static_cast<std::uint64_t>(res.rejected_steps));
+  m.steps_lte_rejected.add(
+      static_cast<std::uint64_t>(res.lte_rejected_steps));
 }
 
 }  // namespace
@@ -145,6 +191,18 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   ckt.finalize();
   TransientResult res{.ok = false, .error = {}, .trace = Trace(ckt)};
 
+  if (!std::isfinite(opts.t_stop) || !std::isfinite(opts.dt) ||
+      !std::isfinite(opts.dt_min) || !(opts.dt > 0.0) ||
+      !(opts.dt_min > 0.0)) {
+    std::ostringstream os;
+    os << "invalid step options: t_stop=" << opts.t_stop
+       << " dt=" << opts.dt << " dt_min=" << opts.dt_min
+       << " (all must be finite, dt and dt_min positive)";
+    res.error = os.str();
+    record_transient(res, /*dt_exhausted=*/false);
+    return res;
+  }
+
   num::Vector x(ckt.system_size(), 0.0);
 
   // One sparse solver workspace for the whole run: the OP solve rebuilds
@@ -182,23 +240,37 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   bps.push_back(opts.t_stop);
   std::size_t next_bp = 0;
 
-  // Capacity plan: the accepted-step count is ~t_stop/dt plus one extra
-  // step per breakpoint the stepper has to land on, plus the t=0 sample.
-  // Halving episodes can exceed the estimate; append() still grows then.
-  if (opts.dt > 0.0 && opts.t_stop > 0.0) {
+  // Capacity plan: at most ~t_stop/dt steps plus one extra step per
+  // breakpoint the stepper has to land on, plus the t=0 sample.  Halving
+  // episodes can exceed the estimate; append() still grows then.
+  if (opts.t_stop > 0.0) {
     const double nominal = opts.t_stop / opts.dt;
     res.trace.reserve(static_cast<std::size_t>(nominal) + bps.size() + 2);
   }
   res.trace.append(0.0, x);
 
   double t = 0.0;
+  // Post-edge ramp: below dt only right after a breakpoint landing or a
+  // Newton halving, then doubling back up to dt.
   double dt_eff = opts.dt;
+  // Growth factor of the next steady (dt_eff == dt) step.
+  int k = 1;
+  // Previous accepted state and step, for the LTE divided difference.  The
+  // operating point is a DC steady state, so the history before t = 0 is
+  // flat.
+  num::Vector x_prev = x;
+  double h_prev = opts.dt;
+  num::Vector x_try = x;
   const double t_eps = opts.t_stop * 1e-12;
 
   while (t < opts.t_stop - t_eps) {
     while (next_bp < bps.size() && bps[next_bp] <= t + t_eps) ++next_bp;
     const double bp = next_bp < bps.size() ? bps[next_bp] : opts.t_stop;
-    double t_next = std::min({t + dt_eff, bp, opts.t_stop});
+    // A grown step stays on the lattice: it never passes the last multiple
+    // of dt before the next breakpoint.
+    int k_step = dt_eff < opts.dt ? 1 : k;
+    while (k_step > 1 && t + k_step * opts.dt > bp + t_eps) k_step /= 2;
+    double t_next = std::min({t + k_step * dt_eff, bp, opts.t_stop});
     double dt_step = t_next - t;
 
     EvalContext ctx;
@@ -206,9 +278,8 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
     ctx.gmin = opts.gmin;
     ctx.trapezoidal = opts.trapezoidal;
 
-    bool accepted = false;
-    num::Vector x_try = x;
-    while (!accepted) {
+    double ratio = 0.0;
+    while (true) {
       ctx.time = t + dt_step;
       ctx.dt = dt_step;
       x_try = x;
@@ -218,33 +289,57 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       if (obs::metrics_on()) {
         TransientMetrics::get().newton_per_step.observe(nr.iterations);
       }
-      if (nr.converged) {
-        accepted = true;
-        break;
+      if (!nr.converged) {
+        ++res.rejected_steps;
+        k_step = std::max(1, k_step / 2);
+        dt_step *= 0.5;
+        if (dt_step < opts.dt_min) {
+          std::ostringstream os;
+          os << "transient step failed to converge at t=" << t
+             << " (dt exhausted";
+          if (nr.singular) os << ", singular row " << nr.singular_row;
+          os << ")";
+          res.error = os.str();
+          record_transient(res, /*dt_exhausted=*/true);
+          return res;
+        }
+        continue;
       }
-      ++res.rejected_steps;
-      dt_step *= 0.5;
-      if (dt_step < opts.dt_min) {
-        std::ostringstream os;
-        os << "transient step failed to converge at t=" << t
-           << " (dt exhausted";
-        if (nr.singular) os << ", singular row " << nr.singular_row;
-        os << ")";
-        res.error = os.str();
-        record_transient(res, /*dt_exhausted=*/true);
-        return res;
+      // A k = 1 step is never rejected: its ratio only steers the next
+      // step's growth.
+      ratio = step_error_ratio(ckt, ctx, x_prev, x, x_try, h_prev);
+      if (k_step > 1 && !(ratio <= 1.0)) {
+        ++res.lte_rejected_steps;
+        k_step = 1;
+        dt_step = opts.dt;
+        continue;
       }
+      break;
     }
 
-    x = x_try;
+    if (k_step > 1) ++res.grown_steps;
+    std::swap(x_prev, x);
+    std::swap(x, x_try);
+    h_prev = dt_step;
     t = ctx.time;
     ++res.accepted_steps;
     const Solution sol(ckt, x);
     for (const auto& dev : ckt.devices()) dev->commit_step(ctx, sol);
     res.trace.append(t, x);
 
-    // Recover the step size after a halving episode.
+    // Recover the step size after a landing or a halving episode.  k
+    // restarts at 1 on every breakpoint and ramp step, so the steps right
+    // after a source edge always follow the ramp (docs/SOLVER.md).
     dt_eff = std::min(opts.dt, dt_step * 2.0);
+    if (t >= bp - t_eps || dt_step < opts.dt * (1.0 - 1e-9)) {
+      k = 1;
+    } else if (!(ratio <= kShrinkRatio)) {
+      k = std::max(1, k_step / 2);
+    } else if (ratio < kGrowRatio) {
+      k = std::min(kMaxGrowth, k_step * 2);
+    } else {
+      k = k_step;
+    }
   }
 
   res.ok = true;

@@ -1,10 +1,14 @@
 // Transient analysis and waveform traces.
 //
-// Fixed nominal timestep with breakpoint alignment (steps always land on
-// source edges) and step-halving retry on Newton non-convergence.  History
-// state (capacitor charge, ferroelectric polarization) advances via
+// Steps sit on a lattice of the nominal timestep: every step lands on each
+// source edge, ramps back up to dt after it, and in between grows to k*dt
+// (k a power of two) while a backward-Euler local-truncation-error estimate
+// and each device's state change (Device::state_change) stay in bound.
+// Newton non-convergence halves the step and retries.  History state
+// (capacitor charge, ferroelectric polarization) advances via
 // Device::commit_step after every accepted step, so devices never see a
-// rejected trial solution.
+// rejected trial solution.  docs/SOLVER.md, "Time-step control", has the
+// rules and why the edge grid is kept.
 #pragma once
 
 #include <optional>
@@ -72,8 +76,10 @@ class Trace {
 
 struct TransientOptions {
   double t_stop = 0.0;
-  /// Nominal timestep; the engine subdivides near breakpoints and on
-  /// convergence trouble but never exceeds it.
+  /// Nominal timestep: the lattice unit.  The engine subdivides it near
+  /// breakpoints and on convergence trouble, and grows quiet stretches to
+  /// power-of-two multiples of it.  dt and dt_min must be finite and
+  /// positive and t_stop finite, or run_transient returns ok = false.
   double dt = 1e-12;
   double dt_min = 1e-16;
   bool trapezoidal = false;
@@ -101,7 +107,13 @@ struct TransientResult {
   Trace trace;
   int total_newton_iterations = 0;
   int accepted_steps = 0;
+  /// Accepted steps longer than dt (grown by the step controller).
+  int grown_steps = 0;
+  /// Steps retried for Newton non-convergence.
   int rejected_steps = 0;
+  /// Grown steps retried at dt because the error estimate or a device
+  /// state change exceeded its bound.
+  int lte_rejected_steps = 0;
 };
 
 /// Run transient analysis.  Device history state is left at t_stop on
