@@ -29,11 +29,11 @@ struct EngineMetrics {
   obs::Gauge& queue_depth;
   obs::Gauge& in_flight;
   // Per-stage request attribution (docs/OBSERVABILITY.md stage catalog).
-  obs::LatencyRecorder& queue_wait;
+  obs::Distribution& queue_wait;
   /// Phase-A latency per kernel tier, indexed by KernelTier.
-  obs::LatencyRecorder* match_tier[2];
-  obs::LatencyRecorder& apply;
-  obs::LatencyRecorder& batch_total;
+  obs::Distribution* match_tier[2];
+  obs::Distribution& apply;
+  obs::Distribution& batch_total;
 
   static EngineMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -246,7 +246,7 @@ void SearchEngine::coordinator_loop() {
       em.in_flight.set(static_cast<double>(in_flight()));
       const std::uint64_t dequeue_ns = obs::now_ns();
       if (work.submit_ns != 0 && dequeue_ns > work.submit_ns) {
-        em.queue_wait.record_ns(dequeue_ns - work.submit_ns);
+        em.queue_wait.record(dequeue_ns - work.submit_ns);
       }
     }
     const double t0 = obs::now_us();
@@ -361,7 +361,7 @@ void SearchEngine::match_batch(const Work& work,
   if (metrics) {
     EngineMetrics::get()
         .match_tier[static_cast<int>(active_kernel_tier())]
-        ->record_ns(obs::now_ns() - a0_ns);
+        ->record(obs::now_ns() - a0_ns);
   }
 }
 
@@ -591,10 +591,10 @@ BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,
     last_mats_skipped_ = skipped_now;
     em.queue_hwm.set(static_cast<double>(queue_.high_watermark()));
     const std::uint64_t end_ns = obs::now_ns();
-    em.apply.record_ns(end_ns - apply0_ns);
+    em.apply.record(end_ns - apply0_ns);
     if (work.submit_ns != 0 && end_ns > work.submit_ns) {
       const std::uint64_t total_ns = end_ns - work.submit_ns;
-      em.batch_total.record_ns(total_ns);
+      em.batch_total.record(total_ns);
       note_slow_query(work, total_ns, n_search);
     }
   }

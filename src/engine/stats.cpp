@@ -1,7 +1,6 @@
 #include "engine/stats.hpp"
 
 #include <cstdio>
-#include <string_view>
 
 #include "engine/engine.hpp"
 #include "engine/packed_kernel.hpp"
@@ -14,20 +13,6 @@ namespace fetcam::engine {
 namespace {
 
 std::string u64(std::uint64_t v) { return std::to_string(v); }
-
-void append_latency(std::string& out, std::string_view name,
-                    const obs::LatencySnapshot& s, bool first) {
-  using obs::detail::json_escape;
-  using obs::detail::json_number;
-  out += first ? "\n" : ",\n";
-  out += "    \"" + json_escape(name) + "\": {\"count\": " + u64(s.count) +
-         ", \"p50_us\": " + json_number(s.p50_us()) +
-         ", \"p95_us\": " + json_number(s.p95_us()) +
-         ", \"p99_us\": " + json_number(s.p99_us()) +
-         ", \"p999_us\": " + json_number(s.p999_us()) +
-         ", \"max_us\": " + json_number(s.max_us()) +
-         ", \"mean_us\": " + json_number(s.mean_us()) + "}";
-}
 
 }  // namespace
 
@@ -65,12 +50,19 @@ std::string stats_snapshot_json(const SearchEngine& engine,
                                     : 0.0);
   out += "},\n";
 
+  // Only the engine's own stage timings: the registry is process-wide and
+  // also holds simulator and test distributions.
   out += "  \"stages\": {";
   bool first = true;
-  for (const auto& [name, snap] :
-       obs::MetricsRegistry::instance().latency_snapshots()) {
-    append_latency(out, name, snap, first);
+  for (const auto& d :
+       obs::MetricsRegistry::instance().distribution_snapshots()) {
+    if (d.unit != obs::Unit::kNanoseconds || !d.name.starts_with("engine.")) {
+      continue;
+    }
+    out += first ? "\n" : ",\n";
     first = false;
+    out += "    \"" + obs::detail::json_escape(d.name) +
+           "\": " + obs::distribution_json(d.snap, d.unit);
   }
   out += first ? "},\n" : "\n  },\n";
 

@@ -1,7 +1,7 @@
 // Service stats snapshot: one deterministic JSON document assembled from
-// the engine's lifetime totals, the obs registry's stage latency
-// recorders, the slow-query log, and (when scraped over the wire) the
-// server's and the requesting connection's counters.
+// the engine's lifetime totals, the obs registry's `engine.`-prefixed
+// latency distributions, the slow-query log, and (when scraped over the
+// wire) the server's and the requesting connection's counters.
 //
 // The same renderer backs every consumer so the schema cannot drift:
 //   * SearchServer's kStats opcode (engine/server.cpp),
@@ -11,14 +11,14 @@
 // Schema (keys always present, sorted sections; "fetcam.stats.v1"):
 //   { "schema", "kernel_tier",
 //     "engine":  {totals, queue gauges, in_flight, config},
-//     "stages":  {"<recorder>": {count, p50_us, p95_us, p99_us, p999_us,
-//                                max_us, mean_us}, ...},
+//     "stages":  {"engine.<stage>": {count, p50_us, p95_us, p99_us,
+//                                      p999_us, max_us, mean_us}, ...},
 //     "slow_queries": [{seq, trace_id, total_us, requests, searches,
 //                       fingerprint}, ...]  // worst first, top-8
 //     "server", "connection" }              // null unless provided
 //
 // Stage percentiles populate only while the obs level is >= metrics (the
-// recorders are hot-path-gated); the document itself is always valid.
+// distributions are hot-path-gated); the document itself is always valid.
 #pragma once
 
 #include <cstdint>

@@ -12,16 +12,16 @@ namespace fetcam::num {
 namespace {
 
 /// Newton/LU solver-health metrics, registered once per process.  The
-/// iteration histogram feeds the "where does solve time go" analysis; the
-/// factor/solve timing histograms are the evidence base for the dense vs
-/// sparse crossover policy (SolverKind::kAuto).
+/// iteration distribution feeds the "where does solve time go" analysis;
+/// the factor/solve timing distributions are the evidence base for the
+/// dense vs sparse crossover policy (SolverKind::kAuto).
 struct NewtonMetrics {
   obs::Counter& solves;
   obs::Counter& nonconverged;
   obs::Counter& singular;
-  obs::Histogram& iterations;
-  obs::Histogram& factor_us;
-  obs::Histogram& solve_us;
+  obs::Distribution& iterations;
+  obs::Distribution& factor_us;
+  obs::Distribution& solve_us;
 
   static NewtonMetrics& dense() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -29,9 +29,9 @@ struct NewtonMetrics {
         reg.counter("newton.dense.solves"),
         reg.counter("newton.dense.nonconverged"),
         reg.counter("newton.dense.singular"),
-        reg.histogram("newton.dense.iterations", iteration_bounds()),
-        reg.histogram("lu.dense.factor_us", time_bounds()),
-        reg.histogram("lu.dense.solve_us", time_bounds()),
+        reg.distribution("newton.dense.iterations"),
+        reg.latency("lu.dense.factor_us"),
+        reg.latency("lu.dense.solve_us"),
     };
     return m;
   }
@@ -42,24 +42,16 @@ struct NewtonMetrics {
         reg.counter("newton.sparse.solves"),
         reg.counter("newton.sparse.nonconverged"),
         reg.counter("newton.sparse.singular"),
-        reg.histogram("newton.sparse.iterations", iteration_bounds()),
-        reg.histogram("lu.sparse.factor_us", time_bounds()),
-        reg.histogram("lu.sparse.solve_us", time_bounds()),
+        reg.distribution("newton.sparse.iterations"),
+        reg.latency("lu.sparse.factor_us"),
+        reg.latency("lu.sparse.solve_us"),
     };
     return m;
   }
 
-  static std::vector<double> iteration_bounds() {
-    return {1, 2, 3, 5, 8, 12, 20, 50, 100, 200};
-  }
-  static std::vector<double> time_bounds() {
-    // 1 us .. ~16 ms, x2 per bucket.
-    return obs::exponential_bounds(1.0, 2.0, 15);
-  }
-
   void record_result(const NewtonResult& res) {
     solves.add();
-    iterations.observe(res.iterations);
+    iterations.record(static_cast<std::uint64_t>(res.iterations));
     if (res.singular) singular.add();
     if (!res.converged) nonconverged.add();
   }
@@ -86,10 +78,10 @@ NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
     res.iterations = it + 1;
     res.residual_norm = residual.inf_norm();
 
-    const double t_factor = obs_on ? obs::now_us() : 0.0;
+    const std::uint64_t t_factor = obs_on ? obs::now_ns() : 0;
     const bool factored = lu.factor(jac);
     if (obs_on) {
-      NewtonMetrics::dense().factor_us.observe(obs::now_us() - t_factor);
+      NewtonMetrics::dense().factor_us.record(obs::now_ns() - t_factor);
     }
     if (!factored) {
       res.singular = true;
@@ -99,10 +91,10 @@ NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
     }
     // Solve J dx = -f, reusing the dx buffer across iterations.
     for (Index i = 0; i < n; ++i) dx[i] = -residual[i];
-    const double t_solve = obs_on ? obs::now_us() : 0.0;
+    const std::uint64_t t_solve = obs_on ? obs::now_ns() : 0;
     lu.solve_in_place(dx);
     if (obs_on) {
-      NewtonMetrics::dense().solve_us.observe(obs::now_us() - t_solve);
+      NewtonMetrics::dense().solve_us.record(obs::now_ns() - t_solve);
     }
 
     // Voltage limiting: clamp each component.
@@ -166,10 +158,10 @@ NewtonResult solve_newton_sparse(const SinkAssembleFn& assemble, Vector& x,
     res.iterations = it + 1;
     res.residual_norm = ws.residual.inf_norm();
 
-    const double t_factor = obs_on ? obs::now_us() : 0.0;
+    const std::uint64_t t_factor = obs_on ? obs::now_ns() : 0;
     const bool factored = ws.lu.factor(ws.jac, ws.lu_opts);
     if (obs_on) {
-      NewtonMetrics::sparse().factor_us.observe(obs::now_us() - t_factor);
+      NewtonMetrics::sparse().factor_us.record(obs::now_ns() - t_factor);
     }
     if (!factored) {
       res.singular = true;
@@ -179,10 +171,10 @@ NewtonResult solve_newton_sparse(const SinkAssembleFn& assemble, Vector& x,
     }
     Vector& dx = ws.rhs;
     for (Index i = 0; i < n; ++i) dx[i] = -ws.residual[i];
-    const double t_solve = obs_on ? obs::now_us() : 0.0;
+    const std::uint64_t t_solve = obs_on ? obs::now_ns() : 0;
     ws.lu.solve(dx);
     if (obs_on) {
-      NewtonMetrics::sparse().solve_us.observe(obs::now_us() - t_solve);
+      NewtonMetrics::sparse().solve_us.record(obs::now_ns() - t_solve);
     }
 
     for (Index i = 0; i < n; ++i) {

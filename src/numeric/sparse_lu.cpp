@@ -18,7 +18,7 @@ struct SparseLuMetrics {
   obs::Counter& refactors;
   obs::Counter& fallbacks;
   obs::Counter& singular;
-  obs::Histogram& pivot_growth;
+  obs::Distribution& pivot_growth_ppb;
 
   static SparseLuMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -27,11 +27,10 @@ struct SparseLuMetrics {
         reg.counter("lu.sparse.refactors"),
         reg.counter("lu.sparse.refactor_fallbacks"),
         reg.counter("lu.sparse.singular"),
-        // Min |pivot| / |column max| per refactor: 1.0 = recorded pivot is
-        // still the column's largest entry, small = threshold pivoting is
-        // carrying the factorization.
-        reg.histogram("lu.sparse.pivot_growth",
-                      obs::exponential_bounds(1e-8, 10.0, 9)),
+        // Min |pivot| / |column max| per refactor, in parts per billion:
+        // 1e9 = recorded pivot is still the column's largest entry, small =
+        // threshold pivoting is carrying the factorization.
+        reg.distribution("lu.sparse.pivot_growth_ppb"),
     };
     return m;
   }
@@ -346,7 +345,11 @@ bool SparseLu::try_refactor(const StampedCsc& a, const SparseLuOptions& opts) {
   ++stats_.refactors;
   auto& metrics = SparseLuMetrics::get();
   metrics.refactors.inc();
-  if (obs::metrics_on()) metrics.pivot_growth.observe(min_growth);
+  // min_growth is pivot / best with best >= floor > 0, so it lies in [0, 1].
+  if (obs::metrics_on()) {
+    metrics.pivot_growth_ppb.record(
+        static_cast<std::uint64_t>(std::llround(min_growth * 1e9)));
+  }
   failed_col_ = -1;
   return true;
 }

@@ -1,22 +1,21 @@
 #include "obs/latency.hpp"
 
 #include <bit>
-#include <cstdio>
 
 #include "obs/json_util.hpp"
 #include "obs/metrics.hpp"
 
 namespace fetcam::obs {
 
-std::size_t LatencyRecorder::bucket_index(std::uint64_t ns) {
-  if (ns < kSubCount) return static_cast<std::size_t>(ns);
-  const int msb = 63 - std::countl_zero(ns);
-  const std::uint64_t sub = (ns >> (msb - kSubBits)) & (kSubCount - 1);
+std::size_t Distribution::bucket_index(std::uint64_t v) {
+  if (v < kSubCount) return static_cast<std::size_t>(v);
+  const int msb = 63 - std::countl_zero(v);
+  const std::uint64_t sub = (v >> (msb - kSubBits)) & (kSubCount - 1);
   return ((static_cast<std::size_t>(msb) - kSubBits + 1) << kSubBits) +
          static_cast<std::size_t>(sub);
 }
 
-std::uint64_t LatencyRecorder::bucket_lower(std::size_t i) {
+std::uint64_t Distribution::bucket_lower(std::size_t i) {
   if (i < kSubCount) return i;
   const std::size_t group = i >> kSubBits;
   const std::uint64_t sub = i & (kSubCount - 1);
@@ -24,19 +23,19 @@ std::uint64_t LatencyRecorder::bucket_lower(std::size_t i) {
   return (1ull << msb) + (sub << (msb - kSubBits));
 }
 
-std::uint64_t LatencyRecorder::bucket_upper(std::size_t i) {
+std::uint64_t Distribution::bucket_upper(std::size_t i) {
   if (i + 1 >= kBucketCount) return ~0ull;
   return bucket_lower(i + 1) - 1;
 }
 
-std::size_t LatencyRecorder::shard_index() {
+std::size_t Distribution::shard_index() {
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t id =
       next.fetch_add(1, std::memory_order_relaxed);
   return id & (kShards - 1);
 }
 
-std::vector<std::uint64_t> LatencyRecorder::bucket_counts() const {
+std::vector<std::uint64_t> Distribution::bucket_counts() const {
   std::vector<std::uint64_t> merged(kBucketCount, 0);
   for (const Shard& s : shards_) {
     for (std::size_t i = 0; i < kBucketCount; ++i) {
@@ -51,7 +50,7 @@ namespace {
 /// Smallest recorded value with at least `rank` observations at or below
 /// it, reported as its bucket's upper bound (clamped to the observed max).
 std::uint64_t percentile_from(const std::vector<std::uint64_t>& buckets,
-                              std::uint64_t count, std::uint64_t max_ns,
+                              std::uint64_t count, std::uint64_t max,
                               std::uint64_t q_num, std::uint64_t q_den) {
   if (count == 0) return 0;
   // rank = ceil(count * q) in [1, count]; 128-bit so count can't overflow.
@@ -64,38 +63,60 @@ std::uint64_t percentile_from(const std::vector<std::uint64_t>& buckets,
   for (std::size_t i = 0; i < buckets.size(); ++i) {
     cum += buckets[i];
     if (cum >= rank) {
-      const std::uint64_t upper = LatencyRecorder::bucket_upper(i);
-      return upper < max_ns ? upper : max_ns;
+      const std::uint64_t upper = Distribution::bucket_upper(i);
+      return upper < max ? upper : max;
     }
   }
-  return max_ns;
+  return max;
 }
 
 }  // namespace
 
-LatencySnapshot LatencyRecorder::snapshot() const {
-  LatencySnapshot snap;
+DistributionSnapshot Distribution::snapshot() const {
+  DistributionSnapshot snap;
   const std::vector<std::uint64_t> merged = bucket_counts();
   for (const Shard& s : shards_) {
     snap.count += s.count.load(std::memory_order_relaxed);
-    snap.sum_ns += s.sum.load(std::memory_order_relaxed);
+    snap.sum += s.sum.load(std::memory_order_relaxed);
     const std::uint64_t m = s.max.load(std::memory_order_relaxed);
-    if (m > snap.max_ns) snap.max_ns = m;
+    if (m > snap.max) snap.max = m;
   }
-  snap.p50_ns = percentile_from(merged, snap.count, snap.max_ns, 50, 100);
-  snap.p95_ns = percentile_from(merged, snap.count, snap.max_ns, 95, 100);
-  snap.p99_ns = percentile_from(merged, snap.count, snap.max_ns, 99, 100);
-  snap.p999_ns = percentile_from(merged, snap.count, snap.max_ns, 999, 1000);
+  snap.p50 = percentile_from(merged, snap.count, snap.max, 50, 100);
+  snap.p95 = percentile_from(merged, snap.count, snap.max, 95, 100);
+  snap.p99 = percentile_from(merged, snap.count, snap.max, 99, 100);
+  snap.p999 = percentile_from(merged, snap.count, snap.max, 999, 1000);
   return snap;
 }
 
-void LatencyRecorder::reset() {
+void Distribution::reset() {
   for (Shard& s : shards_) {
     for (auto& b : s.buckets) b.store(0, std::memory_order_relaxed);
     s.count.store(0, std::memory_order_relaxed);
     s.sum.store(0, std::memory_order_relaxed);
     s.max.store(0, std::memory_order_relaxed);
   }
+}
+
+std::string distribution_json(const DistributionSnapshot& s, Unit unit,
+                              std::string_view extra) {
+  const bool ns = unit == Unit::kNanoseconds;
+  const double scale = ns ? 1e3 : 1.0;
+  const char* key_end = ns ? "_us\": " : "\": ";
+  std::string out = "{\"count\": " + std::to_string(s.count);
+  out += extra;
+  const auto field = [&](const char* key, double v) {
+    out += std::string(", \"") + key + key_end + detail::json_number(v);
+  };
+  field("p50", static_cast<double>(s.p50) / scale);
+  field("p95", static_cast<double>(s.p95) / scale);
+  field("p99", static_cast<double>(s.p99) / scale);
+  field("p999", static_cast<double>(s.p999) / scale);
+  field("max", static_cast<double>(s.max) / scale);
+  field("mean", s.count == 0 ? 0.0
+                             : static_cast<double>(s.sum) /
+                                   (scale * static_cast<double>(s.count)));
+  out += "}";
+  return out;
 }
 
 WindowedSnapshot::WindowedSnapshot() : prev_s_(now_us() / 1e6) {}
@@ -109,7 +130,7 @@ std::string WindowedSnapshot::capture_json(double now_s) {
   const double inv_window = window_s > 0.0 ? 1.0 / window_s : 0.0;
   auto& reg = MetricsRegistry::instance();
 
-  std::string out = "{\n  \"schema\": \"fetcam.window.v1\",\n";
+  std::string out = "{\n  \"schema\": \"fetcam.window.v2\",\n";
   out += "  \"window\": " + std::to_string(++windows_) + ",\n";
   out += "  \"window_s\": " + json_number(window_s) + ",\n";
 
@@ -137,28 +158,19 @@ std::string WindowedSnapshot::capture_json(double now_s) {
   }
   out += first ? "},\n" : "\n  },\n";
 
-  out += "  \"latencies\": {";
+  out += "  \"distributions\": {";
   first = true;
-  for (const auto& [name, snap] : reg.latency_snapshots()) {
-    const std::uint64_t prev = prev_latency_counts_[name];
-    const std::uint64_t delta = snap.count - prev;
-    prev_latency_counts_[name] = snap.count;
+  for (const auto& d : reg.distribution_snapshots()) {
+    const std::uint64_t prev = prev_distribution_counts_[d.name];
+    const std::uint64_t delta = d.snap.count - prev;
+    prev_distribution_counts_[d.name] = d.snap.count;
     out += first ? "\n" : ",\n";
     first = false;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"count\": %llu, \"delta\": %llu, ",
-                  static_cast<unsigned long long>(snap.count),
-                  static_cast<unsigned long long>(delta));
-    out += "    \"" + json_escape(name) + "\": " + buf;
-    out += "\"rate_per_s\": " +
-           json_number(static_cast<double>(delta) * inv_window) +
-           ", \"p50_us\": " + json_number(snap.p50_us()) +
-           ", \"p95_us\": " + json_number(snap.p95_us()) +
-           ", \"p99_us\": " + json_number(snap.p99_us()) +
-           ", \"p999_us\": " + json_number(snap.p999_us()) +
-           ", \"max_us\": " + json_number(snap.max_us()) +
-           ", \"mean_us\": " + json_number(snap.mean_us()) + "}";
+    out += "    \"" + json_escape(d.name) + "\": " +
+           distribution_json(
+               d.snap, d.unit,
+               ", \"delta\": " + std::to_string(delta) + ", \"rate_per_s\": " +
+                   json_number(static_cast<double>(delta) * inv_window));
   }
   out += first ? "}\n" : "\n  }\n";
   out += "}\n";

@@ -9,71 +9,6 @@
 
 namespace fetcam::obs {
 
-// ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) bounds_.push_back(1.0);
-  buckets_ =
-      std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
-}
-
-void Histogram::observe(double v) {
-  // First bound >= v; everything above the last bound lands in overflow.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const std::size_t idx = static_cast<std::size_t>(it - bounds_.begin());
-  buckets_[idx].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  // CAS-accumulated double sum.
-  std::uint64_t old = sum_bits_.load(std::memory_order_relaxed);
-  for (;;) {
-    const double updated = std::bit_cast<double>(old) + v;
-    if (sum_bits_.compare_exchange_weak(old,
-                                        std::bit_cast<std::uint64_t>(updated),
-                                        std::memory_order_relaxed)) {
-      break;
-    }
-  }
-}
-
-double Histogram::mean() const {
-  const std::uint64_t n = count();
-  return n > 0 ? sum() / static_cast<double>(n) : 0.0;
-}
-
-void Histogram::reset() {
-  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    buckets_[i].store(0, std::memory_order_relaxed);
-  }
-  count_.store(0, std::memory_order_relaxed);
-  sum_bits_.store(std::bit_cast<std::uint64_t>(0.0),
-                  std::memory_order_relaxed);
-}
-
-std::vector<double> exponential_bounds(double start, double factor, int n) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(std::max(n, 0)));
-  double v = start;
-  for (int i = 0; i < n; ++i) {
-    out.push_back(v);
-    v *= factor;
-  }
-  return out;
-}
-
-std::vector<double> linear_bounds(double start, double step, int n) {
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(std::max(n, 0)));
-  for (int i = 0; i < n; ++i) out.push_back(start + step * i);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// MetricsRegistry
-// ---------------------------------------------------------------------------
-
 MetricsRegistry& MetricsRegistry::instance() {
   static MetricsRegistry* r = new MetricsRegistry();  // never destroyed:
   // instrumented statics in other TUs may outlive any destruction order.
@@ -99,28 +34,25 @@ Gauge& MetricsRegistry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& MetricsRegistry::histogram(std::string_view name,
-                                      std::vector<double> bounds) {
+Distribution& MetricsRegistry::register_distribution(std::string_view name,
+                                                     Unit unit) {
   const std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
+  auto it = distributions_.find(name);
+  if (it == distributions_.end()) {
+    it = distributions_
              .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(bounds)))
+                      Registered{unit, std::make_unique<Distribution>()})
              .first;
   }
-  return *it->second;
+  return *it->second.dist;
 }
 
-LatencyRecorder& MetricsRegistry::latency(std::string_view name) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto it = latencies_.find(name);
-  if (it == latencies_.end()) {
-    it = latencies_
-             .emplace(std::string(name), std::make_unique<LatencyRecorder>())
-             .first;
-  }
-  return *it->second;
+Distribution& MetricsRegistry::latency(std::string_view name) {
+  return register_distribution(name, Unit::kNanoseconds);
+}
+
+Distribution& MetricsRegistry::distribution(std::string_view name) {
+  return register_distribution(name, Unit::kCount);
 }
 
 std::vector<std::pair<std::string, std::uint64_t>>
@@ -141,13 +73,13 @@ std::vector<std::pair<std::string, double>> MetricsRegistry::gauge_values()
   return out;
 }
 
-std::vector<std::pair<std::string, LatencySnapshot>>
-MetricsRegistry::latency_snapshots() const {
+std::vector<NamedDistribution> MetricsRegistry::distribution_snapshots()
+    const {
   const std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::pair<std::string, LatencySnapshot>> out;
-  out.reserve(latencies_.size());
-  for (const auto& [name, l] : latencies_) {
-    out.emplace_back(name, l->snapshot());
+  std::vector<NamedDistribution> out;
+  out.reserve(distributions_.size());
+  for (const auto& [name, d] : distributions_) {
+    out.push_back({name, d.unit, d.dist->snapshot()});
   }
   return out;
 }
@@ -169,49 +101,16 @@ std::string MetricsRegistry::to_json() const {
        << "\": " << detail::json_number(g->value());
     first = false;
   }
-  os << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
+  os << (first ? "" : "\n  ") << "},\n  \"distributions\": {";
   first = true;
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, d] : distributions_) {
     os << (first ? "\n" : ",\n") << "    \"" << detail::json_escape(name)
-       << "\": {\"count\": " << h->count()
-       << ", \"sum\": " << detail::json_number(h->sum()) << ", \"bounds\": [";
-    for (std::size_t i = 0; i < h->bounds().size(); ++i) {
-      os << (i > 0 ? ", " : "") << detail::json_number(h->bounds()[i]);
-    }
-    os << "], \"buckets\": [";
-    for (std::size_t i = 0; i < h->bucket_total(); ++i) {
-      os << (i > 0 ? ", " : "") << h->bucket_count(i);
-    }
-    os << "]}";
-    first = false;
-  }
-  os << (first ? "" : "\n  ") << "},\n  \"latencies\": {";
-  first = true;
-  for (const auto& [name, l] : latencies_) {
-    const LatencySnapshot s = l->snapshot();
-    os << (first ? "\n" : ",\n") << "    \"" << detail::json_escape(name)
-       << "\": {\"count\": " << s.count
-       << ", \"p50_us\": " << detail::json_number(s.p50_us())
-       << ", \"p95_us\": " << detail::json_number(s.p95_us())
-       << ", \"p99_us\": " << detail::json_number(s.p99_us())
-       << ", \"p999_us\": " << detail::json_number(s.p999_us())
-       << ", \"max_us\": " << detail::json_number(s.max_us())
-       << ", \"mean_us\": " << detail::json_number(s.mean_us()) << "}";
+       << "\": " << distribution_json(d.dist->snapshot(), d.unit);
     first = false;
   }
   os << (first ? "" : "\n  ") << "}\n}\n";
   return os.str();
 }
-
-namespace {
-
-std::string format_bound(double b) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", b);
-  return buf;
-}
-
-}  // namespace
 
 std::string MetricsRegistry::to_table() const {
   const std::lock_guard<std::mutex> lock(mu_);
@@ -219,10 +118,7 @@ std::string MetricsRegistry::to_table() const {
   std::size_t width = 8;
   for (const auto& [name, c] : counters_) width = std::max(width, name.size());
   for (const auto& [name, g] : gauges_) width = std::max(width, name.size());
-  for (const auto& [name, h] : histograms_) {
-    width = std::max(width, name.size());
-  }
-  for (const auto& [name, l] : latencies_) {
+  for (const auto& [name, d] : distributions_) {
     width = std::max(width, name.size());
   }
   const auto pad = [&](const std::string& s) {
@@ -240,38 +136,19 @@ std::string MetricsRegistry::to_table() const {
       os << "  " << pad(name) << detail::json_number(g->value()) << "\n";
     }
   }
-  if (!histograms_.empty()) {
-    os << "histograms:\n";
-    for (const auto& [name, h] : histograms_) {
-      os << "  " << pad(name) << "count=" << h->count();
-      if (h->count() > 0) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%.4g", h->mean());
-        os << " mean=" << buf;
-      }
-      os << "\n";
-      if (h->count() == 0) continue;
-      for (std::size_t i = 0; i < h->bucket_total(); ++i) {
-        const std::uint64_t n = h->bucket_count(i);
-        if (n == 0) continue;
-        const std::string label =
-            i < h->bounds().size()
-                ? "<= " + format_bound(h->bounds()[i])
-                : "> " + format_bound(h->bounds().back());
-        os << "  " << pad("") << label << ": " << n << "\n";
-      }
-    }
-  }
-  if (!latencies_.empty()) {
-    os << "latencies:\n";
-    for (const auto& [name, l] : latencies_) {
-      const LatencySnapshot s = l->snapshot();
+  if (!distributions_.empty()) {
+    os << "distributions:\n";
+    for (const auto& [name, d] : distributions_) {
+      const DistributionSnapshot s = d.dist->snapshot();
       os << "  " << pad(name) << "count=" << s.count;
       if (s.count > 0) {
+        const bool ns = d.unit == Unit::kNanoseconds;
+        const double scale = ns ? 1e3 : 1.0;
         char buf[128];
-        std::snprintf(buf, sizeof(buf),
-                      " p50=%.4gus p99=%.4gus max=%.4gus", s.p50_us(),
-                      s.p99_us(), s.max_us());
+        std::snprintf(buf, sizeof(buf), " p50=%.4g%s p99=%.4g%s max=%.4g%s",
+                      static_cast<double>(s.p50) / scale, ns ? "us" : "",
+                      static_cast<double>(s.p99) / scale, ns ? "us" : "",
+                      static_cast<double>(s.max) / scale, ns ? "us" : "");
         os << buf;
       }
       os << "\n";
@@ -291,8 +168,7 @@ void MetricsRegistry::reset() {
   const std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, c] : counters_) c->reset();
   for (const auto& [name, g] : gauges_) g->reset();
-  for (const auto& [name, h] : histograms_) h->reset();
-  for (const auto& [name, l] : latencies_) l->reset();
+  for (const auto& [name, d] : distributions_) d.dist->reset();
 }
 
 }  // namespace fetcam::obs

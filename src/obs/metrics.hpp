@@ -1,5 +1,6 @@
-// Thread-safe solver-health metrics: counters, gauges, and fixed-bucket
-// histograms in a process-wide registry with deterministic ordered export.
+// Thread-safe solver-health and service metrics: counters, gauges, and
+// log-linear distributions (obs/latency.hpp) in a process-wide registry
+// with deterministic ordered export.
 //
 // Usage pattern at an instrumentation site (one magic-static registration,
 // then lock-free relaxed atomics on the hot path):
@@ -10,7 +11,7 @@
 //
 // Determinism: count-valued metrics (iterations, rejections, fallbacks) are
 // pure sums of schedule-independent work, so their totals are identical at
-// any thread count; only wall-time histograms vary run to run.  Export
+// any thread count; only wall-time distributions vary run to run.  Export
 // iterates a std::map, so the JSON / table ordering is byte-stable
 // regardless of registration order.
 #pragma once
@@ -60,41 +61,12 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{std::bit_cast<std::uint64_t>(0.0)};
 };
 
-/// Fixed-bucket histogram.  Bucket i counts observations with
-/// value <= bounds[i] (first matching bound); the final implicit bucket
-/// counts everything above the last bound.  Bounds are fixed at
-/// registration, so merged counts are schedule-independent.
-class Histogram {
- public:
-  /// `bounds` must be non-empty and strictly increasing.
-  explicit Histogram(std::vector<double> bounds);
-
-  void observe(double v);
-
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const {
-    return std::bit_cast<double>(sum_bits_.load(std::memory_order_relaxed));
-  }
-  double mean() const;
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// i in [0, bounds().size()]; the last index is the overflow bucket.
-  std::uint64_t bucket_count(std::size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-  std::size_t bucket_total() const { return bounds_.size() + 1; }
-  void reset();
-
- private:
-  std::vector<double> bounds_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_bits_{std::bit_cast<std::uint64_t>(0.0)};
+/// One registered distribution as export sees it.
+struct NamedDistribution {
+  std::string name;
+  Unit unit;
+  DistributionSnapshot snap;
 };
-
-/// Exponential bucket bounds: start, start*factor, ... (n values).
-std::vector<double> exponential_bounds(double start, double factor, int n);
-/// Linear bucket bounds: start, start+step, ... (n values).
-std::vector<double> linear_bounds(double start, double step, int n);
 
 /// Process-wide metric registry.  Registration takes a mutex (once per call
 /// site thanks to magic statics); the returned references are stable for the
@@ -105,24 +77,22 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// First registration wins: later calls with the same name return the
-  /// existing histogram and ignore `bounds`.
-  Histogram& histogram(std::string_view name, std::vector<double> bounds);
-  /// Lock-free log2-bucketed latency recorder (obs/latency.hpp) — the
-  /// service-metrics counterpart of histogram() for hot-path timings.
-  LatencyRecorder& latency(std::string_view name);
+  /// Distribution of nanosecond timings, exported in microseconds.
+  Distribution& latency(std::string_view name);
+  /// Distribution of dimensionless counts (iterations, ratios in ppb).
+  /// Both kinds share one name space; the first registration's unit wins.
+  Distribution& distribution(std::string_view name);
 
   /// All counter name/value pairs in name order (used by run manifests to
   /// assemble the solver-health summary).
   std::vector<std::pair<std::string, std::uint64_t>> counter_values() const;
   /// All gauge name/value pairs in name order.
   std::vector<std::pair<std::string, double>> gauge_values() const;
-  /// Merged snapshots of every latency recorder, in name order.
-  std::vector<std::pair<std::string, LatencySnapshot>> latency_snapshots()
-      const;
+  /// Merged snapshots of every distribution, in name order.
+  std::vector<NamedDistribution> distribution_snapshots() const;
 
   /// Deterministic JSON export: top-level {"counters", "gauges",
-  /// "histograms", "latencies"}, each object sorted by metric name.
+  /// "distributions"}, each object sorted by metric name.
   std::string to_json() const;
   /// Human-readable aligned table of every metric.
   std::string to_table() const;
@@ -133,13 +103,17 @@ class MetricsRegistry {
 
  private:
   MetricsRegistry() = default;
+  Distribution& register_distribution(std::string_view name, Unit unit);
+
+  struct Registered {
+    Unit unit;
+    std::unique_ptr<Distribution> dist;
+  };
 
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
-  std::map<std::string, std::unique_ptr<LatencyRecorder>, std::less<>>
-      latencies_;
+  std::map<std::string, Registered, std::less<>> distributions_;
 };
 
 }  // namespace fetcam::obs

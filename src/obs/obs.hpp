@@ -4,7 +4,7 @@
 //   kOff      no metrics, no spans — the hot paths pay one relaxed atomic
 //             load per guarded block and nothing else (the default, so
 //             baseline performance is untouched);
-//   kMetrics  counters / gauges / histograms accumulate (obs/metrics.hpp);
+//   kMetrics  counters / gauges / distributions accumulate (obs/metrics.hpp);
 //   kTrace    metrics plus Chrome-trace spans (obs/trace.hpp).
 //
 // The level starts from the FETCAM_OBS environment variable ("off",
@@ -35,7 +35,7 @@ inline Level level() {
 }
 #endif
 
-/// True when counters/histograms should accumulate.
+/// True when counters/distributions should accumulate.
 inline bool metrics_on() { return level() >= Level::kMetrics; }
 /// True when ScopedSpan should record trace events.
 inline bool trace_on() { return level() >= Level::kTrace; }
@@ -50,12 +50,12 @@ bool parse_level(std::string_view s, Level& out);
 std::string_view to_string(Level l);
 
 /// Monotonic microseconds since the process's trace epoch (first call).
-/// Shared clock for span timestamps and metric timers.
+/// Shared clock for span timestamps and wall-clock reports.
 double now_us();
 
 /// Monotonic integer nanoseconds since the same trace epoch — the
-/// fixed-point clock for LatencyRecorder stage timings (no doubles on the
-/// hot path).
+/// fixed-point clock for every latency distribution (no doubles on the hot
+/// path).
 std::uint64_t now_ns();
 
 }  // namespace fetcam::obs

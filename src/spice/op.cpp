@@ -79,7 +79,7 @@ struct OpMetrics {
   obs::Counter& direct;
   obs::Counter& gmin;
   obs::Counter& source;
-  obs::Histogram& iterations;
+  obs::Distribution& iterations;
 
   static OpMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -89,8 +89,7 @@ struct OpMetrics {
         reg.counter("op.strategy.direct"),
         reg.counter("op.strategy.gmin"),
         reg.counter("op.strategy.source"),
-        reg.histogram("op.newton_iterations",
-                      {2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
+        reg.distribution("op.newton_iterations"),
     };
     return m;
   }
@@ -107,7 +106,7 @@ void record_op(const OpResult& res) {
   if (!obs::metrics_on()) return;
   auto& m = OpMetrics::get();
   m.solves.add();
-  m.iterations.observe(res.newton_iterations);
+  m.iterations.record(static_cast<std::uint64_t>(res.newton_iterations));
   switch (res.strategy) {
     case OpStrategy::kDirect: m.direct.add(); break;
     case OpStrategy::kGmin: m.gmin.add(); break;

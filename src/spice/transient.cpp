@@ -61,7 +61,7 @@ struct TransientMetrics {
   obs::Counter& steps_rejected;
   obs::Counter& steps_lte_rejected;
   obs::Counter& dt_exhausted;
-  obs::Histogram& newton_per_step;
+  obs::Distribution& newton_per_step;
 
   static TransientMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -73,8 +73,7 @@ struct TransientMetrics {
         reg.counter("transient.steps_rejected"),
         reg.counter("transient.steps_lte_rejected"),
         reg.counter("transient.dt_exhausted"),
-        reg.histogram("transient.newton_per_step",
-                      {1, 2, 3, 4, 6, 8, 12, 16, 24, 32}),
+        reg.distribution("transient.newton_per_step"),
     };
     return m;
   }
@@ -287,7 +286,8 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
           solve_circuit_newton(ckt, ctx, x_try, opts.newton, opts.solver, ws);
       res.total_newton_iterations += nr.iterations;
       if (obs::metrics_on()) {
-        TransientMetrics::get().newton_per_step.observe(nr.iterations);
+        TransientMetrics::get().newton_per_step.record(
+            static_cast<std::uint64_t>(nr.iterations));
       }
       if (!nr.converged) {
         ++res.rejected_steps;

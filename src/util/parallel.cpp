@@ -25,8 +25,8 @@ struct ParallelMetrics {
   obs::Counter& jobs;
   obs::Counter& chunks;
   obs::Gauge& threads;
-  obs::Histogram& chunk_us;
-  obs::Histogram& job_us;
+  obs::Distribution& chunk_us;
+  obs::Distribution& job_us;
 
   static ParallelMetrics& get() {
     auto& reg = obs::MetricsRegistry::instance();
@@ -34,9 +34,8 @@ struct ParallelMetrics {
         reg.counter("parallel.jobs"),
         reg.counter("parallel.chunks"),
         reg.gauge("parallel.threads"),
-        // 10 us .. ~80 ms chunk / 160 ms job, x2 per bucket.
-        reg.histogram("parallel.chunk_us", obs::exponential_bounds(10, 2, 14)),
-        reg.histogram("parallel.job_us", obs::exponential_bounds(20, 2, 14)),
+        reg.latency("parallel.chunk_us"),
+        reg.latency("parallel.job_us"),
     };
     return m;
   }
@@ -214,7 +213,7 @@ void parallel_for_chunks(
 
   // With observability on, route every chunk through a timing/span wrapper.
   // Metric totals stay schedule-independent (chunk boundaries are fixed);
-  // only the wall-time histograms vary run to run.  Off: `body` aliases the
+  // only the wall-time distributions vary run to run.  Off: `body` aliases the
   // caller's function and the hot path is untouched.
   const bool instrumented = obs::metrics_on() || obs::trace_on();
   std::function<void(std::size_t, std::size_t)> wrapped;
@@ -222,18 +221,18 @@ void parallel_for_chunks(
     wrapped = [&fn](std::size_t begin, std::size_t end) {
       const obs::ScopedSpan span("parallel.chunk", "util");
       const bool m = obs::metrics_on();
-      const double t0 = m ? obs::now_us() : 0.0;
+      const std::uint64_t t0 = m ? obs::now_ns() : 0;
       fn(begin, end);
       if (m) {
         auto& pm = ParallelMetrics::get();
         pm.chunks.add();
-        pm.chunk_us.observe(obs::now_us() - t0);
+        pm.chunk_us.record(obs::now_ns() - t0);
       }
     };
   }
   const auto& body = instrumented ? wrapped : fn;
 
-  const double t_job = instrumented ? obs::now_us() : 0.0;
+  const std::uint64_t t_job = instrumented ? obs::now_ns() : 0;
   // Nested regions (or an explicit single thread) run inline: same chunk
   // boundaries, same results, no pool interaction.
   if (t_inside_region || thread_count() == 1) {
@@ -253,7 +252,7 @@ void parallel_for_chunks(
     auto& pm = ParallelMetrics::get();
     pm.jobs.add();
     pm.threads.set(thread_count());
-    pm.job_us.observe(obs::now_us() - t_job);
+    pm.job_us.record(obs::now_ns() - t_job);
   }
 }
 

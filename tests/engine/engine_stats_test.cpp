@@ -140,6 +140,29 @@ TEST(EngineStats, SnapshotJsonCarriesEverySection) {
 #endif
 }
 
+TEST(EngineStats, StagesListOnlyEngineTimings) {
+  // The registry is process-wide: recorders that are not the engine's
+  // (simulator timings, counts, other components) must not show up as
+  // engine stages.
+  ScopedObsLevel metrics(obs::Level::kMetrics);
+  auto& reg = obs::MetricsRegistry::instance();
+  reg.latency("test.foreign").record(1234);
+  reg.distribution("engine.test_count").record(5);
+  const Trace trace = test_trace();
+  TcamTable table(test_config());
+  load_rules(table, trace);
+  SearchEngine eng(table);
+  eng.execute(search_batch(trace, 0, 4));
+
+  const std::string json = stats_snapshot_json(eng);
+  EXPECT_EQ(json.find("test.foreign"), std::string::npos);
+  EXPECT_EQ(json.find("engine.test_count"), std::string::npos);
+#ifndef FETCAM_OBS_DISABLED
+  EXPECT_NE(json.find("\"engine.batch.total\": {\"count\": "),
+            std::string::npos);
+#endif
+}
+
 /// Results must be bit-identical whatever the telemetry level: run the
 /// same trace slice with obs off and at metrics level and compare every
 /// result field (in a FETCAM_OBS=OFF build both arms compile to the same

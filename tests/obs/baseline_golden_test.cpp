@@ -83,11 +83,10 @@ TEST(BaselineGolden, InstrumentationDoesNotPerturbResults) {
   auto& reg = obs::MetricsRegistry::instance();
   obs::Counter& newton = reg.counter("newton.dense.solves");
   obs::Counter& trials = reg.counter("eval.variability.trials");
-  obs::Histogram& iters =
-      reg.histogram("op.newton_iterations", obs::exponential_bounds(2, 2, 10));
+  obs::Distribution& iters = reg.distribution("op.newton_iterations");
   const auto newton0 = newton.value();
   const auto trials0 = trials.value();
-  const auto iters0 = iters.count();
+  const auto iters0 = iters.snapshot().count;
   const auto spans0 = obs::TraceCollector::instance().size();
 
   util::set_thread_count(4);
@@ -97,7 +96,7 @@ TEST(BaselineGolden, InstrumentationDoesNotPerturbResults) {
   // Full metrics + trace collection ran alongside the solve.
   EXPECT_GT(newton.value(), newton0);
   EXPECT_EQ(trials.value(), trials0 + 40);
-  EXPECT_GT(iters.count(), iters0);
+  EXPECT_GT(iters.snapshot().count, iters0);
   EXPECT_GT(obs::TraceCollector::instance().size(), spans0);
 }
 #endif

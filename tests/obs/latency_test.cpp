@@ -1,4 +1,4 @@
-// LatencyRecorder / WindowedSnapshot tests: the bucket layout is an exact
+// Distribution / WindowedSnapshot tests: the bucket layout is an exact
 // pure function of the value, merged counts are bit-identical no matter
 // which thread recorded what, percentiles walk the merged buckets
 // conservatively, and the windowed exporter emits deterministic JSON.
@@ -21,15 +21,15 @@ TEST(LatencyBuckets, LayoutIsMonotoneAndSelfConsistent) {
   // Every bucket's [lower, upper] range maps back to that bucket, and the
   // ranges tile the uint64 axis in order with no gaps.
   std::uint64_t expect_lower = 0;
-  for (std::size_t i = 0; i < LatencyRecorder::kBucketCount; ++i) {
-    const std::uint64_t lo = LatencyRecorder::bucket_lower(i);
-    const std::uint64_t hi = LatencyRecorder::bucket_upper(i);
+  for (std::size_t i = 0; i < Distribution::kBucketCount; ++i) {
+    const std::uint64_t lo = Distribution::bucket_lower(i);
+    const std::uint64_t hi = Distribution::bucket_upper(i);
     ASSERT_EQ(lo, expect_lower) << "gap before bucket " << i;
     ASSERT_GE(hi, lo) << "inverted bucket " << i;
-    ASSERT_EQ(LatencyRecorder::bucket_index(lo), i) << "lower of " << i;
-    ASSERT_EQ(LatencyRecorder::bucket_index(hi), i) << "upper of " << i;
+    ASSERT_EQ(Distribution::bucket_index(lo), i) << "lower of " << i;
+    ASSERT_EQ(Distribution::bucket_index(hi), i) << "upper of " << i;
     if (hi == ~0ull) {
-      ASSERT_EQ(i + 1, LatencyRecorder::kBucketCount);
+      ASSERT_EQ(i + 1, Distribution::kBucketCount);
       break;
     }
     expect_lower = hi + 1;
@@ -42,13 +42,13 @@ TEST(LatencyBuckets, RelativeErrorIsBoundedBySubBucketWidth) {
   std::mt19937_64 rng(42);
   for (int trial = 0; trial < 10000; ++trial) {
     const std::uint64_t v = rng() >> (rng() % 60);
-    const std::size_t i = LatencyRecorder::bucket_index(v);
-    const std::uint64_t lo = LatencyRecorder::bucket_lower(i);
-    const std::uint64_t hi = LatencyRecorder::bucket_upper(i);
+    const std::size_t i = Distribution::bucket_index(v);
+    const std::uint64_t lo = Distribution::bucket_lower(i);
+    const std::uint64_t hi = Distribution::bucket_upper(i);
     ASSERT_LE(lo, v);
     ASSERT_GE(hi, v);
-    if (v >= LatencyRecorder::kSubCount && hi != ~0ull) {
-      ASSERT_LE(hi - lo + 1, (lo >> LatencyRecorder::kSubBits) + 1)
+    if (v >= Distribution::kSubCount && hi != ~0ull) {
+      ASSERT_LE(hi - lo + 1, (lo >> Distribution::kSubBits) + 1)
           << "bucket " << i << " too wide at value " << v;
     }
   }
@@ -60,8 +60,8 @@ TEST(LatencyRecorder, ConcurrentRecordingMergesBitExactly) {
   // updates, no double counts.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20000;
-  LatencyRecorder concurrent;
-  LatencyRecorder serial;
+  Distribution concurrent;
+  Distribution serial;
   auto value_at = [](int t, int k) {
     std::uint64_t v = static_cast<std::uint64_t>(t) * 2654435761u +
                       static_cast<std::uint64_t>(k) * 40503u;
@@ -72,24 +72,24 @@ TEST(LatencyRecorder, ConcurrentRecordingMergesBitExactly) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int k = 0; k < kPerThread; ++k) {
-        concurrent.record_ns(value_at(t, k));
+        concurrent.record(value_at(t, k));
       }
     });
   }
   for (int t = 0; t < kThreads; ++t) {
-    for (int k = 0; k < kPerThread; ++k) serial.record_ns(value_at(t, k));
+    for (int k = 0; k < kPerThread; ++k) serial.record(value_at(t, k));
   }
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(concurrent.bucket_counts(), serial.bucket_counts());
-  const LatencySnapshot a = concurrent.snapshot();
-  const LatencySnapshot b = serial.snapshot();
+  const DistributionSnapshot a = concurrent.snapshot();
+  const DistributionSnapshot b = serial.snapshot();
   EXPECT_EQ(a.count, b.count);
-  EXPECT_EQ(a.sum_ns, b.sum_ns);
-  EXPECT_EQ(a.max_ns, b.max_ns);
-  EXPECT_EQ(a.p50_ns, b.p50_ns);
-  EXPECT_EQ(a.p99_ns, b.p99_ns);
-  EXPECT_EQ(a.p999_ns, b.p999_ns);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.p50, b.p50);
+  EXPECT_EQ(a.p99, b.p99);
+  EXPECT_EQ(a.p999, b.p999);
   EXPECT_EQ(a.count,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
@@ -97,35 +97,35 @@ TEST(LatencyRecorder, ConcurrentRecordingMergesBitExactly) {
 TEST(LatencyRecorder, PercentilesOfKnownDistributionAreConservative) {
   // 100 samples 1..100 us: pX must cover the true pX value without
   // under-reporting it, and stay within one sub-bucket above.
-  LatencyRecorder rec;
-  for (std::uint64_t us = 1; us <= 100; ++us) rec.record_ns(us * 1000);
-  const LatencySnapshot s = rec.snapshot();
+  Distribution rec;
+  for (std::uint64_t us = 1; us <= 100; ++us) rec.record(us * 1000);
+  const DistributionSnapshot s = rec.snapshot();
   EXPECT_EQ(s.count, 100u);
-  EXPECT_EQ(s.max_ns, 100000u);
-  EXPECT_GE(s.p50_ns, 50000u);
-  EXPECT_LE(s.p50_ns, 50000u + (50000u >> LatencyRecorder::kSubBits));
-  EXPECT_GE(s.p95_ns, 95000u);
-  EXPECT_LE(s.p95_ns, 95000u + (95000u >> LatencyRecorder::kSubBits));
-  EXPECT_GE(s.p99_ns, 99000u);
+  EXPECT_EQ(s.max, 100000u);
+  EXPECT_GE(s.p50, 50000u);
+  EXPECT_LE(s.p50, 50000u + (50000u >> Distribution::kSubBits));
+  EXPECT_GE(s.p95, 95000u);
+  EXPECT_LE(s.p95, 95000u + (95000u >> Distribution::kSubBits));
+  EXPECT_GE(s.p99, 99000u);
   // The tail percentiles clamp to the observed max, never beyond.
-  EXPECT_LE(s.p99_ns, s.max_ns);
-  EXPECT_EQ(s.p999_ns, s.max_ns);
-  EXPECT_GE(s.p99_ns, s.p95_ns);
-  EXPECT_GE(s.p95_ns, s.p50_ns);
+  EXPECT_LE(s.p99, s.max);
+  EXPECT_EQ(s.p999, s.max);
+  EXPECT_GE(s.p99, s.p95);
+  EXPECT_GE(s.p95, s.p50);
 }
 
 TEST(LatencyRecorder, EmptyAndResetSnapshotsAreZero) {
-  LatencyRecorder rec;
-  LatencySnapshot s = rec.snapshot();
+  Distribution rec;
+  DistributionSnapshot s = rec.snapshot();
   EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.p999_ns, 0u);
-  rec.record_ns(1234);
+  EXPECT_EQ(s.p999, 0u);
+  rec.record(1234);
   EXPECT_EQ(rec.snapshot().count, 1u);
   rec.reset();
   s = rec.snapshot();
   EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.sum_ns, 0u);
-  EXPECT_EQ(s.max_ns, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  EXPECT_EQ(s.max, 0u);
   for (const std::uint64_t c : rec.bucket_counts()) EXPECT_EQ(c, 0u);
 }
 
@@ -137,12 +137,14 @@ TEST(WindowedSnapshot, EmitsDeltaWindowsWithStableShape) {
 
   WindowedSnapshot win;
   counter.add(5);
-  lat.record_ns(1000);
-  lat.record_ns(2000);
+  lat.record(1000);
+  lat.record(2000);
   const std::string first = win.capture_json(1.0);
-  EXPECT_NE(first.find("\"schema\": \"fetcam.window.v1\""),
+  EXPECT_NE(first.find("\"schema\": \"fetcam.window.v2\""),
             std::string::npos);
   EXPECT_NE(first.find("\"window\": 1"), std::string::npos);
+  EXPECT_NE(first.find("\"distributions\": {"), std::string::npos);
+  EXPECT_EQ(first.find("\"latencies\""), std::string::npos);
   EXPECT_NE(first.find("\"test.window.counter\": {\"total\": 5, "
                        "\"delta\": 5"),
             std::string::npos);
@@ -150,7 +152,7 @@ TEST(WindowedSnapshot, EmitsDeltaWindowsWithStableShape) {
 
   // Second window: only the increments since the first capture.
   counter.add(3);
-  lat.record_ns(3000);
+  lat.record(3000);
   const std::string second = win.capture_json(2.0);
   EXPECT_NE(second.find("\"window\": 2"), std::string::npos);
   EXPECT_NE(second.find("\"test.window.counter\": {\"total\": 8, "

@@ -1,5 +1,5 @@
 // MetricsRegistry: concurrent increments, deterministic export order,
-// histogram bucket edges.
+// count and latency distributions.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -54,12 +54,11 @@ TEST(MetricsRegistryTest, SameNameReturnsSameInstance) {
   Counter& a = MetricsRegistry::instance().counter("test.same");
   Counter& b = MetricsRegistry::instance().counter("test.same");
   EXPECT_EQ(&a, &b);
-  Histogram& h1 = MetricsRegistry::instance().histogram("test.same_h", {1, 2});
-  Histogram& h2 =
-      MetricsRegistry::instance().histogram("test.same_h", {5, 6, 7});
-  EXPECT_EQ(&h1, &h2);
-  // First registration's bounds win.
-  EXPECT_EQ(h2.bounds().size(), 2u);
+  Distribution& d1 = MetricsRegistry::instance().distribution("test.same_d");
+  Distribution& d2 = MetricsRegistry::instance().distribution("test.same_d");
+  EXPECT_EQ(&d1, &d2);
+  // One name space: the first registration's unit wins.
+  EXPECT_EQ(&MetricsRegistry::instance().latency("test.same_d"), &d1);
 }
 
 TEST(MetricsRegistryTest, ExportOrderIsSortedAndStable) {
@@ -68,6 +67,8 @@ TEST(MetricsRegistryTest, ExportOrderIsSortedAndStable) {
   reg.counter("test.order.zz").add(1);
   reg.counter("test.order.aa").add(2);
   reg.counter("test.order.mm").add(3);
+  reg.distribution("test.order.dist_zz").record(1);
+  reg.latency("test.order.dist_aa").record(1000);
   const std::string json = reg.to_json();
   const auto pos_a = json.find("test.order.aa");
   const auto pos_m = json.find("test.order.mm");
@@ -77,74 +78,76 @@ TEST(MetricsRegistryTest, ExportOrderIsSortedAndStable) {
   ASSERT_NE(pos_z, std::string::npos);
   EXPECT_LT(pos_a, pos_m);
   EXPECT_LT(pos_m, pos_z);
+  // One "distributions" section, in name order, with unit-carrying keys.
+  const auto pos_dists = json.find("\"distributions\": {");
+  ASSERT_NE(pos_dists, std::string::npos);
+  EXPECT_EQ(json.find("\"histograms\""), std::string::npos);
+  EXPECT_EQ(json.find("\"latencies\""), std::string::npos);
+  const auto pos_da = json.find("\"test.order.dist_aa\": {\"count\": 1, "
+                                "\"p50_us\": 1,");
+  const auto pos_dz = json.find("\"test.order.dist_zz\": {\"count\": 1, "
+                                "\"p50\": 1,");
+  ASSERT_NE(pos_da, std::string::npos);
+  ASSERT_NE(pos_dz, std::string::npos);
+  EXPECT_LT(pos_dists, pos_da);
+  EXPECT_LT(pos_da, pos_dz);
   // Byte-stable across calls.
   EXPECT_EQ(json, reg.to_json());
   // The table renderer sees the same values.
   EXPECT_NE(reg.to_table().find("test.order.aa"), std::string::npos);
 }
 
-TEST(MetricsHistogram, BucketEdges) {
-  Histogram h({1.0, 2.0, 4.0});
-  // A value exactly on a bound lands in that bound's bucket (v <= bound).
-  h.observe(0.5);   // bucket 0
-  h.observe(1.0);   // bucket 0 (edge)
-  h.observe(1.5);   // bucket 1
-  h.observe(2.0);   // bucket 1 (edge)
-  h.observe(4.0);   // bucket 2 (edge)
-  h.observe(4.001); // overflow
-  h.observe(1e9);   // overflow
-  EXPECT_EQ(h.count(), 7u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(1), 2u);
-  EXPECT_EQ(h.bucket_count(2), 1u);
-  EXPECT_EQ(h.bucket_count(3), 2u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 2.0 + 4.0 + 4.001 + 1e9);
+TEST(MetricsDistribution, SmallCountsAreExact) {
+  // Values below 2^kSubBits land in exact unit buckets, so percentiles of
+  // small iteration counts are the recorded integers, not bucket edges.
+  Distribution& d = MetricsRegistry::instance().distribution("test.counts");
+  d.reset();
+  for (std::uint64_t v = 1; v <= 7; ++v) d.record(v);
+  const DistributionSnapshot s = d.snapshot();
+  EXPECT_EQ(s.count, 7u);
+  EXPECT_EQ(s.sum, 28u);
+  EXPECT_EQ(s.p50, 4u);
+  EXPECT_EQ(s.max, 7u);
+  EXPECT_EQ(s.p99, 7u);
 }
 
-TEST(MetricsHistogram, NegativeAndZeroValuesLandInFirstBucket) {
-  Histogram h({1.0, 2.0});
-  h.observe(0.0);
-  h.observe(-5.0);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.count(), 2u);
+TEST(MetricsDistribution, ZeroLandsInFirstBucket) {
+  Distribution d;
+  d.record(0);
+  d.record(0);
+  EXPECT_EQ(d.bucket_counts()[0], 2u);
+  const DistributionSnapshot s = d.snapshot();
+  EXPECT_EQ(s.count, 2u);
+  EXPECT_EQ(s.p50, 0u);
+  EXPECT_EQ(s.max, 0u);
 }
 
-TEST(MetricsHistogram, ConcurrentObserveCountsExactly) {
-  Histogram h({10.0, 20.0});
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 10000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) h.observe(5.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(h.bucket_count(0), static_cast<std::uint64_t>(kThreads) * kPerThread);
-  // Integer-valued observations: the CAS-accumulated sum is exact.
-  EXPECT_DOUBLE_EQ(h.sum(), 5.0 * kThreads * kPerThread);
+TEST(MetricsDistribution, OneSecondLatencyIsNotClipped) {
+  // No top bound: a 1 s observation is reported as itself, not clipped
+  // into an overflow bucket.
+  auto& reg = MetricsRegistry::instance();
+  Distribution& d = reg.latency("test.one_second");
+  d.reset();
+  d.record(1'000'000'000);
+  const DistributionSnapshot s = d.snapshot();
+  EXPECT_EQ(s.max, 1'000'000'000u);
+  EXPECT_EQ(s.p99, 1'000'000'000u);
+  EXPECT_NE(reg.to_json().find("\"test.one_second\": {\"count\": 1, "
+                               "\"p50_us\": 1000000, "),
+            std::string::npos);
 }
 
-TEST(MetricsHistogram, ResetZeroesEverything) {
-  Histogram h({1.0});
-  h.observe(0.5);
-  h.observe(2.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.bucket_count(0), 0u);
-  EXPECT_EQ(h.bucket_count(1), 0u);
-}
-
-TEST(MetricsBounds, Helpers) {
-  const auto e = exponential_bounds(1.0, 2.0, 4);
-  ASSERT_EQ(e.size(), 4u);
-  EXPECT_EQ(e[0], 1.0);
-  EXPECT_EQ(e[3], 8.0);
-  const auto l = linear_bounds(0.0, 0.5, 3);
-  ASSERT_EQ(l.size(), 3u);
-  EXPECT_EQ(l[2], 1.0);
+TEST(MetricsDistribution, RegistryResetZeroesDistributions) {
+  auto& reg = MetricsRegistry::instance();
+  Distribution& d = reg.distribution("test.reset");
+  d.record(3);
+  d.record(300);
+  reg.reset();
+  const DistributionSnapshot s = d.snapshot();
+  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  EXPECT_EQ(s.max, 0u);
+  for (const std::uint64_t c : d.bucket_counts()) EXPECT_EQ(c, 0u);
 }
 
 }  // namespace

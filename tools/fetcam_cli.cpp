@@ -70,7 +70,7 @@
 //                  thread count too.
 //   --obs-level L  off | metrics | trace (default off, or the FETCAM_OBS
 //                  environment variable).  "metrics" collects solver-health
-//                  counters/histograms; "trace" additionally records
+//                  counters/distributions; "trace" additionally records
 //                  Chrome-trace spans.  Simulation RESULTS are identical at
 //                  every level — only telemetry output changes.
 //   --metrics-out F  write the metrics registry as JSON (implies at least
