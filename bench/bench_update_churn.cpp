@@ -99,6 +99,24 @@ void BM_CompileRuleSet(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileRuleSet)->Unit(benchmark::kMicrosecond);
 
+void BM_CompileChurnedRuleSet(benchmark::State& state) {
+  // The same set after 50 churn steps: edits scatter 'X' digits, so care
+  // masks are many and irregular instead of one per prefix length.
+  const auto spec = churn_trace_spec();
+  auto rules = engine::generate_trace(spec).rules;
+  for (int step = 1; step <= 50; ++step) {
+    rules = engine::churn_rules(rules, spec.kind, spec.cols, churn_spec(),
+                                step);
+  }
+  const auto set = compiler::rule_set_from_rules(spec.cols, rules);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(compiler::compile_rules(set));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(set.rules.size()));
+}
+BENCHMARK(BM_CompileChurnedRuleSet)->Unit(benchmark::kMicrosecond);
+
 void BM_PlanChurnDelta(benchmark::State& state) {
   // plan_update is read-only on the table, so one installed state can be
   // re-planned every iteration.

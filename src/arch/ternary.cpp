@@ -1,6 +1,8 @@
 #include "arch/ternary.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <stdexcept>
 
 namespace fetcam::arch {
@@ -80,14 +82,39 @@ int mismatch_count(const TernaryWord& stored, const BitWord& query) {
   return n;
 }
 
+namespace {
+
+/// Bit k of the result is bit 0 of byte k of `x` (the low byte is digit 0
+/// on a little-endian load).  The masked bits sit 8 apart, so each product
+/// term of the multiply lands on its own bit and the top byte collects
+/// them without carries.
+inline std::uint64_t gather_low_bits(std::uint64_t x) {
+  return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
+
+}  // namespace
+
 void pack_ternary(const TernaryWord& word, std::uint64_t* care,
                   std::uint64_t* value, std::size_t stride) {
+  static_assert(sizeof(Ternary) == 1 && static_cast<int>(Ternary::kOne) == 1 &&
+                    static_cast<int>(Ternary::kX) == 2,
+                "the gather reads digit bit 0 as '1' and bit 1 as 'X'");
   const std::size_t n = word.size();
   for (std::size_t base = 0; base < n; base += 64) {
     const std::size_t len = std::min<std::size_t>(64, n - base);
     std::uint64_t c = 0;
     std::uint64_t v = 0;
-    for (std::size_t k = 0; k < len; ++k) {
+    std::size_t k = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      // Eight digits per load: '1' sets bit 0 of its byte, 'X' bit 1.
+      for (; k + 8 <= len; k += 8) {
+        std::uint64_t x;
+        std::memcpy(&x, word.data() + base + k, 8);
+        v |= gather_low_bits(x) << k;
+        c |= (~gather_low_bits(x >> 1) & 0xFF) << k;
+      }
+    }
+    for (; k < len; ++k) {
       const Ternary t = word[base + k];
       c |= std::uint64_t{t != Ternary::kX} << k;
       v |= std::uint64_t{t == Ternary::kOne} << k;

@@ -53,66 +53,102 @@ inline std::uint64_t cover_miss(std::uint64_t outer_care,
          ((outer_value ^ inner_value) & outer_care);
 }
 
-/// Packed (care, value) lanes of the pass-2 survivors, one contiguous
-/// plane per lane so lane 0 scans as a flat array.
-class SurvivorLanes {
+/// Pass-2 survivors, indexed for "lowest-index survivor that covers this
+/// word".  Each survivor is filed under the first 8-column chunk it cares
+/// on completely, keyed by that chunk's value byte; a survivor with no
+/// such chunk goes on the residual list.  Buckets are singly linked in
+/// ascending survivor order, so the index never allocates per bucket.
+///
+/// The index is complete: a coverer cares only where the covered word
+/// cares and agrees with it there, so its filing chunk is one the word
+/// cares on completely, with the same byte.  A query therefore needs only
+/// the residual list plus one bucket per fully cared chunk of the word.
+class CoverIndex {
  public:
-  explicit SurvivorLanes(int lanes)
-      : care_(static_cast<std::size_t>(lanes)),
-        value_(static_cast<std::size_t>(lanes)) {}
+  explicit CoverIndex(int cols)
+      : lanes_(static_cast<std::size_t>(
+            arch::ternary_lanes(static_cast<std::size_t>(cols)))),
+        chunks_(static_cast<std::size_t>((cols + 7) / 8)),
+        last_chunk_mask_(cols % 8 == 0 ? 0xFFu : (1u << (cols % 8)) - 1),
+        head_(chunks_ * 256, kNone),
+        tail_(chunks_ * 256, kNone) {}
+
+  std::size_t size() const { return next_.size(); }
 
   void push(const std::uint64_t* care, const std::uint64_t* value) {
-    for (std::size_t w = 0; w < care_.size(); ++w) {
-      care_[w].push_back(care[w]);
-      value_[w].push_back(value[w]);
+    const auto k = static_cast<std::uint32_t>(size());
+    care_.insert(care_.end(), care, care + lanes_);
+    value_.insert(value_.end(), value, value + lanes_);
+    next_.push_back(kNone);
+    for (std::size_t q = 0; q < chunks_; ++q) {
+      if (chunk_byte(care, q) != chunk_mask(q)) continue;
+      const std::size_t b = q * 256 + chunk_byte(value, q);
+      if (tail_[b] == kNone) {
+        head_[b] = k;
+      } else {
+        next_[tail_[b]] = k;
+      }
+      tail_[b] = k;
+      return;
     }
+    residual_.push_back(k);
   }
 
-  /// Index of the first survivor that covers the packed word, or the
-  /// survivor count when none does.  Lane 0 is tested eight survivors at
-  /// a time without branches; hits are confirmed on the other lanes in
-  /// ascending order, so the first coverer is the one returned.
+  /// Lowest index of a survivor that covers the packed word, or size()
+  /// when none does.
   std::size_t first_cover(const std::uint64_t* care,
                           const std::uint64_t* value) const {
-    const std::uint64_t* c0 = care_[0].data();
-    const std::uint64_t* v0 = value_[0].data();
-    const std::size_t n = care_[0].size();
-    std::size_t k = 0;
-    for (; k + 8 <= n; k += 8) {
-      unsigned hits = 0;
-      for (unsigned u = 0; u < 8; ++u) {
-        hits |= unsigned{cover_miss(c0[k + u], v0[k + u], care[0],
-                                    value[0]) == 0}
-                << u;
-      }
-      for (; hits != 0; hits &= hits - 1) {
-        const std::size_t h =
-            k + static_cast<std::size_t>(std::countr_zero(hits));
-        if (upper_lanes_cover(h, care, value)) return h;
+    std::size_t best = size();
+    for (const std::uint32_t k : residual_) {
+      if (covers_word(k, care, value)) {
+        best = k;
+        break;
       }
     }
-    for (; k < n; ++k) {
-      if (cover_miss(c0[k], v0[k], care[0], value[0]) == 0 &&
-          upper_lanes_cover(k, care, value)) {
-        return k;
+    for (std::size_t q = 0; q < chunks_; ++q) {
+      if (chunk_byte(care, q) != chunk_mask(q)) continue;
+      for (std::uint32_t k = head_[q * 256 + chunk_byte(value, q)];
+           k != kNone && k < best; k = next_[k]) {
+        if (covers_word(k, care, value)) {
+          best = k;
+          break;
+        }
       }
     }
-    return n;
+    return best;
   }
 
  private:
-  bool upper_lanes_cover(std::size_t k, const std::uint64_t* care,
-                         const std::uint64_t* value) const {
-    for (std::size_t w = 1; w < care_.size(); ++w) {
-      if (cover_miss(care_[w][k], value_[w][k], care[w], value[w]) != 0) {
-        return false;
-      }
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  static unsigned chunk_byte(const std::uint64_t* lanes, std::size_t q) {
+    return static_cast<unsigned>(lanes[q / 8] >> (8 * (q % 8))) & 0xFFu;
+  }
+
+  /// Columns chunk q spans: all eight but in a partial last chunk.
+  unsigned chunk_mask(std::size_t q) const {
+    return q + 1 == chunks_ ? last_chunk_mask_ : 0xFFu;
+  }
+
+  bool covers_word(std::uint32_t k, const std::uint64_t* care,
+                   const std::uint64_t* value) const {
+    const std::uint64_t* oc = &care_[k * lanes_];
+    const std::uint64_t* ov = &value_[k * lanes_];
+    for (std::size_t w = 0; w < lanes_; ++w) {
+      if (cover_miss(oc[w], ov[w], care[w], value[w]) != 0) return false;
     }
     return true;
   }
 
-  std::vector<std::vector<std::uint64_t>> care_;
-  std::vector<std::vector<std::uint64_t>> value_;
+  std::size_t lanes_;
+  std::size_t chunks_;
+  unsigned last_chunk_mask_;
+  std::vector<std::uint32_t> head_;  ///< first survivor per (chunk, byte)
+  std::vector<std::uint32_t> tail_;  ///< last survivor per (chunk, byte)
+  std::vector<std::uint32_t> next_;  ///< next survivor in the same bucket
+  std::vector<std::uint32_t> residual_;  ///< no fully cared chunk
+  std::vector<std::uint64_t> care_;   ///< survivor k owns lanes [k*lanes_, ...)
+  std::vector<std::uint64_t> value_;
 };
 
 }  // namespace
@@ -180,11 +216,11 @@ CompiledRuleSet compile_rules(const RuleSet& rules) {
                    });
 
   // Pass 2 — drop entries covered by an earlier (winning) survivor.  Each
-  // entry is packed once; survivors' lanes live in one contiguous plane
-  // per lane, scanned in kept order so the FIRST coverer decides the
-  // shadowed / redundant split.
+  // entry is packed once and looked up in the cover index, which returns
+  // the FIRST coverer in kept order, so it decides the shadowed /
+  // redundant split exactly as a linear scan would.
   const int lanes = arch::ternary_lanes(static_cast<std::size_t>(rules.cols));
-  SurvivorLanes survivors(lanes);
+  CoverIndex survivors(rules.cols);
   std::vector<std::size_t> kept;  // indices into expanded, in kept order
   kept.reserve(expanded.size());
   std::vector<std::uint64_t> care(static_cast<std::size_t>(lanes));

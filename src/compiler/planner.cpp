@@ -4,7 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -107,18 +107,19 @@ UpdatePlan plan_update(const Installation& current, const CompiledRuleSet& next,
 
   // Pass 1 — exact word reuse.  Prefer a same-priority row (a pure keep)
   // over one that needs a flip; among equal words, earlier installed
-  // entries are claimed first (deterministic).  Buckets are keyed by a
-  // hash of the packed lanes and may mix words on a collision, so each
-  // candidate is checked for equality.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_word;
-  for (std::size_t i = 0; i < n_cur; ++i) {
-    by_word[cur_words.hash(i)].push_back(i);
-  }
+  // entries are claimed first (deterministic).  Installed entries are
+  // sorted by (hash of the packed lanes, index); words sharing a hash may
+  // differ on a collision, so each candidate is checked for equality.
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_word(n_cur);
+  for (std::size_t i = 0; i < n_cur; ++i) by_word[i] = {cur_words.hash(i), i};
+  std::sort(by_word.begin(), by_word.end());
   for (std::size_t j = 0; j < n_next; ++j) {
-    auto it = by_word.find(next_words.hash(j));
-    if (it == by_word.end()) continue;
+    const std::uint64_t h = next_words.hash(j);
     std::size_t pick = n_cur;
-    for (const std::size_t i : it->second) {
+    for (auto it = std::lower_bound(by_word.begin(), by_word.end(),
+                                    std::pair{h, std::size_t{0}});
+         it != by_word.end() && it->first == h; ++it) {
+      const std::size_t i = it->second;
       if (cur_match[i] >= 0 || !cur_words.equal(i, next_words, j)) continue;
       if (pick == n_cur) pick = i;
       if (current.entries[i].priority == next.entries[j].priority) {

@@ -44,6 +44,11 @@ std::optional<RuleSet> load_rule_set(const std::string& path) {
   std::ifstream f(path);
   if (!f) return std::nullopt;
   RuleSet rules;
+  // Header lines come once each and before any rule: a width that changes
+  // after rules were checked against it would load a set that
+  // compile_rules rejects.
+  bool seen_cols = false;
+  bool seen_range_bits = false;
   std::string line;
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -51,8 +56,12 @@ std::optional<RuleSet> load_rule_set(const std::string& path) {
     std::string tag;
     is >> tag;
     if (tag == "cols") {
+      if (seen_cols || !rules.rules.empty()) return std::nullopt;
+      seen_cols = true;
       if (!(is >> rules.cols) || rules.cols <= 0) return std::nullopt;
     } else if (tag == "range-bits") {
+      if (seen_range_bits || !rules.rules.empty()) return std::nullopt;
+      seen_range_bits = true;
       if (!(is >> rules.range_bits) || rules.range_bits < 0 ||
           rules.range_bits > 63 || rules.range_bits > rules.cols) {
         return std::nullopt;

@@ -15,6 +15,7 @@
 //   rule <ternary[cols]> <priority>   # plain rule
 //   rrule <ternary[cols-range_bits]> <lo> <hi> <priority>   # ranged rule
 //
+// `cols` and `range-bits` may each appear once, before the first rule.
 // Priorities: lower wins, same as the engine; list order breaks ties.
 #pragma once
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 namespace fetcam::arch {
 namespace {
 
@@ -58,6 +62,38 @@ TEST(Ternary, AllXMatchesEverything) {
     BitWord q;
     for (int b = 7; b >= 0; --b) q.push_back((v >> b) & 1);
     EXPECT_TRUE(word_matches(stored, q)) << v;
+  }
+}
+
+// pack_ternary loads eight digits per word op; the reference packs one
+// digit at a time, straight from the documented layout.
+TEST(Ternary, PackMatchesDigitLoopReference) {
+  std::mt19937_64 rng(7);
+  for (std::size_t width = 0; width <= 200; ++width) {
+    TernaryWord word(width);
+    for (auto& d : word) d = static_cast<Ternary>(rng() % 3);
+    const auto lanes = static_cast<std::size_t>(ternary_lanes(width));
+    std::vector<std::uint64_t> want_care(lanes, 0);
+    std::vector<std::uint64_t> want_value(lanes, 0);
+    for (std::size_t c = 0; c < width; ++c) {
+      want_care[c >> 6] |= std::uint64_t{word[c] != Ternary::kX} << (c & 63);
+      want_value[c >> 6] |= std::uint64_t{word[c] == Ternary::kOne}
+                            << (c & 63);
+    }
+    for (const std::size_t stride : {std::size_t{1}, std::size_t{3}}) {
+      // Slots between strided lanes must stay untouched.
+      constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+      std::vector<std::uint64_t> care(lanes * stride + 1, kSentinel);
+      std::vector<std::uint64_t> value(lanes * stride + 1, kSentinel);
+      pack_ternary(word, care.data(), value.data(), stride);
+      for (std::size_t i = 0; i < care.size(); ++i) {
+        const bool lane = i % stride == 0 && i / stride < lanes;
+        EXPECT_EQ(care[i], lane ? want_care[i / stride] : kSentinel)
+            << "width " << width << " stride " << stride << " slot " << i;
+        EXPECT_EQ(value[i], lane ? want_value[i / stride] : kSentinel)
+            << "width " << width << " stride " << stride << " slot " << i;
+      }
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include "arch/ternary.hpp"
 #include "compiler/compile.hpp"
 #include "compiler/rules.hpp"
+#include "engine/workload.hpp"
 #include "util/rng.hpp"
 
 namespace fetcam::compiler {
@@ -333,6 +334,24 @@ RuleSet nesting_rule_set(int cols, std::uint64_t seed) {
   return rules;
 }
 
+void expect_same_compile(const CompiledRuleSet& got,
+                         const CompiledRuleSet& want) {
+  EXPECT_EQ(got.cols, want.cols);
+  ASSERT_EQ(got.entries.size(), want.entries.size());
+  for (std::size_t i = 0; i < want.entries.size(); ++i) {
+    EXPECT_EQ(got.entries[i].word, want.entries[i].word) << i;
+    EXPECT_EQ(got.entries[i].priority, want.entries[i].priority) << i;
+    EXPECT_EQ(got.entries[i].source_rule, want.entries[i].source_rule) << i;
+  }
+  EXPECT_EQ(got.stats.source_rules, want.stats.source_rules);
+  EXPECT_EQ(got.stats.empty_rules, want.stats.empty_rules);
+  EXPECT_EQ(got.stats.expanded_entries, want.stats.expanded_entries);
+  EXPECT_EQ(got.stats.shadowed_removed, want.stats.shadowed_removed);
+  EXPECT_EQ(got.stats.redundant_removed, want.stats.redundant_removed);
+  EXPECT_EQ(got.stats.priority_levels, want.stats.priority_levels);
+  EXPECT_EQ(got.stats.expansion_factor, want.stats.expansion_factor);
+}
+
 TEST(CompileRules, MatchesBytewiseOracleAcrossLaneBoundaries) {
   long long shadowed = 0;
   long long redundant = 0;
@@ -341,25 +360,10 @@ TEST(CompileRules, MatchesBytewiseOracleAcrossLaneBoundaries) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       const RuleSet rules = nesting_rule_set(cols, seed * 1000 + cols);
       const CompiledRuleSet want = bytewise_compile(rules);
-      const CompiledRuleSet got = compile_rules(rules);
       SCOPED_TRACE("cols " + std::to_string(cols) + " seed " +
                    std::to_string(seed) + " range-bits " +
                    std::to_string(rules.range_bits));
-      EXPECT_EQ(got.cols, want.cols);
-      ASSERT_EQ(got.entries.size(), want.entries.size());
-      for (std::size_t i = 0; i < want.entries.size(); ++i) {
-        EXPECT_EQ(got.entries[i].word, want.entries[i].word) << i;
-        EXPECT_EQ(got.entries[i].priority, want.entries[i].priority) << i;
-        EXPECT_EQ(got.entries[i].source_rule, want.entries[i].source_rule)
-            << i;
-      }
-      EXPECT_EQ(got.stats.source_rules, want.stats.source_rules);
-      EXPECT_EQ(got.stats.empty_rules, want.stats.empty_rules);
-      EXPECT_EQ(got.stats.expanded_entries, want.stats.expanded_entries);
-      EXPECT_EQ(got.stats.shadowed_removed, want.stats.shadowed_removed);
-      EXPECT_EQ(got.stats.redundant_removed, want.stats.redundant_removed);
-      EXPECT_EQ(got.stats.priority_levels, want.stats.priority_levels);
-      EXPECT_EQ(got.stats.expansion_factor, want.stats.expansion_factor);
+      expect_same_compile(compile_rules(rules), want);
       shadowed += want.stats.shadowed_removed;
       redundant += want.stats.redundant_removed;
       empty += want.stats.empty_rules;
@@ -369,6 +373,59 @@ TEST(CompileRules, MatchesBytewiseOracleAcrossLaneBoundaries) {
   EXPECT_GT(shadowed, 0);
   EXPECT_GT(redundant, 0);
   EXPECT_GT(empty, 0);
+}
+
+// A classifier set after rule churn (engine::churn_rules): whole-field
+// wildcards plus single 'X' digits scattered by edits, so care masks are
+// many and irregular.  Every fourth rule is re-listed as an exact copy or
+// with one more 'X' at a neighbouring priority, so coverers are found on
+// every path: words with a fully cared 8-column chunk and words with
+// none, at widths that end a lane on a partial chunk.
+RuleSet churned_classifier_set(int cols, std::uint64_t seed) {
+  engine::TraceSpec spec;
+  spec.kind = engine::TraceKind::kClassifier;
+  spec.cols = cols;
+  spec.rules = 240;
+  spec.queries = 0;
+  spec.seed = seed;
+  std::vector<engine::TraceRule> rules = engine::generate_trace(spec).rules;
+  engine::ChurnSpec churn;
+  churn.seed = seed;
+  churn.modify_rate = 0.3;
+  for (int step = 1; step <= 15; ++step) {
+    rules = engine::churn_rules(rules, spec.kind, cols, churn, step);
+  }
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = 0, n = rules.size(); i < n; i += 4) {
+    engine::TraceRule r = rules[i];
+    if (rng() % 3 != 0) {
+      r.entry[rng() % r.entry.size()] = arch::Ternary::kX;
+      r.priority = std::max(0, r.priority + static_cast<int>(rng() % 3) - 1);
+    }
+    rules.push_back(std::move(r));
+  }
+  return rule_set_from_rules(cols, rules);
+}
+
+TEST(CompileRules, MatchesBytewiseOracleOnChurnedClassifiers) {
+  for (const int cols : {1, 7, 8, 9, 63, 64, 65, 72, 130}) {
+    const RuleSet rules = churned_classifier_set(cols, 1);
+    SCOPED_TRACE("cols " + std::to_string(cols));
+    const CompiledRuleSet want = bytewise_compile(rules);
+    expect_same_compile(compile_rules(rules), want);
+    EXPECT_GT(want.stats.shadowed_removed, 0);
+    EXPECT_GT(want.stats.redundant_removed, 0);
+    if (cols >= 64) {
+      std::vector<std::vector<bool>> masks;
+      for (const auto& e : want.entries) {
+        std::vector<bool> m;
+        for (const auto d : e.word) m.push_back(d != arch::Ternary::kX);
+        masks.push_back(std::move(m));
+      }
+      std::sort(masks.begin(), masks.end());
+      EXPECT_GE(std::unique(masks.begin(), masks.end()) - masks.begin(), 100);
+    }
+  }
 }
 
 TEST(RuleSetIo, SaveLoadRoundTrip) {
@@ -418,6 +475,18 @@ TEST(RuleSetIo, LoadRejectsWidthMismatchesAndGarbage) {
   write("cols 8\nbogus 1\n");
   EXPECT_FALSE(load_rule_set(path).has_value());
   write("rule 10XX 0\n");  // no cols header
+  EXPECT_FALSE(load_rule_set(path).has_value());
+  // Header lines that repeat or follow a rule: the rules were checked
+  // against a width the set no longer has.
+  write("cols 8\nrule 10101010 0\ncols 4\n");
+  EXPECT_FALSE(load_rule_set(path).has_value());
+  write("cols 8\ncols 8\nrule 10101010 0\n");
+  EXPECT_FALSE(load_rule_set(path).has_value());
+  write("cols 8\nrange-bits 4\nrrule 10XX 1 5 0\nrange-bits 2\n");
+  EXPECT_FALSE(load_rule_set(path).has_value());
+  write("cols 8\nrule 10101010 0\nrange-bits 4\n");
+  EXPECT_FALSE(load_rule_set(path).has_value());
+  write("cols 8\nrange-bits 4\nrange-bits 4\nrrule 10XX 1 5 0\n");
   EXPECT_FALSE(load_rule_set(path).has_value());
   write("# comment only\ncols 8\nrange-bits 4\nrrule 10XX 1 5 0\n");
   EXPECT_TRUE(load_rule_set(path).has_value());
