@@ -353,8 +353,9 @@ struct MulticoreConfig {
   double qps = 0.0;
 };
 
-/// Search-only trace through the engine at 1, 2 and 4 dispatcher threads
-/// (query blocks spread across dispatchers, each block over every mat) on
+/// Search-only trace through the engine with the shared pool pinned at 1,
+/// 2 and 4 threads (phase A spreads query blocks across the pool, each
+/// block over every mat; the JSON key stays `dispatch_threads`) on
 /// two tables: the 2,048-rule / 8-mat / 64-bit bench table (32 KiB of
 /// planar words: it fits in cache, so it mostly measures dispatch
 /// overhead), and a 65,536-rule / 64-mat / 128-bit table (2 MiB of planar
@@ -389,9 +390,8 @@ std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
     engine::TcamTable table(cfg);
     const auto ids = engine::load_rules(table, trace);
     for (const int dispatchers : {1, 2, 4}) {
-      engine::EngineOptions eopts;
-      eopts.dispatch_threads = dispatchers;
-      engine::SearchEngine eng(table, eopts);
+      util::set_thread_count(dispatchers);
+      engine::SearchEngine eng(table);
       engine::RunOptions ropts;
       ropts.batch_size = 512;
       ropts.update_rate = 0.0;  // pure search: the table never changes
@@ -410,6 +410,7 @@ std::vector<MulticoreConfig> measure_multicore(double* best_qps) {
                 << " qps\n";
     }
   }
+  util::set_thread_count(0);
   return configs;
 }
 

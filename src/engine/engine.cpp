@@ -68,12 +68,6 @@ EngineOptions SearchEngine::validate_options(EngineOptions options) {
         "EngineOptions.queue_capacity must be > 0 (a zero-capacity queue "
         "can never admit a batch)");
   }
-  if (options.dispatch_threads < 0) {
-    throw std::invalid_argument(
-        "EngineOptions.dispatch_threads must be >= 0 (0 = auto via "
-        "util::thread_count()), got " +
-        std::to_string(options.dispatch_threads));
-  }
   if (options.query_block < 1 || options.query_block > kMaxQueryBlock) {
     throw std::invalid_argument(
         "EngineOptions.query_block must be in [1, " +
@@ -97,10 +91,6 @@ SearchEngine::SearchEngine(TcamTable& table, EngineOptions options)
       options_(validate_options(options)),
       queue_(options_.queue_capacity) {
   const TableConfig& cfg = table.config();
-  dispatch_threads_ = options_.dispatch_threads > 0
-                          ? options_.dispatch_threads
-                          : util::thread_count();
-  if (dispatch_threads_ < 1) dispatch_threads_ = 1;
   // Don't attribute pre-engine pruning activity to this engine's registry
   // counters.
   last_mats_considered_ = table.mats_considered();
@@ -113,24 +103,12 @@ SearchEngine::SearchEngine(TcamTable& table, EngineOptions options)
   for (int m = 0; m < cfg.mats; ++m) {
     mat_schedulers_.emplace_back(geom, arch::HvDriverParams{});
   }
-  helpers_.reserve(static_cast<std::size_t>(dispatch_threads_ - 1));
-  for (int t = 1; t < dispatch_threads_; ++t) {
-    helpers_.emplace_back([this] { helper_loop(); });
-  }
   coordinator_ = std::thread([this] { coordinator_loop(); });
 }
 
 SearchEngine::~SearchEngine() {
   queue_.close();
   if (coordinator_.joinable()) coordinator_.join();
-  {
-    const std::lock_guard<std::mutex> lock(round_mu_);
-    pool_stop_ = true;
-  }
-  round_cv_.notify_all();
-  for (std::thread& t : helpers_) {
-    if (t.joinable()) t.join();
-  }
 }
 
 std::future<BatchResult> SearchEngine::submit(std::vector<Request> batch,
@@ -171,66 +149,6 @@ void SearchEngine::drain() {
 
 double SearchEngine::mat_utilization(int mat) const {
   return mat_schedulers_[static_cast<std::size_t>(mat)].utilization();
-}
-
-void SearchEngine::helper_loop() {
-  std::uint64_t seen = 0;
-  std::shared_ptr<Round> round;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(round_mu_);
-      round_cv_.wait(lock, [&] { return pool_stop_ || round_gen_ != seen; });
-      if (pool_stop_) return;
-      seen = round_gen_;
-      round = round_;
-    }
-    for (;;) {
-      const std::size_t i =
-          round->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= round->count) break;
-      (*round->fn)(i);
-      if (round->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-          round->count) {
-        const std::lock_guard<std::mutex> lock(round->mu);
-        round->cv.notify_all();
-      }
-    }
-    round.reset();
-  }
-}
-
-void SearchEngine::run_round(std::size_t count,
-                             const std::function<void(std::size_t)>& fn) {
-  if (count == 0) return;
-  if (helpers_.empty() || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  auto round = std::make_shared<Round>();
-  round->fn = &fn;
-  round->count = count;
-  {
-    const std::lock_guard<std::mutex> lock(round_mu_);
-    round_ = round;
-    ++round_gen_;
-  }
-  round_cv_.notify_all();
-  // The coordinator is dispatcher #0: it claims tasks alongside the
-  // helpers instead of idling on the wait.
-  for (;;) {
-    const std::size_t i = round->next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= round->count) break;
-    (*round->fn)(i);
-    if (round->done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        round->count) {
-      const std::lock_guard<std::mutex> lock(round->mu);
-      round->cv.notify_all();
-    }
-  }
-  std::unique_lock<std::mutex> lock(round->mu);
-  round->cv.wait(lock, [&] {
-    return round->done.load(std::memory_order_acquire) == round->count;
-  });
 }
 
 void SearchEngine::coordinator_loop() {
@@ -299,16 +217,17 @@ void SearchEngine::match_batch(const Work& work,
     packed_queries_[searches.size() + n].repack(batch[nearest[n]].query);
   }
 
-  // Phase A.  Exact and nearest lanes are each chunked into fixed
-  // submission-order blocks of `query_block` lanes: task k < blocks
-  // matches exact block k over every mat, task blocks + j runs nearest
-  // block j.  Each task writes only its own requests' slots, so the claim
-  // schedule is invisible — and because per-lane results never depend on
-  // block composition (table.cpp), neither is the block size.
+  // Phase A on the shared pool.  Exact and nearest lanes are each chunked
+  // into fixed submission-order blocks of `query_block` lanes: task
+  // k < blocks matches exact block k over every mat, task blocks + j runs
+  // nearest block j; chunk size 1 makes each task one pool chunk.  Each
+  // task writes only its own requests' slots, so the claim schedule is
+  // invisible — and because per-lane results never depend on block
+  // composition (table.cpp), neither is the block size.
   const std::size_t block = static_cast<std::size_t>(options_.query_block);
   const std::size_t blocks = (searches.size() + block - 1) / block;
   const std::size_t near_blocks = (nearest.size() + block - 1) / block;
-  const std::function<void(std::size_t)> task = [&](std::size_t k) {
+  const auto task = [&](std::size_t k, std::size_t) {
     if (k >= blocks) {
       const std::size_t n0 = (k - blocks) * block;
       const std::size_t n1 = std::min(n0 + block, nearest.size());
@@ -357,7 +276,7 @@ void SearchEngine::match_batch(const Work& work,
   };
   const bool metrics = obs::metrics_on();
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;
-  run_round(blocks + near_blocks, task);
+  util::parallel_for_chunks(blocks + near_blocks, 1, task);
   if (metrics) {
     EngineMetrics::get()
         .match_tier[static_cast<int>(active_kernel_tier())]

@@ -12,15 +12,16 @@
 //     separately its nearest searches, are chunked into fixed
 //     submission-order blocks of `query_block` lanes, and each block is
 //     one task that broadcasts over every mat (paper Sec. III-C: a search
-//     drives all mats in lock-step).  `dispatch_threads` dispatcher
-//     threads (the coordinator counts as one) claim tasks from a shared
-//     cursor; each task writes only its own requests' result slots, and
-//     each slot is written once by its own task, so the claim schedule
-//     cannot influence anything observable and nothing is left to merge.
+//     drives all mats in lock-step).  The tasks run on the shared
+//     util::parallel_for_chunks pool (util::thread_count() threads, the
+//     coordinator taking part); each task writes only its own requests'
+//     result slots, and each slot is written once by its own task, so the
+//     claim schedule cannot influence anything observable and nothing is
+//     left to merge.
 //   * Phase B — serial application per batch, in submission order, on the
 //     coordinator: ALL accounting and ALL writes apply in request order.
 //   * Result: batch results, table contents, energy/endurance totals, and
-//     search statistics are bit-identical for any dispatcher thread count
+//     search statistics are bit-identical for any pool thread count
 //     (1, 2, 8, ...), any query block size, any queue capacity, and any
 //     producer interleaving of distinct batches.
 //
@@ -35,11 +36,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -167,19 +165,13 @@ struct BatchResult {
 
 /// Engine configuration.  SearchEngine's constructor validates every
 /// field and throws std::invalid_argument naming the offending one —
-/// degenerate values (zero capacity, negative dispatchers) used to reach
-/// the dispatcher as silent near-deadlocks.
+/// degenerate values (zero capacity) used to reach the dispatcher as
+/// silent near-deadlocks.
 struct EngineOptions {
   std::size_t queue_capacity = 8;  ///< batches admitted before submit blocks
                                    ///< (must be > 0)
   /// Duration of one HV write phase (a 1.5T1Fe row update issues 3).
   double write_pulse_s = 50e-9;
-  /// Dispatcher threads claiming query-block match tasks (the coordinator
-  /// counts as one; n - 1 helpers are spawned).  0 resolves through
-  /// util::thread_count() (--threads / FETCAM_THREADS), so existing
-  /// thread sweeps exercise the multi-dispatcher path; negative values
-  /// throw.
-  int dispatch_threads = 0;
   /// Queries matched per kernel pass (1..kMaxQueryBlock): each batch's
   /// exact searches, and separately its nearest searches, are chunked into
   /// fixed submission-order blocks of this size so one streaming pass over
@@ -214,7 +206,7 @@ class SearchEngine {
   /// The engine owns request ordering on `table`; while the engine is
   /// alive, mutate the table only through requests.
   SearchEngine(TcamTable& table, EngineOptions options = {});
-  ~SearchEngine();  ///< drains the queue, then joins all engine threads
+  ~SearchEngine();  ///< drains the queue, then joins the coordinator
 
   SearchEngine(const SearchEngine&) = delete;
   SearchEngine& operator=(const SearchEngine&) = delete;
@@ -234,8 +226,6 @@ class SearchEngine {
   /// Block until every batch submitted so far has been applied.
   void drain();
 
-  /// Resolved parallelism for reporting.
-  int dispatch_threads() const { return dispatch_threads_; }
   int query_block() const { return options_.query_block; }
 
   /// Mat-skip pruning totals of the underlying table (fetcam.stats.v1).
@@ -281,33 +271,15 @@ class SearchEngine {
     std::uint64_t submit_ns = 0;  ///< obs::now_ns() at submit (metrics only)
   };
 
-  /// One fan-out round: helpers + coordinator claim task indices from a
-  /// shared cursor.  Heap-allocated and published by shared_ptr so a
-  /// helper waking late sees the OLD round's exhausted cursor, never the
-  /// next round's fresh one.
-  struct Round {
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::size_t count = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-
   /// Field-by-field option validation (throws std::invalid_argument
   /// naming the offending field).  Runs in the member-init list, before
   /// the queue or any thread exists.
   static EngineOptions validate_options(EngineOptions options);
 
   void coordinator_loop();
-  void helper_loop();
-  /// Run fn(0..count) across the dispatcher threads; returns when all
-  /// tasks completed.  Serial in-line when there are no helpers.
-  void run_round(std::size_t count,
-                 const std::function<void(std::size_t)>& fn);
   /// Phase A for one batch: query-block tasks write exact matches into
   /// matches[i] and nearest results into nears[i] (each slot written once
-  /// by its own block's task, so both are dispatcher-invariant).
+  /// by its own block's task, so both are schedule-invariant).
   void match_batch(const Work& work, std::vector<TableMatch>& matches,
                    std::vector<NearestMatch>& nears);
   /// Phase B + admission model for one batch (serial, coordinator only).
@@ -319,7 +291,6 @@ class SearchEngine {
 
   TcamTable& table_;
   EngineOptions options_;
-  int dispatch_threads_ = 1;  ///< resolved (>= 1)
   /// Batch-scoped query packs (coordinator only): each search lane is
   /// bit-packed once per batch, then read by its task.
   std::vector<PackedQuery> packed_queries_;
@@ -328,12 +299,6 @@ class SearchEngine {
   std::vector<arch::SharedDriverScheduler> mat_schedulers_;
   std::uint64_t next_seq_ = 0;
   std::mutex submit_mu_;  ///< orders seq assignment with queue push
-
-  std::mutex round_mu_;
-  std::condition_variable round_cv_;
-  std::shared_ptr<Round> round_;
-  std::uint64_t round_gen_ = 0;
-  bool pool_stop_ = false;
 
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> completed_{0};
@@ -356,7 +321,6 @@ class SearchEngine {
   std::atomic<long long> driver_cycles_{0};
   std::atomic<double> model_time_s_{0.0};
 
-  std::vector<std::thread> helpers_;
   std::thread coordinator_;
 };
 

@@ -7,6 +7,7 @@
 #include "obs/json_util.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
+#include "util/parallel.hpp"
 
 namespace fetcam::engine {
 
@@ -37,8 +38,8 @@ std::string stats_snapshot_json(const SearchEngine& engine,
   out += ", \"queue_capacity\": " + u64(engine.queue_capacity());
   out += ", \"queue_high_watermark\": " + u64(engine.queue_high_watermark());
   out += ", \"in_flight\": " + u64(engine.in_flight());
-  out +=
-      ", \"dispatch_threads\": " + std::to_string(engine.dispatch_threads());
+  // Phase A runs on the shared pool, so its size is the dispatcher count.
+  out += ", \"dispatch_threads\": " + std::to_string(util::thread_count());
   out += ", \"query_block\": " + std::to_string(engine.query_block());
   const long long considered = engine.mats_considered();
   const long long skipped = engine.mats_skipped();

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
+#include <memory>
 #include <mutex>
+#include <system_error>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -45,7 +48,10 @@ struct ParallelMetrics {
 /// bookkeeping.  Every chunk index is claimed exactly once (fetch_add)
 /// and counted in `finished` exactly once, so `finished == total_chunks`
 /// proves no body is still running — even on the abort path, where
-/// claimed-but-skipped chunks still count.
+/// claimed-but-skipped chunks still count.  Shared with the workers, so
+/// the caller returns as soon as every chunk finished: a worker that wakes
+/// late still holds the Job, finds the cursor exhausted, and never touches
+/// `body` (which points into the returned caller's frame).
 struct Job {
   std::size_t n = 0;
   std::size_t chunk = 1;
@@ -55,8 +61,9 @@ struct Job {
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> finished{0};
   std::atomic<bool> aborted{false};
+  std::mutex mu;  ///< guards `error`; pairs with `done_cv`
   std::exception_ptr error;
-  std::mutex error_mu;
+  std::condition_variable done_cv;
 
   void work() {
     t_inside_region = true;
@@ -68,12 +75,16 @@ struct Job {
         try {
           (*body)(begin, std::min(n, begin + chunk));
         } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mu);
+          const std::lock_guard<std::mutex> lock(mu);
           if (!error) error = std::current_exception();
           aborted.store(true, std::memory_order_relaxed);
         }
       }
-      finished.fetch_add(1, std::memory_order_release);
+      if (finished.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          total_chunks) {
+        const std::lock_guard<std::mutex> lock(mu);
+        done_cv.notify_all();
+      }
     }
     t_inside_region = false;
   }
@@ -81,13 +92,17 @@ struct Job {
   bool done() const {
     return finished.load(std::memory_order_acquire) == total_chunks;
   }
+
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu);
+    done_cv.wait(lock, [&] { return done(); });
+  }
 };
 
 /// Lazily started global pool.  Workers sleep on a condition variable
-/// between jobs and are identified by a job generation counter, so a
-/// worker can never re-enter a job it already drained (even if the next
-/// Job lands on the same stack address).  resize happens only on
-/// set_thread_count — CLI startup or between determinism-test runs.
+/// between jobs and pick up each published Job once, by its generation
+/// number.  resize happens only on set_thread_count — CLI startup or
+/// between determinism-test runs.
 class Pool {
  public:
   static Pool& instance() {
@@ -102,10 +117,10 @@ class Pool {
 
   void set_threads(int n) {
     const std::lock_guard<std::mutex> lock(config_mu_);
-    override_ = n > 0 ? n : 0;
+    override_ = std::clamp(n, 0, kMaxThreads);
   }
 
-  void run(Job& job) {
+  void run(const std::shared_ptr<Job>& job) {
     // Serialize top-level regions: one job owns the pool at a time.
     const std::lock_guard<std::mutex> run_lock(run_mu_);
     int want;
@@ -115,19 +130,19 @@ class Pool {
     }
     ensure_workers(want - 1);
     if (!workers_.empty()) {
-      const std::lock_guard<std::mutex> lock(job_mu_);
-      job_ = &job;
-      ++job_seq_;
+      {
+        const std::lock_guard<std::mutex> lock(job_mu_);
+        job_ = job;
+        ++job_seq_;
+      }
+      // Notified unlocked: woken workers do not then block on job_mu_.
       job_cv_.notify_all();
     }
     // The caller is a full participant — with one thread this IS the
-    // execution and the pool machinery stays untouched.
-    job.work();
-    if (!workers_.empty()) {
-      std::unique_lock<std::mutex> lock(job_mu_);
-      done_cv_.wait(lock, [&] { return job.done() && active_ == 0; });
-      job_ = nullptr;
-    }
+    // execution and the pool machinery stays untouched.  It waits only
+    // for chunks still running, never for idle workers to check out.
+    job->work();
+    job->wait();
   }
 
   ~Pool() { ensure_workers(0); }
@@ -138,11 +153,14 @@ class Pool {
   int resolve_locked() {
     if (override_ > 0) return override_;
     if (const char* env = std::getenv("FETCAM_THREADS")) {
-      const int n = std::atoi(env);
-      if (n > 0) return n;
+      if (const std::optional<int> n = parse_thread_count(env)) return *n;
     }
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
+    // Queried once: hardware_concurrency() costs a few microseconds per
+    // call (it asks the OS), and every engine batch resolves the count.
+    static const int hw = static_cast<int>(
+        std::clamp<unsigned>(std::thread::hardware_concurrency(), 1,
+                             static_cast<unsigned>(kMaxThreads)));
+    return hw;
   }
 
   void ensure_workers(int want) {
@@ -155,31 +173,24 @@ class Pool {
     for (auto& w : workers_) w.join();
     workers_.clear();
     stopping_ = false;
+    // job_seq_ only changes under run_mu_, which the caller holds: a new
+    // worker starts level with it and takes only jobs published later.
     for (int i = 0; i < want; ++i) {
-      workers_.emplace_back([this] { worker_loop(); });
+      workers_.emplace_back([this, seen = job_seq_] { worker_loop(seen); });
     }
   }
 
-  void worker_loop() {
-    std::uint64_t seen = 0;
+  void worker_loop(std::uint64_t seen) {
     for (;;) {
-      Job* job = nullptr;
+      std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lock(job_mu_);
-        job_cv_.wait(lock, [&] {
-          return stopping_ || (job_ != nullptr && job_seq_ != seen);
-        });
+        job_cv_.wait(lock, [&] { return stopping_ || job_seq_ != seen; });
         if (stopping_) return;
         seen = job_seq_;
         job = job_;
-        ++active_;
       }
       job->work();
-      {
-        const std::lock_guard<std::mutex> lock(job_mu_);
-        --active_;
-        done_cv_.notify_all();
-      }
     }
   }
 
@@ -189,15 +200,29 @@ class Pool {
   std::mutex run_mu_;
   std::mutex job_mu_;
   std::condition_variable job_cv_;
-  std::condition_variable done_cv_;
-  Job* job_ = nullptr;
+  std::shared_ptr<Job> job_;
   std::uint64_t job_seq_ = 0;
-  int active_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
 
 }  // namespace
+
+std::optional<int> parse_thread_count(std::string_view text) {
+  if (text.empty() ||
+      !std::all_of(text.begin(), text.end(),
+                   [](char c) { return c >= '0' && c <= '9'; })) {
+    return std::nullopt;
+  }
+  int n = 0;
+  // All digits, so from_chars consumes the whole text or overflows.
+  if (std::from_chars(text.data(), text.data() + text.size(), n).ec !=
+          std::errc() ||
+      n < 1 || n > kMaxThreads) {
+    return std::nullopt;
+  }
+  return n;
+}
 
 int thread_count() { return Pool::instance().threads(); }
 
@@ -233,20 +258,20 @@ void parallel_for_chunks(
   const auto& body = instrumented ? wrapped : fn;
 
   const std::uint64_t t_job = instrumented ? obs::now_ns() : 0;
-  // Nested regions (or an explicit single thread) run inline: same chunk
-  // boundaries, same results, no pool interaction.
-  if (t_inside_region || thread_count() == 1) {
+  // Nested regions, single-chunk regions and an explicit single thread run
+  // inline: same chunk boundaries, same results, no pool interaction.
+  if (t_inside_region || n <= chunk || thread_count() == 1) {
     for (std::size_t begin = 0; begin < n; begin += chunk) {
       body(begin, std::min(n, begin + chunk));
     }
   } else {
-    Job job;
-    job.n = n;
-    job.chunk = chunk;
-    job.total_chunks = (n + chunk - 1) / chunk;
-    job.body = &body;
+    const auto job = std::make_shared<Job>();
+    job->n = n;
+    job->chunk = chunk;
+    job->total_chunks = (n + chunk - 1) / chunk;
+    job->body = &body;
     Pool::instance().run(job);
-    if (job.error) std::rethrow_exception(job.error);
+    if (job->error) std::rethrow_exception(job->error);
   }
   if (instrumented && obs::metrics_on()) {
     auto& pm = ParallelMetrics::get();

@@ -15,27 +15,49 @@
 //      (from inside a body) run inline on the calling worker instead of
 //      deadlocking the pool.
 //
+// Users: the DSE, variability and figure sweeps, and phase A of every
+// engine::SearchEngine (one chunk per query block; docs/ENGINE.md sec. 3).
+// Top-level regions started from different threads — two engines'
+// coordinators, or an engine beside a sweep — share this one pool and run
+// one at a time: a region waits until the region before it has finished.
+// So a body must never block on work that needs the pool itself (such as
+// waiting on a SearchEngine future from inside a parallel_for body).
+//
 // Thread-count resolution, highest priority first:
 //   set_thread_count(n)        explicit (the CLI --threads flag)
-//   FETCAM_THREADS             environment override
+//   FETCAM_THREADS             environment override (parse_thread_count;
+//                              an invalid value is ignored)
 //   std::thread::hardware_concurrency()
-// A count of 1 bypasses the pool entirely (pure serial execution).
+// Every path is capped at kMaxThreads.  A count of 1, or a region of a
+// single chunk, bypasses the pool entirely (pure serial execution).
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace fetcam::util {
 
+/// Upper bound on the pool size from any source.  Far above any core count
+/// this pool serves; a larger request is a typo (`--threads 100000`), and
+/// honouring it would spawn that many OS threads on the first region.
+inline constexpr int kMaxThreads = 1024;
+
+/// Strict thread-count parser shared by `--threads` and FETCAM_THREADS:
+/// a whole decimal number in [1, kMaxThreads] and nothing else (no sign,
+/// no whitespace, no suffix such as "4x").  nullopt on anything else.
+std::optional<int> parse_thread_count(std::string_view text);
+
 /// Number of threads parallel_for will use.  Resolves the override chain
-/// above; always >= 1.
+/// above; always in [1, kMaxThreads].
 int thread_count();
 
 /// Force the pool size.  n <= 0 restores automatic resolution
-/// (FETCAM_THREADS / hardware_concurrency).  Takes effect on the next
-/// parallel_for; safe to call between runs (the determinism tests cycle
-/// 1 / 2 / 8 threads this way).
+/// (FETCAM_THREADS / hardware_concurrency); n > kMaxThreads is clamped to
+/// kMaxThreads.  Takes effect on the next parallel_for; safe to call
+/// between runs (the determinism tests cycle 1 / 2 / 8 threads this way).
 void set_thread_count(int n);
 
 /// True while the current thread is executing inside a parallel_for body

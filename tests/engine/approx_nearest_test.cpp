@@ -21,6 +21,7 @@
 #include "engine/table.hpp"
 #include "engine/wire.hpp"
 #include "engine/workload.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace fetcam::engine {
@@ -140,17 +141,20 @@ TEST(ApproxNearest, EngineResultsInvariantAcrossDispatchShapes) {
   const auto ids = load_rules(ref_table, trace);
 
   struct Shape {
-    int dispatch_threads;
+    int threads;  ///< shared pool size phase A runs on
     int query_block;
   };
   const Shape shapes[] = {
       {1, 1}, {2, 8}, {2, 4}, {3, 8}, {1, 2},
   };
+  struct PoolGuard {
+    ~PoolGuard() { util::set_thread_count(0); }
+  } pool_guard;
   for (const Shape& shape : shapes) {
+    util::set_thread_count(shape.threads);
     TcamTable table(nearest_config(d, true));
     load_rules(table, trace);
     EngineOptions opts;
-    opts.dispatch_threads = shape.dispatch_threads;
     opts.query_block = shape.query_block;
     SearchEngine eng(table, opts);
     // Mixed batches: exact searches interleaved with nearest requests so
@@ -181,11 +185,11 @@ TEST(ApproxNearest, EngineResultsInvariantAcrossDispatchShapes) {
           trace, ids, trace.queries[q], d, 1 + static_cast<int>(q % 4),
           static_cast<int>(q % 3));
       ASSERT_EQ(r.neighbors.size(), want.size())
-          << "threads=" << shape.dispatch_threads
+          << "threads=" << shape.threads
           << " block=" << shape.query_block << " q=" << q;
       for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(r.neighbors[i].entry, want[i].entry)
-            << "threads=" << shape.dispatch_threads << " q=" << q
+            << "threads=" << shape.threads << " q=" << q
             << " i=" << i;
         ASSERT_EQ(r.neighbors[i].distance, want[i].distance);
       }

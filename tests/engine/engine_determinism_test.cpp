@@ -2,9 +2,10 @@
 // eval/variability_determinism_test): batch results, table contents,
 // energy/endurance totals, and search statistics must be BIT-IDENTICAL
 // for 1, 2, and 8 worker threads at a fixed seed — and for every
-// combination of dispatcher thread count (1, 2, 8) and query block size,
-// for exact traffic and for nearest-only (kSearchNearest) batches.
-// wall_us is the only field outside the contract.
+// combination of pool thread count (1, 2, 8) and query block size, for
+// exact traffic and for nearest-only (kSearchNearest) batches, also with
+// two engines sharing the pool.  wall_us is the only field outside the
+// contract.
 //
 // All comparisons are exact (EXPECT_EQ on doubles, deliberately): any
 // schedule-ordered accumulation in the engine would fail here.
@@ -27,6 +28,8 @@
 #include "engine/engine.hpp"
 #include "engine/table.hpp"
 #include "engine/workload.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -149,8 +152,12 @@ void expect_identical(const RunOutcome& a, const RunOutcome& golden,
   EXPECT_EQ(a.model_time_s, golden.model_time_s) << threads << " threads";
 }
 
+/// Pins the shared pool (phase A runs on it) and restores automatic
+/// resolution on exit, so one test can't leak its pool size into the next.
 class ThreadSweep {
  public:
+  ThreadSweep() = default;
+  explicit ThreadSweep(int threads) { util::set_thread_count(threads); }
   ~ThreadSweep() { util::set_thread_count(0); }
   template <typename Fn>
   void check(Fn&& run_and_compare) {
@@ -227,24 +234,23 @@ TEST(EngineDeterminism, ProducerInterleavingDoesNotChangeBatchResults) {
 }
 
 TEST(EngineDeterminism, InvariantAcrossDispatchersAndQueryBlocks) {
-  // The dispatch contract: dispatcher threads and query block size are
-  // pure parallelism/bandwidth knobs.  Sweep both and require
+  // The dispatch contract: the pool's thread count and the query block
+  // size are pure parallelism/bandwidth knobs.  Sweep both and require
   // byte-identical outcomes against the fully serial configuration.
   EngineOptions serial;
-  serial.dispatch_threads = 1;
   serial.query_block = 1;  // the single-query scalar reference path
+  ThreadSweep sweep(1);
   const RunOutcome golden = run_workload(serial);
   ASSERT_FALSE(golden.batches.empty());
-  for (const int threads : kThreadCounts) {
+  sweep.check([&](int threads) {
     for (const int qblock : {1, 5, 8}) {
       EngineOptions opts;
-      opts.dispatch_threads = threads;
       opts.query_block = qblock;
-      SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " query_block=" + std::to_string(qblock));
       expect_identical(run_workload(opts), golden, threads);
     }
-  }
+  });
 }
 
 /// Everything a nearest-only run must reproduce at every dispatch shape.
@@ -295,16 +301,15 @@ int nearest_threshold(std::size_t i) {
 
 /// Nearest-only batches of 1, 7, 9, 64 and 65 requests (block tails,
 /// exact multiples and single lanes) on a clustered d = 2 table, with
-/// per-request (k, threshold) overrides mixed with engine defaults.
-NearestOutcome run_nearest_workload(const Trace& trace, int dispatch_threads,
-                                    int query_block) {
+/// per-request (k, threshold) overrides mixed with engine defaults.  Runs
+/// at whatever size the shared pool has.
+NearestOutcome run_nearest_workload(const Trace& trace, int query_block) {
   TcamTable table(nearest_only_config());
   load_rules_clustered(table, trace);
 
   NearestOutcome out;
   {
     EngineOptions opts;
-    opts.dispatch_threads = dispatch_threads;
     opts.query_block = query_block;
     opts.k = kNearestDefaultK;
     opts.distance_threshold = kNearestDefaultThreshold;
@@ -326,9 +331,52 @@ NearestOutcome run_nearest_workload(const Trace& trace, int dispatch_threads,
   return out;
 }
 
+/// Everything NearestOutcome covers must match the golden exactly.
+void expect_nearest_identical(const NearestOutcome& got,
+                              const NearestOutcome& golden) {
+  ASSERT_EQ(got.batches.size(), golden.batches.size());
+  for (std::size_t b = 0; b < golden.batches.size(); ++b) {
+    const BatchResult& gb = got.batches[b];
+    const BatchResult& wb = golden.batches[b];
+    ASSERT_EQ(gb.results.size(), wb.results.size()) << "batch " << b;
+    for (std::size_t r = 0; r < wb.results.size(); ++r) {
+      const RequestResult& g = gb.results[r];
+      const RequestResult& w = wb.results[r];
+      EXPECT_EQ(g.hit, w.hit) << "batch " << b << " req " << r;
+      EXPECT_EQ(g.entry, w.entry) << "batch " << b << " req " << r;
+      EXPECT_EQ(g.priority, w.priority) << "batch " << b << " req " << r;
+      EXPECT_EQ(g.distance, w.distance) << "batch " << b << " req " << r;
+      ASSERT_EQ(g.neighbors.size(), w.neighbors.size())
+          << "batch " << b << " req " << r;
+      for (std::size_t i = 0; i < w.neighbors.size(); ++i) {
+        EXPECT_EQ(g.neighbors[i].entry, w.neighbors[i].entry);
+        EXPECT_EQ(g.neighbors[i].priority, w.neighbors[i].priority);
+        EXPECT_EQ(g.neighbors[i].distance, w.neighbors[i].distance);
+      }
+    }
+    EXPECT_EQ(gb.stats.rows, wb.stats.rows) << "batch " << b;
+    EXPECT_EQ(gb.stats.step1_misses, wb.stats.step1_misses);
+    EXPECT_EQ(gb.stats.step2_evaluated, wb.stats.step2_evaluated);
+    EXPECT_EQ(gb.stats.matches, wb.stats.matches) << "batch " << b;
+    EXPECT_EQ(gb.model_latency_s, wb.model_latency_s) << "batch " << b;
+  }
+  EXPECT_EQ(got.mats_considered, golden.mats_considered);
+  EXPECT_EQ(got.mats_skipped, golden.mats_skipped);
+  EXPECT_EQ(got.table_energy_j, golden.table_energy_j);
+  EXPECT_EQ(got.search_stats.searches(), golden.search_stats.searches());
+  EXPECT_EQ(got.search_stats.rows_searched(),
+            golden.search_stats.rows_searched());
+  EXPECT_EQ(got.search_stats.step2_evaluations(),
+            golden.search_stats.step2_evaluations());
+  EXPECT_EQ(got.search_stats.matches(), golden.search_stats.matches());
+  EXPECT_EQ(got.search_stats.step1_miss_rate(),
+            golden.search_stats.step1_miss_rate());
+}
+
 TEST(EngineDeterminism, NearestOnlyBatchesInvariantAcrossBlocksAndDispatchers) {
   const Trace trace = generate_trace(nearest_only_spec());
-  const NearestOutcome golden = run_nearest_workload(trace, 1, 1);
+  ThreadSweep pool(1);
+  const NearestOutcome golden = run_nearest_workload(trace, 1);
   ASSERT_EQ(golden.batches.size(), 5u);
   ASSERT_GT(golden.mats_skipped, 0) << "the sweep must exercise pruning";
   // The golden itself must be right: each request resolves its own (k,
@@ -354,47 +402,11 @@ TEST(EngineDeterminism, NearestOnlyBatchesInvariantAcrossBlocksAndDispatchers) {
   }
   ASSERT_GT(hits, 0);
   for (const int threads : {1, 2, 4}) {
+    util::set_thread_count(threads);
     for (const int qblock : {1, 3, 8}) {
-      SCOPED_TRACE("dispatchers=" + std::to_string(threads) +
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
                    " query_block=" + std::to_string(qblock));
-      const NearestOutcome got = run_nearest_workload(trace, threads, qblock);
-      ASSERT_EQ(got.batches.size(), golden.batches.size());
-      for (std::size_t b = 0; b < golden.batches.size(); ++b) {
-        const BatchResult& gb = got.batches[b];
-        const BatchResult& wb = golden.batches[b];
-        ASSERT_EQ(gb.results.size(), wb.results.size()) << "batch " << b;
-        for (std::size_t r = 0; r < wb.results.size(); ++r) {
-          const RequestResult& g = gb.results[r];
-          const RequestResult& w = wb.results[r];
-          EXPECT_EQ(g.hit, w.hit) << "batch " << b << " req " << r;
-          EXPECT_EQ(g.entry, w.entry) << "batch " << b << " req " << r;
-          EXPECT_EQ(g.priority, w.priority) << "batch " << b << " req " << r;
-          EXPECT_EQ(g.distance, w.distance) << "batch " << b << " req " << r;
-          ASSERT_EQ(g.neighbors.size(), w.neighbors.size())
-              << "batch " << b << " req " << r;
-          for (std::size_t i = 0; i < w.neighbors.size(); ++i) {
-            EXPECT_EQ(g.neighbors[i].entry, w.neighbors[i].entry);
-            EXPECT_EQ(g.neighbors[i].priority, w.neighbors[i].priority);
-            EXPECT_EQ(g.neighbors[i].distance, w.neighbors[i].distance);
-          }
-        }
-        EXPECT_EQ(gb.stats.rows, wb.stats.rows) << "batch " << b;
-        EXPECT_EQ(gb.stats.step1_misses, wb.stats.step1_misses);
-        EXPECT_EQ(gb.stats.step2_evaluated, wb.stats.step2_evaluated);
-        EXPECT_EQ(gb.stats.matches, wb.stats.matches) << "batch " << b;
-        EXPECT_EQ(gb.model_latency_s, wb.model_latency_s) << "batch " << b;
-      }
-      EXPECT_EQ(got.mats_considered, golden.mats_considered);
-      EXPECT_EQ(got.mats_skipped, golden.mats_skipped);
-      EXPECT_EQ(got.table_energy_j, golden.table_energy_j);
-      EXPECT_EQ(got.search_stats.searches(), golden.search_stats.searches());
-      EXPECT_EQ(got.search_stats.rows_searched(),
-                golden.search_stats.rows_searched());
-      EXPECT_EQ(got.search_stats.step2_evaluations(),
-                golden.search_stats.step2_evaluations());
-      EXPECT_EQ(got.search_stats.matches(), golden.search_stats.matches());
-      EXPECT_EQ(got.search_stats.step1_miss_rate(),
-                golden.search_stats.step1_miss_rate());
+      expect_nearest_identical(run_nearest_workload(trace, qblock), golden);
     }
   }
 }
@@ -414,46 +426,92 @@ TEST(EngineDeterminism, EngineOptionsValidation) {
   opts.queue_capacity = 0;
   expect_throws(opts, "queue_capacity");
   opts = {};
-  opts.dispatch_threads = -1;
-  expect_throws(opts, "dispatch_threads");
-  opts = {};
   opts.query_block = 0;
   expect_throws(opts, "query_block");
   opts = {};
   opts.query_block = kMaxQueryBlock + 1;
   expect_throws(opts, "query_block");
-  // The documented escape hatch stays valid: 0 dispatch threads (pool
-  // auto-resolve).
+  // The defaults are valid and run a batch.
   opts = {};
-  opts.dispatch_threads = 0;
   SearchEngine ok(table, opts);
-  EXPECT_GE(ok.dispatch_threads(), 1);
   EXPECT_EQ(ok.query_block(), 8);
-  // An explicit dispatcher count is reported as configured.
-  opts.dispatch_threads = 2;
-  SearchEngine two(table, opts);
-  EXPECT_EQ(two.dispatch_threads(), 2);
-  EXPECT_EQ(two.execute({make_search(arch::BitWord(16, 0))}).results.size(),
+  EXPECT_EQ(ok.execute({make_search(arch::BitWord(16, 0))}).results.size(),
             1u);
 }
 
-TEST(EngineDeterminism, DispatchThreadsZeroFollowsParallelPool) {
-  // dispatch_threads = 0 resolves through util::thread_count(), so the
-  // existing --threads / FETCAM_THREADS sweeps exercise the dispatcher
-  // split too.  Results must still match the serial golden.
-  EngineOptions serial;
-  serial.dispatch_threads = 1;
-  const RunOutcome golden = run_workload(serial);
-  ThreadSweep sweep;
-  sweep.check([&](int threads) {
-    EngineOptions opts;  // dispatch_threads stays 0 (pool-resolved)
-    expect_identical(run_workload(opts), golden, threads);
+TEST(EngineDeterminism, PhaseARunsOnTheSharedPool) {
+  // Phase A is one util::parallel_for_chunks region per batch with one
+  // chunk per query block, so the pool's own counters see every engine
+  // round: one job, and 3 exact + 2 nearest blocks for 20 exact and 9
+  // nearest lanes at query_block 8.  Results match the serial golden.
+  const Trace trace = generate_trace(test_spec());
+  std::vector<Request> batch;
+  for (std::size_t q = 0; q < 29; ++q) {
+    batch.push_back(q < 20 ? make_search(trace.queries[q])
+                           : make_search_nearest(trace.queries[q], 2, 3));
+  }
+  const auto run = [&] {
+    TcamTable table(test_config());
+    load_rules(table, trace);
+    SearchEngine engine(table);
+    return engine.execute(batch);
+  };
+  ThreadSweep pool(1);
+  const BatchResult golden = run();
+  const obs::Level prior = obs::level();
+  obs::set_level(obs::Level::kMetrics);
+  auto& reg = obs::MetricsRegistry::instance();
+  pool.check([&](int threads) {
+    [[maybe_unused]] const std::uint64_t jobs0 =
+        reg.counter("parallel.jobs").value();
+    [[maybe_unused]] const std::uint64_t chunks0 =
+        reg.counter("parallel.chunks").value();
+    const BatchResult got = run();
+#ifndef FETCAM_OBS_DISABLED  // the counters are compiled out otherwise
+    EXPECT_EQ(reg.counter("parallel.jobs").value() - jobs0, 1u) << threads;
+    EXPECT_EQ(reg.counter("parallel.chunks").value() - chunks0, 5u)
+        << threads;
+#endif
+    ASSERT_EQ(got.results.size(), golden.results.size());
+    for (std::size_t r = 0; r < golden.results.size(); ++r) {
+      EXPECT_EQ(got.results[r].hit, golden.results[r].hit) << r;
+      EXPECT_EQ(got.results[r].entry, golden.results[r].entry) << r;
+      EXPECT_EQ(got.results[r].distance, golden.results[r].distance) << r;
+    }
+    EXPECT_EQ(got.stats.rows, golden.stats.rows) << threads;
+    EXPECT_EQ(got.stats.matches, golden.stats.matches) << threads;
   });
+  obs::set_level(prior);
+}
+
+TEST(EngineDeterminism, ConcurrentEnginesShareThePool) {
+  // Two engines on two tables, each fed by its own producer thread, start
+  // top-level regions on the one shared pool from two coordinators at
+  // once.  Each must still reproduce its own serial (pool = 1) golden:
+  // the exact engine with writes in its batches, the nearest engine with
+  // its pruning totals.
+  const Trace near_trace = generate_trace(nearest_only_spec());
+  ThreadSweep pool(1);
+  const RunOutcome exact_golden = run_workload();
+  const NearestOutcome near_golden = run_nearest_workload(near_trace, 8);
+  util::set_thread_count(4);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    RunOutcome exact;
+    NearestOutcome near;
+    std::thread exact_producer([&] { exact = run_workload(); });
+    std::thread near_producer(
+        [&] { near = run_nearest_workload(near_trace, 8); });
+    exact_producer.join();
+    near_producer.join();
+    expect_identical(exact, exact_golden, 4);
+    expect_nearest_identical(near, near_golden);
+  }
 }
 
 TEST(EngineDeterminism, StressConcurrentCompilerUpdatesOldNewOrShadow) {
   // Stress (run under TSan in CI): searcher threads hammer a
-  // multi-dispatcher engine (8 dispatchers, small queue to force
+  // multi-dispatcher engine (pool of 8, small queue to force
   // backpressure) while the main thread applies a compiler update plan.
   // Every observed result must be the OLD winner, the NEW winner, or a
   // newly inserted entry still at its shadow priority — the same
@@ -479,9 +537,9 @@ TEST(EngineDeterminism, StressConcurrentCompilerUpdatesOldNewOrShadow) {
       cc::compile_rules(cc::rule_set_from_rules(spec.cols, rules_b));
 
   TcamTable table(test_config());
+  const ThreadSweep pool(8);
   EngineOptions opts;
   opts.queue_capacity = 2;
-  opts.dispatch_threads = 8;
   SearchEngine eng(table, opts);
   const cc::UpdatePlan planA = cc::plan_update({}, setA, table);
   const cc::Installation installedA =
@@ -869,6 +927,7 @@ TEST(EngineDeterminism, AccountingMatchesPerCycleReference) {
   // scanned mats only) and through the per-cycle reference must agree on
   // the whole admission model and on the energy.
   const Trace trace = generate_trace(test_spec());
+  const ThreadSweep pool(2);
   for (const arch::TcamDesign design :
        {arch::TcamDesign::k1p5DgFe, arch::TcamDesign::k2DgFefet}) {
     for (const int subarrays : {2, 4}) {
@@ -882,7 +941,6 @@ TEST(EngineDeterminism, AccountingMatchesPerCycleReference) {
       // search, and sparsely filled mats keep it firing afterwards.
       cfg.mats = 6;
       EngineOptions opts;
-      opts.dispatch_threads = 2;
       opts.k = 3;
       opts.distance_threshold = 1;
       TcamTable table(cfg);

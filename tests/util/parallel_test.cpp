@@ -1,14 +1,18 @@
 // Behavioural tests for the chunked parallel_for pool (util/parallel.hpp):
-// chunking edge cases, exception propagation, nested-call safety, and
-// schedule-independent chunk boundaries.
+// chunking edge cases, exception propagation, nested-call safety,
+// schedule-independent chunk boundaries, and thread-count resolution.
 #include "util/parallel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -151,11 +155,88 @@ TEST(ParallelMap, ResultsLandInOrder) {
   }
 }
 
+TEST(ParallelForChunks, SingleChunkRunsInlineOnCaller) {
+  ThreadGuard guard(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  parallel_for_chunks(5, 8, [&](std::size_t b, std::size_t e) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 5u);
+    ++calls;
+  });
+  EXPECT_EQ(calls, 1);
+}
+
 TEST(ThreadCount, OverrideAndRestore) {
   set_thread_count(3);
   EXPECT_EQ(thread_count(), 3);
   set_thread_count(0);
   EXPECT_GE(thread_count(), 1);
+}
+
+TEST(ThreadCount, ParseAcceptsOnlyWholeCountsInRange) {
+  EXPECT_EQ(parse_thread_count("1"), 1);
+  EXPECT_EQ(parse_thread_count("4"), 4);
+  EXPECT_EQ(parse_thread_count("08"), 8);
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreads)), kMaxThreads);
+  for (const char* bad :
+       {"", "0", "-1", "+4", " 4", "4 ", "4x", "x4", "2.5", "0x10", "abc",
+        "100000", "99999999999999999999"}) {
+    EXPECT_EQ(parse_thread_count(bad), std::nullopt) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_thread_count(std::to_string(kMaxThreads + 1)),
+            std::nullopt);
+}
+
+/// Scoped FETCAM_THREADS value; restores the variable as it was.
+class EnvGuard {
+ public:
+  EnvGuard() {
+    if (const char* v = std::getenv("FETCAM_THREADS")) saved_ = v;
+  }
+  ~EnvGuard() {
+    if (saved_) {
+      setenv("FETCAM_THREADS", saved_->c_str(), 1);
+    } else {
+      unsetenv("FETCAM_THREADS");
+    }
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(ThreadCount, EnvironmentUsesTheStrictParser) {
+  // Resolution only: no parallel region runs, so no worker is spawned
+  // for any of these counts.
+  const EnvGuard env;
+  set_thread_count(0);
+  unsetenv("FETCAM_THREADS");
+  const int fallback = thread_count();
+  EXPECT_GE(fallback, 1);
+  EXPECT_LE(fallback, kMaxThreads);
+  setenv("FETCAM_THREADS", "3", 1);
+  EXPECT_EQ(thread_count(), 3);
+  setenv("FETCAM_THREADS", std::to_string(kMaxThreads).c_str(), 1);
+  EXPECT_EQ(thread_count(), kMaxThreads);
+  for (const char* bad : {"4x", "0", "-2", " 3", "", "100000"}) {
+    setenv("FETCAM_THREADS", bad, 1);
+    EXPECT_EQ(thread_count(), fallback) << "FETCAM_THREADS='" << bad << "'";
+  }
+  // The explicit override still wins over the environment.
+  setenv("FETCAM_THREADS", "3", 1);
+  set_thread_count(2);
+  EXPECT_EQ(thread_count(), 2);
+  set_thread_count(0);
+}
+
+TEST(ThreadCount, OverrideIsCapped) {
+  // Resolution only: no parallel region runs at the capped count.
+  set_thread_count(100000);
+  EXPECT_EQ(thread_count(), kMaxThreads);
+  set_thread_count(0);
+  EXPECT_LE(thread_count(), kMaxThreads);
 }
 
 }  // namespace

@@ -59,13 +59,14 @@
 // Designs: 16t, 2sg, 2dg, 1.5sg, 1.5dg.
 //
 // Global flags (before the command):
-//   --threads N    pool size for the parallel evaluators (overrides the
-//                  FETCAM_THREADS environment variable; results are
-//                  bit-identical for any value — only wall clock changes).
-//                  The engine subcommand's batch-match workers draw from
-//                  this same pool: --threads/FETCAM_THREADS sets how many
-//                  threads each batch's parallel match phase uses, while
-//                  batch APPLICATION stays single-dispatcher and in order —
+//   --threads N    pool size for the parallel evaluators, a whole number
+//                  in [1, util::kMaxThreads] (overrides the FETCAM_THREADS
+//                  environment variable; results are bit-identical for any
+//                  value — only wall clock changes).  The engine
+//                  subcommand's batch match phase runs on this same pool:
+//                  --threads/FETCAM_THREADS sets how many threads each
+//                  batch's parallel match phase uses, while batch
+//                  APPLICATION stays on the one coordinator and in order —
 //                  which is why engine results are bit-identical at any
 //                  thread count too.
 //   --obs-level L  off | metrics | trace (default off, or the FETCAM_OBS
@@ -86,6 +87,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -964,12 +966,13 @@ int main(int argc, char** argv) {
       return true;
     };
     if (flag == "--threads" && argi + 1 < argc) {
-      const int n = std::atoi(argv[argi + 1]);
-      if (n <= 0) {
-        std::fprintf(stderr, "--threads wants a positive count\n");
+      const std::optional<int> n = util::parse_thread_count(argv[argi + 1]);
+      if (!n) {
+        std::fprintf(stderr, "--threads wants a whole count in [1, %d]\n",
+                     util::kMaxThreads);
         return 2;
       }
-      util::set_thread_count(n);
+      util::set_thread_count(*n);
       argi += 2;
     } else if (flag == "--obs-level") {
       std::string value;
