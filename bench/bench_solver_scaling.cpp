@@ -334,13 +334,12 @@ TransientAb measure_transient_ab(int n_bits) {
     h->build_search(cfg);
     h->circuit().finalize();
     ab.system_size = h->circuit().system_size();
-    num::SparseNewtonWorkspace ws;
+    num::NewtonWorkspace ws;
     spice::TransientOptions topts;
     topts.t_stop = h->t_stop();
     topts.dt = h->suggested_dt();
-    topts.solver = spice::SolverKind::kSparse;
     topts.op.solver = spice::SolverKind::kSparse;
-    topts.reuse_factorization = reuse;
+    topts.op.reuse_factorization = reuse;
     topts.workspace = &ws;
     const double t0 = now_us();
     const auto res = spice::run_transient(h->circuit(), topts);
@@ -349,7 +348,7 @@ TransientAb measure_transient_ab(int n_bits) {
       std::cerr << "transient failed: " << res.error << "\n";
       std::abort();
     }
-    if (stats != nullptr) *stats = ws.lu.stats();
+    if (stats != nullptr) *stats = ws.sparse_lu.stats();
     return wall;
   };
   num::SparseLu::Stats stats;

@@ -1,6 +1,7 @@
 #include "eval/fom.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "devices/fefet.hpp"
@@ -38,7 +39,17 @@ void inject_mismatch(TernaryWord& stored, BitWord& query, int pos) {
   query[static_cast<std::size_t>(pos)] = 0;
 }
 
-tcam::WordOptions word_options(const FomOptions& opts) {
+/// Every measurement builds its harness from these options, so the word
+/// length is checked here: the worst-case patterns write cell 0, and the
+/// 1.5T1Fe step-2 pattern cell 1 too.
+tcam::WordOptions word_options(TcamDesign design, const FomOptions& opts) {
+  const int min_bits = is_two_step(design) ? 2 : 1;
+  if (opts.n_bits < min_bits) {
+    throw std::invalid_argument(
+        "FomOptions::n_bits must be >= " + std::to_string(min_bits) +
+        " for " + arch::design_name(design) + ", got " +
+        std::to_string(opts.n_bits));
+  }
   tcam::WordOptions w;
   w.n_bits = opts.n_bits;
   w.rows_in_array = opts.rows;
@@ -51,7 +62,7 @@ tcam::WordOptions word_options(const FomOptions& opts) {
 
 LatencyResult measure_worst_latency(TcamDesign design, const FomOptions& opts) {
   LatencyResult out;
-  const tcam::WordOptions wopts = word_options(opts);
+  const tcam::WordOptions wopts = word_options(design, opts);
 
   tcam::SearchTiming probe = opts.timing;
   probe.t_step = opts.probe_t_step;
@@ -114,7 +125,7 @@ SearchEnergyResult measure_search_energy(TcamDesign design,
                                          const LatencyResult& lat) {
   SearchEnergyResult out;
   const tcam::SearchTiming& timing = lat.sized_timing;
-  const tcam::WordOptions wopts = word_options(opts);
+  const tcam::WordOptions wopts = word_options(design, opts);
 
   TernaryWord stored;
   BitWord query;
@@ -167,7 +178,7 @@ SearchEnergyResult measure_search_energy(TcamDesign design,
 std::optional<double> measure_write_energy(TcamDesign design,
                                            const FomOptions& opts) {
   if (design == TcamDesign::kCmos16T) return std::nullopt;
-  const tcam::WordOptions wopts = word_options(opts);
+  const tcam::WordOptions wopts = word_options(design, opts);
   // Half '0' / half '1' over the complementary previous data: every cell
   // switches its polarization once.
   TernaryWord data, initial;
@@ -205,7 +216,7 @@ DesignFom evaluate_fom(TcamDesign design, const FomOptions& opts) {
     case TcamDesign::k1p5DgFe: {
       const auto flavor = design == TcamDesign::k1p5SgFe ? tcam::Flavor::kSg
                                                          : tcam::Flavor::kDg;
-      tcam::OnePointFiveWord probe(flavor, word_options(opts));
+      tcam::OnePointFiveWord probe(flavor, word_options(design, opts));
       fom.write_voltage = flavor == tcam::Flavor::kSg
                               ? dev::sg_fefet_params().vw()
                               : dev::dg_fefet_params().vw();

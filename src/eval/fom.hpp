@@ -28,6 +28,8 @@
 namespace fetcam::eval {
 
 struct FomOptions {
+  /// Word length: >= 1, and >= 2 for the 1.5T1Fe designs, or every entry
+  /// point throws std::invalid_argument before it builds a harness.
   int n_bits = 64;
   int rows = 64;
   double vdd = 0.8;             ///< array supply (paper: 0.8 V)

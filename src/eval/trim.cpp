@@ -81,9 +81,6 @@ VariabilityReport analyze_variability_trimmed(tcam::Flavor flavor,
             (cell.fe.mos.vth0 - trimmed.final_vth) / (cell.fe.mw_fg / 2.0) *
             cell.fe.fe.ps;
         detail::TrialMargins margins;
-        // One workspace across the trial's corner solves (identical
-        // divider topology each time; see variability_detail.hpp).
-        num::SparseNewtonWorkspace ws;
         for (std::size_t c = 0; c < corners.size(); ++c) {
           double pol = 0.0;
           switch (corners[c].stored) {
@@ -98,7 +95,7 @@ VariabilityReport analyze_variability_trimmed(tcam::Flavor flavor,
               break;
           }
           const auto solve = detail::divider_slb_at_polarization(
-              flavor, p, cell, pol, corners[c].query != 0, vdd, &ws);
+              flavor, p, cell, pol, corners[c].query != 0, vdd);
           margins.strategy[c] = solve.strategy;
           margins.margin[c] = std::isnan(solve.v_slb)
                                   ? solve.v_slb

@@ -64,8 +64,7 @@ DividerSolve divider_slb_at_polarization(tcam::Flavor flavor,
                                          const tcam::OnePointFiveParams& p,
                                          const SampledCell& cell,
                                          double polarization, bool query_one,
-                                         double vdd,
-                                         num::SparseNewtonWorkspace* ws) {
+                                         double vdd) {
   Circuit ckt;
   const NodeId sl = ckt.node("sl");
   const NodeId slb = ckt.node("slb");
@@ -90,7 +89,7 @@ DividerSolve divider_slb_at_polarization(tcam::Flavor flavor,
   fe.set_polarization(polarization);
   ckt.emplace<Mosfet>("TN", slb, wrsl, kGround, kGround, cell.tn);
   ckt.emplace<Mosfet>("TP", slb, wrsl, vddp, vddp, cell.tp);
-  const auto op = solve_op(ckt, {}, nullptr, ws);
+  const auto op = solve_op(ckt);
   if (!op.converged) return {std::nan(""), spice::OpStrategy::kFailed};
   return {Solution(ckt, op.x).v(slb), op.strategy};
 }
@@ -220,12 +219,11 @@ std::array<double, detail::kNumCorners> nominal_margins(
   cell.tml.vth0 = flavor == tcam::Flavor::kSg ? p.tml_vth_sg : p.tml_vth_dg;
   const auto& corners = detail::corner_table();
   std::array<double, detail::kNumCorners> m{};
-  num::SparseNewtonWorkspace ws;
   for (std::size_t c = 0; c < corners.size(); ++c) {
     const double pol =
         open_loop_polarization(p, flavor, design.fe, cell, corners[c].stored);
     const auto solve = detail::divider_slb_at_polarization(
-        flavor, p, cell, pol, corners[c].query != 0, design.vdd, &ws);
+        flavor, p, cell, pol, corners[c].query != 0, design.vdd);
     m[c] = std::isnan(solve.v_slb)
                ? 0.0
                : detail::corner_margin(corners[c], solve.v_slb, cell.tml.vth0,
@@ -278,15 +276,11 @@ VariabilityReport analyze_variability(tcam::Flavor flavor,
         const SampledCell cell =
             detail::sample_cell(flavor, p, design.fe, vp, rng);
         detail::TrialMargins margins;
-        // Corner solves share one workspace: same divider topology, same
-        // stamp sequence, so the factorization context replays across all
-        // six corners of the trial.
-        num::SparseNewtonWorkspace ws;
         for (std::size_t c = 0; c < corners.size(); ++c) {
           const double pol = open_loop_polarization(p, flavor, design.fe,
                                                     cell, corners[c].stored);
           const auto solve = detail::divider_slb_at_polarization(
-              flavor, p, cell, pol, corners[c].query != 0, vdd, &ws);
+              flavor, p, cell, pol, corners[c].query != 0, vdd);
           margins.strategy[c] = solve.strategy;
           margins.margin[c] =
               std::isnan(solve.v_slb)

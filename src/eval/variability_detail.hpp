@@ -52,18 +52,12 @@ struct DividerSolve {
 };
 
 /// Solve the static divider leg for one corner with an explicit
-/// polarization (C/m^2) for the FeFET.  `ws` (optional) is the trial's
-/// reusable sparse solver workspace: each corner builds a fresh Circuit,
-/// but the stamp sequence and hence the Jacobian pattern are identical
-/// across corners and trials, so one workspace per worker thread keeps
-/// the symbolic factorization hot for the whole Monte-Carlo loop.
+/// polarization (C/m^2) for the FeFET.
 DividerSolve divider_slb_at_polarization(tcam::Flavor flavor,
                                          const tcam::OnePointFiveParams& p,
                                          const SampledCell& cell,
                                          double polarization, bool query_one,
-                                         double vdd,
-                                         num::SparseNewtonWorkspace* ws =
-                                             nullptr);
+                                         double vdd);
 
 /// The six stored x query corners, in report order.
 struct Corner {

@@ -3,8 +3,8 @@
 // The circuit matrices produced by the TCAM netlists in this project are small
 // (a few hundred nodes for a 256-bit match-line slice), so a cache-friendly
 // row-major dense representation with partial-pivot LU is both simpler and, at
-// this size, faster than a general sparse factorization.  A CSR utility layer
-// (sparse.hpp) exists for the larger array-level experiments.
+// this size, faster than a general sparse factorization.  Full-array
+// simulations switch to the sparse Gilbert-Peierls LU (sparse_lu.hpp).
 #pragma once
 
 #include <cassert>

@@ -57,45 +57,81 @@ struct NewtonMetrics {
   }
 };
 
-}  // namespace
+/// Dense linear step: stamps straight into the workspace matrix.
+struct DenseStep {
+  const AssembleFn& assemble_fn;
+  NewtonWorkspace& ws;
 
-NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
-                          const NewtonOptions& opts) {
-  const obs::ScopedSpan span("newton.dense", "numeric");
+  void assemble(const Vector& x) {
+    ws.dense_jac.set_zero();
+    ws.residual.fill(0.0);
+    assemble_fn(x, ws.dense_jac, ws.residual);
+  }
+  bool factor() { return ws.dense_lu.factor(ws.dense_jac); }
+  Index failed_row() const { return ws.dense_lu.failed_row(); }
+  void solve(Vector& dx) const { ws.dense_lu.solve_in_place(dx); }
+};
+
+/// Sparse linear step: replays the recorded stamp sequence into the flat
+/// value array when a pattern is cached; any divergence (first call, mode
+/// switch, topology change) falls back to triplet assembly and rebuilds
+/// the pattern + stamp-slot map.
+struct SparseStep {
+  const SinkAssembleFn& assemble_fn;
+  NewtonWorkspace& ws;
+
+  void assemble(const Vector& x) {
+    static obs::Counter& rebuilds = obs::MetricsRegistry::instance().counter(
+        "newton.sparse.pattern_rebuilds");
+    const Index n = x.size();
+    if (ws.sparse_jac.has_pattern() && ws.sparse_jac.dim() == n) {
+      ws.residual.fill(0.0);
+      ws.sparse_jac.begin_fill();
+      StampedCscSink sink(ws.sparse_jac);
+      assemble_fn(x, sink, ws.residual);
+      if (sink.ok() && ws.sparse_jac.end_fill()) return;
+    }
+    rebuilds.inc();
+    ws.residual.fill(0.0);
+    ws.triplets.reset(n);
+    TripletSink sink(ws.triplets);
+    assemble_fn(x, sink, ws.residual);
+    ws.sparse_jac.build(ws.triplets);
+  }
+  bool factor() { return ws.sparse_lu.factor(ws.sparse_jac, ws.lu_opts); }
+  Index failed_row() const { return ws.sparse_lu.failed_column(); }
+  void solve(Vector& dx) const { ws.sparse_lu.solve(dx); }
+};
+
+/// The damped Newton iteration, once for both linear steps.
+template <class Step>
+NewtonResult iterate(Step step, Vector& x, NewtonWorkspace& ws,
+                     const NewtonOptions& opts, NewtonMetrics& (*metrics)()) {
   const bool obs_on = obs::metrics_on();
   NewtonResult res;
   const Index n = x.size();
-  Matrix jac(n, n);
-  Vector residual(n);
-  Vector dx(n);
-  LuFactorization lu;
+  ws.residual.resize(n);
+  Vector& dx = ws.dx;
+  dx.resize(n);
 
   for (int it = 0; it < opts.max_iterations; ++it) {
-    jac.set_zero();
-    residual.fill(0.0);
-    assemble(x, jac, residual);
-
+    step.assemble(x);
     res.iterations = it + 1;
-    res.residual_norm = residual.inf_norm();
+    res.residual_norm = ws.residual.inf_norm();
 
     const std::uint64_t t_factor = obs_on ? obs::now_ns() : 0;
-    const bool factored = lu.factor(jac);
-    if (obs_on) {
-      NewtonMetrics::dense().factor_us.record(obs::now_ns() - t_factor);
-    }
+    const bool factored = step.factor();
+    if (obs_on) metrics().factor_us.record(obs::now_ns() - t_factor);
     if (!factored) {
       res.singular = true;
-      res.singular_row = lu.failed_row();
-      if (obs_on) NewtonMetrics::dense().record_result(res);
-      return res;
+      res.singular_row = step.failed_row();
+      break;
     }
-    // Solve J dx = -f, reusing the dx buffer across iterations.
-    for (Index i = 0; i < n; ++i) dx[i] = -residual[i];
+    // Solve J dx = -f in place.
+    for (Index i = 0; i < n; ++i) dx[i] = -ws.residual[i];
     const std::uint64_t t_solve = obs_on ? obs::now_ns() : 0;
-    lu.solve_in_place(dx);
-    if (obs_on) {
-      NewtonMetrics::dense().solve_us.record(obs::now_ns() - t_solve);
-    }
+    step.solve(dx);
+    if (obs_on) metrics().solve_us.record(obs::now_ns() - t_solve);
 
     // Voltage limiting: clamp each component.
     for (Index i = 0; i < n; ++i) {
@@ -117,105 +153,26 @@ NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
       break;
     }
   }
-  if (obs_on) NewtonMetrics::dense().record_result(res);
+  if (obs_on) metrics().record_result(res);
   return res;
+}
+
+}  // namespace
+
+NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
+                          NewtonWorkspace& ws, const NewtonOptions& opts) {
+  const obs::ScopedSpan span("newton.dense", "numeric");
+  const Index n = x.size();
+  if (ws.dense_jac.rows() != n) ws.dense_jac.resize(n, n);
+  return iterate(DenseStep{assemble, ws}, x, ws, opts, &NewtonMetrics::dense);
 }
 
 NewtonResult solve_newton_sparse(const SinkAssembleFn& assemble, Vector& x,
-                                 SparseNewtonWorkspace& ws,
+                                 NewtonWorkspace& ws,
                                  const NewtonOptions& opts) {
   const obs::ScopedSpan span("newton.sparse", "numeric");
-  const bool obs_on = obs::metrics_on();
-  static obs::Counter& rebuilds =
-      obs::MetricsRegistry::instance().counter("newton.sparse.pattern_rebuilds");
-  NewtonResult res;
-  const Index n = x.size();
-  ws.residual.resize(n);
-  ws.rhs.resize(n);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    // Assembly: replay the recorded stamp sequence into the flat value
-    // array when a pattern is cached; any divergence (first call, mode
-    // switch, topology change) falls back to triplet assembly and rebuilds
-    // the pattern + stamp-slot map.
-    bool assembled = false;
-    if (ws.jac.has_pattern() && ws.jac.dim() == n) {
-      ws.residual.fill(0.0);
-      ws.jac.begin_fill();
-      StampedCscSink sink(ws.jac);
-      assemble(x, sink, ws.residual);
-      assembled = sink.ok() && ws.jac.end_fill();
-    }
-    if (!assembled) {
-      rebuilds.inc();
-      ws.residual.fill(0.0);
-      ws.triplets.reset(n);
-      TripletSink sink(ws.triplets);
-      assemble(x, sink, ws.residual);
-      ws.jac.build(ws.triplets);
-    }
-
-    res.iterations = it + 1;
-    res.residual_norm = ws.residual.inf_norm();
-
-    const std::uint64_t t_factor = obs_on ? obs::now_ns() : 0;
-    const bool factored = ws.lu.factor(ws.jac, ws.lu_opts);
-    if (obs_on) {
-      NewtonMetrics::sparse().factor_us.record(obs::now_ns() - t_factor);
-    }
-    if (!factored) {
-      res.singular = true;
-      res.singular_row = ws.lu.failed_column();
-      if (obs_on) NewtonMetrics::sparse().record_result(res);
-      return res;
-    }
-    Vector& dx = ws.rhs;
-    for (Index i = 0; i < n; ++i) dx[i] = -ws.residual[i];
-    const std::uint64_t t_solve = obs_on ? obs::now_ns() : 0;
-    ws.lu.solve(dx);
-    if (obs_on) {
-      NewtonMetrics::sparse().solve_us.record(obs::now_ns() - t_solve);
-    }
-
-    for (Index i = 0; i < n; ++i) {
-      dx[i] = std::clamp(dx[i], -opts.max_step, opts.max_step);
-    }
-    res.step_norm = dx.inf_norm();
-    for (Index i = 0; i < n; ++i) x[i] += dx[i];
-
-    bool step_ok = true;
-    for (Index i = 0; i < n; ++i) {
-      const double tol = opts.step_abs_tol + opts.step_rel_tol * std::abs(x[i]);
-      if (std::abs(dx[i]) > tol) {
-        step_ok = false;
-        break;
-      }
-    }
-    if (step_ok && res.residual_norm < opts.residual_tol) {
-      res.converged = true;
-      break;
-    }
-  }
-  if (obs_on) NewtonMetrics::sparse().record_result(res);
-  return res;
-}
-
-NewtonResult solve_newton_sparse(const SparseAssembleFn& assemble, Vector& x,
-                                 const NewtonOptions& opts) {
-  // Legacy triplet-callback entry point: adapt to the sink driver by
-  // stamping into a scratch accumulator and replaying it in call order
-  // (preserving duplicate-summation order, hence bit-identical results).
-  SparseNewtonWorkspace ws;
-  TripletAccumulator scratch(x.size());
-  const SinkAssembleFn adapter = [&](const Vector& xc, JacobianSink& sink,
-                                     Vector& residual) {
-    scratch.reset(xc.size());
-    assemble(xc, scratch, residual);
-    for (std::size_t k = 0; k < scratch.entries(); ++k) {
-      sink.add(scratch.rows()[k], scratch.cols()[k], scratch.vals()[k]);
-    }
-  };
-  return solve_newton_sparse(adapter, x, ws, opts);
+  return iterate(SparseStep{assemble, ws}, x, ws, opts,
+                 &NewtonMetrics::sparse);
 }
 
 }  // namespace fetcam::num

@@ -4,6 +4,8 @@
 // SPICE-style convergence control: per-component step clamping (voltage
 // limiting) keeps the exponential device models from overflowing, and the
 // dual residual/step criterion mirrors the classic abstol/reltol/vntol test.
+// One iteration loop serves both linear solvers; only the linear step
+// (assemble J and f, factor J, solve J dx = -f) differs between them.
 #pragma once
 
 #include <functional>
@@ -40,26 +42,41 @@ struct NewtonResult {
   Index singular_row = -1;
 };
 
+/// Reusable solver state for repeated Newton solves: the iteration buffers
+/// plus each linear solver's Jacobian and factorization.  Thread one
+/// instance through a transient run, a DC sweep or an operating point's
+/// continuation solves, and no Newton solve allocates its Jacobian,
+/// factorization or iteration buffers again once they have grown to the
+/// largest system seen.  The sparse side also keeps the recorded stamp
+/// pattern and the symbolic factorization hot, so its steady-state
+/// iteration is fill(0) + indexed stamp writes + a numeric-only refactor.
+/// Results are bit-identical to solving each system on a fresh workspace,
+/// whatever sizes or circuits the workspace saw before.  Not thread-safe:
+/// one workspace per thread.
+struct NewtonWorkspace {
+  Vector residual;
+  Vector dx;
+  // Dense step: the Jacobian is stamped in place, then partial-pivot LU.
+  Matrix dense_jac;
+  LuFactorization dense_lu;
+  // Sparse step: slot-replayed Jacobian, a triplet scratch for pattern
+  // discovery, and Gilbert-Peierls LU with its cached symbolic record.
+  StampedCsc sparse_jac;
+  TripletAccumulator triplets{0};
+  SparseLu sparse_lu;
+  SparseLuOptions lu_opts;
+};
+
 /// Callback that fills `jac` and `residual` at the candidate solution `x`.
 /// Both are pre-sized and zeroed by the driver; the callee only adds stamps.
 /// The driver solves  jac * dx = -residual  and applies the clamped update.
 using AssembleFn =
     std::function<void(const Vector& x, Matrix& jac, Vector& residual)>;
 
-/// Run damped Newton on f(x) = 0.  `x` carries the initial guess in and the
-/// solution out (best iterate on failure).
+/// Run damped Newton on f(x) = 0 with the dense LU.  `x` carries the
+/// initial guess in and the solution out (best iterate on failure).
 NewtonResult solve_newton(const AssembleFn& assemble, Vector& x,
-                          const NewtonOptions& opts = {});
-
-/// Sparse-Jacobian variant: the callback stamps into a triplet accumulator
-/// (cleared by the driver each iteration) and the linear solves use the
-/// Gilbert-Peierls sparse LU.  Same convergence control as the dense path;
-/// preferred once the system grows past a few hundred unknowns.
-using SparseAssembleFn =
-    std::function<void(const Vector& x, TripletAccumulator& jac,
-                       Vector& residual)>;
-NewtonResult solve_newton_sparse(const SparseAssembleFn& assemble, Vector& x,
-                                 const NewtonOptions& opts = {});
+                          NewtonWorkspace& ws, const NewtonOptions& opts = {});
 
 /// Sink-based sparse assembly: the callback stamps the Jacobian through a
 /// JacobianSink, so the driver chooses the destination — a triplet
@@ -68,29 +85,12 @@ NewtonResult solve_newton_sparse(const SparseAssembleFn& assemble, Vector& x,
 using SinkAssembleFn =
     std::function<void(const Vector& x, JacobianSink& jac, Vector& residual)>;
 
-/// Reusable solver state for repeated Newton solves against one circuit
-/// topology: the slot-assembled Jacobian (pattern + stamp sequence), the
-/// SparseLu with its cached symbolic factorization, the iteration buffers,
-/// and a triplet scratch for pattern discovery.  Thread one instance through
-/// a transient run, a DC sweep, or a Monte-Carlo trial's corner solves and
-/// the steady-state per-iteration cost drops to fill(0) + indexed stamp
-/// writes + a numeric-only refactor; results are bit-identical to solving
-/// each system from scratch.  Not thread-safe: one workspace per thread.
-struct SparseNewtonWorkspace {
-  StampedCsc jac;
-  TripletAccumulator triplets{0};  ///< pattern-discovery scratch
-  SparseLu lu;
-  Vector residual;
-  Vector rhs;
-  SparseLuOptions lu_opts;
-};
-
-/// Workspace-threaded sparse Newton.  Steady-state iterations are
-/// allocation-free and reuse the cached symbolic factorization; a stamp
-/// stream that diverges from the recorded pattern (mode switch, netlist
-/// change) transparently rebuilds it via triplet assembly.
+/// The same Newton iteration with the Gilbert-Peierls sparse LU; preferred
+/// once the system grows past a few hundred unknowns.  A stamp stream that
+/// diverges from the recorded pattern (mode switch, netlist change)
+/// transparently rebuilds it via triplet assembly.
 NewtonResult solve_newton_sparse(const SinkAssembleFn& assemble, Vector& x,
-                                 SparseNewtonWorkspace& ws,
+                                 NewtonWorkspace& ws,
                                  const NewtonOptions& opts = {});
 
 }  // namespace fetcam::num

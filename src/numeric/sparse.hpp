@@ -1,14 +1,15 @@
-// Sparse (CSR) matrix support for array-level experiments.
+// Sparse Jacobian assembly for array-level experiments.
 //
 // The dense LU path (lu.hpp) handles the word-slice circuits used by the
 // paper's evaluation.  For full M x N array simulations the MNA matrix becomes
-// large but stays very sparse (each device touches a handful of nodes), so we
-// provide a triplet accumulator, CSR conversion, SpMV, and a Jacobi-
-// preconditioned BiCGSTAB solver for unsymmetric systems.
+// large but stays very sparse (each device touches a handful of nodes).  This
+// header holds the stamping interface and the triplet accumulator that feed
+// the slot-assembled CSC of stamped_csc.hpp and the Gilbert-Peierls LU of
+// sparse_lu.hpp.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "numeric/matrix.hpp"
@@ -71,53 +72,5 @@ class TripletSink final : public JacobianSink {
  private:
   TripletAccumulator& t_;
 };
-
-/// Compressed sparse row matrix (square).
-class CsrMatrix {
- public:
-  CsrMatrix() = default;
-
-  /// Build from triplets, summing duplicates and dropping explicit zeros.
-  static CsrMatrix from_triplets(const TripletAccumulator& acc);
-
-  Index dim() const { return n_; }
-  std::size_t nonzeros() const { return vals_.size(); }
-
-  /// y = A x.
-  Vector multiply(const Vector& x) const;
-
-  /// Fetch entry (r, c); zero when structurally absent.  O(log nnz_row).
-  double at(Index r, Index c) const;
-
-  /// Diagonal entries (zero where structurally absent).
-  Vector diagonal() const;
-
-  const std::vector<Index>& row_ptr() const { return row_ptr_; }
-  const std::vector<Index>& col_idx() const { return col_idx_; }
-  const std::vector<double>& vals() const { return vals_; }
-
- private:
-  Index n_ = 0;
-  std::vector<Index> row_ptr_;
-  std::vector<Index> col_idx_;
-  std::vector<double> vals_;
-};
-
-struct BicgstabOptions {
-  int max_iter = 2000;
-  double rel_tol = 1e-10;   ///< on ||r|| / ||b||
-  double abs_tol = 1e-14;
-};
-
-struct BicgstabResult {
-  bool converged = false;
-  int iterations = 0;
-  double residual = 0.0;
-};
-
-/// Jacobi-preconditioned BiCGSTAB for unsymmetric sparse systems.
-/// `x` holds the initial guess on entry and the solution on success.
-BicgstabResult solve_bicgstab(const CsrMatrix& a, const Vector& b, Vector& x,
-                              const BicgstabOptions& opts = {});
 
 }  // namespace fetcam::num

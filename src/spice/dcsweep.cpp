@@ -51,7 +51,7 @@ DcSweepResult dc_sweep(Circuit& ckt, VoltageSource& source, double v_start,
   num::Vector seed;
   // Every sweep point solves the same topology at a different source value,
   // so one workspace carries the factorization context across all points.
-  num::SparseNewtonWorkspace ws;
+  num::NewtonWorkspace ws;
   for (int k = 0; k <= steps; ++k) {
     const double v =
         v_start + (v_stop - v_start) * static_cast<double>(k) / steps;

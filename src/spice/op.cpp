@@ -1,5 +1,7 @@
 #include "spice/op.hpp"
 
+#include <utility>
+
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -50,24 +52,22 @@ num::NewtonResult solve_circuit_newton(const Circuit& ckt,
                                        const EvalContext& ctx, num::Vector& x,
                                        const num::NewtonOptions& nopts,
                                        SolverKind solver,
-                                       num::SparseNewtonWorkspace* ws) {
+                                       num::NewtonWorkspace& ws) {
   const bool sparse =
       solver == SolverKind::kSparse ||
       (solver == SolverKind::kAuto && ckt.system_size() > kSparseAutoThreshold);
   if (sparse) {
-    num::SparseNewtonWorkspace local_ws;
-    num::SparseNewtonWorkspace& w = ws != nullptr ? *ws : local_ws;
     const auto assemble = [&](const num::Vector& xx, num::JacobianSink& jac,
                               num::Vector& residual) {
       assemble_system(ckt, ctx, xx, jac, residual);
     };
-    return num::solve_newton_sparse(assemble, x, w, nopts);
+    return num::solve_newton_sparse(assemble, x, ws, nopts);
   }
   const auto assemble = [&](const num::Vector& xx, num::Matrix& jac,
                             num::Vector& residual) {
     assemble_system(ckt, ctx, xx, jac, residual);
   };
-  return num::solve_newton(assemble, x, nopts);
+  return num::solve_newton(assemble, x, ws, nopts);
 }
 
 namespace {
@@ -95,13 +95,6 @@ struct OpMetrics {
   }
 };
 
-num::NewtonResult run_newton(const Circuit& ckt, const EvalContext& ctx,
-                             num::Vector& x, const num::NewtonOptions& nopts,
-                             SolverKind solver,
-                             num::SparseNewtonWorkspace* ws) {
-  return solve_circuit_newton(ckt, ctx, x, nopts, solver, ws);
-}
-
 void record_op(const OpResult& res) {
   if (!obs::metrics_on()) return;
   auto& m = OpMetrics::get();
@@ -119,7 +112,7 @@ void record_op(const OpResult& res) {
 
 OpResult solve_op(Circuit& ckt, const OpOptions& opts,
                   const num::Vector* initial_guess,
-                  num::SparseNewtonWorkspace* ws) {
+                  num::NewtonWorkspace* ws) {
   const obs::ScopedSpan span("spice.solve_op", "spice");
   ckt.finalize();
   OpResult res;
@@ -131,76 +124,58 @@ OpResult solve_op(Circuit& ckt, const OpOptions& opts,
   // All continuation strategies stamp the same Jacobian pattern (gmin and
   // source scaling change values, never the stamp sequence), so one shared
   // workspace keeps the symbolic factorization hot across strategies.
-  if (ws != nullptr) ws->lu_opts.reuse_symbolic = opts.reuse_factorization;
+  num::NewtonWorkspace local_ws;
+  num::NewtonWorkspace& w = ws != nullptr ? *ws : local_ws;
+  w.lu_opts.reuse_symbolic = opts.reuse_factorization;
 
   EvalContext ctx;
   ctx.mode = AnalysisMode::kOperatingPoint;
   ctx.gmin = opts.gmin_floor;
+  const auto newton = [&](num::Vector& x) {
+    const auto nr =
+        solve_circuit_newton(ckt, ctx, x, opts.newton, opts.solver, w);
+    res.newton_iterations += nr.iterations;
+    return nr.converged;
+  };
+  const auto finish = [&](OpStrategy strategy, num::Vector& x) {
+    res.converged = true;
+    res.strategy = strategy;
+    res.x = std::move(x);
+    record_op(res);
+    return std::move(res);
+  };
 
   // Strategy 1: direct Newton.
   {
     num::Vector x = res.x;
-    const auto nr = run_newton(ckt, ctx, x, opts.newton, opts.solver, ws);
-    res.newton_iterations += nr.iterations;
-    if (nr.converged) {
-      res.converged = true;
-      res.strategy = OpStrategy::kDirect;
-      res.x = x;
-      record_op(res);
-      return res;
-    }
+    if (newton(x)) return finish(OpStrategy::kDirect, x);
   }
 
   // Strategy 2: gmin stepping — start with a heavy shunt everywhere and relax.
   if (opts.allow_gmin_stepping) {
     num::Vector x(ckt.system_size(), 0.0);
     bool ok = true;
-    for (double g = opts.gmin_start; g >= opts.gmin_floor * 0.99; g /= 10.0) {
+    for (double g = opts.gmin_start; ok && g >= opts.gmin_floor * 0.99;
+         g /= 10.0) {
       ctx.gmin = g;
-      const auto nr = run_newton(ckt, ctx, x, opts.newton, opts.solver, ws);
-      res.newton_iterations += nr.iterations;
-      if (!nr.converged) {
-        ok = false;
-        break;
-      }
+      ok = newton(x);
     }
-    if (ok) {
-      // Final polish at the floor gmin.
-      ctx.gmin = opts.gmin_floor;
-      const auto nr = run_newton(ckt, ctx, x, opts.newton, opts.solver, ws);
-      res.newton_iterations += nr.iterations;
-      if (nr.converged) {
-        res.converged = true;
-        res.strategy = OpStrategy::kGmin;
-        res.x = x;
-        record_op(res);
-        return res;
-      }
-    }
+    // Final polish at the floor gmin.
+    ctx.gmin = opts.gmin_floor;
+    if (ok && newton(x)) return finish(OpStrategy::kGmin, x);
   }
 
   // Strategy 3: source stepping — ramp all independent sources from zero.
-  if (opts.allow_source_stepping) {
+  // Without a single step nothing was solved, so that fails too.
+  if (opts.allow_source_stepping && opts.source_steps >= 1) {
     ctx.gmin = opts.gmin_floor;
     num::Vector x(ckt.system_size(), 0.0);
     bool ok = true;
-    for (int s = 1; s <= opts.source_steps; ++s) {
+    for (int s = 1; ok && s <= opts.source_steps; ++s) {
       ctx.source_scale = static_cast<double>(s) / opts.source_steps;
-      const auto nr = run_newton(ckt, ctx, x, opts.newton, opts.solver, ws);
-      res.newton_iterations += nr.iterations;
-      if (!nr.converged) {
-        ok = false;
-        break;
-      }
+      ok = newton(x);
     }
-    ctx.source_scale = 1.0;
-    if (ok) {
-      res.converged = true;
-      res.strategy = OpStrategy::kSource;
-      res.x = x;
-      record_op(res);
-      return res;
-    }
+    if (ok) return finish(OpStrategy::kSource, x);
   }
 
   record_op(res);

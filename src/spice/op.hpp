@@ -25,9 +25,10 @@ struct OpOptions {
   num::NewtonOptions newton;
   SolverKind solver = SolverKind::kAuto;
   /// Reuse the cached symbolic factorization / stamp-slot map across Newton
-  /// iterations and continuation steps (sparse solver only).  Results are
-  /// bit-identical either way; disabling forces the full symbolic+numeric
-  /// factor every iteration — the A/B baseline for benchmarks.
+  /// iterations, continuation steps and transient steps (sparse solver
+  /// only).  Results are bit-identical either way; disabling forces the
+  /// full symbolic+numeric factor every iteration — the A/B baseline for
+  /// benchmarks.
   bool reuse_factorization = true;
   /// gmin shunt applied by nonlinear devices in the final solution.
   double gmin_floor = 1e-12;
@@ -35,7 +36,8 @@ struct OpOptions {
   double gmin_start = 1e-3;
   bool allow_gmin_stepping = true;
   bool allow_source_stepping = true;
-  /// Steps for source ramping 0 -> 1.
+  /// Steps for source ramping 0 -> 1; below 1 source stepping cannot
+  /// succeed.
   int source_steps = 20;
 };
 
@@ -64,24 +66,24 @@ void assemble_system(const Circuit& ckt, const EvalContext& ctx,
                      num::Vector& residual);
 
 /// One Newton solve with the configured solver (used by OP and transient).
-/// `ws` (optional) carries the reusable sparse factorization context across
-/// calls; pass the same workspace for repeated solves of one topology
-/// (transient steps, sweep points, MC corners) to hit the numeric-only
-/// refactor path.  Ignored by the dense solver.
+/// `ws` carries the Jacobian, factorization and iteration buffers across
+/// calls; pass the same workspace for repeated solves (transient steps,
+/// sweep points, continuation steps) so no solve allocates its Jacobian or
+/// factorization again and the sparse path hits its numeric-only refactor.
 num::NewtonResult solve_circuit_newton(const Circuit& ckt,
                                        const EvalContext& ctx, num::Vector& x,
                                        const num::NewtonOptions& nopts,
                                        SolverKind solver,
-                                       num::SparseNewtonWorkspace* ws = nullptr);
+                                       num::NewtonWorkspace& ws);
 
 /// Solve the DC operating point.  Finalizes the circuit.
 /// `initial_guess` (if non-null and correctly sized) seeds Newton — used by
 /// DC sweeps for continuation between sweep points.
-/// `ws` (optional) is the reusable sparse solver workspace; all continuation
-/// strategies share it, and callers running many OPs on one topology pass
-/// the same workspace each time.
+/// `ws` (optional) is the reusable solver workspace; all continuation
+/// strategies share it (an internal one when null), and callers running
+/// many OPs on one topology pass the same workspace each time.
 OpResult solve_op(Circuit& ckt, const OpOptions& opts = {},
                   const num::Vector* initial_guess = nullptr,
-                  num::SparseNewtonWorkspace* ws = nullptr);
+                  num::NewtonWorkspace* ws = nullptr);
 
 }  // namespace fetcam::spice

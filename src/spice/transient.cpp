@@ -204,20 +204,19 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
 
   num::Vector x(ckt.system_size(), 0.0);
 
-  // One sparse solver workspace for the whole run: the OP solve rebuilds
+  // One solver workspace for the whole run: no step allocates its Jacobian
+  // or factorization again, and on the sparse path the OP solve rebuilds
   // the stamp pattern once, the mode switch to transient (companion models
   // activate) rebuilds it once more, and every step after that replays the
   // recorded stamp slots and refactors numerically.
-  num::SparseNewtonWorkspace local_ws;
-  num::SparseNewtonWorkspace* ws =
-      opts.workspace != nullptr ? opts.workspace : &local_ws;
-  ws->lu_opts.reuse_symbolic = opts.reuse_factorization;
+  num::NewtonWorkspace local_ws;
+  num::NewtonWorkspace& ws =
+      opts.workspace != nullptr ? *opts.workspace : local_ws;
+  ws.lu_opts.reuse_symbolic = opts.op.reuse_factorization;
 
   // Operating point at t = 0 establishes initial conditions.
   if (!opts.skip_op) {
-    OpOptions op_opts = opts.op;
-    op_opts.reuse_factorization = opts.reuse_factorization;
-    const OpResult op = solve_op(ckt, op_opts, nullptr, ws);
+    const OpResult op = solve_op(ckt, opts.op, nullptr, &ws);
     res.total_newton_iterations += op.newton_iterations;
     if (!op.converged) {
       res.error = "operating point failed to converge";
@@ -282,8 +281,8 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
       ctx.time = t + dt_step;
       ctx.dt = dt_step;
       x_try = x;
-      const auto nr =
-          solve_circuit_newton(ckt, ctx, x_try, opts.newton, opts.solver, ws);
+      const auto nr = solve_circuit_newton(ckt, ctx, x_try, opts.newton,
+                                           opts.op.solver, ws);
       res.total_newton_iterations += nr.iterations;
       if (obs::metrics_on()) {
         TransientMetrics::get().newton_per_step.record(

@@ -84,21 +84,21 @@ struct TransientOptions {
   double dt_min = 1e-16;
   bool trapezoidal = false;
   double gmin = 1e-12;
+  /// Newton settings of the time steps.
   num::NewtonOptions newton;
+  /// The operating point's settings; its `solver` and
+  /// `reuse_factorization` also apply to every time step.
   OpOptions op;
-  SolverKind solver = SolverKind::kAuto;
   /// Skip the operating point and start from all-zero state (used when the
   /// caller wants a cold power-up transient).
   bool skip_op = false;
-  /// Reuse the cached symbolic factorization / stamp-slot map across steps
-  /// (sparse solver only).  Bit-identical results either way; disabling is
-  /// the A/B baseline for benchmarks.
-  bool reuse_factorization = true;
-  /// Optional external sparse solver workspace.  Callers running many
-  /// transients on one topology (MC trials, chained pulses) pass the same
-  /// workspace to keep the factorization context hot across runs; when null
-  /// the engine uses one internal workspace for the whole run.
-  num::SparseNewtonWorkspace* workspace = nullptr;
+  /// Optional external solver workspace, shared by the OP and every step.
+  /// Callers running many transients (MC trials, chained pulses) pass the
+  /// same workspace so no run allocates its Jacobian and factorization
+  /// again and the sparse path keeps its factorization context hot; any
+  /// circuit and size may follow any other.  When null the engine uses one
+  /// internal workspace for the whole run.
+  num::NewtonWorkspace* workspace = nullptr;
 };
 
 struct TransientResult {

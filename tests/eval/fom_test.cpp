@@ -4,6 +4,9 @@
 // across word lengths).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "eval/fom.hpp"
 
 namespace fetcam::eval {
@@ -92,6 +95,48 @@ TEST(Fom, SizedWindowCoversMeasuredLatency) {
   EXPECT_NEAR(lat.sized_timing.t_step,
               lat.latency_1step * (1.0 + opts.window_slack),
               1e-15 + 0.01 * lat.latency_1step);
+}
+
+TEST(Fom, RejectsWordsShorterThanTheDesignMinimum) {
+  // The worst-case patterns write cell 0, and the 1.5T1Fe step-2 pattern
+  // cell 1 too; shorter words are refused before any harness is built, by
+  // every entry point.  (A 1-bit 2FeFET word is valid: EvalEdge tests.)
+  for (const int n : {0, -4}) {
+    FomOptions opts;
+    opts.n_bits = n;
+    EXPECT_THROW(evaluate_fom(TcamDesign::k2DgFefet, opts),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(measure_worst_latency(TcamDesign::kCmos16T, opts),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(measure_write_energy(TcamDesign::k2SgFefet, opts),
+                 std::invalid_argument)
+        << n;
+  }
+  for (const int n : {1, 0, -4}) {
+    FomOptions opts;
+    opts.n_bits = n;
+    EXPECT_THROW(evaluate_fom(TcamDesign::k1p5DgFe, opts),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(measure_worst_latency(TcamDesign::k1p5SgFe, opts),
+                 std::invalid_argument)
+        << n;
+    EXPECT_THROW(measure_write_energy(TcamDesign::k1p5SgFe, opts),
+                 std::invalid_argument)
+        << n;
+  }
+  try {
+    FomOptions opts;
+    opts.n_bits = 1;
+    evaluate_fom(TcamDesign::k1p5SgFe, opts);
+    FAIL() << "a 1-bit 1.5T1Fe word was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(">= 2 for 1.5T1SG-Fe, got 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

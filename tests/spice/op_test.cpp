@@ -93,6 +93,33 @@ TEST(Op, SeriesResistorChain) {
   EXPECT_NEAR(sol.v(*ckt.find_node("n5")), 5.0, 1e-9);
 }
 
+TEST(Op, NoSourceStepsFailsClosed) {
+  // The direct solve gets no iterations and gmin stepping is off, so only
+  // source stepping could succeed; with fewer than one step it solves
+  // nothing and must not report the all-zero start as a solution.
+  Circuit ckt;
+  const NodeId a = ckt.node("a");
+  const NodeId b = ckt.node("b");
+  ckt.emplace<VoltageSource>("V1", a, kGround, Waveform::dc(1.0));
+  ckt.emplace<Resistor>("R1", a, b, 1e3);
+  ckt.emplace<Resistor>("R2", b, kGround, 1e3);
+  OpOptions opts;
+  opts.newton.max_iterations = 0;
+  opts.allow_gmin_stepping = false;
+  for (const int steps : {0, -1}) {
+    opts.source_steps = steps;
+    const auto op = solve_op(ckt, opts);
+    EXPECT_FALSE(op.converged) << "source_steps " << steps;
+    EXPECT_EQ(op.strategy, OpStrategy::kFailed) << "source_steps " << steps;
+  }
+  // One step is a plain solve at full source strength.
+  opts.newton.max_iterations = 200;
+  opts.source_steps = 1;
+  const auto op = solve_op(ckt, opts);
+  ASSERT_TRUE(op.converged);
+  EXPECT_NEAR(Solution(ckt, op.x).v(b), 0.5, 1e-9);
+}
+
 TEST(Netlist, DumpAndFloatingNodeLint) {
   Circuit ckt;
   const NodeId a = ckt.node("a");

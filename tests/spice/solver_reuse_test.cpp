@@ -6,6 +6,8 @@
 // models.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 
 #include "obs/manifest.hpp"
@@ -31,17 +33,16 @@ ReuseRun run_word_search(bool reuse) {
   cfg.query = arch::bits_from_string("01110001");
   auto h = tcam::make_word_harness(arch::TcamDesign::k1p5DgFe, opts);
   h->build_search(cfg);
-  num::SparseNewtonWorkspace ws;
+  num::NewtonWorkspace ws;
   TransientOptions topts;
   topts.t_stop = h->t_stop();
   topts.dt = h->suggested_dt();
-  topts.solver = SolverKind::kSparse;
   topts.op.solver = SolverKind::kSparse;
-  topts.reuse_factorization = reuse;
+  topts.op.reuse_factorization = reuse;
   topts.workspace = &ws;
   auto res = run_transient(h->circuit(), topts);
   EXPECT_TRUE(res.ok) << res.error;
-  ReuseRun out{std::move(res.trace), ws.lu.stats(), {}};
+  ReuseRun out{std::move(res.trace), ws.sparse_lu.stats(), {}};
   for (NodeId n = 1; n < h->circuit().node_count(); ++n) {
     out.node_names.push_back(h->circuit().node_name(n));
   }
@@ -113,6 +114,111 @@ TEST(SolverReuse, MetricsAndManifestReportHitRate) {
   EXPECT_NE(json.find("\"lu.sparse.refactors\""), std::string::npos);
   EXPECT_NE(json.find("\"lu.sparse.refactor_hit_rate\""), std::string::npos);
   obs::set_level(saved);
+}
+
+std::unique_ptr<tcam::WordHarness> search_harness(arch::TcamDesign design,
+                                                  const char* stored,
+                                                  const char* query) {
+  tcam::WordOptions opts;
+  opts.n_bits = static_cast<int>(std::strlen(query));
+  tcam::SearchConfig cfg;
+  cfg.stored = arch::word_from_string(stored);
+  cfg.query = arch::bits_from_string(query);
+  auto h = tcam::make_word_harness(design, opts);
+  h->build_search(cfg);
+  return h;
+}
+
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0;
+}
+
+void expect_same_op(const OpResult& shared, const OpResult& fresh) {
+  ASSERT_TRUE(fresh.converged);
+  EXPECT_TRUE(shared.converged);
+  EXPECT_EQ(shared.newton_iterations, fresh.newton_iterations);
+  ASSERT_EQ(shared.x.size(), fresh.x.size());
+  EXPECT_EQ(std::memcmp(shared.x.data(), fresh.x.data(),
+                        sizeof(double) * fresh.x.size()),
+            0);
+}
+
+TEST(SolverReuse, DenseWorkspaceSharedAcrossCircuitsMatchesFresh) {
+  // An OP of a 4-bit 2DG word, the transient of an 8-bit 1.5T1DG search
+  // and the first OP again, all dense (below kSparseAutoThreshold) and all
+  // through one workspace, so its Jacobian and LU change size twice.  Each
+  // must equal the same solve on a fresh workspace bit for bit.
+  // Every run gets its own harness, so no device history carries over.
+  const auto small = [] {
+    return search_harness(arch::TcamDesign::k2DgFefet, "01X1", "0111");
+  };
+  const auto big = [] {
+    return search_harness(arch::TcamDesign::k1p5DgFe, "01X10X01",
+                          "01110001");
+  };
+  num::NewtonWorkspace shared;
+  const OpResult op_fresh = solve_op(small()->circuit());
+  expect_same_op(solve_op(small()->circuit(), {}, nullptr, &shared),
+                 op_fresh);
+
+  const auto transient = [](tcam::WordHarness& h, num::NewtonWorkspace* ws) {
+    TransientOptions topts;
+    topts.t_stop = h.t_stop();
+    topts.dt = h.suggested_dt();
+    topts.op.solver = SolverKind::kDense;
+    topts.workspace = ws;
+    return run_transient(h.circuit(), topts);
+  };
+  const auto h_fresh = big();
+  const auto h_shared = big();
+  ASSERT_NE(h_shared->circuit().system_size(), op_fresh.x.size());
+  const TransientResult fresh = transient(*h_fresh, nullptr);
+  const TransientResult reused = transient(*h_shared, &shared);
+  ASSERT_TRUE(fresh.ok) << fresh.error;
+  ASSERT_TRUE(reused.ok) << reused.error;
+  EXPECT_EQ(reused.total_newton_iterations, fresh.total_newton_iterations);
+  EXPECT_TRUE(bits_equal(reused.trace.times(), fresh.trace.times()));
+  for (NodeId n = 1; n < h_fresh->circuit().node_count(); ++n) {
+    const std::string& name = h_fresh->circuit().node_name(n);
+    EXPECT_TRUE(bits_equal(reused.trace.voltage(name),
+                           fresh.trace.voltage(name)))
+        << name;
+  }
+
+  expect_same_op(solve_op(small()->circuit(), {}, nullptr, &shared),
+                 op_fresh);
+}
+
+TEST(SolverReuse, OpWithoutWorkspaceHonoursReuseSetting) {
+  // solve_op keeps one internal workspace for its continuation solves and
+  // hands it the caller's reuse setting: with reuse off no sparse factor
+  // may take the refactor path.
+  const obs::Level saved = obs::level();
+  obs::set_level(obs::Level::kMetrics);
+  auto& refactors = obs::MetricsRegistry::instance().counter(
+      "lu.sparse.refactors");
+  const auto h =
+      search_harness(arch::TcamDesign::k1p5DgFe, "01X10X01", "01110001");
+  OpOptions opts;
+  opts.solver = SolverKind::kSparse;
+
+  opts.reuse_factorization = false;
+  const std::uint64_t before_off = refactors.value();
+  const OpResult off = solve_op(h->circuit(), opts);
+  const std::uint64_t refactors_off = refactors.value() - before_off;
+
+  opts.reuse_factorization = true;
+  const std::uint64_t before_on = refactors.value();
+  const OpResult on = solve_op(h->circuit(), opts);
+  const std::uint64_t refactors_on = refactors.value() - before_on;
+  obs::set_level(saved);
+
+  ASSERT_TRUE(off.converged);
+  ASSERT_GT(off.newton_iterations, 1);
+  EXPECT_EQ(refactors_off, 0u);
+  EXPECT_GT(refactors_on, 0u);
+  expect_same_op(on, off);
 }
 
 }  // namespace

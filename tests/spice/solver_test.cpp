@@ -23,7 +23,6 @@ TEST(Solver, DenseAndSparseAgreeOnWordTransient) {
     TransientOptions topts;
     topts.t_stop = h->t_stop();
     topts.dt = h->suggested_dt();
-    topts.solver = solver;
     topts.op.solver = solver;
     auto res = run_transient(h->circuit(), topts);
     EXPECT_TRUE(res.ok) << res.error;
@@ -60,7 +59,6 @@ TEST(Solver, SparseEnablesLargerFullArrays) {
   TransientOptions topts;
   topts.t_stop = arr.t_stop();
   topts.dt = arr.suggested_dt();
-  topts.solver = SolverKind::kSparse;
   topts.op.solver = SolverKind::kSparse;
   const auto res = run_transient(arr.circuit(), topts);
   ASSERT_TRUE(res.ok) << res.error;

@@ -1,17 +1,20 @@
 // fetcam command-line driver: run any reproduction experiment by name.
 //
-//   fetcam_cli table4 [n_bits]        Table IV FoM comparison
+//   fetcam_cli table4 [n_bits]        Table IV FoM comparison (n_bits and
+//                                     fig7's lengths: even, 2..1024)
 //   fetcam_cli fig1                   FeFET I-V curves + memory windows
 //   fetcam_cli fig4                   two-step search waveform summary
 //   fetcam_cli fig7 [n1 n2 ...]       word-length sweep
 //   fetcam_cli ops <design>           operation-table verification
 //   fetcam_cli divider                1.5T1Fe divider corners (SG + DG)
-//   fetcam_cli variability [sigma]    Monte-Carlo divider yield
+//   fetcam_cli variability [sigma]    Monte-Carlo divider yield (sigma
+//                                     scale: finite, 0..100)
 //   fetcam_cli disturb                read-disturb comparison
 //   fetcam_cli halfselect             write half-select disturb study
 //   fetcam_cli search <design> <stored> <query>
 //                                     one circuit-level search
-//   fetcam_cli datasheet [rows cols]  array-level macro comparison
+//   fetcam_cli datasheet [rows cols]  array-level macro comparison (rows,
+//                                     cols: whole, 1..1048576)
 //   fetcam_cli export <design> <stored> <query> <file.cir>
 //                                     ngspice deck of one search netlist
 //   fetcam_cli engine [opts]          trace-driven TCAM service engine run
@@ -81,6 +84,7 @@
 //   --manifest-out F  write the run manifest JSON here (default
 //                  run_manifest.json whenever obs-level != off)
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -88,7 +92,9 @@
 #include <cstring>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "compiler/applier.hpp"
@@ -177,9 +183,44 @@ bool parse_design(const std::string& s, arch::TcamDesign& out) {
   return true;
 }
 
+/// Strict positional number: the whole text must parse as a T inside
+/// [lo, hi] (which also turns away nan and inf).  Prints what was wanted
+/// and returns nullopt otherwise; callers then exit 2.
+template <class T>
+std::optional<T> parse_number(const char* what, std::string_view text, T lo,
+                              T hi) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc() || ptr != end || !(v >= lo) ||
+      !(v <= hi)) {
+    std::ostringstream os;
+    os << what << " wants a number in [" << lo << ", " << hi << "], got '"
+       << text << "'\n";
+    std::fputs(os.str().c_str(), stderr);
+    return std::nullopt;
+  }
+  return v;
+}
+
+/// Word length of table4 / fig7: every design includes a 1.5T1Fe word,
+/// which pairs its cells, so the length must be even.
+std::optional<int> parse_word_length(std::string_view text) {
+  const auto n = parse_number("word length", text, 2, 1024);
+  if (n && *n % 2 != 0) {
+    std::fprintf(stderr, "word length must be even, got %d\n", *n);
+    return std::nullopt;
+  }
+  return n;
+}
+
 int cmd_table4(int argc, char** argv) {
   eval::FomOptions opts;
-  if (argc > 0) opts.n_bits = std::atoi(argv[0]);
+  if (argc > 0) {
+    const auto n = parse_word_length(argv[0]);
+    if (!n) return 2;
+    opts.n_bits = *n;
+  }
   const auto foms = eval::table4(opts);
   std::printf("%s", eval::render_table4(foms).c_str());
   return 0;
@@ -203,7 +244,11 @@ int cmd_fig4() {
 
 int cmd_fig7(int argc, char** argv) {
   std::vector<int> lengths;
-  for (int i = 0; i < argc; ++i) lengths.push_back(std::atoi(argv[i]));
+  for (int i = 0; i < argc; ++i) {
+    const auto n = parse_word_length(argv[i]);
+    if (!n) return 2;
+    lengths.push_back(*n);
+  }
   if (lengths.empty()) lengths = {16, 32, 64};
   for (const auto d :
        {arch::TcamDesign::k2SgFefet, arch::TcamDesign::k2DgFefet,
@@ -245,7 +290,9 @@ int cmd_divider() {
 int cmd_variability(int argc, char** argv) {
   eval::VariabilityParams p;
   if (argc > 0) {
-    const double scale = std::atof(argv[0]);
+    const auto parsed = parse_number("sigma scale", argv[0], 0.0, 100.0);
+    if (!parsed) return 2;
+    const double scale = *parsed;
     p.sigma_fefet_vth *= scale;
     p.sigma_ps_rel *= scale;
     p.sigma_mos_vth *= scale;
@@ -292,8 +339,11 @@ int cmd_disturb() {
 int cmd_datasheet(int argc, char** argv) {
   eval::DatasheetOptions opts;
   if (argc >= 2) {
-    opts.rows = std::atoi(argv[0]);
-    opts.cols = std::atoi(argv[1]);
+    const auto rows = parse_number("rows", argv[0], 1, 1 << 20);
+    const auto cols = parse_number("cols", argv[1], 1, 1 << 20);
+    if (!rows || !cols) return 2;
+    opts.rows = *rows;
+    opts.cols = *cols;
   }
   std::vector<eval::ArrayDatasheet> sheets;
   for (const auto d :
