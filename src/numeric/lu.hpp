@@ -4,8 +4,17 @@
 // scaled (conductances spanning 1e-12 .. 1e3 S), so row partial pivoting is
 // required; plain diagonal pivoting fails on the zero diagonal entries that
 // ideal voltage sources introduce.
+//
+// A factorization object that is factored again (every Newton iteration of
+// a solve) records the fill structure of its last full factorization and
+// replays it: the next matrix is eliminated over that structure only, with
+// the pivot search re-run and checked step by step, and the full dense
+// algorithm runs whenever the replay cannot prove it would reproduce it.
+// Factors and solves are bit-identical either way (docs/SOLVER.md,
+// "Structural LU replay").
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -40,9 +49,41 @@ class LuFactorization {
   bool factored() const { return factored_; }
 
  private:
+  /// Fill structure of the last full factorization, under its pivot
+  /// sequence.  Rows are named by their final (pivoted) position.
+  struct Structure {
+    Index n = 0;  ///< 0: nothing recorded
+    /// The pivot sequence, as the final row order (perm_ of that factor).
+    std::vector<Index> perm;
+    /// Flat row-major indices of the recorded matrix's zero entries: a new
+    /// matrix is admitted only when all of them are still +0.0.
+    std::vector<std::uint32_t> outside;
+    /// Per row: the columns of its nonzero input entries (row scaling).
+    std::vector<Index> a_ptr, a_cols;
+    /// Per step k: the rows that may hold a nonzero in column k, in the
+    /// dense pivot search's own order; the first is the row the search
+    /// starts from.
+    std::vector<Index> cand_ptr, cand;
+    /// Per row: the structural L columns (left of the diagonal) and U
+    /// columns (right of it), ascending.
+    std::vector<Index> l_ptr, l_cols, u_ptr, u_cols;
+  };
+
+  bool factor_dense(const Matrix& a, double singular_tol, bool& spilled);
+  bool replay(const Matrix& a, double singular_tol);
+  bool fits_structure(const Matrix& a) const;
+  void record_structure(const Matrix& a);
+  bool substitute_structured(const Vector& b, double* x) const;
+  double forward_row(const Vector& b, const double* x, Index r) const;
+  double backward_row(const double* x, Index r) const;
+
   Matrix lu_;
   std::vector<Index> perm_;
+  std::vector<double> row_scale_;
   mutable std::vector<double> scratch_;  // solve_in_place working vector
+  Structure st_;
+  bool refactored_ = false;  ///< factor() ran before: worth recording
+  bool structured_ = false;  ///< the current factors fit st_
   Index failed_row_ = -1;
   bool factored_ = false;
 };
