@@ -98,13 +98,22 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
 
 TEST(ParallelFor, ExceptionAbortsUnclaimedWork) {
   // After the throw, chunks nobody claimed yet must be skipped — the
-  // total number of executed bodies stays well below n.
+  // total number of executed bodies stays well below n.  Every other
+  // chunk first waits for chunk 0's throw: without that, a thrower
+  // descheduled before it throws lets the second thread run all 9,999
+  // empty bodies.
   ThreadGuard guard(2);
   std::atomic<int> executed{0};
+  std::atomic<bool> thrown{false};
   try {
     parallel_for_chunks(10000, 1, [&](std::size_t b, std::size_t) {
       ++executed;
-      if (b == 0) throw std::runtime_error("first chunk fails");
+      if (b == 0) {
+        thrown.store(true);
+        thrown.notify_all();
+        throw std::runtime_error("first chunk fails");
+      }
+      thrown.wait(false);
     });
     FAIL() << "expected the exception to propagate";
   } catch (const std::runtime_error& e) {

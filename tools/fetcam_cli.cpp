@@ -59,7 +59,9 @@
 //                                       --mats N --rows-per-mat N --design D
 //                                       --no-endurance   disable wear-aware
 //                                                        placement
-// Designs: 16t, 2sg, 2dg, 1.5sg, 1.5dg.
+// Designs: 16t, 2sg, 2dg, 1.5sg, 1.5dg.  Every numeric engine / compile
+// flag is parsed strictly (whole text, in range; rates in [0, 1]): a bad
+// value exits 2 and names the flag.
 //
 // Global flags (before the command):
 //   --threads N    pool size for the parallel evaluators, a whole number
@@ -201,6 +203,21 @@ std::optional<T> parse_number(const char* what, std::string_view text, T lo,
     return std::nullopt;
   }
   return v;
+}
+
+/// Upper bounds of the numeric `engine` / `compile` flags.
+constexpr int kMaxCount = 1 << 20;        // rules, cols, mats, rows, k, ...
+constexpr int kMaxQueries = 1 << 26;
+constexpr int kMaxIntervalMs = 3600 * 1000;
+constexpr std::uint64_t kMaxSeed = ~std::uint64_t{0};
+
+/// Strict numeric flag value: parse_number into `out`, false on a bad
+/// value (the caller exits 2).
+template <class T>
+bool set_number(T& out, const char* what, const char* text, T lo, T hi) {
+  const auto v = parse_number(what, text, lo, hi);
+  if (v) out = *v;
+  return v.has_value();
 }
 
 /// Word length of table4 / fig7: every design includes a 1.5T1Fe word,
@@ -440,38 +457,53 @@ int cmd_engine(int argc, char** argv) {
         return usage();
       }
     } else if (flag == "--k" && (v = value())) {
-      nopts.k = std::atoi(v);
+      if (!set_number(nopts.k, "--k", v, 1, kMaxCount)) return 2;
       nearest = true;
     } else if (flag == "--threshold" && (v = value())) {
-      nopts.threshold = std::atoi(v);
+      if (!set_number(nopts.threshold, "--threshold", v, 0, kMaxCount)) {
+        return 2;
+      }
       nearest = true;
     } else if (flag == "--digit-bits" && (v = value())) {
-      cfg.digit_bits = std::atoi(v);
+      if (!set_number(cfg.digit_bits, "--digit-bits", v, 1, 3)) return 2;
       spec.digit_bits = cfg.digit_bits;
     } else if (flag == "--cols" && (v = value())) {
-      spec.cols = std::atoi(v);
+      if (!set_number(spec.cols, "--cols", v, 1, kMaxCount)) return 2;
     } else if (flag == "--rules" && (v = value())) {
-      spec.rules = std::atoi(v);
+      if (!set_number(spec.rules, "--rules", v, 1, kMaxCount)) return 2;
     } else if (flag == "--queries" && (v = value())) {
-      spec.queries = std::atoi(v);
+      if (!set_number(spec.queries, "--queries", v, 1, kMaxQueries)) {
+        return 2;
+      }
     } else if (flag == "--match-rate" && (v = value())) {
-      spec.match_rate = std::atof(v);
+      if (!set_number(spec.match_rate, "--match-rate", v, 0.0, 1.0)) {
+        return 2;
+      }
     } else if (flag == "--update-rate" && (v = value())) {
-      ropts.update_rate = std::atof(v);
+      if (!set_number(ropts.update_rate, "--update-rate", v, 0.0, 1.0)) {
+        return 2;
+      }
     } else if (flag == "--seed" && (v = value())) {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!set_number(spec.seed, "--seed", v, std::uint64_t{0}, kMaxSeed)) {
+        return 2;
+      }
       ropts.seed = spec.seed;
     } else if (flag == "--mats" && (v = value())) {
-      cfg.mats = std::atoi(v);
+      if (!set_number(cfg.mats, "--mats", v, 1, kMaxCount)) return 2;
     } else if (flag == "--rows-per-mat" && (v = value())) {
-      cfg.rows_per_mat = std::atoi(v);
+      if (!set_number(cfg.rows_per_mat, "--rows-per-mat", v, 1, kMaxCount)) {
+        return 2;
+      }
     } else if (flag == "--batch" && (v = value())) {
-      ropts.batch_size = std::atoi(v);
+      if (!set_number(ropts.batch_size, "--batch", v, 1, kMaxCount)) return 2;
       nopts.batch_size = ropts.batch_size;
     } else if (flag == "--design" && (v = value())) {
       if (!parse_design(v, cfg.design)) return usage();
     } else if (flag == "--stats-interval" && (v = value())) {
-      stats_interval_ms = std::atoi(v);
+      if (!set_number(stats_interval_ms, "--stats-interval", v, 0,
+                      kMaxIntervalMs)) {
+        return 2;
+      }
     } else if (flag == "--stats-out" && (v = value())) {
       stats_out = v;
     } else {
@@ -688,17 +720,23 @@ int cmd_compile(int argc, char** argv) {
       else if (kind == "classifier") spec.kind = engine::TraceKind::kClassifier;
       else return usage();
     } else if (flag == "--cols" && (v = value())) {
-      spec.cols = std::atoi(v);
+      if (!set_number(spec.cols, "--cols", v, 1, kMaxCount)) return 2;
     } else if (flag == "--rules" && (v = value())) {
-      spec.rules = std::atoi(v);
+      if (!set_number(spec.rules, "--rules", v, 1, kMaxCount)) return 2;
     } else if (flag == "--seed" && (v = value())) {
-      spec.seed = static_cast<std::uint64_t>(std::atoll(v));
+      if (!set_number(spec.seed, "--seed", v, std::uint64_t{0}, kMaxSeed)) {
+        return 2;
+      }
     } else if (flag == "--churn-steps" && (v = value())) {
-      churn_steps = std::atoi(v);
+      if (!set_number(churn_steps, "--churn-steps", v, 0, kMaxCount)) {
+        return 2;
+      }
     } else if (flag == "--mats" && (v = value())) {
-      cfg.mats = std::atoi(v);
+      if (!set_number(cfg.mats, "--mats", v, 1, kMaxCount)) return 2;
     } else if (flag == "--rows-per-mat" && (v = value())) {
-      cfg.rows_per_mat = std::atoi(v);
+      if (!set_number(cfg.rows_per_mat, "--rows-per-mat", v, 1, kMaxCount)) {
+        return 2;
+      }
     } else if (flag == "--design" && (v = value())) {
       if (!parse_design(v, cfg.design)) return usage();
     } else if (flag == "--no-endurance") {
