@@ -81,9 +81,47 @@ FeFet::ChannelEval FeFet::eval_channel(double vd, double vfg, double vs,
   return out;
 }
 
+FeFet::Eval FeFet::evaluate(const spice::EvalContext& ctx,
+                            const std::array<double, 4>& v) const {
+  if (ctx.bypass != nullptr && last_at_.near(v) && p_ == last_p_ &&
+      ctx.dt == last_dt_) {
+    ++ctx.bypass->bypassed;
+    const std::array<double, 4>& v0 = last_at_.v;
+    Eval e = last_;
+    e.ch.current += e.ch.dI_dVd * (v[0] - v0[0]) +
+                    e.ch.dI_dVfg * (v[1] - v0[1]) +
+                    e.ch.dI_dVs * (v[2] - v0[2]) +
+                    e.ch.dI_dVbg * (v[3] - v0[3]);
+    e.i_sw += e.di_dvfe * (fe_drive_voltage(v[1], v[0], v[2]) -
+                           fe_drive_voltage(v0[1], v0[0], v0[2]));
+    return e;
+  }
+  Eval e;
+  e.ch = eval_channel(v[0], v[1], v[2], v[3]);
+  // Polarization switching current, from the committed polarization as
+  // the step's starting state so every Newton iteration sees a consistent
+  // history.
+  if (ctx.mode == spice::AnalysisMode::kTransient && ctx.dt > 0.0) {
+    const double v_fe = fe_drive_voltage(v[1], v[0], v[2]);
+    const PolarizationStep psr =
+        advance_polarization(params_.fe, p_, v_fe, ctx.dt);
+    const double a = params_.fe.area;
+    e.i_sw = a * (psr.p_end - p_) / ctx.dt;
+    e.di_dvfe = a * psr.dp_dv / ctx.dt;
+  }
+  if (ctx.bypass != nullptr) {
+    ++ctx.bypass->evaluations;
+    last_ = e;
+    last_at_ = {true, v};
+    last_p_ = p_;
+    last_dt_ = ctx.dt;
+  }
+  return e;
+}
+
 void FeFet::stamp(const spice::EvalContext& ctx, spice::Stamper& st) const {
-  const ChannelEval ch =
-      eval_channel(st.v(d_), st.v(fg_), st.v(s_), st.v(bg_));
+  const Eval e = evaluate(ctx, {st.v(d_), st.v(fg_), st.v(s_), st.v(bg_)});
+  const ChannelEval& ch = e.ch;
   st.add_current(d_, s_, ch.current);
   st.add_current_derivative(d_, s_, d_, ch.dI_dVd);
   st.add_current_derivative(d_, s_, fg_, ch.dI_dVfg);
@@ -93,17 +131,11 @@ void FeFet::stamp(const spice::EvalContext& ctx, spice::Stamper& st) const {
   st.add_gmin(d_, ctx.gmin);
   st.add_gmin(s_, ctx.gmin);
 
-  // Polarization switching current through the FG (split to both channel
-  // ends).  Uses the committed polarization as the step's starting state so
-  // every Newton iteration sees a consistent history.
+  // Polarization switching current through the FG, split to both channel
+  // ends.
   if (ctx.mode == spice::AnalysisMode::kTransient && ctx.dt > 0.0) {
-    const double v_fe = fe_drive_voltage(st.v(fg_), st.v(d_), st.v(s_));
-    const PolarizationStep psr =
-        advance_polarization(params_.fe, p_, v_fe, ctx.dt);
-    const double a = params_.fe.area;
-    const double i_sw = a * (psr.p_end - p_) / ctx.dt;
-    const double di_dvfe = a * psr.dp_dv / ctx.dt;
-
+    const double i_sw = e.i_sw;
+    const double di_dvfe = e.di_dvfe;
     st.add_current(fg_, d_, 0.5 * i_sw);
     st.add_current(fg_, s_, 0.5 * i_sw);
     // d v_fe / d vfg = 1, / d vd = -0.5, / d vs = -0.5.
@@ -125,6 +157,7 @@ void FeFet::stamp(const spice::EvalContext& ctx, spice::Stamper& st) const {
 void FeFet::initialize_state(const spice::EvalContext& ctx,
                              const spice::Solution& sol) {
   (void)ctx;
+  last_at_.valid = false;
   cfg_s_.initialize(sol, fg_, s_);
   cfg_d_.initialize(sol, fg_, d_);
   cbg_s_.initialize(sol, bg_, s_);

@@ -19,6 +19,7 @@
 // transient simulation rather than from scripted state changes.
 #pragma once
 
+#include "devices/bypass.hpp"
 #include "devices/cap_companion.hpp"
 #include "devices/ekv_core.hpp"
 #include "devices/mosfet.hpp"
@@ -113,6 +114,18 @@ class FeFet : public spice::Device {
   double fe_drive_voltage(double vfg, double vd, double vs) const {
     return vfg - 0.5 * (vd + vs);
   }
+  /// Everything stamp() takes from the models: the channel and, in a
+  /// transient step, the polarization switching current through the FG
+  /// with its derivative along the FE drive voltage.
+  struct Eval {
+    ChannelEval ch;
+    double i_sw = 0.0, di_dvfe = 0.0;
+  };
+  /// The models at the stamp's (d, fg, s, bg) voltages, or their bypass
+  /// when the context allows one and p_ and dt are those of the cached
+  /// evaluation (devices/bypass.hpp).
+  Eval evaluate(const spice::EvalContext& ctx,
+                const std::array<double, 4>& v) const;
   /// Polarization after the step ending at `sol` (commit_step's update).
   double next_polarization(const spice::EvalContext& ctx,
                            const spice::Solution& sol) const;
@@ -121,6 +134,11 @@ class FeFet : public spice::Device {
   FeFetParams params_;
   double p_ = 0.0;  ///< committed polarization, C/m^2
   CapCompanion cfg_s_, cfg_d_, cbg_s_, cdb_, csb_;
+  // Last real evaluation in a bypass-enabled context, with the p_ and dt
+  // it used.
+  mutable BypassPoint<4> last_at_;
+  mutable double last_p_ = 0.0, last_dt_ = 0.0;
+  mutable Eval last_;
 };
 
 /// Thickness-scaled card: t_FE, the coercive voltage (E_c t_FE constant

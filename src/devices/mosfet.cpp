@@ -65,9 +65,26 @@ Mosfet::ChannelEval Mosfet::eval_channel(double vd, double vg, double vs,
   return out;
 }
 
+Mosfet::ChannelEval Mosfet::channel(const spice::EvalContext& ctx,
+                                    const std::array<double, 4>& v) const {
+  if (ctx.bypass == nullptr) return eval_channel(v[0], v[1], v[2], v[3]);
+  if (last_at_.near(v)) {
+    ++ctx.bypass->bypassed;
+    const std::array<double, 4>& v0 = last_at_.v;
+    ChannelEval ch = last_;
+    ch.current += ch.dI_dVd * (v[0] - v0[0]) + ch.dI_dVg * (v[1] - v0[1]) +
+                  ch.dI_dVs * (v[2] - v0[2]) + ch.dI_dVb * (v[3] - v0[3]);
+    return ch;
+  }
+  ++ctx.bypass->evaluations;
+  last_ = eval_channel(v[0], v[1], v[2], v[3]);
+  last_at_ = {true, v};
+  return last_;
+}
+
 void Mosfet::stamp(const spice::EvalContext& ctx, spice::Stamper& st) const {
   const ChannelEval ch =
-      eval_channel(st.v(d_), st.v(g_), st.v(s_), st.v(b_));
+      channel(ctx, {st.v(d_), st.v(g_), st.v(s_), st.v(b_)});
   st.add_current(d_, s_, ch.current);
   st.add_current_derivative(d_, s_, d_, ch.dI_dVd);
   st.add_current_derivative(d_, s_, g_, ch.dI_dVg);
@@ -89,6 +106,7 @@ void Mosfet::stamp(const spice::EvalContext& ctx, spice::Stamper& st) const {
 void Mosfet::initialize_state(const spice::EvalContext& ctx,
                               const spice::Solution& sol) {
   (void)ctx;
+  last_at_.valid = false;
   cgs_.initialize(sol, g_, s_);
   cgd_.initialize(sol, g_, d_);
   cgb_.initialize(sol, g_, b_);

@@ -9,6 +9,7 @@
 
 #include <array>
 
+#include "devices/bypass.hpp"
 #include "devices/cap_companion.hpp"
 #include "devices/ekv_core.hpp"
 #include "spice/circuit.hpp"
@@ -83,10 +84,17 @@ class Mosfet : public spice::Device {
     double dI_dVd = 0.0, dI_dVg = 0.0, dI_dVs = 0.0, dI_dVb = 0.0;
   };
   ChannelEval eval_channel(double vd, double vg, double vs, double vb) const;
+  /// eval_channel at the stamp's (d, g, s, b) voltages, or its bypass when
+  /// the context allows one (devices/bypass.hpp).
+  ChannelEval channel(const spice::EvalContext& ctx,
+                      const std::array<double, 4>& v) const;
 
   spice::NodeId d_, g_, s_, b_;
   MosfetParams params_;
   CapCompanion cgs_, cgd_, cgb_, cdb_, csb_;
+  // Last real evaluation in a bypass-enabled context.
+  mutable BypassPoint<4> last_at_;
+  mutable ChannelEval last_;
 };
 
 }  // namespace fetcam::dev

@@ -11,11 +11,15 @@
 //   f_b, and the matching dI/dV entries to the Jacobian.
 // * Voltage-source-like devices own one branch unknown each: the current
 //   flowing from the + terminal through the source to the - terminal.
-// * Devices are stateless inside one Newton solve (stamp() is const); all
-//   history (capacitor charge, ferroelectric polarization) updates happen in
-//   commit_step() after the timestep converged.
+// * Device history (capacitor charge, ferroelectric polarization) is fixed
+//   inside one Newton solve (stamp() is const); it updates in commit_step()
+//   after the timestep converged.  The one thing stamp() may remember is a
+//   nonlinear device's last model evaluation, for bypass — and only when the
+//   context carries a BypassTally (transient steps).  initialize_state()
+//   forgets it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -38,6 +42,15 @@ enum class AnalysisMode {
   kTransient,       ///< companion models active
 };
 
+/// Device-bypass bookkeeping of one transient run: model evaluations the
+/// devices ran and the ones they replaced with their cached linearisation
+/// (devices/bypass.hpp).  Plain counts, written by the one thread that runs
+/// the transient.
+struct BypassTally {
+  std::uint64_t evaluations = 0;
+  std::uint64_t bypassed = 0;
+};
+
 /// Per-evaluation context passed to Device::stamp().
 struct EvalContext {
   AnalysisMode mode = AnalysisMode::kOperatingPoint;
@@ -54,6 +67,10 @@ struct EvalContext {
   double source_scale = 1.0;
   /// Integration scheme for charge-storage companion models.
   bool trapezoidal = false;
+  /// Non-null only in run_transient's step contexts: nonlinear devices may
+  /// then bypass their model evaluation and count it here.  Every other
+  /// context evaluates every device exactly.
+  BypassTally* bypass = nullptr;
 };
 
 class Circuit;

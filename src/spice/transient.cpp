@@ -61,6 +61,8 @@ struct TransientMetrics {
   obs::Counter& steps_rejected;
   obs::Counter& steps_lte_rejected;
   obs::Counter& dt_exhausted;
+  obs::Counter& device_evals;
+  obs::Counter& device_bypasses;
   obs::Distribution& newton_per_step;
 
   static TransientMetrics& get() {
@@ -73,6 +75,8 @@ struct TransientMetrics {
         reg.counter("transient.steps_rejected"),
         reg.counter("transient.steps_lte_rejected"),
         reg.counter("transient.dt_exhausted"),
+        reg.counter("transient.device_evals"),
+        reg.counter("transient.device_bypasses"),
         reg.distribution("transient.newton_per_step"),
     };
     return m;
@@ -90,6 +94,8 @@ void record_transient(const TransientResult& res, bool dt_exhausted) {
   m.steps_rejected.add(static_cast<std::uint64_t>(res.rejected_steps));
   m.steps_lte_rejected.add(
       static_cast<std::uint64_t>(res.lte_rejected_steps));
+  m.device_evals.add(res.device_evaluations);
+  m.device_bypasses.add(res.device_bypasses);
 }
 
 }  // namespace
@@ -260,6 +266,9 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   double h_prev = opts.dt;
   num::Vector x_try = x;
   const double t_eps = opts.t_stop * 1e-12;
+  // Nonlinear devices may bypass their models inside the steps (never in
+  // the operating point above); initialize_state cleared their caches.
+  BypassTally bypass;
 
   while (t < opts.t_stop - t_eps) {
     while (next_bp < bps.size() && bps[next_bp] <= t + t_eps) ++next_bp;
@@ -275,12 +284,18 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
     ctx.mode = AnalysisMode::kTransient;
     ctx.gmin = opts.gmin;
     ctx.trapezoidal = opts.trapezoidal;
+    ctx.bypass = &bypass;
 
     double ratio = 0.0;
     while (true) {
       ctx.time = t + dt_step;
       ctx.dt = dt_step;
-      x_try = x;
+      // Predictor: Newton starts from the last step's slope extrapolated
+      // to this step's end.
+      const double extrapolate = dt_step / h_prev;
+      for (num::Index i = 0; i < x.size(); ++i) {
+        x_try[i] = x[i] + extrapolate * (x[i] - x_prev[i]);
+      }
       const auto nr = solve_circuit_newton(ckt, ctx, x_try, opts.newton,
                                            opts.op.solver, ws);
       res.total_newton_iterations += nr.iterations;
@@ -299,6 +314,8 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
           if (nr.singular) os << ", singular row " << nr.singular_row;
           os << ")";
           res.error = os.str();
+          res.device_evaluations = bypass.evaluations;
+          res.device_bypasses = bypass.bypassed;
           record_transient(res, /*dt_exhausted=*/true);
           return res;
         }
@@ -342,6 +359,8 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   }
 
   res.ok = true;
+  res.device_evaluations = bypass.evaluations;
+  res.device_bypasses = bypass.bypassed;
   res.trace.shrink_to_fit();
   record_transient(res, /*dt_exhausted=*/false);
   return res;

@@ -4,13 +4,16 @@
 // source edge, ramps back up to dt after it, and in between grows to k*dt
 // (k a power of two) while a backward-Euler local-truncation-error estimate
 // and each device's state change (Device::state_change) stay in bound.
-// Newton non-convergence halves the step and retries.  History state
+// Each step's Newton solve starts from the last step's slope extrapolated
+// to the step's end, and nonlinear devices may bypass their models inside
+// it.  Newton non-convergence halves the step and retries.  History state
 // (capacitor charge, ferroelectric polarization) advances via
 // Device::commit_step after every accepted step, so devices never see a
 // rejected trial solution.  docs/SOLVER.md, "Time-step control", has the
 // rules and why the edge grid is kept.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -114,6 +117,10 @@ struct TransientResult {
   /// Grown steps retried at dt because the error estimate or a device
   /// state change exceeded its bound.
   int lte_rejected_steps = 0;
+  /// Nonlinear-device model evaluations in the steps, and the ones bypassed
+  /// (docs/SOLVER.md, "Device bypass").
+  std::uint64_t device_evaluations = 0;
+  std::uint64_t device_bypasses = 0;
 };
 
 /// Run transient analysis.  Device history state is left at t_stop on
