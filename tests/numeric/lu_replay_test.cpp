@@ -78,6 +78,19 @@ void expect_matches_fresh(LuFactorization& reused, const Matrix& a) {
   }
 }
 
+/// Test system size: at least the smallest size that records a structure.
+constexpr Index kN = 20;
+
+/// `small` in the top-left corner of an n x n identity.
+Matrix padded(const Matrix& small, Index n = kN) {
+  Matrix a(n, n);
+  for (Index i = 0; i < n; ++i) a(i, i) = 1.0;
+  for (Index r = 0; r < small.rows(); ++r) {
+    for (Index c = 0; c < small.cols(); ++c) a(r, c) = small(r, c);
+  }
+  return a;
+}
+
 /// MNA-like matrix: a conductance ladder with cross links plus two
 /// voltage-source branch rows (zero diagonal, so pivoting is required).
 /// `seed` varies the values, never the pattern or the pivot sequence: the
@@ -111,44 +124,54 @@ TEST(LuReplay, SamePatternReplaysBitIdentically) {
   LuFactorization lu;
   const std::uint64_t before = replays();
   for (unsigned s = 0; s < 6; ++s) {
-    expect_matches_fresh(lu, mna(12, s));
+    expect_matches_fresh(lu, mna(kN, s));
   }
   // Calls 1 and 2 factor fully (the second records), calls 3..6 replay.
   EXPECT_EQ(replays() - before, 4u);
 }
 
+TEST(LuReplay, SmallSystemsAlwaysFactorDensely) {
+  const MetricsOn metrics;
+  LuFactorization lu;
+  const std::uint64_t before = replays();
+  for (unsigned s = 0; s < 4; ++s) {
+    expect_matches_fresh(lu, mna(12, s));
+  }
+  EXPECT_EQ(replays() - before, 0u);
+}
+
 TEST(LuReplay, ZeroInsideThePatternIsAdmitted) {
   const MetricsOn metrics;
   LuFactorization lu;
-  expect_matches_fresh(lu, mna(12, 1));
-  expect_matches_fresh(lu, mna(12, 2));
-  Matrix a = mna(12, 3);
+  expect_matches_fresh(lu, mna(kN, 1));
+  expect_matches_fresh(lu, mna(kN, 2));
+  Matrix a = mna(kN, 3);
   a(3, 4) = 0.0;
   a(4, 3) = 0.0;
   const std::uint64_t before = replays();
   expect_matches_fresh(lu, a);
   EXPECT_EQ(replays() - before, 1u);
-  expect_matches_fresh(lu, mna(12, 4));
+  expect_matches_fresh(lu, mna(kN, 4));
 }
 
 TEST(LuReplay, NewNonzeroOutsideThePatternFactorsFully) {
   const MetricsOn metrics;
   LuFactorization lu;
-  expect_matches_fresh(lu, mna(12, 1));
-  expect_matches_fresh(lu, mna(12, 2));
-  Matrix a = mna(12, 3);
+  expect_matches_fresh(lu, mna(kN, 1));
+  expect_matches_fresh(lu, mna(kN, 2));
+  Matrix a = mna(kN, 3);
   a(1, 7) = 0.5;
   a(9, 2) = -0.25;
   const std::uint64_t before = replays();
   expect_matches_fresh(lu, a);
   EXPECT_EQ(replays() - before, 0u);
   // The wider pattern is recorded, so the next matrix inside it replays.
-  Matrix b = mna(12, 5);
+  Matrix b = mna(kN, 5);
   b(1, 7) = 0.125;
   expect_matches_fresh(lu, b);
   EXPECT_EQ(replays() - before, 1u);
   // A -0.0 input entry never replays.
-  Matrix c = mna(12, 6);
+  Matrix c = mna(kN, 6);
   c(5, 11) = -0.0;
   expect_matches_fresh(lu, c);
   EXPECT_EQ(replays() - before, 1u);
@@ -157,10 +180,11 @@ TEST(LuReplay, NewNonzeroOutsideThePatternFactorsFully) {
 TEST(LuReplay, FlippedPivotOrderFallsBack) {
   const MetricsOn metrics;
   LuFactorization lu;
-  Matrix a(3, 3);
-  a(0, 0) = 4.0;  a(0, 1) = 5.0;
-  a(1, 0) = 1.0;  a(1, 1) = 4.0;  a(1, 2) = 1.0;
-  a(2, 1) = 1.0;  a(2, 2) = 4.0;
+  Matrix small(3, 3);
+  small(0, 0) = 4.0;  small(0, 1) = 5.0;
+  small(1, 0) = 1.0;  small(1, 1) = 4.0;  small(1, 2) = 1.0;
+  small(2, 1) = 1.0;  small(2, 2) = 4.0;
+  const Matrix a = padded(small);
   expect_matches_fresh(lu, a);
   expect_matches_fresh(lu, a);
   // Row 1 now wins column 0's scaled search: a different pivot sequence.
@@ -179,10 +203,11 @@ TEST(LuReplay, ExactlyTiedScaledPivotsResolveLikeTheDenseSearch) {
   LuFactorization lu;
   // Column 0: rows 0 and 2 both scale to exactly 1 — the dense search
   // keeps the first.
-  Matrix tie(3, 3);
-  tie(0, 0) = 2.0;  tie(0, 2) = 1.0;
-  tie(1, 1) = 1.0;  tie(1, 2) = 0.5;
-  tie(2, 0) = 4.0;  tie(2, 1) = 1.0;  tie(2, 2) = 3.0;
+  Matrix small(3, 3);
+  small(0, 0) = 2.0;  small(0, 2) = 1.0;
+  small(1, 1) = 1.0;  small(1, 2) = 0.5;
+  small(2, 0) = 4.0;  small(2, 1) = 1.0;  small(2, 2) = 3.0;
+  const Matrix tie = padded(small);
   expect_matches_fresh(lu, tie);
   expect_matches_fresh(lu, tie);
   const std::uint64_t before = replays();
@@ -201,24 +226,24 @@ TEST(LuReplay, ExactlyTiedScaledPivotsResolveLikeTheDenseSearch) {
 
 TEST(LuReplay, SingularMatricesReportTheFreshFailedRow) {
   LuFactorization lu;
-  expect_matches_fresh(lu, mna(12, 1));
-  expect_matches_fresh(lu, mna(12, 2));
-  Matrix zero_row = mna(12, 3);
-  for (Index c = 0; c < 12; ++c) zero_row(10, c) = 0.0;
+  expect_matches_fresh(lu, mna(kN, 1));
+  expect_matches_fresh(lu, mna(kN, 2));
+  Matrix zero_row = mna(kN, 3);
+  for (Index c = 0; c < kN; ++c) zero_row(10, c) = 0.0;
   expect_matches_fresh(lu, zero_row);
   // Two equal rows: the second pivot on them vanishes.
-  Matrix dependent = mna(12, 4);
-  for (Index c = 0; c < 12; ++c) dependent(6, c) = dependent(5, c);
+  Matrix dependent = mna(kN, 4);
+  for (Index c = 0; c < kN; ++c) dependent(6, c) = dependent(5, c);
   expect_matches_fresh(lu, dependent);
-  expect_matches_fresh(lu, mna(12, 5));
-  expect_matches_fresh(lu, mna(12, 6));
+  expect_matches_fresh(lu, mna(kN, 5));
+  expect_matches_fresh(lu, mna(kN, 6));
 }
 
 TEST(LuReplay, SizeChangeRebuildsTheStructure) {
   const MetricsOn metrics;
   LuFactorization lu;
   const std::uint64_t before = replays();
-  for (const Index n : {12, 12, 12, 7, 7, 7, 12, 4, 4}) {
+  for (const Index n : {20, 20, 20, 17, 17, 17, 20, 16, 16}) {
     expect_matches_fresh(lu, mna(n, static_cast<unsigned>(n)));
   }
   EXPECT_GT(replays() - before, 0u);
@@ -228,11 +253,11 @@ TEST(LuReplay, RandomPerturbationsMatchFreshFactorizations) {
   // Random walks over values, zeros inside the pattern, entries outside
   // it, pivot-flipping magnitudes and singular rows.
   std::mt19937 rng(20231);
-  std::uniform_int_distribution<int> pick(0, 11);
+  std::uniform_int_distribution<int> pick(0, kN - 1);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   LuFactorization lu;
   for (int step = 0; step < 300; ++step) {
-    Matrix a = mna(12, static_cast<unsigned>(step % 7));
+    Matrix a = mna(kN, static_cast<unsigned>(step % 7));
     const double roll = u(rng);
     const Index r = pick(rng);
     const Index c = pick(rng);
@@ -243,7 +268,7 @@ TEST(LuReplay, RandomPerturbationsMatchFreshFactorizations) {
     } else if (roll < 0.45) {
       a(r, c) = 1e3 * (u(rng) + 0.5);
     } else if (roll < 0.5) {
-      for (Index k = 0; k < 12; ++k) a(r, k) = 0.0;
+      for (Index k = 0; k < kN; ++k) a(r, k) = 0.0;
     }
     expect_matches_fresh(lu, a);
   }
