@@ -304,7 +304,9 @@ double LuFactorization::backward_row(const double* x, Index r) const {
 // finite x its product is a zero that cannot change a nonzero running sum,
 // so a nonzero result equals the dense loop's bit for bit.  A zero result
 // may differ in sign, so that row is redone densely; a non-finite value
-// (0 * inf is NaN in the dense loop) sends the whole solve to it.
+// (0 * inf is NaN in the dense loop) sends the whole solve to it.  A
+// non-finite forward value always leaves its own back-substituted value
+// non-finite, so the check sits in the back substitution only.
 bool LuFactorization::substitute_structured(const Vector& b, double* x) const {
   const Index n = lu_.rows();
   for (Index r = 0; r < n; ++r) {
@@ -316,7 +318,6 @@ bool LuFactorization::substitute_structured(const Vector& b, double* x) const {
       s -= row[c] * x[c];
     }
     if (s == 0.0) s = forward_row(b, x, r);
-    if (!std::isfinite(s)) return false;
     x[r] = s;
   }
   for (Index r = n - 1; r >= 0; --r) {

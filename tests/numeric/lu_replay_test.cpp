@@ -170,10 +170,15 @@ TEST(LuReplay, NewNonzeroOutsideThePatternFactorsFully) {
   b(1, 7) = 0.125;
   expect_matches_fresh(lu, b);
   EXPECT_EQ(replays() - before, 1u);
-  // A -0.0 input entry never replays.
+  // A -0.0 input entry never replays, outside the pattern or inside it.
   Matrix c = mna(kN, 6);
   c(5, 11) = -0.0;
   expect_matches_fresh(lu, c);
+  EXPECT_EQ(replays() - before, 1u);
+  Matrix d = mna(kN, 7);
+  d(5, 6) = -0.0;
+  d(6, 5) = -0.0;
+  expect_matches_fresh(lu, d);
   EXPECT_EQ(replays() - before, 1u);
 }
 
@@ -269,6 +274,8 @@ TEST(LuReplay, RandomPerturbationsMatchFreshFactorizations) {
       a(r, c) = 1e3 * (u(rng) + 0.5);
     } else if (roll < 0.5) {
       for (Index k = 0; k < kN; ++k) a(r, k) = 0.0;
+    } else if (roll < 0.55) {
+      a(r, c) = -0.0;
     }
     expect_matches_fresh(lu, a);
   }
