@@ -1,7 +1,8 @@
 // Device bypass (devices/bypass.hpp) is scoped to one transient run: a run
-// repeated on the same circuit reproduces itself bit for bit, and the
-// exact analyses — operating point and DC sweep — return what they return
-// on a circuit that never ran a transient.
+// repeated on the same circuit reproduces itself bit for bit, a run never
+// reuses an evaluation cached by an earlier one, and the exact analyses —
+// operating point and DC sweep — return what they return on a circuit that
+// never ran a transient.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,6 +10,8 @@
 #include <vector>
 
 #include "devices/fefet.hpp"
+#include "devices/mosfet.hpp"
+#include "devices/tech14.hpp"
 #include "spice/dcsweep.hpp"
 #include "spice/elements.hpp"
 #include "spice/transient.hpp"
@@ -90,6 +93,51 @@ TEST(DeviceBypass, RepeatedTransientOnOneCircuitIsBitIdentical) {
   EXPECT_TRUE(same_trace(first.trace, second.trace, h->circuit()));
   EXPECT_EQ(first.total_newton_iterations, second.total_newton_iterations);
   EXPECT_EQ(first.device_bypasses, second.device_bypasses);
+}
+
+/// A resistor-loaded NMOS whose gate pulses up from `v_low` and back.
+struct PulsedInverter {
+  Circuit ckt;
+  VoltageSource* gate = nullptr;
+
+  explicit PulsedInverter(double v_low) {
+    const NodeId vdd = ckt.node("vdd");
+    const NodeId in = ckt.node("in");
+    const NodeId out = ckt.node("out");
+    ckt.emplace<VoltageSource>("VDD", vdd, kGround, Waveform::dc(0.8));
+    gate = &ckt.emplace<VoltageSource>("VIN", in, kGround, pulse(v_low));
+    ckt.emplace<Resistor>("RL", vdd, out, 20e3);
+    ckt.emplace<Capacitor>("CL", out, kGround, 1e-15);
+    ckt.emplace<dev::Mosfet>("M1", out, in, kGround, kGround,
+                             dev::tech14::nfet());
+  }
+  static Waveform pulse(double v_low) {
+    return Waveform::pulse(v_low, 0.8, 20e-12, 5e-12, 5e-12, 50e-12);
+  }
+  TransientResult run() {
+    TransientOptions topts;
+    topts.t_stop = 300e-12;
+    topts.dt = 2e-12;
+    return run_transient(ckt, topts);
+  }
+};
+
+TEST(DeviceBypass, TransientForgetsTheLastRunsEvaluations) {
+  PulsedInverter fresh(0.3);
+  const TransientResult expected = fresh.run();
+  ASSERT_TRUE(expected.ok) << expected.error;
+  EXPECT_GT(expected.device_bypasses, 0u);
+
+  // The earlier run ends back at its own operating point, within the
+  // bypass tolerance of the next run's but not equal to it: a cached
+  // evaluation carried over would be used, and would move the result.
+  PulsedInverter used(0.3002);
+  ASSERT_TRUE(used.run().ok);
+  used.gate->set_waveform(PulsedInverter::pulse(0.3));
+  const TransientResult after = used.run();
+  ASSERT_TRUE(after.ok) << after.error;
+  EXPECT_TRUE(same_trace(expected.trace, after.trace, used.ckt));
+  EXPECT_EQ(expected.device_bypasses, after.device_bypasses);
 }
 
 TEST(DeviceBypass, OperatingPointIgnoresAnEarlierTransient) {
