@@ -97,29 +97,29 @@ TEST(ParallelFor, ExceptionPropagatesToCaller) {
 }
 
 TEST(ParallelFor, ExceptionAbortsUnclaimedWork) {
-  // After the throw, chunks nobody claimed yet must be skipped — the
-  // total number of executed bodies stays well below n.  Every other
-  // chunk first waits for chunk 0's throw: without that, a thrower
-  // descheduled before it throws lets the second thread run all 9,999
-  // empty bodies.
+  // After a throw, chunks nobody claimed yet must be skipped.  Every chunk
+  // but chunk 0 first waits for chunk 0's throw and then throws as well,
+  // so each of the two pool threads runs at most one body before its own
+  // throw aborts the region, however the threads are scheduled.  (Letting
+  // the waiting chunks return instead would leave a window: a thrower
+  // descheduled between its throw and the pool's catch lets the other
+  // thread run all 9,999 empty bodies.)
   ThreadGuard guard(2);
   std::atomic<int> executed{0};
   std::atomic<bool> thrown{false};
   try {
     parallel_for_chunks(10000, 1, [&](std::size_t b, std::size_t) {
       ++executed;
-      if (b == 0) {
-        thrown.store(true);
-        thrown.notify_all();
-        throw std::runtime_error("first chunk fails");
-      }
-      thrown.wait(false);
+      if (b != 0) thrown.wait(false);
+      thrown.store(true);
+      thrown.notify_all();
+      throw std::runtime_error("chunk fails");
     });
     FAIL() << "expected the exception to propagate";
   } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first chunk fails");
+    EXPECT_STREQ(e.what(), "chunk fails");
   }
-  EXPECT_LT(executed.load(), 10000);
+  EXPECT_LE(executed.load(), 2);
 }
 
 TEST(ParallelFor, ExceptionInSerialModeAlsoPropagates) {
