@@ -1,6 +1,7 @@
 // Simulator-kernel scaling study (no paper counterpart): dense vs sparse LU
 // factorization cost on MNA-structured matrices, the KLU-style refactor
-// speedup, and end-to-end transient throughput of the word harness.
+// speedup, end-to-end transient throughput of the word harness, and the
+// dense LU's structural replay on the word harness's own Jacobians.
 //
 // This is the evidence behind two solver policies: SolverKind::kAuto (the
 // sparse Gilbert-Peierls path overtakes dense LU at a few hundred unknowns
@@ -34,6 +35,8 @@
 #include "numeric/lu.hpp"
 #include "numeric/newton.hpp"
 #include "numeric/sparse_lu.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "spice/transient.hpp"
 #include "tcam/sim_harness.hpp"
 
@@ -364,6 +367,97 @@ TransientAb measure_transient_ab(int n_bits) {
   return ab;
 }
 
+struct DenseReplayRow {
+  arch::TcamDesign design{};
+  int n_bits = 0;
+  num::Index system_size = 0;
+  double fresh_factor_us = 0.0;
+  double replay_us = 0.0;
+  double solve_us = 0.0;
+  std::uint64_t factors = 0;
+  std::uint64_t replays = 0;
+  std::uint64_t records = 0;
+};
+
+/// Mean microseconds per call of `fn`, as the median over batches.
+template <typename Fn>
+double per_call_us(Fn&& fn) {
+  constexpr int kBatch = 100;
+  return median_us(41, [&] {
+           for (int i = 0; i < kBatch; ++i) fn();
+         }) /
+         kBatch;
+}
+
+/// The dense LU on a word harness's own transient Jacobians (report only).
+/// One worst-case search transient on the dense solver counts the LU's
+/// factors, structural replays and recorded structures; its last Jacobian
+/// then times a fresh dense factor (a one-shot object, which records
+/// nothing), a replay of the recorded structure, and a solve.
+DenseReplayRow measure_dense_replay(arch::TcamDesign design, int n_bits) {
+  DenseReplayRow row;
+  row.design = design;
+  row.n_bits = n_bits;
+  tcam::WordOptions opts;
+  opts.n_bits = n_bits;
+  tcam::SearchConfig cfg;
+  for (int i = 0; i < n_bits; ++i) {
+    cfg.stored.push_back((i % 2) != 0 ? arch::Ternary::kOne
+                                      : arch::Ternary::kZero);
+    cfg.query.push_back((i % 2) != 0 ? 1 : 0);
+  }
+  cfg.stored[0] = arch::Ternary::kOne;
+  cfg.query[0] = 0;
+  auto h = tcam::make_word_harness(design, opts);
+  h->build_search(cfg);
+  num::NewtonWorkspace ws;
+  spice::TransientOptions topts;
+  topts.t_stop = h->t_stop();
+  topts.dt = h->suggested_dt();
+  topts.op.solver = spice::SolverKind::kDense;
+  topts.workspace = &ws;
+
+  auto& reg = obs::MetricsRegistry::instance();
+  obs::Counter& factors = reg.counter("lu.dense.factors");
+  obs::Counter& replays = reg.counter("lu.dense.replays");
+  obs::Counter& records = reg.counter("lu.dense.records");
+  const obs::Level level = obs::level();
+  obs::set_level(obs::Level::kMetrics);
+  const std::uint64_t f0 = factors.value();
+  const std::uint64_t p0 = replays.value();
+  const std::uint64_t r0 = records.value();
+  const auto res = spice::run_transient(h->circuit(), topts);
+  row.factors = factors.value() - f0;
+  row.replays = replays.value() - p0;
+  row.records = records.value() - r0;
+  obs::set_level(level);
+  if (!res.ok) {
+    std::cerr << "dense transient failed: " << res.error << "\n";
+    std::abort();
+  }
+
+  const num::Matrix jac = ws.dense_jac;
+  row.system_size = jac.rows();
+  row.fresh_factor_us = per_call_us([&] {
+    num::LuFactorization fresh;
+    if (!fresh.factor(jac)) std::abort();
+  });
+  num::LuFactorization lu;
+  for (int i = 0; i < 2; ++i) {
+    if (!lu.factor(jac)) std::abort();  // the second call records
+  }
+  row.replay_us = per_call_us([&] {
+    if (!lu.factor(jac)) std::abort();
+  });
+  num::Vector b(jac.rows(), 1.0);
+  row.solve_us = per_call_us([&] {
+    num::Vector x = b;
+    lu.solve_in_place(x);
+    benchmark::DoNotOptimize(x.data());
+  });
+  return row;
+}
+
 int emit_solver_json(const std::string& path, bool with_transient) {
   std::ostringstream os;
   os << "{\n  \"kernels\": [\n";
@@ -426,6 +520,31 @@ int emit_solver_json(const std::string& path, bool with_transient) {
     }
     os << "\n  ],\n";
   }
+  // Report only: the dense LU at the DSE's word sizes, 26 to 50 unknowns.
+  os << "  \"dense_replay\": [\n";
+  first = true;
+  for (const auto& [design, bits] :
+       {std::pair{arch::TcamDesign::k2SgFefet, 8},
+        std::pair{arch::TcamDesign::k2DgFefet, 8},
+        std::pair{arch::TcamDesign::k2DgFefet, 20},
+        std::pair{arch::TcamDesign::k2SgFefet, 32}}) {
+    const DenseReplayRow r = measure_dense_replay(design, bits);
+    os << (first ? "" : ",\n");
+    first = false;
+    os << "    {\"design\": \"" << arch::design_name(r.design)
+       << "\", \"n_bits\": " << r.n_bits << ", \"n\": " << r.system_size
+       << ", \"fresh_factor_us\": " << r.fresh_factor_us
+       << ", \"replay_us\": " << r.replay_us
+       << ", \"solve_us\": " << r.solve_us
+       << ", \"factors_per_transient\": " << r.factors
+       << ", \"replays_per_transient\": " << r.replays
+       << ", \"records_per_transient\": " << r.records << "}";
+    std::cerr << "dense_replay n=" << r.system_size
+              << " fresh=" << r.fresh_factor_us << "us replay=" << r.replay_us
+              << "us solve=" << r.solve_us << "us records=" << r.records
+              << "\n";
+  }
+  os << "\n  ],\n";
   os << "  \"peak_rss_mb\": " << peak_rss_mb() << "\n}\n";
 
   std::ofstream f(path);

@@ -2,7 +2,9 @@
 
 #include "devices/tech14.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace fetcam::dev {
@@ -170,7 +172,16 @@ double FeFet::next_polarization(const spice::EvalContext& ctx,
                                 const spice::Solution& sol) const {
   const double v_fe =
       fe_drive_voltage(sol.v(fg_), sol.v(d_), sol.v(s_));
-  return advance_polarization(params_.fe, p_, v_fe, ctx.dt).p_end;
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  if (next_.valid && same(next_.p, p_) && same(next_.v_fe, v_fe) &&
+      same(next_.dt, ctx.dt)) {
+    return next_.p_end;
+  }
+  next_ = {true, p_, v_fe, ctx.dt,
+           advance_polarization(params_.fe, p_, v_fe, ctx.dt).p_end};
+  return next_.p_end;
 }
 
 void FeFet::commit_step(const spice::EvalContext& ctx,

@@ -127,6 +127,9 @@ class FeFet : public spice::Device {
   Eval evaluate(const spice::EvalContext& ctx,
                 const std::array<double, 4>& v) const;
   /// Polarization after the step ending at `sol` (commit_step's update).
+  /// state_change computes it for every trial step and commit_step again
+  /// for the accepted one, so the last result is kept with its inputs and
+  /// reused when all three match bit for bit.
   double next_polarization(const spice::EvalContext& ctx,
                            const spice::Solution& sol) const;
 
@@ -139,6 +142,14 @@ class FeFet : public spice::Device {
   mutable BypassPoint<4> last_at_;
   mutable double last_p_ = 0.0, last_dt_ = 0.0;
   mutable Eval last_;
+  // Last next_polarization() result and the p_, drive voltage and dt it
+  // used.
+  struct NextPolarization {
+    bool valid = false;
+    double p = 0.0, v_fe = 0.0, dt = 0.0;
+    double p_end = 0.0;
+  };
+  mutable NextPolarization next_;
 };
 
 /// Thickness-scaled card: t_FE, the coercive voltage (E_c t_FE constant

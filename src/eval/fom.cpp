@@ -69,6 +69,7 @@ LatencyResult measure_worst_latency(TcamDesign design, const FomOptions& opts) {
 
   // Pass 1: worst-case mismatch in the first (step-1) position.  Longer
   // words discharge slower; widen the probe window until the SA resolves.
+  // Only the latency is used, so each probe stops at the SA decision.
   TernaryWord stored;
   BitWord query;
   base_pattern(opts.n_bits, stored, query);
@@ -77,7 +78,7 @@ LatencyResult measure_worst_latency(TcamDesign design, const FomOptions& opts) {
   bool found = false;
   for (int attempt = 0; attempt < 4 && !found; ++attempt) {
     tcam::SearchConfig cfg{stored, query, probe, 1};
-    const auto m1 = tcam::measure_search(design, wopts, cfg);
+    const auto m1 = tcam::measure_search_latency(design, wopts, cfg);
     if (!m1.ok) {
       out.error = m1.error;
       return out;

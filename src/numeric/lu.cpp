@@ -19,6 +19,8 @@ constexpr double kMaxFinite = std::numeric_limits<double>::max();
 /// divider solves (about 7 factors per fresh workspace) ran 20% slower
 /// with recording.
 constexpr Index kMinRecordedSize = 16;
+/// Largest system a structure can describe: flat input indices are 32-bit.
+constexpr Index kMaxRecordedSize = 65535;
 
 bool is_plus_zero(double v) { return std::bit_cast<std::uint64_t>(v) == 0; }
 
@@ -29,32 +31,76 @@ bool LuFactorization::factor(const Matrix& a, double singular_tol) {
       obs::MetricsRegistry::instance().counter("lu.dense.factors");
   static obs::Counter& replays =
       obs::MetricsRegistry::instance().counter("lu.dense.replays");
+  static obs::Counter& records =
+      obs::MetricsRegistry::instance().counter("lu.dense.records");
   factors.inc();
   assert(a.rows() == a.cols());
   factored_ = false;
+  structured_ = false;
+  input_zeroed_ = false;
   failed_row_ = -1;
 
-  if (st_.n == a.rows() && replay(a, singular_tol)) {
-    replays.inc();
-    structured_ = true;
-    factored_ = true;
-    return true;
+  for (std::size_t i = 0; i < cache_.size(); ++i) {
+    if (cache_[i].n != a.rows()) continue;
+    const Replay r = replay(cache_[i], a, singular_tol);
+    if (r == Replay::kInput) break;
+    if (r == Replay::kDone) {
+      replays.inc();
+      use_structure(i);
+      structured_ = true;
+      factored_ = true;
+      return true;
+    }
   }
   bool spilled = false;
-  structured_ = false;
   if (!factor_dense(a, singular_tol, spilled)) return false;
   // One-shot factorizations and small systems never pay for a structure;
-  // a reused one keeps the recorded structure while the pivot sequence and
-  // pattern still fit.
-  if (refactored_ && a.rows() >= kMinRecordedSize) {
-    if (!fits_structure(a)) record_structure(a);
+  // a reused one keeps each recorded structure while some pivot sequence
+  // and pattern still fit it.
+  if (refactored_ && a.rows() >= kMinRecordedSize &&
+      a.rows() <= kMaxRecordedSize) {
+    std::size_t fit = 0;
+    while (fit < cache_.size() &&
+           !(cache_[fit].n == a.rows() && cache_[fit].perm == perm_ &&
+             admits(cache_[fit], a))) {
+      ++fit;
+    }
+    if (fit == cache_.size()) {
+      // Record over the least recently used structure once the cache is
+      // full, reusing its buffers.
+      if (cache_.size() < kCachedStructures) cache_.emplace_back();
+      fit = cache_.size() - 1;
+      record_structure(cache_[fit], a);
+      records.inc();
+    }
+    use_structure(fit);
     // A non-finite multiplier smears NaN over structural zeros, which the
     // structured substitution would skip.
-    structured_ = !spilled && st_.n == a.rows();
+    if (!spilled) {
+      gather_dense_factors();
+      structured_ = true;
+    }
   }
   refactored_ = true;
   factored_ = true;
   return true;
+}
+
+void LuFactorization::use_structure(std::size_t i) {
+  std::rotate(cache_.begin(), cache_.begin() + static_cast<std::ptrdiff_t>(i),
+              cache_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+}
+
+void LuFactorization::zero_factored(Matrix& a) {
+  // The structure's slots cover every nonzero of the factored matrix.  A
+  // second call (say, after an assembly that threw) zeroes everything.
+  if (structured_ && !input_zeroed_ && a.rows() == cache_.front().n) {
+    double* av = a.row_data(0);
+    for (const std::uint32_t i : cache_.front().src) av[i] = 0.0;
+  } else {
+    a.set_zero();
+  }
+  input_zeroed_ = true;
 }
 
 bool LuFactorization::factor_dense(const Matrix& a, double singular_tol,
@@ -129,127 +175,134 @@ bool LuFactorization::factor_dense(const Matrix& a, double singular_tol,
 // a finite m (checked).  The pivot search reads those entries as 0 scaled,
 // which never wins a strict '>' comparison, so searching the structural rows
 // in the dense row order finds the dense pivot, ties included.  Structural
-// entries see the same operations in the same order.  Anything the argument
-// does not cover (a new nonzero, a -0.0 input, a different or too small
-// pivot, a non-finite multiplier) hands the matrix to the dense algorithm.
-bool LuFactorization::replay(const Matrix& a, double singular_tol) {
-  const Index n = st_.n;
+// entries see the same operations in the same order; the dense algorithm's
+// extra updates subtract a zero product from them, which leaves a value
+// that is not -0.0 unchanged, and a structural entry is never -0.0 (inputs
+// are checked, and a difference is -0.0 only when its minuend is).  Rows
+// outside the structure of column k get the multiplier +0.0 * inv_pivot,
+// which the replay does not store: the solves rebuild it where the dense
+// substitution reads it.  Anything the argument does not cover (a new
+// nonzero, a -0.0 input, a different or too small pivot, a non-finite
+// multiplier) refuses the structure.
+LuFactorization::Replay LuFactorization::replay(const Structure& st,
+                                                const Matrix& a,
+                                                double singular_tol) {
+  if (!admits(st, a)) return Replay::kRefused;
+  const Index n = st.n;
   const double* av = a.row_data(0);
-  std::uint64_t stray = 0;
-  for (const std::uint32_t i : st_.outside) {
-    stray |= std::bit_cast<std::uint64_t>(av[i]);
-  }
-  if (stray != 0) return false;
-
-  if (lu_.rows() != n) lu_.resize(n, n);
+  vals_.resize(st.cols.size() + 1);
+  vals_.back() = 0.0;
   row_scale_.resize(static_cast<std::size_t>(n));
-  // Rows go straight to their pivoted positions; the dense row swaps only
-  // ever move whole rows.
   for (Index i = 0; i < n; ++i) {
-    const double* src = a.row_data(st_.perm[static_cast<std::size_t>(i)]);
-    std::copy(src, src + n, lu_.row_data(i));
     double m = 0.0;
-    for (Index j = st_.a_ptr[static_cast<std::size_t>(i)];
-         j < st_.a_ptr[static_cast<std::size_t>(i) + 1]; ++j) {
-      const double v = src[st_.a_cols[static_cast<std::size_t>(j)]];
-      if (v == 0.0 && std::signbit(v)) return false;
+    for (std::uint32_t s = st.row_ptr[static_cast<std::size_t>(i)];
+         s < st.row_ptr[static_cast<std::size_t>(i) + 1]; ++s) {
+      const double v = av[st.src[s]];
+      if (v == 0.0 && std::signbit(v)) return Replay::kInput;
+      vals_[s] = v;
       m = std::max(m, std::abs(v));
     }
-    if (m == 0.0) return false;
+    if (m == 0.0) return Replay::kInput;
     row_scale_[static_cast<std::size_t>(i)] = 1.0 / m;
   }
 
+  double* const vals = vals_.data();
+  const double* const scale = row_scale_.data();
+  const std::uint32_t* upd = st.update.data();
   for (Index k = 0; k < n; ++k) {
-    const Index* c = st_.cand.data() + st_.cand_ptr[static_cast<std::size_t>(k)];
-    const Index* const c_end =
-        st_.cand.data() + st_.cand_ptr[static_cast<std::size_t>(k) + 1];
-    Index pivot = *c;
-    double best =
-        std::abs(lu_(pivot, k)) * row_scale_[static_cast<std::size_t>(pivot)];
+    const auto uk = static_cast<std::size_t>(k);
+    const std::uint32_t c_end = st.cand_ptr[uk + 1];
+    std::uint32_t c = st.cand_ptr[uk];
+    std::uint32_t pivot = st.cand_row[c];
+    double best = std::abs(vals[st.cand_slot[c]]) * scale[pivot];
     for (++c; c != c_end; ++c) {
-      const double v =
-          std::abs(lu_(*c, k)) * row_scale_[static_cast<std::size_t>(*c)];
+      const double v = std::abs(vals[st.cand_slot[c]]) * scale[st.cand_row[c]];
       if (v > best) {
         best = v;
-        pivot = *c;
+        pivot = st.cand_row[c];
       }
     }
-    if (pivot != k || best < singular_tol) return false;
+    if (pivot != uk || best < singular_tol) return Replay::kRefused;
 
-    const double inv_pivot = 1.0 / lu_(k, k);
-    const double* rk = lu_.row_data(k);
-    const Index* const u_begin =
-        st_.u_cols.data() + st_.u_ptr[static_cast<std::size_t>(k)];
-    const Index* const u_end =
-        st_.u_cols.data() + st_.u_ptr[static_cast<std::size_t>(k) + 1];
-    for (Index r = k + 1; r < n; ++r) {
-      double* rr = lu_.row_data(r);
-      const double m = rr[k] * inv_pivot;
-      if (!(std::abs(m) <= kMaxFinite)) return false;
-      rr[k] = m;
+    const double inv_pivot = 1.0 / vals[st.diag[uk]];
+    // Every row below gets a multiplier, structural or not, and one is
+    // non-finite exactly when inv_pivot is.
+    if (k + 1 < n && !(std::abs(inv_pivot) <= kMaxFinite)) {
+      return Replay::kRefused;
+    }
+    const double* const u_vals = vals + st.diag[uk] + 1;
+    const std::uint32_t u_len = st.row_ptr[uk + 1] - st.diag[uk] - 1;
+    for (std::uint32_t e = st.elim_ptr[uk]; e < st.elim_ptr[uk + 1];
+         ++e, upd += u_len) {
+      double& l = vals[st.elim_slot[e]];
+      const double m = l * inv_pivot;
+      if (!(std::abs(m) <= kMaxFinite)) return Replay::kRefused;
+      l = m;
       if (m == 0.0) continue;
-      for (const Index* u = u_begin; u != u_end; ++u) rr[*u] -= m * rk[*u];
+      for (std::uint32_t j = 0; j < u_len; ++j) vals[upd[j]] -= m * u_vals[j];
     }
   }
-  perm_ = st_.perm;
-  return true;
+  perm_ = st.perm;
+  return Replay::kDone;
 }
 
-bool LuFactorization::fits_structure(const Matrix& a) const {
-  if (st_.n != a.rows() || st_.perm != perm_) return false;
+bool LuFactorization::admits(const Structure& st, const Matrix& a) {
   const double* av = a.row_data(0);
-  for (const std::uint32_t i : st_.outside) {
-    if (!is_plus_zero(av[i])) return false;
+  const std::uint64_t* mask = st.outside.data();
+  const std::size_t size = st.outside.size();
+  const auto masked = [&](std::size_t i) {
+    return std::bit_cast<std::uint64_t>(av[i]) & mask[i];
+  };
+  // Four independent accumulators: about twice the speed of one.
+  std::uint64_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= size; i += 4) {
+    s0 |= masked(i);
+    s1 |= masked(i + 1);
+    s2 |= masked(i + 2);
+    s3 |= masked(i + 3);
   }
-  return true;
+  for (; i < size; ++i) s0 |= masked(i);
+  return (s0 | s1 | s2 | s3) == 0;
 }
 
-void LuFactorization::record_structure(const Matrix& a) {
+void LuFactorization::record_structure(Structure& st, const Matrix& a) {
   const Index n = a.rows();
-  st_.n = 0;
-  // Flat indices are 32-bit; a dense matrix that large is never factored.
-  if (n * n > static_cast<Index>(std::numeric_limits<std::uint32_t>::max())) {
-    return;
-  }
   const auto un = static_cast<std::size_t>(n);
   const std::size_t words = (un + 63) / 64;
   std::vector<std::uint64_t> bits(un * words, 0);
   const auto has = [&](std::size_t row, std::size_t col) {
     return ((bits[row * words + col / 64] >> (col % 64)) & 1u) != 0;
   };
+  const auto set = [&](std::size_t row, std::size_t col) {
+    bits[row * words + col / 64] |= std::uint64_t{1} << (col % 64);
+  };
 
-  st_.perm = perm_;
-  st_.outside.clear();
-  st_.a_ptr.assign(1, 0);
-  st_.a_cols.clear();
+  // The input pattern under the pivot order, plus the diagonal (every
+  // pivot needs a slot), then symbolic elimination, tracking where the
+  // dense algorithm keeps each row: at[p] is the final position of the row
+  // at dense position p.
   for (std::size_t i = 0; i < un; ++i) {
     const double* row = a.row_data(perm_[i]);
     for (std::size_t c = 0; c < un; ++c) {
-      if (is_plus_zero(row[c])) continue;
-      bits[i * words + c / 64] |= std::uint64_t{1} << (c % 64);
-      st_.a_cols.push_back(static_cast<Index>(c));
+      if (!is_plus_zero(row[c])) set(i, c);
     }
-    st_.a_ptr.push_back(static_cast<Index>(st_.a_cols.size()));
+    set(i, i);
   }
-  const double* av = a.row_data(0);
-  for (std::size_t i = 0; i < un * un; ++i) {
-    if (is_plus_zero(av[i])) st_.outside.push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Symbolic elimination, tracking where the dense algorithm keeps each
-  // row: at[p] is the final position of the row at dense position p.
   std::vector<std::size_t> at(un);
   for (std::size_t i = 0; i < un; ++i) {
     at[static_cast<std::size_t>(perm_[i])] = i;
   }
-  st_.cand_ptr.assign(1, 0);
-  st_.cand.clear();
+  st.cand_ptr.assign(1, 0);
+  st.cand_row.clear();
   for (std::size_t k = 0; k < un; ++k) {
-    st_.cand.push_back(static_cast<Index>(at[k]));
+    st.cand_row.push_back(static_cast<std::uint32_t>(at[k]));
     for (std::size_t p = k + 1; p < un; ++p) {
-      if (has(at[p], k)) st_.cand.push_back(static_cast<Index>(at[p]));
+      if (has(at[p], k)) {
+        st.cand_row.push_back(static_cast<std::uint32_t>(at[p]));
+      }
     }
-    st_.cand_ptr.push_back(static_cast<Index>(st_.cand.size()));
+    st.cand_ptr.push_back(static_cast<std::uint32_t>(st.cand_row.size()));
     std::swap(at[k], *std::find(at.begin() + static_cast<std::ptrdiff_t>(k),
                                 at.end(), k));
 
@@ -264,19 +317,65 @@ void LuFactorization::record_structure(const Matrix& a) {
     }
   }
 
-  st_.l_ptr.assign(1, 0);
-  st_.l_cols.clear();
-  st_.u_ptr.assign(1, 0);
-  st_.u_cols.clear();
+  // Slots, row by row, and the dense position of each.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> slot(un * un, kNone);
+  st.n = 0;
+  st.perm = perm_;
+  st.outside.assign(un * un, ~std::uint64_t{0});
+  st.row_ptr.assign(1, 0);
+  st.diag.assign(un, 0);
+  st.cols.clear();
+  st.src.clear();
   for (std::size_t r = 0; r < un; ++r) {
+    const std::size_t in_row = static_cast<std::size_t>(perm_[r]) * un;
     for (std::size_t c = 0; c < un; ++c) {
-      if (c == r || !has(r, c)) continue;
-      (c < r ? st_.l_cols : st_.u_cols).push_back(static_cast<Index>(c));
+      if (!has(r, c)) continue;
+      const auto s = static_cast<std::uint32_t>(st.cols.size());
+      if (c == r) st.diag[r] = s;
+      slot[r * un + c] = s;
+      st.cols.push_back(static_cast<std::uint32_t>(c));
+      st.src.push_back(static_cast<std::uint32_t>(in_row + c));
+      st.outside[in_row + c] = 0;
     }
-    st_.l_ptr.push_back(static_cast<Index>(st_.l_cols.size()));
-    st_.u_ptr.push_back(static_cast<Index>(st_.u_cols.size()));
+    st.row_ptr.push_back(static_cast<std::uint32_t>(st.cols.size()));
   }
-  st_.n = n;
+  const auto zero_slot = static_cast<std::uint32_t>(st.cols.size());
+
+  st.cand_slot.clear();
+  for (std::size_t k = 0; k < un; ++k) {
+    for (std::uint32_t c = st.cand_ptr[k]; c < st.cand_ptr[k + 1]; ++c) {
+      const std::uint32_t s = slot[st.cand_row[c] * un + k];
+      st.cand_slot.push_back(s == kNone ? zero_slot : s);
+    }
+  }
+  st.elim_ptr.assign(1, 0);
+  st.elim_slot.clear();
+  st.update.clear();
+  for (std::size_t k = 0; k < un; ++k) {
+    for (std::size_t r = k + 1; r < un; ++r) {
+      if (slot[r * un + k] == kNone) continue;
+      st.elim_slot.push_back(slot[r * un + k]);
+      for (std::uint32_t u = st.diag[k] + 1; u < st.row_ptr[k + 1]; ++u) {
+        st.update.push_back(slot[r * un + st.cols[u]]);
+      }
+    }
+    st.elim_ptr.push_back(static_cast<std::uint32_t>(st.elim_slot.size()));
+  }
+  st.n = n;
+}
+
+void LuFactorization::gather_dense_factors() {
+  const Structure& st = cache_.front();
+  vals_.resize(st.cols.size() + 1);
+  vals_.back() = 0.0;
+  for (Index r = 0; r < st.n; ++r) {
+    const double* row = lu_.row_data(r);
+    for (std::uint32_t s = st.row_ptr[static_cast<std::size_t>(r)];
+         s < st.row_ptr[static_cast<std::size_t>(r) + 1]; ++s) {
+      vals_[s] = row[st.cols[s]];
+    }
+  }
 }
 
 Vector LuFactorization::solve(const Vector& b) const {
@@ -285,18 +384,39 @@ Vector LuFactorization::solve(const Vector& b) const {
   return x;
 }
 
+// The dense substitution rows over the compact factors.  They read the
+// entries outside the structure as the dense algorithm leaves them: +0.0 in
+// U, and +0.0 * inv_pivot in L, which is -0.0 under a negative pivot.  The
+// structured factors always have a finite inv_pivot in the columns L uses
+// (else a multiplier would be non-finite), so that zero carries the
+// pivot's sign.
 double LuFactorization::forward_row(const Vector& b, const double* x,
                                     Index r) const {
+  const Structure& st = cache_.front();
   double s = b[perm_[static_cast<std::size_t>(r)]];
-  const double* row = lu_.row_data(r);
-  for (Index c = 0; c < r; ++c) s -= row[c] * x[c];
+  std::uint32_t p = st.row_ptr[static_cast<std::size_t>(r)];
+  const std::uint32_t end = st.diag[static_cast<std::size_t>(r)];
+  for (Index c = 0; c < r; ++c) {
+    const double l =
+        p < end && st.cols[p] == static_cast<std::uint32_t>(c)
+            ? vals_[p++]
+            : std::copysign(0.0, vals_[st.diag[static_cast<std::size_t>(c)]]);
+    s -= l * x[c];
+  }
   return s;
 }
 
 double LuFactorization::backward_row(const double* x, Index r) const {
-  const double* row = lu_.row_data(r);
+  const Structure& st = cache_.front();
   double s = x[r];
-  for (Index c = r + 1; c < lu_.rows(); ++c) s -= row[c] * x[c];
+  std::uint32_t p = st.diag[static_cast<std::size_t>(r)] + 1;
+  const std::uint32_t end = st.row_ptr[static_cast<std::size_t>(r) + 1];
+  for (Index c = r + 1; c < st.n; ++c) {
+    const double u =
+        p < end && st.cols[p] == static_cast<std::uint32_t>(c) ? vals_[p++]
+                                                               : 0.0;
+    s -= u * x[c];
+  }
   return s;
 }
 
@@ -308,28 +428,26 @@ double LuFactorization::backward_row(const double* x, Index r) const {
 // non-finite forward value always leaves its own back-substituted value
 // non-finite, so the check sits in the back substitution only.
 bool LuFactorization::substitute_structured(const Vector& b, double* x) const {
-  const Index n = lu_.rows();
+  const Structure& st = cache_.front();
+  const Index n = st.n;
+  const double* const vals = vals_.data();
   for (Index r = 0; r < n; ++r) {
-    const double* row = lu_.row_data(r);
-    double s = b[perm_[static_cast<std::size_t>(r)]];
-    for (Index j = st_.l_ptr[static_cast<std::size_t>(r)];
-         j < st_.l_ptr[static_cast<std::size_t>(r) + 1]; ++j) {
-      const Index c = st_.l_cols[static_cast<std::size_t>(j)];
-      s -= row[c] * x[c];
+    const auto ur = static_cast<std::size_t>(r);
+    double s = b[perm_[ur]];
+    for (std::uint32_t p = st.row_ptr[ur]; p < st.diag[ur]; ++p) {
+      s -= vals[p] * x[st.cols[p]];
     }
     if (s == 0.0) s = forward_row(b, x, r);
     x[r] = s;
   }
   for (Index r = n - 1; r >= 0; --r) {
-    const double* row = lu_.row_data(r);
+    const auto ur = static_cast<std::size_t>(r);
     double s = x[r];
-    for (Index j = st_.u_ptr[static_cast<std::size_t>(r)];
-         j < st_.u_ptr[static_cast<std::size_t>(r) + 1]; ++j) {
-      const Index c = st_.u_cols[static_cast<std::size_t>(j)];
-      s -= row[c] * x[c];
+    for (std::uint32_t p = st.diag[ur] + 1; p < st.row_ptr[ur + 1]; ++p) {
+      s -= vals[p] * x[st.cols[p]];
     }
     if (s == 0.0) s = backward_row(x, r);
-    x[r] = s / row[r];
+    x[r] = s / vals[st.diag[ur]];
     if (!std::isfinite(x[r])) return false;
   }
   return true;
@@ -337,16 +455,30 @@ bool LuFactorization::substitute_structured(const Vector& b, double* x) const {
 
 void LuFactorization::solve_in_place(Vector& b) const {
   assert(factored_);
-  const Index n = lu_.rows();
+  const auto n = static_cast<Index>(perm_.size());
   assert(b.size() == n);
   // The permutation reads b out of order, so substitute into a scratch
   // vector and copy back; the scratch is reused across calls.
   scratch_.resize(static_cast<std::size_t>(n));
   double* x = scratch_.data();
-  if (!structured_ || !substitute_structured(b, x)) {
+  if (!structured_) {
+    for (Index r = 0; r < n; ++r) {
+      const double* row = lu_.row_data(r);
+      double s = b[perm_[static_cast<std::size_t>(r)]];
+      for (Index c = 0; c < r; ++c) s -= row[c] * x[c];
+      x[r] = s;
+    }
+    for (Index r = n - 1; r >= 0; --r) {
+      const double* row = lu_.row_data(r);
+      double s = x[r];
+      for (Index c = r + 1; c < n; ++c) s -= row[c] * x[c];
+      x[r] = s / row[r];
+    }
+  } else if (!substitute_structured(b, x)) {
+    const Structure& st = cache_.front();
     for (Index r = 0; r < n; ++r) x[r] = forward_row(b, x, r);
     for (Index r = n - 1; r >= 0; --r) {
-      x[r] = backward_row(x, r) / lu_(r, r);
+      x[r] = backward_row(x, r) / vals_[st.diag[static_cast<std::size_t>(r)]];
     }
   }
   for (Index i = 0; i < n; ++i) b[i] = x[i];

@@ -6,14 +6,16 @@
 // ideal voltage sources introduce.
 //
 // A factorization object that is factored again (every Newton iteration of
-// a solve) records the fill structure of its last full factorization and
-// replays it: the next matrix is eliminated over that structure only, with
-// the pivot search re-run and checked step by step, and the full dense
-// algorithm runs whenever the replay cannot prove it would reproduce it.
-// Factors and solves are bit-identical either way (docs/SOLVER.md,
-// "Structural LU replay").
+// a solve) records the fill structure of its full factorizations, up to
+// kCachedStructures of them, and replays them: the next matrix is gathered
+// into a compact row-wise L+U array and eliminated over that structure
+// only, with the pivot search re-run and checked step by step, and the full
+// dense algorithm runs whenever no recorded structure can prove it would
+// reproduce it.  Factors and solves are bit-identical either way
+// (docs/SOLVER.md, "Structural LU replay").
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -48,31 +50,55 @@ class LuFactorization {
 
   bool factored() const { return factored_; }
 
+  /// Zero `a` for the next assembly.  `a` must be the matrix of the last
+  /// factor() call, unchanged since.  When that call fitted a recorded
+  /// structure, every nonzero of `a` lies inside it and only the
+  /// structure's entries are written; otherwise the whole matrix is.
+  void zero_factored(Matrix& a);
+
+  /// Recorded structures kept per object, most recently used first.  A
+  /// Newton solve whose pivot sequence alternates between a few orders
+  /// replays each of them instead of recording it again.
+  static constexpr std::size_t kCachedStructures = 4;
+
  private:
-  /// Fill structure of the last full factorization, under its pivot
-  /// sequence.  Rows are named by their final (pivoted) position.
+  /// Fill structure of a full factorization, under its pivot sequence.
+  /// Rows are named by their final (pivoted) position.  The L+U entries
+  /// ("slots") are stored row by row, columns ascending, so row k's U part
+  /// is contiguous right after its diagonal.
   struct Structure {
-    Index n = 0;  ///< 0: nothing recorded
+    Index n = 0;
     /// The pivot sequence, as the final row order (perm_ of that factor).
     std::vector<Index> perm;
-    /// Flat row-major indices of the recorded matrix's zero entries: a new
-    /// matrix is admitted only when all of them are still +0.0.
-    std::vector<std::uint32_t> outside;
-    /// Per row: the columns of its nonzero input entries (row scaling).
-    std::vector<Index> a_ptr, a_cols;
-    /// Per step k: the rows that may hold a nonzero in column k, in the
-    /// dense pivot search's own order; the first is the row the search
-    /// starts from.
-    std::vector<Index> cand_ptr, cand;
-    /// Per row: the structural L columns (left of the diagonal) and U
-    /// columns (right of it), ascending.
-    std::vector<Index> l_ptr, l_cols, u_ptr, u_cols;
+    /// Per flat row-major input entry: all ones outside the L+U structure,
+    /// zero inside.  A matrix is admitted when no entry has a bit set
+    /// under the mask, i.e. everything outside is exactly +0.0.
+    std::vector<std::uint64_t> outside;
+    /// Per row: its first slot (n + 1 entries) and its diagonal slot.
+    std::vector<std::uint32_t> row_ptr, diag;
+    /// Per slot: its column, and the flat index of its input entry.
+    std::vector<std::uint32_t> cols, src;
+    /// Per step k: the pivot-search candidates in the dense search's own
+    /// order, the first being the row that search starts from.  Each is a
+    /// slot (the always-zero slot `cols.size()` when the row has no entry
+    /// in column k) and a row.
+    std::vector<std::uint32_t> cand_ptr, cand_slot, cand_row;
+    /// Per step k: the rows it eliminates, as the slots of their column-k
+    /// entries, and for each such row the slots that row k's U entries
+    /// update, in U order.
+    std::vector<std::uint32_t> elim_ptr, elim_slot, update;
   };
+  /// A replay's outcome.  kRefused: this structure cannot reproduce the
+  /// dense factors (another may).  kInput: the input has a -0.0 or a zero
+  /// row inside the structure, which every structure refuses.
+  enum class Replay { kDone, kRefused, kInput };
 
   bool factor_dense(const Matrix& a, double singular_tol, bool& spilled);
-  bool replay(const Matrix& a, double singular_tol);
-  bool fits_structure(const Matrix& a) const;
-  void record_structure(const Matrix& a);
+  Replay replay(const Structure& st, const Matrix& a, double singular_tol);
+  static bool admits(const Structure& st, const Matrix& a);
+  void record_structure(Structure& st, const Matrix& a);
+  void use_structure(std::size_t i);
+  void gather_dense_factors();
   bool substitute_structured(const Vector& b, double* x) const;
   double forward_row(const Vector& b, const double* x, Index r) const;
   double backward_row(const double* x, Index r) const;
@@ -81,9 +107,17 @@ class LuFactorization {
   std::vector<Index> perm_;
   std::vector<double> row_scale_;
   mutable std::vector<double> scratch_;  // solve_in_place working vector
-  Structure st_;
+  /// Recorded structures, most recently used first.
+  std::vector<Structure> cache_;
+  /// Compact L+U values of the current factors under cache_.front(), plus
+  /// the always-zero slot at the end.
+  std::vector<double> vals_;
   bool refactored_ = false;  ///< factor() ran before: worth recording
-  bool structured_ = false;  ///< the current factors fit st_
+  /// The current factors are vals_ under cache_.front() (else lu_), and
+  /// the factored matrix had no nonzero outside that structure.
+  bool structured_ = false;
+  /// zero_factored() ran since the last factor().
+  bool input_zeroed_ = false;
   Index failed_row_ = -1;
   bool factored_ = false;
 };

@@ -57,13 +57,15 @@ struct NewtonMetrics {
   }
 };
 
-/// Dense linear step: stamps straight into the workspace matrix.
+/// Dense linear step: stamps straight into the workspace matrix, which
+/// holds the last factored Jacobian; after a structural replay only that
+/// structure's entries need zeroing.
 struct DenseStep {
   const AssembleFn& assemble_fn;
   NewtonWorkspace& ws;
 
   void assemble(const Vector& x) {
-    ws.dense_jac.set_zero();
+    ws.dense_lu.zero_factored(ws.dense_jac);
     ws.residual.fill(0.0);
     assemble_fn(x, ws.dense_jac, ws.residual);
   }

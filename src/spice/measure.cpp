@@ -23,19 +23,25 @@ std::optional<double> cross_time(std::span<const double> times,
                                  Edge edge, double t_after) {
   assert(times.size() == values.size());
   for (std::size_t k = 1; k < times.size(); ++k) {
-    if (times[k] < t_after) continue;
-    const double a = values[k - 1];
-    const double b = values[k];
-    const bool rising = a < level && b >= level;
-    const bool falling = a > level && b <= level;
-    const bool hit = (edge == Edge::kRising && rising) ||
-                     (edge == Edge::kFalling && falling) ||
-                     (edge == Edge::kEither && (rising || falling));
-    if (!hit) continue;
-    const double tc =
-        times[k - 1] + (times[k] - times[k - 1]) * (level - a) / (b - a);
-    if (tc >= t_after) return tc;
+    const auto tc = segment_cross(times[k - 1], values[k - 1], times[k],
+                                  values[k], level, edge, t_after);
+    if (tc) return tc;
   }
+  return std::nullopt;
+}
+
+std::optional<double> segment_cross(double t0, double v0, double t1,
+                                    double v1, double level, Edge edge,
+                                    double t_after) {
+  if (t1 < t_after) return std::nullopt;
+  const bool rising = v0 < level && v1 >= level;
+  const bool falling = v0 > level && v1 <= level;
+  const bool hit = (edge == Edge::kRising && rising) ||
+                   (edge == Edge::kFalling && falling) ||
+                   (edge == Edge::kEither && (rising || falling));
+  if (!hit) return std::nullopt;
+  const double tc = t0 + (t1 - t0) * (level - v0) / (v1 - v0);
+  if (tc >= t_after) return tc;
   return std::nullopt;
 }
 
@@ -108,12 +114,13 @@ double window_max(std::span<const double> times,
 
 double source_energy(const Trace& trace, std::string_view vsource_name,
                      double t0, double t1) {
-  const auto times = trace.times();
+  const auto& times = trace.times();
   const auto ib = trace.branch_current(vsource_name);
-  if (ib.empty()) return 0.0;
+  const Waveform* source = trace.source_waveform(vsource_name);
+  if (ib.empty() || source == nullptr) return 0.0;
   std::vector<double> power(times.size());
   for (std::size_t k = 0; k < times.size(); ++k) {
-    power[k] = -trace.source_value(vsource_name, times[k]) * ib[k];
+    power[k] = -source->value(times[k]) * ib[k];
   }
   return integrate(times, power, t0, t1);
 }
@@ -130,7 +137,7 @@ double total_source_energy(const Trace& trace, std::string_view prefix,
 
 double source_charge(const Trace& trace, std::string_view vsource_name,
                      double t0, double t1) {
-  const auto times = trace.times();
+  const auto& times = trace.times();
   auto ib = trace.branch_current(vsource_name);
   if (ib.empty()) return 0.0;
   for (double& v : ib) v = -v;

@@ -22,6 +22,12 @@ std::optional<double> cross_time(std::span<const double> times,
                                  std::span<const double> values, double level,
                                  Edge edge, double t_after = 0.0);
 
+/// The crossing cross_time reports for the sample pair (t0, v0) -> (t1, v1)
+/// when it gets that far: nullopt when the pair does not complete one.
+std::optional<double> segment_cross(double t0, double v0, double t1,
+                                    double v1, double level, Edge edge,
+                                    double t_after);
+
 /// 10%-90% rise time between `lo_frac` and `hi_frac` of [v_low, v_high].
 std::optional<double> rise_time(std::span<const double> times,
                                 std::span<const double> values, double v_low,

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "spice/elements.hpp"
+#include "spice/measure.hpp"
 
 namespace fetcam::spice {
 
@@ -63,6 +64,7 @@ struct TransientMetrics {
   obs::Counter& dt_exhausted;
   obs::Counter& device_evals;
   obs::Counter& device_bypasses;
+  obs::Counter& stopped_early;
   obs::Distribution& newton_per_step;
 
   static TransientMetrics& get() {
@@ -77,6 +79,7 @@ struct TransientMetrics {
         reg.counter("transient.dt_exhausted"),
         reg.counter("transient.device_evals"),
         reg.counter("transient.device_bypasses"),
+        reg.counter("transient.stopped_early"),
         reg.distribution("transient.newton_per_step"),
     };
     return m;
@@ -96,6 +99,7 @@ void record_transient(const TransientResult& res, bool dt_exhausted) {
       static_cast<std::uint64_t>(res.lte_rejected_steps));
   m.device_evals.add(res.device_evaluations);
   m.device_bypasses.add(res.device_bypasses);
+  if (res.stopped_early) m.stopped_early.add();
 }
 
 }  // namespace
@@ -119,12 +123,12 @@ Trace::Trace(const Circuit& ckt) {
 }
 
 num::Index Trace::node_index(std::string_view name) const {
-  const auto it = node_sys_index_.find(std::string(name));
+  const auto it = node_sys_index_.find(name);
   return it == node_sys_index_.end() ? -1 : it->second;
 }
 
 num::Index Trace::branch_index(std::string_view name) const {
-  const auto it = sources_.find(std::string(name));
+  const auto it = sources_.find(name);
   return it == sources_.end() ? -1 : it->second.first;
 }
 
@@ -175,8 +179,13 @@ double Trace::voltage_at_time(std::string_view node_name, double t) const {
 }
 
 double Trace::source_value(std::string_view device_name, double t) const {
-  const auto it = sources_.find(std::string(device_name));
-  return it == sources_.end() ? 0.0 : it->second.second.value(t);
+  const Waveform* w = source_waveform(device_name);
+  return w == nullptr ? 0.0 : w->value(t);
+}
+
+const Waveform* Trace::source_waveform(std::string_view device_name) const {
+  const auto it = sources_.find(device_name);
+  return it == sources_.end() ? nullptr : &it->second.second;
 }
 
 std::vector<std::string> Trace::source_names() const {
@@ -269,6 +278,8 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
   // Nonlinear devices may bypass their models inside the steps (never in
   // the operating point above); initialize_state cleared their caches.
   BypassTally bypass;
+  const num::Index stop_index =
+      opts.stop_at_fall ? ckt.node_sys_index(opts.stop_at_fall->node) : -1;
 
   while (t < opts.t_stop - t_eps) {
     while (next_bp < bps.size() && bps[next_bp] <= t + t_eps) ++next_bp;
@@ -337,11 +348,19 @@ TransientResult run_transient(Circuit& ckt, const TransientOptions& opts) {
     std::swap(x_prev, x);
     std::swap(x, x_try);
     h_prev = dt_step;
+    const double t_last = t;
     t = ctx.time;
     ++res.accepted_steps;
     const Solution sol(ckt, x);
     for (const auto& dev : ckt.devices()) dev->commit_step(ctx, sol);
     res.trace.append(t, x);
+    if (stop_index >= 0 &&
+        segment_cross(t_last, x_prev[stop_index], t, x[stop_index],
+                      opts.stop_at_fall->level, Edge::kFalling,
+                      opts.stop_at_fall->t_after)) {
+      res.stopped_early = true;
+      break;
+    }
 
     // Recover the step size after a landing or a halving episode.  k
     // restarts at 1 on every breakpoint and ramp step, so the steps right

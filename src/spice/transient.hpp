@@ -14,8 +14,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -63,6 +65,9 @@ class Trace {
 
   /// Source value (not branch current) of a recorded voltage source at t.
   double source_value(std::string_view device_name, double t) const;
+  /// Waveform of a recorded voltage source (null if unknown): look it up
+  /// once to evaluate it at many times.
+  const Waveform* source_waveform(std::string_view device_name) const;
   /// Names of all recorded voltage sources.
   std::vector<std::string> source_names() const;
 
@@ -70,9 +75,20 @@ class Trace {
   num::Index node_index(std::string_view name) const;    // -1 if unknown
   num::Index branch_index(std::string_view name) const;  // -1 if unknown
 
-  std::unordered_map<std::string, num::Index> node_sys_index_;
+  /// Hashes names as string views, so lookups build no std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <class V>
+  using NameMap =
+      std::unordered_map<std::string, V, NameHash, std::equal_to<>>;
+
+  NameMap<num::Index> node_sys_index_;
   /// Voltage-source name -> (system index of its branch, waveform copy).
-  std::unordered_map<std::string, std::pair<num::Index, Waveform>> sources_;
+  NameMap<std::pair<num::Index, Waveform>> sources_;
   std::vector<double> times_;
   std::vector<num::Vector> samples_;
 };
@@ -102,6 +118,19 @@ struct TransientOptions {
   /// circuit and size may follow any other.  When null the engine uses one
   /// internal workspace for the whole run.
   num::NewtonWorkspace* workspace = nullptr;
+  /// A falling crossing of `level` by `node` at or after `t_after`.
+  struct FallingCrossing {
+    NodeId node = 0;
+    double level = 0.0;
+    double t_after = 0.0;
+  };
+  /// Latency-only runs: end the run at the first accepted step that
+  /// completes this crossing, the one cross_time(..., Edge::kFalling,
+  /// t_after) reports on the full trace.  t_stop, breakpoints and the step
+  /// lattice stay those of the full run, so every recorded sample is
+  /// bit-identical to it; the trace just ends there, and a run with no
+  /// crossing runs to t_stop.
+  std::optional<FallingCrossing> stop_at_fall;
 };
 
 struct TransientResult {
@@ -121,6 +150,8 @@ struct TransientResult {
   /// (docs/SOLVER.md, "Device bypass").
   std::uint64_t device_evaluations = 0;
   std::uint64_t device_bypasses = 0;
+  /// The run ended at the TransientOptions::stop_at_fall crossing.
+  bool stopped_early = false;
 };
 
 /// Run transient analysis.  Device history state is left at t_stop on

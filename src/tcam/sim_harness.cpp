@@ -67,6 +67,7 @@ SearchMeasurement measure_search(arch::TcamDesign design,
   topts.dt = harness->suggested_dt();
   auto res = run_transient(harness->circuit(), topts);
   m.newton_iterations = res.total_newton_iterations;
+  m.accepted_steps = res.accepted_steps;
   if (!res.ok) {
     m.error = res.error;
     return m;
@@ -102,6 +103,34 @@ SearchMeasurement measure_search(arch::TcamDesign design,
   m.ok = true;
   if (trace_out != nullptr) *trace_out = trace;
   return m;
+}
+
+LatencyProbe measure_search_latency(arch::TcamDesign design,
+                                    const WordOptions& opts,
+                                    const SearchConfig& cfg) {
+  LatencyProbe p;
+  auto harness = make_word_harness(design, opts);
+  harness->build_search(cfg);
+  const double t_search = cfg.timing.search_start();
+  const double half = 0.5 * opts.vdd;
+
+  spice::TransientOptions topts;
+  topts.t_stop = harness->t_stop();
+  topts.dt = harness->suggested_dt();
+  topts.stop_at_fall = {harness->sa_out_node(), half, t_search};
+  const auto res = run_transient(harness->circuit(), topts);
+  p.accepted_steps = res.accepted_steps;
+  if (!res.ok) {
+    p.error = res.error;
+    return p;
+  }
+  const auto v_sa = res.trace.voltage(
+      harness->circuit().node_name(harness->sa_out_node()));
+  const auto sa_cross = spice::cross_time(res.trace.times(), v_sa, half,
+                                          spice::Edge::kFalling, t_search);
+  if (sa_cross) p.latency = *sa_cross - t_search;
+  p.ok = true;
+  return p;
 }
 
 WriteMeasurement measure_write(arch::TcamDesign design, const WordOptions& opts,

@@ -34,6 +34,7 @@ struct SearchMeasurement {
   EnergyBreakdown energy;       ///< whole-operation energy, joules
   double energy_per_cell = 0.0;
   int newton_iterations = 0;
+  int accepted_steps = 0;  ///< transient steps
 };
 
 /// Build + simulate one search.  `trace_out`, when non-null, receives the
@@ -42,6 +43,24 @@ SearchMeasurement measure_search(arch::TcamDesign design,
                                  const WordOptions& opts,
                                  const SearchConfig& cfg,
                                  spice::Trace* trace_out = nullptr);
+
+/// What a latency-only search probe reports: no energy, because its
+/// transient ends at the SA decision.
+struct LatencyProbe {
+  bool ok = false;
+  std::string error;
+  /// Bit-identical to measure_search(...).latency for the same inputs.
+  std::optional<double> latency;
+  int accepted_steps = 0;  ///< transient steps, up to the SA decision
+};
+
+/// Build + simulate one search up to the SA output's falling crossing
+/// after the search start (TransientOptions::stop_at_fall), the sample pair
+/// that decides the latency.  A search whose SA never falls runs the whole
+/// window and reports no latency.
+LatencyProbe measure_search_latency(arch::TcamDesign design,
+                                    const WordOptions& opts,
+                                    const SearchConfig& cfg);
 
 struct WriteMeasurement {
   bool ok = false;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "spice/dcsweep.hpp"
 #include "spice/elements.hpp"
@@ -241,6 +243,62 @@ TEST(FeFet, SetStateMvtRejectsOutOfWindowTargets) {
   FeFetTb tb(p);
   EXPECT_THROW(tb.dev->set_state(FeState::kMvt, 2.5), std::invalid_argument);
   EXPECT_THROW(tb.dev->set_state(FeState::kMvt, -0.5), std::invalid_argument);
+}
+
+TEST(FeFet, CommitReusesTheCheckedPolarizationOnlyForTheSameStep) {
+  // Two identical devices: `cached` runs the transient's order (the step
+  // check's state_change, then commit_step), `fresh` commits directly.
+  const auto p = dg_fefet_params();
+  FeFetTb tb(p, 0.0);
+  FeFet& fresh = tb.ckt.emplace<FeFet>("F2", tb.d, tb.fg, kGround, tb.bg, p);
+  FeFet& cached = *tb.dev;
+  tb.ckt.finalize();
+  const auto at_fg = [&](double v) {
+    num::Vector x(tb.ckt.system_size(), 0.0);
+    x[tb.ckt.node_sys_index(tb.fg)] = v;
+    return x;
+  };
+  const auto same_p = [&] {
+    return std::bit_cast<std::uint64_t>(cached.polarization()) ==
+           std::bit_cast<std::uint64_t>(fresh.polarization());
+  };
+  spice::EvalContext step;
+  step.mode = spice::AnalysisMode::kTransient;
+  step.dt = 0.25e-9;
+  spice::EvalContext grown = step;
+  grown.dt = 4.0 * step.dt;
+  cached.set_state(FeState::kHvt, 0.0);
+  fresh.set_state(FeState::kHvt, 0.0);
+
+  // Accepted steps: the checked value is committed, bit for bit.
+  for (const double v : {1.7, 1.8, 1.9}) {
+    const num::Vector x = at_fg(v);
+    EXPECT_GT(cached.state_change(step, Solution(tb.ckt, x)), 0.0);
+    cached.commit_step(step, Solution(tb.ckt, x));
+    fresh.commit_step(step, Solution(tb.ckt, x));
+    EXPECT_TRUE(same_p()) << v;
+  }
+  // A grown step rejected by the bound is retried at dt: the retry commits
+  // its own polarization, not the rejected trial's.
+  const num::Vector trial = at_fg(2.0);
+  const double p_before = cached.polarization();
+  const double change = cached.state_change(grown, Solution(tb.ckt, trial));
+  const num::Vector retry = at_fg(1.95);
+  cached.state_change(step, Solution(tb.ckt, retry));
+  cached.commit_step(step, Solution(tb.ckt, retry));
+  fresh.commit_step(step, Solution(tb.ckt, retry));
+  EXPECT_TRUE(same_p());
+  EXPECT_NE(std::abs(cached.polarization() - p_before) / p.fe.ps, change);
+  // Same solution, other dt; and a checked value left behind by a step
+  // whose commit never came.
+  cached.state_change(grown, Solution(tb.ckt, retry));
+  cached.commit_step(step, Solution(tb.ckt, retry));
+  fresh.commit_step(step, Solution(tb.ckt, retry));
+  EXPECT_TRUE(same_p());
+  cached.state_change(step, Solution(tb.ckt, trial));
+  cached.commit_step(step, Solution(tb.ckt, retry));
+  fresh.commit_step(step, Solution(tb.ckt, retry));
+  EXPECT_TRUE(same_p());
 }
 
 }  // namespace

@@ -30,6 +30,10 @@ std::uint64_t replays() {
   return obs::MetricsRegistry::instance().counter("lu.dense.replays").value();
 }
 
+std::uint64_t records() {
+  return obs::MetricsRegistry::instance().counter("lu.dense.records").value();
+}
+
 /// Right-hand sides that exercise the substitution's edge cases: plain
 /// values, exact +0.0 and -0.0 entries (the sign of a zero result), and a
 /// non-finite entry.
@@ -254,15 +258,49 @@ TEST(LuReplay, SizeChangeRebuildsTheStructure) {
   EXPECT_GT(replays() - before, 0u);
 }
 
-TEST(LuReplay, RandomPerturbationsMatchFreshFactorizations) {
-  // Random walks over values, zeros inside the pattern, entries outside
-  // it, pivot-flipping magnitudes and singular rows.
-  std::mt19937 rng(20231);
-  std::uniform_int_distribution<int> pick(0, kN - 1);
+/// Negate every nonzero, keeping the +0.0 entries +0.0.
+void negate(Matrix& a) {
+  for (Index r = 0; r < a.rows(); ++r) {
+    for (Index c = 0; c < a.cols(); ++c) {
+      if (a(r, c) != 0.0) a(r, c) = -a(r, c);
+    }
+  }
+}
+
+/// A negated MNA block (every pivot negative) over the first n - 3 rows,
+/// identity below it: the identity rows have no entry in the block's
+/// columns, so their dense L entries there are -0.0.
+Matrix negative_block(Index n, unsigned seed) {
+  Matrix block = mna(n - 3, seed);
+  negate(block);
+  return padded(block, n);
+}
+
+/// A diagonal matrix whose first pivot is negative: every other row has
+/// no entry in column 0, so its dense L entry there is -0.0, and with a
+/// right-hand side that is -0.0 below its first entry each of those rows
+/// sums to exactly zero over its (empty) structure.
+Matrix negative_pivot(Index n, unsigned seed) {
+  Matrix a(n, n);
+  for (Index i = 0; i < n; ++i) a(i, i) = 1.0 + 0.25 * seed;
+  a(0, 0) = -2.0 - seed;
+  return a;
+}
+
+/// 300-step random walk of one object over values, zeros inside the
+/// pattern (set directly and as stamps that cancel), entries outside it,
+/// pivot-flipping magnitudes, singular rows, -0.0 entries and negative
+/// pivots over rows with no entry in their column.
+void random_walk(Index n, unsigned seed) {
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<Index> pick(0, n - 1);
   std::uniform_real_distribution<double> u(0.0, 1.0);
   LuFactorization lu;
   for (int step = 0; step < 300; ++step) {
-    Matrix a = mna(kN, static_cast<unsigned>(step % 7));
+    const auto values = static_cast<unsigned>(step % 7);
+    Matrix a = step % 5 < 3    ? mna(n, values)
+               : step % 5 == 3 ? negative_block(n, values)
+                               : negative_pivot(n, values);
     const double roll = u(rng);
     const Index r = pick(rng);
     const Index c = pick(rng);
@@ -273,12 +311,141 @@ TEST(LuReplay, RandomPerturbationsMatchFreshFactorizations) {
     } else if (roll < 0.45) {
       a(r, c) = 1e3 * (u(rng) + 0.5);
     } else if (roll < 0.5) {
-      for (Index k = 0; k < kN; ++k) a(r, k) = 0.0;
+      for (Index k = 0; k < n; ++k) a(r, k) = 0.0;
     } else if (roll < 0.55) {
       a(r, c) = -0.0;
+    } else if (roll < 0.65) {
+      const double v = a(r, c);
+      a(r, c) -= v;
     }
+    SCOPED_TRACE(testing::Message() << "n=" << n << " step=" << step);
     expect_matches_fresh(lu, a);
   }
+}
+
+TEST(LuReplay, RandomPerturbationsMatchFreshFactorizations) {
+  random_walk(kN, 20231);
+}
+
+TEST(LuReplay, RandomWalksMatchFreshAtHarnessSizes) {
+  const MetricsOn metrics;
+  const std::uint64_t before = replays();
+  for (const Index n : {16, 26, 50, 64}) {
+    random_walk(n, 7u + static_cast<unsigned>(n));
+  }
+  EXPECT_GT(replays() - before, 0u);
+}
+
+/// Right-hand sides that are -0.0 except for one positive entry: a row
+/// whose structural products all vanish sums to exactly zero, and its
+/// dense redo then reads the L entries outside the structure.
+std::vector<Vector> signed_zero_rhs(Index n) {
+  std::vector<Vector> out;
+  for (Index i = 0; i < n; ++i) {
+    Vector b(n, -0.0);
+    b[i] = 1.5;
+    out.push_back(b);
+  }
+  return out;
+}
+
+TEST(LuReplay, NegativePivotsKeepTheSignOfStructuralZeros) {
+  // A negative pivot makes the dense algorithm leave -0.0 in the L
+  // entries outside the structure below it (+0.0 * a negative inv_pivot);
+  // rows that sum to exactly zero over their structure read them when they
+  // are redone densely.
+  const MetricsOn metrics;
+  for (const Index n : {16, 26, 50}) {
+    LuFactorization lu;
+    const std::uint64_t before = replays();
+    for (unsigned s = 0; s < 8; ++s) {
+      const Matrix a = s < 4 ? negative_pivot(n, s) : negative_block(n, s);
+      LuFactorization fresh;
+      ASSERT_TRUE(fresh.factor(a));
+      ASSERT_TRUE(lu.factor(a));
+      for (const Vector& b : signed_zero_rhs(n)) {
+        Vector y = b;
+        lu.solve_in_place(y);
+        EXPECT_TRUE(same_bits(fresh.solve(b), y)) << "n=" << n;
+      }
+    }
+    // The first pattern records on its second matrix, the second on its
+    // first (the object has factored before): 2 + 3 replays.
+    EXPECT_EQ(replays() - before, 5u) << "n=" << n;
+  }
+}
+
+TEST(LuReplay, AlternatingPivotSequencesReplayBothStructures) {
+  const MetricsOn metrics;
+  LuFactorization lu;
+  Matrix small(3, 3);
+  small(0, 0) = 4.0;  small(0, 1) = 5.0;
+  small(1, 0) = 1.0;  small(1, 1) = 4.0;  small(1, 2) = 1.0;
+  small(2, 1) = 1.0;  small(2, 2) = 4.0;
+  const Matrix a = padded(small);
+  Matrix b = a;
+  b(1, 0) = 8.0;  // row 1 wins column 0: the other pivot sequence
+  expect_matches_fresh(lu, a);
+  expect_matches_fresh(lu, a);  // records a's structure
+  expect_matches_fresh(lu, b);  // first flip: records b's
+  const std::uint64_t rec = records();
+  const std::uint64_t rep = replays();
+  expect_matches_fresh(lu, b);
+  expect_matches_fresh(lu, a);  // second flip
+  expect_matches_fresh(lu, b);
+  expect_matches_fresh(lu, a);
+  EXPECT_EQ(records() - rec, 0u);
+  EXPECT_EQ(replays() - rep, 4u);
+}
+
+TEST(LuReplay, RoundingTiedScaledPivotsAlternateStructures) {
+  // |v| * (1 / |v|) rounds to 1.0 for 50 but to 0.99999999999999989 for
+  // 49, so row 0 keeps column 0 against row 2 (scaled exactly 1.0) only
+  // when its entry is 50: the pivot flips with the value, as on the
+  // divider's node and branch rows.
+  ASSERT_EQ(50.0 * (1.0 / 50.0), 1.0);
+  ASSERT_EQ(3.0 * (1.0 / 3.0), 1.0);
+  ASSERT_LT(49.0 * (1.0 / 49.0), 1.0);
+  const MetricsOn metrics;
+  for (const Index n : {16, 26}) {
+    LuFactorization lu;
+    const auto tie = [&](double v) {
+      Matrix small(3, 3);
+      small(0, 0) = v;    small(0, 1) = 1.0;
+      small(1, 1) = 2.0;  small(1, 2) = 1.0;
+      small(2, 0) = 3.0;  small(2, 2) = 1.0;
+      return padded(small, n);
+    };
+    expect_matches_fresh(lu, tie(50.0));
+    expect_matches_fresh(lu, tie(50.0));
+    expect_matches_fresh(lu, tie(49.0));
+    const std::uint64_t rec = records();
+    const std::uint64_t rep = replays();
+    for (int i = 0; i < 6; ++i) {
+      expect_matches_fresh(lu, tie(i % 2 == 0 ? 49.0 : 50.0));
+    }
+    EXPECT_EQ(records() - rec, 0u) << "n=" << n;
+    EXPECT_EQ(replays() - rep, 6u) << "n=" << n;
+  }
+}
+
+TEST(LuReplay, CancellingStampsInsideThePatternReplay) {
+  // Stamps that sum to exactly +0.0 inside the pattern replay like any
+  // other value.
+  const MetricsOn metrics;
+  LuFactorization lu;
+  expect_matches_fresh(lu, mna(kN, 1));
+  expect_matches_fresh(lu, mna(kN, 2));
+  const std::uint64_t before = replays();
+  for (unsigned s = 3; s < 7; ++s) {
+    Matrix a = mna(kN, s);
+    const double g = a(3, 4);
+    a(3, 4) += -g;
+    a(4, 3) -= a(4, 3);
+    ASSERT_TRUE(a(3, 4) == 0.0 && !std::signbit(a(3, 4)));
+    expect_matches_fresh(lu, a);
+  }
+  EXPECT_EQ(replays() - before, 4u);
 }
 
 }  // namespace

@@ -20,6 +20,9 @@ When the report carries end-to-end transient sections it also checks the
 refactor hit rate (>= MIN_HIT_RATE): a cold cache means the pattern keying
 broke and every "refactor" silently full-factors.
 
+The dense_replay section (the dense LU's structural replay on the word
+harness's own Jacobians) is printed for the record and gated on nothing.
+
 Usage: check_solver_speedup.py BENCH_solver.json
 """
 
@@ -98,6 +101,19 @@ def main() -> int:
                 f"at n_bits={ab['n_bits']}"
             )
             ok = False
+
+    for dr in report.get("dense_replay", []):
+        replay = dr["replay_us"]
+        print(
+            f"dense_replay {dr['design']} n_bits={dr['n_bits']} (n={dr['n']}): "
+            f"fresh factor {dr['fresh_factor_us']:.2f}us, "
+            f"replay {replay:.2f}us "
+            f"({dr['fresh_factor_us'] / replay if replay > 0 else 0.0:.2f}x), "
+            f"solve {dr['solve_us']:.2f}us, "
+            f"records/transient {dr['records_per_transient']} "
+            f"(replays {dr['replays_per_transient']} of "
+            f"{dr['factors_per_transient']} factors)"
+        )
 
     print("OK" if ok else "solver perf guard failed")
     return 0 if ok else 1
