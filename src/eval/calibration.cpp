@@ -1,5 +1,7 @@
 #include "eval/calibration.hpp"
 
+#include <array>
+
 #include "devices/tech14.hpp"
 #include "spice/op.hpp"
 #include "spice/transient.hpp"
@@ -7,15 +9,9 @@
 namespace fetcam::eval {
 
 using arch::Ternary;
-using dev::FeFet;
 using dev::FeState;
-using dev::Mosfet;
 using spice::Circuit;
-using spice::kGround;
-using spice::NodeId;
 using spice::Solution;
-using spice::VoltageSource;
-using spice::Waveform;
 
 std::vector<DividerPoint> characterize_divider(tcam::Flavor flavor) {
   std::vector<DividerPoint> out;
@@ -52,58 +48,6 @@ std::vector<DividerPoint> characterize_divider(tcam::Flavor flavor) {
   return out;
 }
 
-namespace {
-
-/// Static replica of one divider leg: FeFET between SL and SL_bar, TN to
-/// ground, TP to VDD, biased per the search configuration.
-struct StaticDivider {
-  Circuit ckt;
-  FeFet* fe = nullptr;
-  Mosfet* tn = nullptr;
-  Mosfet* tp = nullptr;
-  NodeId slb;
-
-  StaticDivider(tcam::Flavor flavor, const tcam::OnePointFiveParams& p,
-                FeState state, double mvt_target, bool searching_zero,
-                double vdd) {
-    const dev::FeFetParams fp = flavor == tcam::Flavor::kSg
-                                    ? dev::sg_fefet_params()
-                                    : dev::dg_fefet_params();
-    const double v_sel =
-        flavor == tcam::Flavor::kSg ? p.v_sel_sg : p.v_sel_dg;
-    const NodeId sl = ckt.node("sl");
-    slb = ckt.node("slb");
-    const NodeId bl = ckt.node("bl");
-    const NodeId sel = ckt.node("sel");
-    const NodeId wrsl = ckt.node("wrsl");
-    const NodeId vddp = ckt.node("vddp");
-    const double level = searching_zero ? vdd : 0.0;
-    ckt.emplace<VoltageSource>("VSL", sl, kGround, Waveform::dc(level));
-    ckt.emplace<VoltageSource>("VWRSL", wrsl, kGround, Waveform::dc(level));
-    ckt.emplace<VoltageSource>("VDDP", vddp, kGround, Waveform::dc(vdd));
-    if (flavor == tcam::Flavor::kSg) {
-      // Merged BL/SeL on the FG.
-      ckt.emplace<VoltageSource>("VBL", bl, kGround, Waveform::dc(v_sel));
-      ckt.emplace<VoltageSource>("VSELX", sel, kGround, Waveform::dc(0.0));
-    } else {
-      ckt.emplace<VoltageSource>(
-          "VBL", bl, kGround, Waveform::dc(searching_zero ? p.v_b : 0.0));
-      ckt.emplace<VoltageSource>("VSELX", sel, kGround, Waveform::dc(v_sel));
-    }
-    fe = &ckt.emplace<FeFet>("FE", sl, bl, slb, sel, fp);
-    fe->set_state(state, mvt_target);
-    tn = &ckt.emplace<Mosfet>("TN", slb, wrsl, kGround, kGround,
-                              dev::tech14::nfet(p.tn_w, p.tn_l));
-    tp = &ckt.emplace<Mosfet>("TP", slb, wrsl, vddp, vddp,
-                              dev::tech14::pfet(p.tp_w, p.tp_l));
-  }
-
-  /// Solve the OP; returns the solution vector.
-  spice::OpResult solve() { return solve_op(ckt); }
-};
-
-}  // namespace
-
 Eq1Resistances extract_eq1_resistances(tcam::Flavor flavor) {
   Eq1Resistances r;
   const tcam::OnePointFiveParams p{};
@@ -114,28 +58,32 @@ Eq1Resistances extract_eq1_resistances(tcam::Flavor flavor) {
   r.vdd = wo.vdd;
   r.tml_vth = flavor == tcam::Flavor::kSg ? p.tml_vth_sg : p.tml_vth_dg;
 
-  // Search-'0' leg (FeFET in series with TN): in-situ resistances.
-  const auto leg0 = [&](FeState s) {
-    StaticDivider d(flavor, p, s, mvt, true, r.vdd);
-    const auto op = d.solve();
-    const Solution sol(d.ckt, op.x);
-    return std::pair<double, double>{d.fe->on_resistance(sol),
-                                     d.tn->on_resistance(sol)};
+  // The nominal cards: one static divider leg per operating point.
+  const dev::FeFetParams fe = flavor == tcam::Flavor::kSg
+                                  ? dev::sg_fefet_params()
+                                  : dev::dg_fefet_params();
+  const auto leg = [&](FeState s, bool query_one) {
+    Circuit ckt;
+    const tcam::StaticDivider d = tcam::place_static_divider(
+        ckt, flavor, p, fe, dev::tech14::nfet(p.tn_w, p.tn_l),
+        dev::tech14::pfet(p.tp_w, p.tp_l), query_one, r.vdd);
+    d.fe->set_state(s, mvt);
+    const auto op = solve_op(ckt);
+    const Solution sol(ckt, op.x);
+    return std::array<double, 3>{d.fe->on_resistance(sol),
+                                 d.tn->on_resistance(sol),
+                                 d.tp->on_resistance(sol)};
   };
-  const auto [r_on, r_n_at_on] = leg0(FeState::kLvt);
-  r.r_on = r_on;
-  r.r_n = r_n_at_on;
-  r.r_m0 = leg0(FeState::kMvt).first;
-  r.r_off = leg0(FeState::kHvt).first;
-
+  // Search-'0' leg (FeFET in series with TN): in-situ resistances.
+  const auto on = leg(FeState::kLvt, false);
+  r.r_on = on[0];
+  r.r_n = on[1];
+  r.r_m0 = leg(FeState::kMvt, false)[0];
+  r.r_off = leg(FeState::kHvt, false)[0];
   // Search-'1' leg (TP in series with FeFET): in-situ R_M and R_P.
-  {
-    StaticDivider d(flavor, p, FeState::kMvt, mvt, false, r.vdd);
-    const auto op = d.solve();
-    const Solution sol(d.ckt, op.x);
-    r.r_m1 = d.fe->on_resistance(sol);
-    r.r_p = d.tp->on_resistance(sol);
-  }
+  const auto m1 = leg(FeState::kMvt, true);
+  r.r_m1 = m1[0];
+  r.r_p = m1[2];
   return r;
 }
 

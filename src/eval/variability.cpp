@@ -16,15 +16,8 @@
 namespace fetcam::eval {
 
 using arch::Ternary;
-using dev::FeFet;
-using dev::FeState;
-using dev::Mosfet;
 using spice::Circuit;
-using spice::kGround;
-using spice::NodeId;
 using spice::Solution;
-using spice::VoltageSource;
-using spice::Waveform;
 
 namespace detail {
 
@@ -66,32 +59,12 @@ DividerSolve divider_slb_at_polarization(tcam::Flavor flavor,
                                          double polarization, bool query_one,
                                          double vdd) {
   Circuit ckt;
-  const NodeId sl = ckt.node("sl");
-  const NodeId slb = ckt.node("slb");
-  const NodeId bl = ckt.node("bl");
-  const NodeId sel = ckt.node("sel");
-  const NodeId wrsl = ckt.node("wrsl");
-  const NodeId vddp = ckt.node("vddp");
-  const double level = query_one ? 0.0 : vdd;
-  const double vsel = flavor == tcam::Flavor::kSg ? p.v_sel_sg : p.v_sel_dg;
-  ckt.emplace<VoltageSource>("VSL", sl, kGround, Waveform::dc(level));
-  ckt.emplace<VoltageSource>("VWRSL", wrsl, kGround, Waveform::dc(level));
-  ckt.emplace<VoltageSource>("VDDP", vddp, kGround, Waveform::dc(vdd));
-  if (flavor == tcam::Flavor::kSg) {
-    ckt.emplace<VoltageSource>("VBL", bl, kGround, Waveform::dc(vsel));
-    ckt.emplace<VoltageSource>("VSELX", sel, kGround, Waveform::dc(0.0));
-  } else {
-    ckt.emplace<VoltageSource>("VBL", bl, kGround,
-                               Waveform::dc(query_one ? 0.0 : p.v_b));
-    ckt.emplace<VoltageSource>("VSELX", sel, kGround, Waveform::dc(vsel));
-  }
-  auto& fe = ckt.emplace<FeFet>("FE", sl, bl, slb, sel, cell.fe);
-  fe.set_polarization(polarization);
-  ckt.emplace<Mosfet>("TN", slb, wrsl, kGround, kGround, cell.tn);
-  ckt.emplace<Mosfet>("TP", slb, wrsl, vddp, vddp, cell.tp);
+  const tcam::StaticDivider d = tcam::place_static_divider(
+      ckt, flavor, p, cell.fe, cell.tn, cell.tp, query_one, vdd);
+  d.fe->set_polarization(polarization);
   const auto op = solve_op(ckt);
   if (!op.converged) return {std::nan(""), spice::OpStrategy::kFailed};
-  return {Solution(ckt, op.x).v(slb), op.strategy};
+  return {Solution(ckt, op.x).v(d.slb), op.strategy};
 }
 
 const std::array<Corner, kNumCorners>& corner_table() {

@@ -4,40 +4,59 @@
 
 namespace fetcam::tcam {
 
-std::vector<spice::NodeId> WordHarness::build_match_line(int taps,
-                                                         int cells_per_tap) {
-  const WireSegment seg =
-      wire_for_pitch(opts_.wire, cell_pitch() * cells_per_tap);
-  std::vector<spice::NodeId> nodes;
-  nodes.reserve(static_cast<std::size_t>(taps));
-  spice::NodeId prev = ckt_.node("ml0");
-  nodes.push_back(prev);
-  ckt_.emplace<spice::Capacitor>("CML0", prev, spice::kGround,
-                                 seg.capacitance);
+MatchLine place_match_line(spice::Circuit& ckt, const WordOptions& opts,
+                           double pitch, int taps, int cells_per_tap,
+                           const std::string& row, const std::string& periph,
+                           bool write_clamp) {
+  const WireSegment seg = wire_for_pitch(opts.wire, pitch * cells_per_tap);
+  MatchLine ml;
+  ml.taps.reserve(static_cast<std::size_t>(taps));
+  spice::NodeId prev = ckt.node("ml" + row + "0");
+  ml.taps.push_back(prev);
+  ckt.emplace<spice::Capacitor>("CML" + row + "0", prev, spice::kGround,
+                                seg.capacitance);
   for (int k = 1; k < taps; ++k) {
-    const spice::NodeId n = ckt_.node("ml" + std::to_string(k));
-    ckt_.emplace<spice::Resistor>("RML" + std::to_string(k), prev, n,
-                                  seg.resistance);
-    ckt_.emplace<spice::Capacitor>("CML" + std::to_string(k), n,
-                                   spice::kGround, seg.capacitance);
-    nodes.push_back(n);
+    const std::string sk = row + std::to_string(k);
+    const spice::NodeId n = ckt.node("ml" + sk);
+    ckt.emplace<spice::Resistor>("RML" + sk, prev, n, seg.resistance);
+    ckt.emplace<spice::Capacitor>("CML" + sk, n, spice::kGround,
+                                  seg.capacitance);
+    ml.taps.push_back(n);
     prev = n;
   }
-  pre_ = add_precharge(ckt_, nodes.front(), "ml", opts_.vdd, 4.0,
-                       opts_.temperature_k, opts_.corner);
-  sa_ = add_sense_amp(ckt_, nodes.back(), "ml", opts_.vdd,
-                      opts_.temperature_k, opts_.corner);
-  ml_sense_ = nodes.back();
-  return nodes;
+  ml.pre = add_precharge(ckt, ml.taps.front(), periph, opts.vdd, 4.0,
+                         opts.temperature_k, opts.corner);
+  ml.sa = add_sense_amp(ckt, ml.taps.back(), periph, opts.vdd,
+                        opts.temperature_k, opts.corner);
+  if (write_clamp) {
+    // Holds the ML low during writes; off (gate grounded) while searching.
+    const spice::NodeId g = ckt.node("mlrst" + row + ".g");
+    ml.clamp_gate = &ckt.emplace<spice::VoltageSource>(
+        "VMLRST" + row, g, spice::kGround, spice::Waveform::dc(0.0));
+    ckt.emplace<dev::Mosfet>(
+        "MMLRST" + row, ml.taps.front(), g, spice::kGround, spice::kGround,
+        dev::tech14::at_corner(
+            dev::tech14::at_temperature(dev::tech14::nfet(2.0),
+                                        opts.temperature_k),
+            opts.corner));
+  }
+  return ml;
 }
 
-void WordHarness::program_precharge(const SearchTiming& t) {
-  // The ML starts discharged (the common case: the previous search missed)
-  // and is charged from zero during the precharge window, so the VPRE supply
-  // is billed the full C*V^2 — then released for evaluation.
-  pre_.gate->set_waveform(levels_waveform(
-      {{0.0, opts_.vdd}, {10e-12, 0.0}, {t.search_start(), opts_.vdd}},
-      t.t_edge));
+void program_precharge(const PrechargeHandles& pre, double vdd,
+                       const SearchTiming& t) {
+  pre.gate->set_waveform(levels_waveform(
+      {{0.0, vdd}, {10e-12, 0.0}, {t.search_start(), vdd}}, t.t_edge));
+}
+
+MatchLine WordHarness::build_match_line(int taps, int cells_per_tap,
+                                        bool write_clamp) {
+  MatchLine ml = place_match_line(ckt_, opts_, cell_pitch(), taps,
+                                  cells_per_tap, "", "ml", write_clamp);
+  pre_ = ml.pre;
+  sa_ = ml.sa;
+  ml_sense_ = ml.taps.back();
+  return ml;
 }
 
 void WordHarness::assert_unbuilt() const {

@@ -13,10 +13,21 @@ using dev::FeFet;
 using dev::FeState;
 using dev::Mosfet;
 using spice::Capacitor;
+using spice::Circuit;
 using spice::kGround;
 using spice::NodeId;
 using spice::VoltageSource;
 using spice::Waveform;
+
+namespace {
+
+dev::MosfetParams at_env(const dev::MosfetParams& card,
+                         const WordOptions& opts) {
+  return dev::tech14::at_corner(
+      dev::tech14::at_temperature(card, opts.temperature_k), opts.corner);
+}
+
+}  // namespace
 
 OnePointFiveParams apply_tuning(Flavor flavor, OnePointFiveParams p,
                                 const DeviceTuning& t,
@@ -33,6 +44,38 @@ OnePointFiveParams apply_tuning(Flavor flavor, OnePointFiveParams p,
     mvt = vth0 + (mvt - vth0) * t.t_fe_scale;
   }
   return p;
+}
+
+StaticDivider place_static_divider(Circuit& ckt, Flavor flavor,
+                                   const OnePointFiveParams& p,
+                                   const dev::FeFetParams& fe,
+                                   const dev::MosfetParams& tn,
+                                   const dev::MosfetParams& tp,
+                                   bool query_one, double vdd) {
+  StaticDivider d;
+  const NodeId sl = ckt.node("sl");
+  d.slb = ckt.node("slb");
+  const NodeId bl = ckt.node("bl");
+  const NodeId sel = ckt.node("sel");
+  const NodeId wrsl = ckt.node("wrsl");
+  const NodeId vddp = ckt.node("vddp");
+  const double level = query_one ? 0.0 : vdd;
+  const double vsel = flavor == Flavor::kSg ? p.v_sel_sg : p.v_sel_dg;
+  ckt.emplace<VoltageSource>("VSL", sl, kGround, Waveform::dc(level));
+  ckt.emplace<VoltageSource>("VWRSL", wrsl, kGround, Waveform::dc(level));
+  ckt.emplace<VoltageSource>("VDDP", vddp, kGround, Waveform::dc(vdd));
+  if (flavor == Flavor::kSg) {
+    ckt.emplace<VoltageSource>("VBL", bl, kGround, Waveform::dc(vsel));
+    ckt.emplace<VoltageSource>("VSELX", sel, kGround, Waveform::dc(0.0));
+  } else {
+    ckt.emplace<VoltageSource>("VBL", bl, kGround,
+                               Waveform::dc(query_one ? 0.0 : p.v_b));
+    ckt.emplace<VoltageSource>("VSELX", sel, kGround, Waveform::dc(vsel));
+  }
+  d.fe = &ckt.emplace<FeFet>("FE", sl, bl, d.slb, sel, fe);
+  d.tn = &ckt.emplace<Mosfet>("TN", d.slb, wrsl, kGround, kGround, tn);
+  d.tp = &ckt.emplace<Mosfet>("TP", d.slb, wrsl, vddp, vddp, tp);
+  return d;
 }
 
 OnePointFiveWord::OnePointFiveWord(Flavor flavor, WordOptions opts,
@@ -52,6 +95,11 @@ OnePointFiveWord::OnePointFiveWord(Flavor flavor, WordOptions opts,
     throw std::invalid_argument("1.5T1Fe word length must be even");
   }
   params_ = apply_tuning(flavor, params_, opts.tuning, fe_params_);
+  tn_ = at_env(dev::tech14::nfet(params_.tn_w, params_.tn_l), opts);
+  tp_ = at_env(dev::tech14::pfet(params_.tp_w, params_.tp_l), opts);
+  dev::MosfetParams tml = dev::tech14::nfet(params_.tml_w, params_.tml_l);
+  tml.vth0 = flavor == Flavor::kSg ? params_.tml_vth_sg : params_.tml_vth_dg;
+  tml_ = at_env(tml, opts);
 }
 
 std::string OnePointFiveWord::design_name() const {
@@ -74,30 +122,14 @@ double OnePointFiveWord::vm() const {
   return fe_params_.write_voltage_for_vth(mvt_vth_target());
 }
 
-double OnePointFiveWord::search_line_cap_per_cell() const {
-  // Column lines serve every row's search simultaneously; the fair one-row
-  // share is the wire over one vertical cell pitch (this row's device loads
-  // are already present as devices).
-  return wire_for_pitch(opts_.wire, cell_pitch()).capacitance;
-}
-
-double OnePointFiveWord::write_line_cap_per_cell() const {
-  // Write energy is reported cell-level (paper Table IV): wire share only.
-  return wire_for_pitch(opts_.wire, cell_pitch()).capacitance;
-}
-
-void OnePointFiveWord::place_pair(int p, const PairNodes& nodes,
-                                  NodeId sela, NodeId selb, NodeId vdd_rail,
-                                  NodeId ml_tap,
-                                  const arch::TernaryWord& stored) {
-  const int c1 = 2 * p;
-  const int c2 = 2 * p + 1;
-  const std::string sp = std::to_string(p);
-
-  auto& f1 = ckt_.emplace<FeFet>("FE" + std::to_string(c1), nodes.sl,
-                                 nodes.bl1, nodes.slb, sela, fe_params_);
-  auto& f2 = ckt_.emplace<FeFet>("FE" + std::to_string(c2), nodes.sl,
-                                 nodes.bl2, nodes.slb, selb, fe_params_);
+std::pair<FeFet*, FeFet*> OnePointFiveWord::place_pair(
+    Circuit& ckt, const PairNodes& nodes, const std::string& row, int p,
+    Ternary d1, Ternary d2) const {
+  auto& f1 = ckt.emplace<FeFet>("FE" + row + std::to_string(2 * p), nodes.sl,
+                                nodes.bl1, nodes.slb, nodes.sela, fe_params_);
+  auto& f2 = ckt.emplace<FeFet>("FE" + row + std::to_string(2 * p + 1),
+                                nodes.sl, nodes.bl2, nodes.slb, nodes.selb,
+                                fe_params_);
   const auto set = [&](FeFet& f, Ternary d) {
     switch (d) {
       case Ternary::kZero:
@@ -111,25 +143,25 @@ void OnePointFiveWord::place_pair(int p, const PairNodes& nodes,
         break;
     }
   };
-  set(f1, stored[static_cast<std::size_t>(c1)]);
-  set(f2, stored[static_cast<std::size_t>(c2)]);
-  fefets_[static_cast<std::size_t>(c1)] = &f1;
-  fefets_[static_cast<std::size_t>(c2)] = &f2;
+  set(f1, d1);
+  set(f2, d2);
+  const std::string sp = row + std::to_string(p);
+  ckt.emplace<Mosfet>("TN" + sp, nodes.slb, nodes.wrsl, kGround, kGround, tn_);
+  ckt.emplace<Mosfet>("TP" + sp, nodes.slb, nodes.wrsl, nodes.vdd_rail,
+                      nodes.vdd_rail, tp_);
+  ckt.emplace<Mosfet>("TML" + sp, nodes.ml_tap, nodes.slb, kGround, kGround,
+                      tml_);
+  return {&f1, &f2};
+}
 
-  const auto env = [&](dev::MosfetParams card) {
-    return dev::tech14::at_corner(
-        dev::tech14::at_temperature(card, opts_.temperature_k),
-        opts_.corner);
-  };
-  ckt_.emplace<Mosfet>("TN" + sp, nodes.slb, nodes.wrsl, kGround, kGround,
-                       env(dev::tech14::nfet(params_.tn_w, params_.tn_l)));
-  ckt_.emplace<Mosfet>("TP" + sp, nodes.slb, nodes.wrsl, vdd_rail, vdd_rail,
-                       env(dev::tech14::pfet(params_.tp_w, params_.tp_l)));
-  dev::MosfetParams tml = dev::tech14::nfet(params_.tml_w, params_.tml_l);
-  tml.vth0 =
-      flavor_ == Flavor::kSg ? params_.tml_vth_sg : params_.tml_vth_dg;
-  ckt_.emplace<Mosfet>("TML" + sp, ml_tap, nodes.slb, kGround, kGround,
-                       env(tml));
+void OnePointFiveWord::place_word_pair(int p, const PairNodes& nodes,
+                                       const arch::TernaryWord& stored) {
+  const auto c1 = static_cast<std::size_t>(2 * p);
+  const auto [f1, f2] =
+      place_pair(ckt_, nodes, {}, p, stored[c1], stored[c1 + 1]);
+  fefets_[c1] = f1;
+  fefets_[c1 + 1] = f2;
+  slb_of_pair_[static_cast<std::size_t>(p)] = nodes.slb;
 }
 
 void OnePointFiveWord::build_search(const SearchConfig& cfg) {
@@ -148,7 +180,7 @@ void OnePointFiveWord::build_search(const SearchConfig& cfg) {
   const double vdd = opts_.vdd;
   const int pairs = n / 2;
 
-  const auto ml = build_match_line(pairs, 2);
+  const auto ml = build_match_line(pairs, 2).taps;
 
   // TP pullup rail — part of the voltage-divider ("search signals") energy.
   const NodeId vdd_rail = ckt_.node("slrail");
@@ -195,7 +227,7 @@ void OnePointFiveWord::build_search(const SearchConfig& cfg) {
           levels_waveform(b == 0 ? bias : plan_off, tm.t_edge));
       if (bl_count[b] > 0) {
         ckt_.emplace<Capacitor>("CBL.q" + std::to_string(b), bl_q[b], kGround,
-                                write_line_cap_per_cell() * bl_count[b]);
+                                column_share() * bl_count[b]);
       }
     }
     for (int p = 0; p < pairs; ++p) {
@@ -214,7 +246,7 @@ void OnePointFiveWord::build_search(const SearchConfig& cfg) {
     ckt_.emplace<VoltageSource>(
         "VSEL.b", blb, kGround,
         levels_waveform(steps == 2 ? plan_selb_on : plan_off, tm.t_edge));
-    const double col_cap = write_line_cap_per_cell() * pairs;
+    const double col_cap = column_share() * pairs;
     ckt_.emplace<Capacitor>("CSEL.a", bla, kGround, col_cap);
     ckt_.emplace<Capacitor>("CSEL.b", blb, kGround, col_cap);
     for (int p = 0; p < pairs; ++p) {
@@ -254,8 +286,7 @@ void OnePointFiveWord::build_search(const SearchConfig& cfg) {
                                   levels_waveform(sl_plan, tm.t_edge));
       ckt_.emplace<VoltageSource>("VWRSL.q" + tag, wrsl_g[q1][q2], kGround,
                                   levels_waveform(wrsl_plan, tm.t_edge));
-      const double col_cap =
-          search_line_cap_per_cell() * 2 * pair_count[q1][q2];
+      const double col_cap = column_share() * 2 * pair_count[q1][q2];
       ckt_.emplace<Capacitor>("CSL.q" + tag, sl_g[q1][q2], kGround, col_cap);
       ckt_.emplace<Capacitor>("CWRSL.q" + tag, wrsl_g[q1][q2], kGround,
                               col_cap);
@@ -283,15 +314,16 @@ void OnePointFiveWord::build_search(const SearchConfig& cfg) {
           ckt_.node("slb.g" + std::to_string(slb_groups.size()));
       it = slb_groups.emplace(key, slb).first;
     }
-    PairNodes nodes;
-    nodes.sl = sl_g[q1][q2];
-    nodes.wrsl = wrsl_g[q1][q2];
-    nodes.slb = it->second;
-    nodes.bl1 = bl1_nodes[static_cast<std::size_t>(p)];
-    nodes.bl2 = bl2_nodes[static_cast<std::size_t>(p)];
-    slb_of_pair_[static_cast<std::size_t>(p)] = nodes.slb;
-    place_pair(p, nodes, sela, selb, vdd_rail,
-               ml[static_cast<std::size_t>(p)], cfg.stored);
+    const PairNodes nodes{sl_g[q1][q2],
+                          it->second,
+                          wrsl_g[q1][q2],
+                          bl1_nodes[static_cast<std::size_t>(p)],
+                          bl2_nodes[static_cast<std::size_t>(p)],
+                          sela,
+                          selb,
+                          vdd_rail,
+                          ml[static_cast<std::size_t>(p)]};
+    place_word_pair(p, nodes, cfg.stored);
   }
 
   program_precharge(tm);
@@ -315,7 +347,7 @@ void OnePointFiveWord::build_write(const WriteConfig& cfg) {
   const double vw = fe_params_.vw();
   const int pairs = n / 2;
 
-  const auto ml = build_match_line(pairs, 2);
+  const auto ml = build_match_line(pairs, 2).taps;
   // ML parked low during writes.
   pre_.gate->set_waveform(Waveform::dc(vdd));
 
@@ -362,7 +394,7 @@ void OnePointFiveWord::build_write(const WriteConfig& cfg) {
     ckt_.emplace<VoltageSource>("VBL.d" + std::to_string(d), bl_d[d], kGround,
                                 levels_waveform(plan, tm.t_edge));
     ckt_.emplace<Capacitor>("CBL.d" + std::to_string(d), bl_d[d], kGround,
-                            write_line_cap_per_cell() * count[d]);
+                            column_share() * count[d]);
   }
 
   // SL_bar shared per initial-state pair signature (drive is uniform).
@@ -383,15 +415,17 @@ void OnePointFiveWord::build_write(const WriteConfig& cfg) {
           ckt_.node("slb.g" + std::to_string(slb_groups.size()));
       it = slb_groups.emplace(key, slb).first;
     }
-    PairNodes nodes;
-    nodes.sl = sl;
-    nodes.wrsl = wrsl;
-    nodes.slb = it->second;
-    nodes.bl1 = bl_d[static_cast<int>(cfg.data[static_cast<std::size_t>(c1)])];
-    nodes.bl2 = bl_d[static_cast<int>(cfg.data[static_cast<std::size_t>(c2)])];
-    slb_of_pair_[static_cast<std::size_t>(p)] = nodes.slb;
-    place_pair(p, nodes, sela, selb, vdd_rail,
-               ml[static_cast<std::size_t>(p)], initial);
+    const PairNodes nodes{
+        sl,
+        it->second,
+        wrsl,
+        bl_d[static_cast<int>(cfg.data[static_cast<std::size_t>(c1)])],
+        bl_d[static_cast<int>(cfg.data[static_cast<std::size_t>(c2)])],
+        sela,
+        selb,
+        vdd_rail,
+        ml[static_cast<std::size_t>(p)]};
+    place_word_pair(p, nodes, initial);
   }
 
   mark_built(tm.stop_after(3), 0.25e-9);

@@ -63,10 +63,43 @@ OnePointFiveParams apply_tuning(Flavor flavor, OnePointFiveParams p,
                                 const DeviceTuning& t,
                                 const dev::FeFetParams& tuned_fe);
 
+/// Devices of one single-cell static divider leg.
+struct StaticDivider {
+  dev::FeFet* fe = nullptr;
+  dev::Mosfet* tn = nullptr;
+  dev::Mosfet* tp = nullptr;
+  spice::NodeId slb = -1;
+};
+
+/// One 1.5T1Fe divider leg at DC: the FeFET between SL and SL_bar, TN to
+/// ground and TP to VDD, with SL and Wr/SL at the query's level and the FG
+/// and BG at their search bias (SG: V_SeL on the merged BL/SeL; DG: V_b or
+/// 0 on the BL, V_SeL on the BG).  The operating-point studies
+/// (eval/calibration, eval/variability) build their divider here; the
+/// caller sets the FeFET's state and solves.
+StaticDivider place_static_divider(spice::Circuit& ckt, Flavor flavor,
+                                   const OnePointFiveParams& p,
+                                   const dev::FeFetParams& fe,
+                                   const dev::MosfetParams& tn,
+                                   const dev::MosfetParams& tp,
+                                   bool query_one, double vdd);
+
 class OnePointFiveWord : public WordHarness {
  public:
   OnePointFiveWord(Flavor flavor, WordOptions opts,
                    OnePointFiveParams params = {});
+
+  /// The nets one pair's devices connect to.
+  struct PairNodes {
+    spice::NodeId sl, slb, wrsl, bl1, bl2, sela, selb, vdd_rail, ml_tap;
+  };
+  /// Place the devices of pair p (cells 2p, 2p+1) storing (d1, d2) into
+  /// `ckt`: FE<row><2p>, FE<row><2p+1>, TN<row><p>, TP<row><p> and
+  /// TML<row><p>, with this harness's device cards.  The harness and the
+  /// full array (tcam/full_array.*) place every pair here.
+  std::pair<dev::FeFet*, dev::FeFet*> place_pair(
+      spice::Circuit& ckt, const PairNodes& nodes, const std::string& row,
+      int p, arch::Ternary d1, arch::Ternary d2) const;
 
   std::string design_name() const override;
   int search_steps() const override { return 2; }
@@ -97,19 +130,14 @@ class OnePointFiveWord : public WordHarness {
   }
 
  private:
-  struct PairNodes {
-    spice::NodeId sl, slb, wrsl, bl1, bl2;
-  };
-  /// Instantiate the pair devices for cells (2p, 2p+1).
-  void place_pair(int p, const PairNodes& nodes, spice::NodeId sela,
-                  spice::NodeId selb, spice::NodeId vdd_rail,
-                  spice::NodeId ml_tap, const arch::TernaryWord& stored);
-  double search_line_cap_per_cell() const;
-  double write_line_cap_per_cell() const;
+  /// Place pair p for a word build and record its FeFETs and SL_bar.
+  void place_word_pair(int p, const PairNodes& nodes,
+                       const arch::TernaryWord& stored);
 
   Flavor flavor_;
   OnePointFiveParams params_;
   dev::FeFetParams fe_params_;
+  dev::MosfetParams tn_, tp_, tml_;  ///< at the options' temperature/corner
   std::vector<dev::FeFet*> fefets_;
   std::vector<spice::NodeId> slb_of_pair_;
 };

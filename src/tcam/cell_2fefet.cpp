@@ -47,64 +47,36 @@ double TwoFefetWord::search_voltage() const {
   return (flavor_ == Flavor::kSg ? 0.45 : 2.0) + opts_.tuning.sense_trim_v;
 }
 
-double TwoFefetWord::search_line_cap_per_cell() const {
-  // Column lines span the whole array, but their charging serves every row's
-  // search simultaneously, so the fair one-row share is the line wire over
-  // one (vertical) cell pitch — the row's own gate loads are already present
-  // as devices.
-  return wire_for_pitch(opts_.wire, cell_pitch()).capacitance;
-}
-
-double TwoFefetWord::write_line_cap_per_cell() const {
-  // Write energy is reported cell-level (paper Table IV): wire share only.
-  return wire_for_pitch(opts_.wire, cell_pitch()).capacitance;
-}
-
-void TwoFefetWord::add_ml_write_clamp(NodeId ml0) {
-  const NodeId g = ckt_.node("mlrst.g");
-  ml_clamp_gate_ = &ckt_.emplace<VoltageSource>("VMLRST", g, kGround,
-                                                Waveform::dc(0.0));
-  ckt_.emplace<dev::Mosfet>(
-      "MMLRST", ml0, g, kGround, kGround,
-      dev::tech14::at_corner(
-          dev::tech14::at_temperature(dev::tech14::nfet(2.0),
-                                      opts_.temperature_k),
-          opts_.corner));
-}
-
-void TwoFefetWord::place_cells(const arch::TernaryWord& stored,
-                               const std::vector<NodeId>& gate_true,
-                               const std::vector<NodeId>& gate_comp,
-                               const std::vector<NodeId>& bg_true,
-                               const std::vector<NodeId>& bg_comp,
-                               const std::vector<NodeId>& ml_taps) {
-  f_true_.clear();
-  f_comp_.clear();
-  for (int i = 0; i < opts_.n_bits; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    auto& ft = ckt_.emplace<FeFet>("FT" + std::to_string(i), ml_taps[idx],
-                                   gate_true[idx], kGround, bg_true[idx],
-                                   fe_params_);
-    auto& fc = ckt_.emplace<FeFet>("FC" + std::to_string(i), ml_taps[idx],
-                                   gate_comp[idx], kGround, bg_comp[idx],
-                                   fe_params_);
-    switch (stored[idx]) {
-      case Ternary::kZero:
-        ft.set_state(FeState::kHvt, 0.0);
-        fc.set_state(FeState::kLvt, 0.0);
-        break;
-      case Ternary::kOne:
-        ft.set_state(FeState::kLvt, 0.0);
-        fc.set_state(FeState::kHvt, 0.0);
-        break;
-      case Ternary::kX:
-        ft.set_state(FeState::kHvt, 0.0);
-        fc.set_state(FeState::kHvt, 0.0);
-        break;
-    }
-    f_true_.push_back(&ft);
-    f_comp_.push_back(&fc);
+std::pair<FeFet*, FeFet*> TwoFefetWord::place_cell(spice::Circuit& ckt,
+                                                   const CellNodes& nodes,
+                                                   const std::string& row,
+                                                   int i, Ternary d) const {
+  const std::string si = row + std::to_string(i);
+  auto& ft = ckt.emplace<FeFet>("FT" + si, nodes.ml_tap, nodes.gate_true,
+                                kGround, nodes.bg_true, fe_params_);
+  auto& fc = ckt.emplace<FeFet>("FC" + si, nodes.ml_tap, nodes.gate_comp,
+                                kGround, nodes.bg_comp, fe_params_);
+  switch (d) {
+    case Ternary::kZero:
+      ft.set_state(FeState::kHvt, 0.0);
+      fc.set_state(FeState::kLvt, 0.0);
+      break;
+    case Ternary::kOne:
+      ft.set_state(FeState::kLvt, 0.0);
+      fc.set_state(FeState::kHvt, 0.0);
+      break;
+    case Ternary::kX:
+      ft.set_state(FeState::kHvt, 0.0);
+      fc.set_state(FeState::kHvt, 0.0);
+      break;
   }
+  return {&ft, &fc};
+}
+
+void TwoFefetWord::place_word_cell(int i, const CellNodes& nodes, Ternary d) {
+  const auto [ft, fc] = place_cell(ckt_, nodes, {}, i, d);
+  f_true_.push_back(ft);
+  f_comp_.push_back(fc);
 }
 
 void TwoFefetWord::build_search(const SearchConfig& cfg) {
@@ -116,8 +88,7 @@ void TwoFefetWord::build_search(const SearchConfig& cfg) {
   const int steps = cfg.steps == 0 ? 1 : cfg.steps;
   if (steps != 1) throw std::invalid_argument("2FeFET search is single-step");
 
-  const auto ml = build_match_line(opts_.n_bits, 1);
-  add_ml_write_clamp(ml.front());
+  const auto ml = build_match_line(opts_.n_bits, 1, true).taps;
 
   // Shared signal nodes per query-bit group; column load lumped per column.
   // sl[b] drives the true FeFET search gates of query-bit-b columns, slb[b]
@@ -141,7 +112,7 @@ void TwoFefetWord::build_search(const SearchConfig& cfg) {
         "VSLB.q" + std::to_string(b), slb[b], kGround,
         levels_waveform(sl_active ? idle : active, cfg.timing.t_edge));
     if (count[b] > 0) {
-      const double c_col = search_line_cap_per_cell() * count[b];
+      const double c_col = column_share() * count[b];
       ckt_.emplace<Capacitor>("CSL.q" + std::to_string(b), sl[b], kGround,
                               c_col);
       ckt_.emplace<Capacitor>("CSLB.q" + std::to_string(b), slb[b], kGround,
@@ -149,36 +120,26 @@ void TwoFefetWord::build_search(const SearchConfig& cfg) {
     }
   }
 
-  std::vector<NodeId> gate_true(static_cast<std::size_t>(opts_.n_bits));
-  std::vector<NodeId> gate_comp(gate_true.size());
-  std::vector<NodeId> bg_true(gate_true.size());
-  std::vector<NodeId> bg_comp(gate_true.size());
-
-  if (flavor_ == Flavor::kSg) {
-    // FG is the search gate; body grounded.
-    for (int i = 0; i < opts_.n_bits; ++i) {
-      const int b = cfg.query[static_cast<std::size_t>(i)] ? 1 : 0;
-      gate_true[static_cast<std::size_t>(i)] = sl[b];
-      gate_comp[static_cast<std::size_t>(i)] = slb[b];
-      bg_true[static_cast<std::size_t>(i)] = kGround;
-      bg_comp[static_cast<std::size_t>(i)] = kGround;
-    }
-  } else {
-    // BG is the search gate; FGs sit on grounded BLs during search.
-    const NodeId bl0 = ckt_.node("bl.idle");
+  // SG: the FG is the search gate, body grounded.  DG: the BG is the
+  // search gate; the FGs sit on grounded BLs during search.
+  NodeId bl0 = kGround;
+  if (flavor_ == Flavor::kDg) {
+    bl0 = ckt_.node("bl.idle");
     ckt_.emplace<VoltageSource>("VBL.idle", bl0, kGround, Waveform::dc(0.0));
-    const double c_bl = write_line_cap_per_cell() * opts_.n_bits * 2.0;
+    const double c_bl = column_share() * opts_.n_bits * 2.0;
     ckt_.emplace<Capacitor>("CBL.idle", bl0, kGround, c_bl);
-    for (int i = 0; i < opts_.n_bits; ++i) {
-      const int b = cfg.query[static_cast<std::size_t>(i)] ? 1 : 0;
-      gate_true[static_cast<std::size_t>(i)] = bl0;
-      gate_comp[static_cast<std::size_t>(i)] = bl0;
-      bg_true[static_cast<std::size_t>(i)] = sl[b];
-      bg_comp[static_cast<std::size_t>(i)] = slb[b];
-    }
   }
-
-  place_cells(cfg.stored, gate_true, gate_comp, bg_true, bg_comp, ml);
+  f_true_.clear();
+  f_comp_.clear();
+  for (int i = 0; i < opts_.n_bits; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    const int b = cfg.query[idx] ? 1 : 0;
+    const CellNodes nodes =
+        flavor_ == Flavor::kSg
+            ? CellNodes{ml[idx], sl[b], slb[b], kGround, kGround}
+            : CellNodes{ml[idx], bl0, bl0, sl[b], slb[b]};
+    place_word_cell(i, nodes, cfg.stored[idx]);
+  }
   program_precharge(cfg.timing);
   mark_built(cfg.timing.stop_after(1), 2e-12);
 }
@@ -193,10 +154,9 @@ void TwoFefetWord::build_write(const WriteConfig& cfg) {
     initial.assign(static_cast<std::size_t>(opts_.n_bits), Ternary::kZero);
   }
 
-  const auto ml = build_match_line(opts_.n_bits, 1);
-  add_ml_write_clamp(ml.front());
+  const MatchLine ml = build_match_line(opts_.n_bits, 1, true);
   // Hold the ML low for the whole write.
-  ml_clamp_gate_->set_waveform(Waveform::dc(opts_.vdd));
+  ml.clamp_gate->set_waveform(Waveform::dc(opts_.vdd));
 
   const double vw = fe_params_.vw();
   // One signal-node group per data digit.  Table I: write '0' -> (-Vw, +Vw),
@@ -235,17 +195,13 @@ void TwoFefetWord::build_write(const WriteConfig& cfg) {
     ckt_.emplace<VoltageSource>(prefix + std::to_string(d) + ".c", wc[d],
                                 kGround,
                                 levels_waveform(plan_c, cfg.timing.t_edge));
-    const double c_col = write_line_cap_per_cell() * count[d];
+    const double c_col = column_share() * count[d];
     ckt_.emplace<Capacitor>("CW.t" + std::to_string(d), wt[d], kGround,
                             c_col);
     ckt_.emplace<Capacitor>("CW.c" + std::to_string(d), wc[d], kGround,
                             c_col);
   }
 
-  std::vector<NodeId> gate_true(static_cast<std::size_t>(opts_.n_bits));
-  std::vector<NodeId> gate_comp(gate_true.size());
-  std::vector<NodeId> bg_true(gate_true.size());
-  std::vector<NodeId> bg_comp(gate_true.size());
   NodeId sl_idle = kGround;
   if (flavor_ == Flavor::kDg) {
     // BGs grounded through their (quiet) search lines during write.
@@ -253,17 +209,14 @@ void TwoFefetWord::build_write(const WriteConfig& cfg) {
     ckt_.emplace<VoltageSource>("VSL.idle", sl_idle, kGround,
                                 Waveform::dc(0.0));
   }
+  f_true_.clear();
+  f_comp_.clear();
   for (int i = 0; i < opts_.n_bits; ++i) {
-    const int d = static_cast<int>(cfg.data[static_cast<std::size_t>(i)]);
-    gate_true[static_cast<std::size_t>(i)] = wt[d];
-    gate_comp[static_cast<std::size_t>(i)] = wc[d];
-    bg_true[static_cast<std::size_t>(i)] =
-        flavor_ == Flavor::kSg ? kGround : sl_idle;
-    bg_comp[static_cast<std::size_t>(i)] =
-        flavor_ == Flavor::kSg ? kGround : sl_idle;
+    const auto idx = static_cast<std::size_t>(i);
+    const int d = static_cast<int>(cfg.data[idx]);
+    place_word_cell(
+        i, {ml.taps[idx], wt[d], wc[d], sl_idle, sl_idle}, initial[idx]);
   }
-
-  place_cells(initial, gate_true, gate_comp, bg_true, bg_comp, ml);
   // Precharge idle: supply up, gate high (off).
   pre_.gate->set_waveform(Waveform::dc(opts_.vdd));
   mark_built(cfg.timing.stop_after(1), 0.25e-9);

@@ -43,6 +43,18 @@ class TwoFefetWord : public WordHarness {
   Flavor flavor() const { return flavor_; }
   /// SL level during search (SG: V_DD on the FG; DG: V_s = 2 V on the BG).
   double search_voltage() const;
+
+  /// The nets one cell's FeFET pair connects to.
+  struct CellNodes {
+    spice::NodeId ml_tap, gate_true, gate_comp, bg_true, bg_comp;
+  };
+  /// Place the FeFET pair of cell i storing `d` into `ckt` (FT<row><i>,
+  /// FC<row><i>), with this harness's FeFET card.  The harness and the full
+  /// array (tcam/full_array.*) place every cell here.
+  std::pair<dev::FeFet*, dev::FeFet*> place_cell(spice::Circuit& ckt,
+                                                 const CellNodes& nodes,
+                                                 const std::string& row,
+                                                 int i, arch::Ternary d) const;
   /// FeFET pair of cell i (true, complement); valid after a build_*.
   std::pair<const dev::FeFet*, const dev::FeFet*> cell(int i) const {
     return {f_true_[static_cast<std::size_t>(i)],
@@ -55,22 +67,12 @@ class TwoFefetWord : public WordHarness {
   }
 
  private:
-  /// Capacitance one cell presents to its search line (other rows' load).
-  double search_line_cap_per_cell() const;
-  /// Capacitance one cell presents to its write line (DG only).
-  double write_line_cap_per_cell() const;
-  void place_cells(const arch::TernaryWord& stored,
-                   const std::vector<spice::NodeId>& gate_true,
-                   const std::vector<spice::NodeId>& gate_comp,
-                   const std::vector<spice::NodeId>& bg_true,
-                   const std::vector<spice::NodeId>& bg_comp,
-                   const std::vector<spice::NodeId>& ml_taps);
-  void add_ml_write_clamp(spice::NodeId ml0);
+  /// Place cell i for a word build and record its FeFETs.
+  void place_word_cell(int i, const CellNodes& nodes, arch::Ternary d);
 
   Flavor flavor_;
   dev::FeFetParams fe_params_;
   std::vector<dev::FeFet*> f_true_, f_comp_;
-  spice::VoltageSource* ml_clamp_gate_ = nullptr;
 };
 
 }  // namespace fetcam::tcam

@@ -24,12 +24,6 @@ double Cmos16tWord::cell_pitch() const {
   return arch::cell_pitch_m(arch::TcamDesign::kCmos16T);
 }
 
-double Cmos16tWord::search_line_cap_per_cell() const {
-  // One-row share of the column search line: wire over one vertical pitch
-  // (the compare-stack gates of this row exist as devices).
-  return wire_for_pitch(opts_.wire, cell_pitch()).capacitance;
-}
-
 void Cmos16tWord::build_search(const SearchConfig& cfg) {
   assert_unbuilt();
   const int n = opts_.n_bits;
@@ -43,7 +37,7 @@ void Cmos16tWord::build_search(const SearchConfig& cfg) {
   const SearchTiming& tm = cfg.timing;
   const double vdd = opts_.vdd;
 
-  const auto ml = build_match_line(n, 1);
+  const auto ml = build_match_line(n, 1).taps;
 
   // Search lines grouped by query bit (as in the FeFET harnesses).
   NodeId sl[2], slb[2];
@@ -62,7 +56,7 @@ void Cmos16tWord::build_search(const SearchConfig& cfg) {
         "VSLB.q" + std::to_string(b), slb[b], kGround,
         levels_waveform(sl_active ? idle : active, tm.t_edge));
     if (count[b] > 0) {
-      const double c_col = search_line_cap_per_cell() * count[b];
+      const double c_col = column_share() * count[b];
       ckt_.emplace<Capacitor>("CSL.q" + std::to_string(b), sl[b], kGround,
                               c_col);
       ckt_.emplace<Capacitor>("CSLB.q" + std::to_string(b), slb[b], kGround,

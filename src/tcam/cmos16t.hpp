@@ -28,8 +28,6 @@ class Cmos16tWord : public WordHarness {
   arch::TernaryWord read_stored() const override { return stored_; }
 
  private:
-  double search_line_cap_per_cell() const;
-
   arch::TernaryWord stored_;
 };
 

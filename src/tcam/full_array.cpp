@@ -2,106 +2,117 @@
 
 #include <stdexcept>
 
-#include "devices/tech14.hpp"
 #include "spice/measure.hpp"
-#include "tcam/sense_amp.hpp"
 
 namespace fetcam::tcam {
 
-using arch::Ternary;
-using dev::FeFet;
-using dev::FeState;
-using dev::Mosfet;
 using spice::Capacitor;
 using spice::kGround;
 using spice::NodeId;
-using spice::Resistor;
 using spice::VoltageSource;
 using spice::Waveform;
 
-OnePointFiveArray::OnePointFiveArray(Flavor flavor, FullArrayOptions opts)
-    : flavor_(flavor),
-      opts_(opts),
-      fe_params_(flavor == Flavor::kSg ? dev::sg_fefet_params()
-                                       : dev::dg_fefet_params()) {
-  if (opts.cols % 2 != 0) {
-    throw std::invalid_argument("full array needs an even word length");
-  }
-  if (opts.rows < 1 || opts.cols < 2) {
+FullArray::FullArray(FullArrayOptions opts) : opts_(opts) {
+  if (opts.rows < 1 || opts.cols < 1) {
     throw std::invalid_argument("array too small");
   }
+  word_.n_bits = opts.cols;
 }
+
+void FullArray::begin_build(const std::vector<arch::TernaryWord>& stored,
+                            const arch::BitWord& query) {
+  if (built_) throw std::logic_error("full array is one-shot");
+  built_ = true;
+  bool shape_ok = static_cast<int>(stored.size()) == opts_.rows &&
+                  static_cast<int>(query.size()) == opts_.cols;
+  for (const auto& w : stored) {
+    shape_ok = shape_ok && static_cast<int>(w.size()) == opts_.cols;
+  }
+  if (!shape_ok) throw std::invalid_argument("stored/query shape mismatch");
+  ml_sense_.assign(static_cast<std::size_t>(opts_.rows), -1);
+  sa_out_.assign(static_cast<std::size_t>(opts_.rows), -1);
+}
+
+std::vector<NodeId> FullArray::place_row_match_line(const WordHarness& cell,
+                                                    int r, int taps,
+                                                    int cells_per_tap,
+                                                    bool write_clamp,
+                                                    const SearchTiming& tm) {
+  const std::string sr = std::to_string(r);
+  MatchLine ml = place_match_line(ckt_, word_, cell.cell_pitch(), taps,
+                                  cells_per_tap, sr + "_", "r" + sr,
+                                  write_clamp);
+  program_precharge(ml.pre, word_.vdd, tm);
+  ml_sense_[static_cast<std::size_t>(r)] = ml.taps.back();
+  sa_out_[static_cast<std::size_t>(r)] = ml.sa.out;
+  return std::move(ml.taps);
+}
+
+void FullArray::finish_build(const SearchTiming& tm, int steps) {
+  t_stop_ = tm.stop_after(steps);
+  t_latch_ = t_stop_ - tm.t_tail;
+}
+
+OnePointFiveArray::OnePointFiveArray(Flavor flavor, FullArrayOptions opts)
+    : FullArray(opts), cell_(flavor, word_) {}
 
 void OnePointFiveArray::build_search(
     const std::vector<arch::TernaryWord>& stored, const arch::BitWord& query,
     const SearchTiming& tm) {
-  if (built_) throw std::logic_error("OnePointFiveArray is one-shot");
-  built_ = true;
+  begin_build(stored, query);
   const int m = opts_.rows;
   const int n = opts_.cols;
   const int pairs = n / 2;
-  if (static_cast<int>(stored.size()) != m ||
-      static_cast<int>(query.size()) != n) {
-    throw std::invalid_argument("stored/query shape mismatch");
-  }
-  const double vdd = opts_.vdd;
-  const OnePointFiveParams& p = opts_.cell;
-  const double vsel =
-      flavor_ == Flavor::kSg ? p.v_sel_sg : p.v_sel_dg;
-  const double pitch = arch::cell_pitch_m(
-      flavor_ == Flavor::kSg ? arch::TcamDesign::k1p5SgFe
-                             : arch::TcamDesign::k1p5DgFe);
-  const WireSegment seg = wire_for_pitch(opts_.wire, 2.0 * pitch);
-  const double mvt = flavor_ == Flavor::kSg ? p.mvt_vth_sg : p.mvt_vth_dg;
+  const double vdd = word_.vdd;
+  const double vsel = cell_.select_voltage();
+  const double share = cell_.column_share();
+  const bool dg = cell_.flavor() == Flavor::kDg;
 
   const NodeId vdd_rail = ckt_.node("slrail");
   ckt_.emplace<VoltageSource>("VSLRAIL", vdd_rail, kGround,
                               Waveform::dc(vdd));
 
-  // --- select lines (shared waveform; row wire caps lumped) ----------------
-  const LevelPlan plan_sela{{0.0, 0.0},
-                            {tm.search_start(), vsel},
-                            {tm.step2_start(), 0.0}};
-  const LevelPlan plan_selb{{0.0, 0.0}, {tm.step2_start(), vsel}};
-  NodeId sela = kGround, selb = kGround;
-  if (flavor_ == Flavor::kDg) {
-    sela = ckt_.node("sela");
-    selb = ckt_.node("selb");
-    ckt_.emplace<VoltageSource>("VSEL.a", sela, kGround,
-                                levels_waveform(plan_sela, tm.t_edge));
-    ckt_.emplace<VoltageSource>("VSEL.b", selb, kGround,
-                                levels_waveform(plan_selb, tm.t_edge));
-    const double row_wire = wire_for_pitch(opts_.wire, pitch).capacitance *
-                            n * m;
-    ckt_.emplace<Capacitor>("CSEL.a", sela, kGround, row_wire);
-    ckt_.emplace<Capacitor>("CSEL.b", selb, kGround, row_wire);
+  // --- select lines: DG back-gate SeL_a/SeL_b (the rows' lines lumped on
+  // one node each); SG merged BL/SeL lines per column parity ---------------
+  const LevelPlan plan_sel[2] = {
+      {{0.0, 0.0}, {tm.search_start(), vsel}, {tm.step2_start(), 0.0}},
+      {{0.0, 0.0}, {tm.step2_start(), vsel}}};
+  NodeId sel[2];
+  for (int s = 0; s < 2; ++s) {
+    const std::string tag = s == 0 ? "a" : "b";
+    sel[s] = ckt_.node((dg ? "sel" : "blsel.") + tag);
+    ckt_.emplace<VoltageSource>("VSEL." + tag, sel[s], kGround,
+                                levels_waveform(plan_sel[s], tm.t_edge));
+    ckt_.emplace<Capacitor>("CSEL." + tag, sel[s], kGround,
+                            share * (dg ? n : pairs) * m);
   }
 
-  // --- BL groups by query bit ----------------------------------------------
-  NodeId bl_q[2] = {kGround, kGround};
+  // --- DG BLs, grouped by query bit; they carry V_b while searching '0' --
   std::vector<NodeId> bl_of_col(static_cast<std::size_t>(n));
-  if (flavor_ == Flavor::kDg) {
+  if (dg) {
+    int bl_count[2] = {0, 0};
+    for (const auto qb : query) ++bl_count[qb ? 1 : 0];
+    NodeId bl_q[2];
     for (int b = 0; b < 2; ++b) {
-      bl_q[b] = ckt_.node("bl.q" + std::to_string(b));
-      const LevelPlan bias{{0.0, 0.0}, {tm.search_start(), p.v_b}};
+      const std::string sb = std::to_string(b);
+      bl_q[b] = ckt_.node("bl.q" + sb);
+      const LevelPlan bias{{0.0, 0.0},
+                           {tm.search_start(), cell_.cell_params().v_b}};
       ckt_.emplace<VoltageSource>(
-          "VBL.q" + std::to_string(b), bl_q[b], kGround,
+          "VBL.q" + sb, bl_q[b], kGround,
           levels_waveform(b == 0 ? bias : LevelPlan{{0.0, 0.0}}, tm.t_edge));
+      if (bl_count[b] > 0) {
+        ckt_.emplace<Capacitor>("CBL.q" + sb, bl_q[b], kGround,
+                                share * bl_count[b] * m);
+      }
     }
     for (int c = 0; c < n; ++c) {
       bl_of_col[static_cast<std::size_t>(c)] =
           bl_q[query[static_cast<std::size_t>(c)] ? 1 : 0];
     }
   } else {
-    // SG: merged BL/SeL per column parity.
-    const NodeId bla = ckt_.node("blsel.a");
-    const NodeId blb = ckt_.node("blsel.b");
-    ckt_.emplace<VoltageSource>("VSEL.a", bla, kGround,
-                                levels_waveform(plan_sela, tm.t_edge));
-    ckt_.emplace<VoltageSource>("VSEL.b", blb, kGround,
-                                levels_waveform(plan_selb, tm.t_edge));
     for (int c = 0; c < n; ++c) {
-      bl_of_col[static_cast<std::size_t>(c)] = (c % 2 == 0) ? bla : blb;
+      bl_of_col[static_cast<std::size_t>(c)] = sel[c % 2];
     }
   }
 
@@ -110,114 +121,121 @@ void OnePointFiveArray::build_search(
   std::vector<NodeId> sl_col(static_cast<std::size_t>(pairs));
   std::vector<NodeId> wrsl_col(static_cast<std::size_t>(pairs));
   for (int pc = 0; pc < pairs; ++pc) {
-    const bool q1 = query[static_cast<std::size_t>(2 * pc)] != 0;
-    const bool q2 = query[static_cast<std::size_t>(2 * pc + 1)] != 0;
+    const auto idx = static_cast<std::size_t>(pc);
+    const bool q1 = query[2 * idx] != 0;
+    const bool q2 = query[2 * idx + 1] != 0;
     const std::string sp = std::to_string(pc);
-    sl_col[static_cast<std::size_t>(pc)] = ckt_.node("sl." + sp);
-    wrsl_col[static_cast<std::size_t>(pc)] = ckt_.node("wrsl." + sp);
+    sl_col[idx] = ckt_.node("sl." + sp);
+    wrsl_col[idx] = ckt_.node("wrsl." + sp);
     LevelPlan sl_plan{{0.0, 0.0}, {tm.search_start(), level_for(q1)}};
     LevelPlan wrsl_plan{{0.0, vdd}, {tm.search_start(), level_for(q1)}};
     if (q1 != q2) {
       sl_plan.push_back({tm.step2_start(), level_for(q2)});
       wrsl_plan.push_back({tm.step2_start(), level_for(q2)});
     }
-    ckt_.emplace<VoltageSource>("VSL." + sp,
-                                sl_col[static_cast<std::size_t>(pc)], kGround,
+    ckt_.emplace<VoltageSource>("VSL." + sp, sl_col[idx], kGround,
                                 levels_waveform(sl_plan, tm.t_edge));
-    ckt_.emplace<VoltageSource>(
-        "VWRSL." + sp, wrsl_col[static_cast<std::size_t>(pc)], kGround,
-        levels_waveform(wrsl_plan, tm.t_edge));
-    // Column wire (runs the full array height).
-    const double col_wire =
-        wire_for_pitch(opts_.wire, pitch).capacitance * m;
-    ckt_.emplace<Capacitor>("CSL." + sp,
-                            sl_col[static_cast<std::size_t>(pc)], kGround,
-                            col_wire);
-    ckt_.emplace<Capacitor>("CWRSL." + sp,
-                            wrsl_col[static_cast<std::size_t>(pc)], kGround,
-                            col_wire);
+    ckt_.emplace<VoltageSource>("VWRSL." + sp, wrsl_col[idx], kGround,
+                                levels_waveform(wrsl_plan, tm.t_edge));
+    ckt_.emplace<Capacitor>("CSL." + sp, sl_col[idx], kGround,
+                            share * 2 * m);
+    ckt_.emplace<Capacitor>("CWRSL." + sp, wrsl_col[idx], kGround,
+                            share * 2 * m);
   }
 
   // --- rows -----------------------------------------------------------------
-  ml_sense_.assign(static_cast<std::size_t>(m), -1);
-  sa_out_.assign(static_cast<std::size_t>(m), -1);
-  dev::MosfetParams tml = dev::tech14::nfet(p.tml_w, p.tml_l);
-  tml.vth0 = flavor_ == Flavor::kSg ? p.tml_vth_sg : p.tml_vth_dg;
-
+  // SG cells have no BG select: their BL/SeL is the FG line.
+  const NodeId bg[2] = {dg ? sel[0] : kGround, dg ? sel[1] : kGround};
   for (int r = 0; r < m; ++r) {
-    const std::string sr = std::to_string(r);
-    // Match line: one tap per pair.
-    NodeId prev = ckt_.node("ml" + sr + "_0");
-    ckt_.emplace<Capacitor>("CML" + sr + "_0", prev, kGround,
-                            seg.capacitance);
-    std::vector<NodeId> taps{prev};
-    for (int k = 1; k < pairs; ++k) {
-      const NodeId nn = ckt_.node("ml" + sr + "_" + std::to_string(k));
-      ckt_.emplace<Resistor>("RML" + sr + "_" + std::to_string(k), prev, nn,
-                             seg.resistance);
-      ckt_.emplace<Capacitor>("CML" + sr + "_" + std::to_string(k), nn,
-                              kGround, seg.capacitance);
-      taps.push_back(nn);
-      prev = nn;
-    }
-    auto pre = add_precharge(ckt_, taps.front(), "r" + sr, vdd);
-    pre.gate->set_waveform(levels_waveform(
-        {{0.0, vdd}, {10e-12, 0.0}, {tm.search_start(), vdd}}, tm.t_edge));
-    const auto sa = add_sense_amp(ckt_, taps.back(), "r" + sr, vdd);
-    ml_sense_[static_cast<std::size_t>(r)] = taps.back();
-    sa_out_[static_cast<std::size_t>(r)] = sa.out;
-
+    const auto taps = place_row_match_line(cell_, r, pairs, 2, false, tm);
+    const std::string row = std::to_string(r) + "_";
+    const auto& word = stored[static_cast<std::size_t>(r)];
     for (int pc = 0; pc < pairs; ++pc) {
-      const int c1 = 2 * pc;
-      const int c2 = 2 * pc + 1;
-      const std::string sp = sr + "_" + std::to_string(pc);
-      const NodeId slb = ckt_.node("slb." + sp);
-      auto& f1 = ckt_.emplace<FeFet>(
-          "FE" + sr + "_" + std::to_string(c1),
-          sl_col[static_cast<std::size_t>(pc)],
-          bl_of_col[static_cast<std::size_t>(c1)], slb, sela, fe_params_);
-      auto& f2 = ckt_.emplace<FeFet>(
-          "FE" + sr + "_" + std::to_string(c2),
-          sl_col[static_cast<std::size_t>(pc)],
-          bl_of_col[static_cast<std::size_t>(c2)], slb, selb, fe_params_);
-      const auto set = [&](FeFet& f, Ternary d) {
-        switch (d) {
-          case Ternary::kZero:
-            f.set_state(FeState::kHvt, 0.0);
-            break;
-          case Ternary::kOne:
-            f.set_state(FeState::kLvt, 0.0);
-            break;
-          case Ternary::kX:
-            f.set_state(FeState::kMvt, mvt);
-            break;
-        }
-      };
-      set(f1, stored[static_cast<std::size_t>(r)][static_cast<std::size_t>(c1)]);
-      set(f2, stored[static_cast<std::size_t>(r)][static_cast<std::size_t>(c2)]);
-      ckt_.emplace<Mosfet>("TN" + sp, slb,
-                           wrsl_col[static_cast<std::size_t>(pc)], kGround,
-                           kGround, dev::tech14::nfet(p.tn_w, p.tn_l));
-      ckt_.emplace<Mosfet>("TP" + sp, slb,
-                           wrsl_col[static_cast<std::size_t>(pc)], vdd_rail,
-                           vdd_rail, dev::tech14::pfet(p.tp_w, p.tp_l));
-      ckt_.emplace<Mosfet>("TML" + sp,
-                           taps[static_cast<std::size_t>(pc)], slb, kGround,
-                           kGround, tml);
+      const auto idx = static_cast<std::size_t>(pc);
+      const OnePointFiveWord::PairNodes nodes{
+          sl_col[idx],
+          ckt_.node("slb." + row + std::to_string(pc)),
+          wrsl_col[idx],
+          bl_of_col[2 * idx],
+          bl_of_col[2 * idx + 1],
+          bg[0],
+          bg[1],
+          vdd_rail,
+          taps[idx]};
+      cell_.place_pair(ckt_, nodes, row, pc, word[2 * idx],
+                       word[2 * idx + 1]);
     }
   }
-  t_stop_ = tm.stop_after(2);
-  t_latch_ = tm.stop_after(2) - tm.t_tail;
+  finish_build(tm, 2);
 }
 
-ArraySearchResult simulate_array_search(
-    Flavor flavor, const FullArrayOptions& opts,
-    const std::vector<arch::TernaryWord>& stored, const arch::BitWord& query,
-    const SearchTiming& timing) {
-  ArraySearchResult res;
-  OnePointFiveArray arr(flavor, opts);
-  arr.build_search(stored, query, timing);
+TwoFefetArray::TwoFefetArray(Flavor flavor, FullArrayOptions opts)
+    : FullArray(opts), cell_(flavor, word_) {}
 
+void TwoFefetArray::build_search(const std::vector<arch::TernaryWord>& stored,
+                                 const arch::BitWord& query,
+                                 const SearchTiming& tm) {
+  begin_build(stored, query);
+  const int m = opts_.rows;
+  const int n = opts_.cols;
+  const double col_cap = cell_.column_share() * m;
+  const bool dg = cell_.flavor() == Flavor::kDg;
+
+  // DG: the FGs sit on one grounded BL during search.
+  NodeId bl_idle = kGround;
+  if (dg) {
+    bl_idle = ckt_.node("bl.idle");
+    ckt_.emplace<VoltageSource>("VBL.idle", bl_idle, kGround,
+                                Waveform::dc(0.0));
+    ckt_.emplace<Capacitor>("CBL.idle", bl_idle, kGround, col_cap * n * 2.0);
+  }
+
+  // Per-column search lines, shared by every row.  Table I: search '0' ->
+  // SL active; search '1' -> SLbar active.
+  std::vector<NodeId> sl_col(static_cast<std::size_t>(n));
+  std::vector<NodeId> slb_col(static_cast<std::size_t>(n));
+  const LevelPlan active{{0.0, 0.0},
+                         {tm.search_start(), cell_.search_voltage()}};
+  const LevelPlan idle{{0.0, 0.0}};
+  for (int c = 0; c < n; ++c) {
+    const auto idx = static_cast<std::size_t>(c);
+    const std::string sc = std::to_string(c);
+    const bool q = query[idx] != 0;
+    sl_col[idx] = ckt_.node("sl." + sc);
+    slb_col[idx] = ckt_.node("slb." + sc);
+    ckt_.emplace<VoltageSource>("VSL." + sc, sl_col[idx], kGround,
+                                levels_waveform(q ? idle : active, tm.t_edge));
+    ckt_.emplace<VoltageSource>("VSLB." + sc, slb_col[idx], kGround,
+                                levels_waveform(q ? active : idle, tm.t_edge));
+    ckt_.emplace<Capacitor>("CSL." + sc, sl_col[idx], kGround, col_cap);
+    ckt_.emplace<Capacitor>("CSLB." + sc, slb_col[idx], kGround, col_cap);
+  }
+
+  for (int r = 0; r < m; ++r) {
+    const auto taps = place_row_match_line(cell_, r, n, 1, true, tm);
+    const std::string row = std::to_string(r) + "_";
+    for (int c = 0; c < n; ++c) {
+      const auto idx = static_cast<std::size_t>(c);
+      const TwoFefetWord::CellNodes nodes =
+          dg ? TwoFefetWord::CellNodes{taps[idx], bl_idle, bl_idle,
+                                       sl_col[idx], slb_col[idx]}
+             : TwoFefetWord::CellNodes{taps[idx], sl_col[idx], slb_col[idx],
+                                       kGround, kGround};
+      cell_.place_cell(ckt_, nodes, row, c,
+                       stored[static_cast<std::size_t>(r)][idx]);
+    }
+  }
+  finish_build(tm, 1);
+}
+
+namespace {
+
+/// Simulate a built array and compare each row's SA decision against the
+/// golden ternary rule.
+ArraySearchResult run_and_compare(FullArray& arr,
+                                  const std::vector<arch::TernaryWord>& stored,
+                                  const arch::BitWord& query) {
+  ArraySearchResult res;
   spice::TransientOptions topts;
   topts.t_stop = arr.t_stop();
   topts.dt = arr.suggested_dt();
@@ -226,16 +244,17 @@ ArraySearchResult simulate_array_search(
     res.error = sim.error;
     return res;
   }
-  const double half = 0.5 * opts.vdd;
-  for (int r = 0; r < opts.rows; ++r) {
+  const double half = 0.5 * arr.word_options().vdd;
+  const auto& ckt = arr.circuit();
+  for (int r = 0; r < arr.rows(); ++r) {
     ArraySearchRow row;
     row.expected_match =
         arch::word_matches(stored[static_cast<std::size_t>(r)], query);
-    const std::string sa_name = "r" + std::to_string(r) + ".saout";
-    row.measured_match =
-        sim.trace.voltage_at_time(sa_name, arr.t_latch()) > half;
+    row.measured_match = sim.trace.voltage_at_time(
+                             ckt.node_name(arr.sa_out_node(r)),
+                             arr.t_latch()) > half;
     row.v_ml_latched = sim.trace.voltage_at_time(
-        arr.circuit().node_name(arr.ml_sense_node(r)), arr.t_latch());
+        ckt.node_name(arr.ml_sense_node(r)), arr.t_latch());
     res.rows.push_back(row);
   }
   res.energy_total =
@@ -244,158 +263,24 @@ ArraySearchResult simulate_array_search(
   return res;
 }
 
-TwoFefetArray::TwoFefetArray(Flavor flavor, FullArrayOptions opts)
-    : flavor_(flavor),
-      opts_(opts),
-      fe_params_(flavor == Flavor::kSg ? dev::sg_fefet_params()
-                                       : dev::dg_fefet_params()) {
-  if (opts.rows < 1 || opts.cols < 1) {
-    throw std::invalid_argument("array too small");
-  }
-}
+}  // namespace
 
-void TwoFefetArray::build_search(const std::vector<arch::TernaryWord>& stored,
-                                 const arch::BitWord& query,
-                                 const SearchTiming& tm) {
-  if (built_) throw std::logic_error("TwoFefetArray is one-shot");
-  built_ = true;
-  const int m = opts_.rows;
-  const int n = opts_.cols;
-  if (static_cast<int>(stored.size()) != m ||
-      static_cast<int>(query.size()) != n) {
-    throw std::invalid_argument("stored/query shape mismatch");
-  }
-  const double vdd = opts_.vdd;
-  const double v_search = flavor_ == Flavor::kSg ? 0.45 : 2.0;
-  const double pitch = arch::cell_pitch_m(
-      flavor_ == Flavor::kSg ? arch::TcamDesign::k2SgFefet
-                             : arch::TcamDesign::k2DgFefet);
-  const WireSegment seg = wire_for_pitch(opts_.wire, pitch);
-
-  // Per-column search lines, shared by every row.
-  std::vector<NodeId> sl_col(static_cast<std::size_t>(n));
-  std::vector<NodeId> slb_col(static_cast<std::size_t>(n));
-  NodeId bl_idle = kGround;
-  if (flavor_ == Flavor::kDg) {
-    bl_idle = ckt_.node("bl.idle");
-    ckt_.emplace<VoltageSource>("VBL.idle", bl_idle, kGround,
-                                Waveform::dc(0.0));
-  }
-  for (int c = 0; c < n; ++c) {
-    const std::string sc = std::to_string(c);
-    sl_col[static_cast<std::size_t>(c)] = ckt_.node("sl." + sc);
-    slb_col[static_cast<std::size_t>(c)] = ckt_.node("slb." + sc);
-    const bool q = query[static_cast<std::size_t>(c)] != 0;
-    const LevelPlan active{{0.0, 0.0}, {tm.search_start(), v_search}};
-    const LevelPlan idle{{0.0, 0.0}};
-    // Table I: search '0' -> SL active; search '1' -> SLbar active.
-    ckt_.emplace<VoltageSource>(
-        "VSL." + sc, sl_col[static_cast<std::size_t>(c)], kGround,
-        levels_waveform(q ? idle : active, tm.t_edge));
-    ckt_.emplace<VoltageSource>(
-        "VSLB." + sc, slb_col[static_cast<std::size_t>(c)], kGround,
-        levels_waveform(q ? active : idle, tm.t_edge));
-    const double col_wire = seg.capacitance * m;
-    ckt_.emplace<Capacitor>("CSL." + sc,
-                            sl_col[static_cast<std::size_t>(c)], kGround,
-                            col_wire);
-    ckt_.emplace<Capacitor>("CSLB." + sc,
-                            slb_col[static_cast<std::size_t>(c)], kGround,
-                            col_wire);
-  }
-
-  for (int r = 0; r < m; ++r) {
-    const std::string sr = std::to_string(r);
-    NodeId prev = ckt_.node("ml" + sr + "_0");
-    ckt_.emplace<Capacitor>("CML" + sr + "_0", prev, kGround,
-                            seg.capacitance);
-    std::vector<NodeId> taps{prev};
-    for (int k = 1; k < n; ++k) {
-      const NodeId nn = ckt_.node("ml" + sr + "_" + std::to_string(k));
-      ckt_.emplace<Resistor>("RML" + sr + "_" + std::to_string(k), prev, nn,
-                             seg.resistance);
-      ckt_.emplace<Capacitor>("CML" + sr + "_" + std::to_string(k), nn,
-                              kGround, seg.capacitance);
-      taps.push_back(nn);
-      prev = nn;
-    }
-    auto pre = add_precharge(ckt_, taps.front(), "r" + sr, vdd);
-    pre.gate->set_waveform(levels_waveform(
-        {{0.0, vdd}, {10e-12, 0.0}, {tm.search_start(), vdd}}, tm.t_edge));
-    add_sense_amp(ckt_, taps.back(), "r" + sr, vdd);
-
-    for (int c = 0; c < n; ++c) {
-      const std::string si = sr + "_" + std::to_string(c);
-      const NodeId gate_t = flavor_ == Flavor::kSg
-                                ? sl_col[static_cast<std::size_t>(c)]
-                                : bl_idle;
-      const NodeId gate_c = flavor_ == Flavor::kSg
-                                ? slb_col[static_cast<std::size_t>(c)]
-                                : bl_idle;
-      const NodeId bg_t = flavor_ == Flavor::kSg
-                              ? kGround
-                              : sl_col[static_cast<std::size_t>(c)];
-      const NodeId bg_c = flavor_ == Flavor::kSg
-                              ? kGround
-                              : slb_col[static_cast<std::size_t>(c)];
-      auto& ft = ckt_.emplace<FeFet>("FT" + si,
-                                     taps[static_cast<std::size_t>(c)],
-                                     gate_t, kGround, bg_t, fe_params_);
-      auto& fc = ckt_.emplace<FeFet>("FC" + si,
-                                     taps[static_cast<std::size_t>(c)],
-                                     gate_c, kGround, bg_c, fe_params_);
-      switch (stored[static_cast<std::size_t>(r)][static_cast<std::size_t>(c)]) {
-        case Ternary::kZero:
-          ft.set_state(FeState::kHvt, 0.0);
-          fc.set_state(FeState::kLvt, 0.0);
-          break;
-        case Ternary::kOne:
-          ft.set_state(FeState::kLvt, 0.0);
-          fc.set_state(FeState::kHvt, 0.0);
-          break;
-        case Ternary::kX:
-          ft.set_state(FeState::kHvt, 0.0);
-          fc.set_state(FeState::kHvt, 0.0);
-          break;
-      }
-    }
-  }
-  t_stop_ = tm.stop_after(1);
-  t_latch_ = t_stop_ - tm.t_tail;
+ArraySearchResult simulate_array_search(
+    Flavor flavor, const FullArrayOptions& opts,
+    const std::vector<arch::TernaryWord>& stored, const arch::BitWord& query,
+    const SearchTiming& timing) {
+  OnePointFiveArray arr(flavor, opts);
+  arr.build_search(stored, query, timing);
+  return run_and_compare(arr, stored, query);
 }
 
 ArraySearchResult simulate_two_fefet_array_search(
     Flavor flavor, const FullArrayOptions& opts,
     const std::vector<arch::TernaryWord>& stored, const arch::BitWord& query,
     const SearchTiming& timing) {
-  ArraySearchResult res;
   TwoFefetArray arr(flavor, opts);
   arr.build_search(stored, query, timing);
-  spice::TransientOptions topts;
-  topts.t_stop = arr.t_stop();
-  topts.dt = arr.suggested_dt();
-  const auto sim = run_transient(arr.circuit(), topts);
-  if (!sim.ok) {
-    res.error = sim.error;
-    return res;
-  }
-  const double half = 0.5 * opts.vdd;
-  for (int r = 0; r < opts.rows; ++r) {
-    ArraySearchRow row;
-    row.expected_match =
-        arch::word_matches(stored[static_cast<std::size_t>(r)], query);
-    row.measured_match =
-        sim.trace.voltage_at_time("r" + std::to_string(r) + ".saout",
-                                  arr.t_latch()) > half;
-    row.v_ml_latched = sim.trace.voltage_at_time(
-        "ml" + std::to_string(r) + "_" + std::to_string(opts.cols - 1),
-        arr.t_latch());
-    res.rows.push_back(row);
-  }
-  res.energy_total =
-      spice::total_source_energy(sim.trace, "", 0.0, arr.t_stop());
-  res.ok = true;
-  return res;
+  return run_and_compare(arr, stored, query);
 }
 
 }  // namespace fetcam::tcam

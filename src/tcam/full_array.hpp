@@ -1,29 +1,38 @@
-// Full M x N 1.5T1Fe array at circuit level.
+// Full M x N TCAM arrays at circuit level: 1.5T1Fe (SG/DG) and 2FeFET
+// (SG/DG).
 //
-// Unlike the word harnesses (one row, column loads lumped, identical columns
-// grouped), this builds EVERY row and EVERY column line as real nodes:
-// row-wise MLs and SeL_a/SeL_b lines, column-wise (per pair) SL and Wr/SL
-// lines shared by all rows, per-column BLs.  It exists to validate the
-// word-slice methodology — per-row match results and cross-row interactions
-// (shared column lines!) must agree with the behavioral model — and to let
-// users simulate small arrays end to end.
+// Unlike the word harnesses (one row, identical columns grouped onto shared
+// nodes), these build EVERY row and EVERY column line as real nodes:
+// row-wise MLs, column-wise search lines shared by all rows.  They exist to
+// validate the word-slice methodology — per-row match results and cross-row
+// interactions (shared column lines!) must agree with the behavioral model —
+// and to let users simulate small arrays end to end.
 //
-// Cost grows as O((M*N)^3) per Newton iteration with the dense solver, so
-// keep it to small arrays (<= 8x16 is comfortable).
+// The cells are the word harness's by construction: every pair / cell is
+// placed by the harness's own place_pair / place_cell, every ML (RC
+// segments, precharge, SA and, for 2FeFET, the write clamp) by
+// place_match_line, all at the harness's default WordOptions (n_bits =
+// cols).  The arrays keep only their per-column line sources and charge
+// each column line rows x the harness's per-row share (column_share()), so
+// a 1-row array reproduces the word harness to solver precision
+// (FullArray.OneRowIsTheWordHarness).
+//
+// Cost: the transient switches to the sparse LU above kSparseAutoThreshold
+// unknowns (spice/op.hpp), so a 12x16 1.5T1SG array (over 300 unknowns)
+// runs in well under a second (Solver.AutoPicksSparseForLargeSystems).
+// Past ~1,000 unknowns the sparse LU's missing fill-reducing order makes
+// it much slower than the size implies (ROADMAP item 3).
 #pragma once
 
 #include "arch/behavioral_array.hpp"
-#include "devices/fefet.hpp"
 #include "tcam/cell_1p5t1fe.hpp"
+#include "tcam/cell_2fefet.hpp"
 
 namespace fetcam::tcam {
 
 struct FullArrayOptions {
   int rows = 4;
-  int cols = 8;  ///< must be even
-  double vdd = 0.8;
-  WireTech wire;
-  OnePointFiveParams cell;
+  int cols = 8;  ///< must be even for 1.5T1Fe
 };
 
 /// Per-row search outcome of a full-array transient.
@@ -46,17 +55,14 @@ struct ArraySearchResult {
   }
 };
 
-class OnePointFiveArray {
+/// What both arrays share: the circuit, the per-row sense nodes and the
+/// one-shot build bookkeeping.
+class FullArray {
  public:
-  OnePointFiveArray(Flavor flavor, FullArrayOptions opts);
-
   int rows() const { return opts_.rows; }
   int cols() const { return opts_.cols; }
-
-  /// Build the netlist with the given stored contents and program a search
-  /// for `query` (both steps).  One-shot, like the word harnesses.
-  void build_search(const std::vector<arch::TernaryWord>& stored,
-                    const arch::BitWord& query, const SearchTiming& timing);
+  /// The cells' options: the word harness defaults with n_bits = cols.
+  const WordOptions& word_options() const { return word_; }
 
   spice::Circuit& circuit() { return ckt_; }
   spice::NodeId ml_sense_node(int row) const {
@@ -69,15 +75,48 @@ class OnePointFiveArray {
   double t_latch() const { return t_latch_; }
   double suggested_dt() const { return 2e-12; }
 
- private:
-  Flavor flavor_;
+ protected:
+  explicit FullArray(FullArrayOptions opts);
+
+  /// One-shot guard and shape check of a search build.
+  void begin_build(const std::vector<arch::TernaryWord>& stored,
+                   const arch::BitWord& query);
+  /// Row r's ML ("ml<r>_<k>", periphery "r<r>") through place_match_line,
+  /// precharge programmed; returns the taps.
+  std::vector<spice::NodeId> place_row_match_line(const WordHarness& cell,
+                                                  int r, int taps,
+                                                  int cells_per_tap,
+                                                  bool write_clamp,
+                                                  const SearchTiming& tm);
+  void finish_build(const SearchTiming& tm, int steps);
+
   FullArrayOptions opts_;
+  WordOptions word_;
   spice::Circuit ckt_;
-  dev::FeFetParams fe_params_;
+
+ private:
   std::vector<spice::NodeId> ml_sense_, sa_out_;
   bool built_ = false;
   double t_stop_ = 0.0;
   double t_latch_ = 0.0;
+};
+
+/// Full M x N 1.5T1Fe array: per-pair-column SL and Wr/SL lines shared by
+/// every row, BLs grouped by query bit (DG) or the merged BL/SeL lines (SG),
+/// one SeL_a/SeL_b pair, per-row MLs.
+class OnePointFiveArray : public FullArray {
+ public:
+  OnePointFiveArray(Flavor flavor, FullArrayOptions opts);
+
+  /// Build the netlist with the given stored contents and program a search
+  /// for `query` (both steps).  One-shot, like the word harnesses.
+  void build_search(const std::vector<arch::TernaryWord>& stored,
+                    const arch::BitWord& query, const SearchTiming& timing);
+
+ private:
+  /// The cell's one definition — device cards, biases, pitch and
+  /// placement; never built itself.
+  OnePointFiveWord cell_;
 };
 
 /// Convenience: build, simulate, and compare each row against the golden
@@ -90,26 +129,15 @@ ArraySearchResult simulate_array_search(
 /// Full M x N 2FeFET array (SG or DG flavour): per-column SL/SLbar lines
 /// shared by every row, per-row MLs — the baseline-design counterpart of
 /// OnePointFiveArray, used to validate the 2FeFET word harnesses.
-class TwoFefetArray {
+class TwoFefetArray : public FullArray {
  public:
   TwoFefetArray(Flavor flavor, FullArrayOptions opts);
 
   void build_search(const std::vector<arch::TernaryWord>& stored,
                     const arch::BitWord& query, const SearchTiming& timing);
 
-  spice::Circuit& circuit() { return ckt_; }
-  double t_stop() const { return t_stop_; }
-  double t_latch() const { return t_latch_; }
-  double suggested_dt() const { return 2e-12; }
-
  private:
-  Flavor flavor_;
-  FullArrayOptions opts_;
-  spice::Circuit ckt_;
-  dev::FeFetParams fe_params_;
-  bool built_ = false;
-  double t_stop_ = 0.0;
-  double t_latch_ = 0.0;
+  TwoFefetWord cell_;  ///< as OnePointFiveArray::cell_
 };
 
 /// Convenience wrapper mirroring simulate_array_search for 2FeFET arrays.

@@ -16,11 +16,11 @@
 // small enough to sweep word lengths up to 256 bits.  Per-cell devices and
 // per-cell match-line taps are always kept individual.
 //
-// Array context: the harness models a word embedded in a `rows_in_array` x
-// `n_bits` array by adding (rows_in_array - 1) rows' worth of column-line
-// load (wire + gate capacitance) to every column signal, so column-driver
-// energy is charged realistically even though one row is simulated at
-// device level.
+// Array context: every column line carries this row's fair share of its
+// wire (column_share(), one vertical cell pitch per cell on the line); the
+// row's own gate loads are devices.  A full M-row array (tcam/full_array.*)
+// builds the same cells through the same placement functions and charges
+// each column line M x that share, so a 1-row array IS this harness.
 #pragma once
 
 #include <string>
@@ -85,6 +85,30 @@ struct WriteConfig {
   WriteTiming timing;
 };
 
+/// One row's match line as place_match_line builds it.
+struct MatchLine {
+  std::vector<spice::NodeId> taps;
+  PrechargeHandles pre;
+  SenseAmpHandles sa;
+  spice::VoltageSource* clamp_gate = nullptr;  ///< write clamp, if placed
+};
+
+/// Build one row's ML: `taps` RC wire segments of `cells_per_tap` cell
+/// pitches each (nodes "ml<row><k>"), the precharge PMOS at tap 0 and the
+/// SA at the last tap (both named by `periph`), and, with `write_clamp`, the
+/// 2FeFET ML write clamp NMOS at tap 0 (gate grounded; "MMLRST<row>").
+/// Every word harness and full array builds its MLs here.
+MatchLine place_match_line(spice::Circuit& ckt, const WordOptions& opts,
+                           double pitch, int taps, int cells_per_tap,
+                           const std::string& row, const std::string& periph,
+                           bool write_clamp);
+
+/// Program a search precharge: ML held at VDD during [10 ps,
+/// t_precharge], then released.  The ML starts discharged (the common case:
+/// the previous search missed), so the supply is billed the full C*V^2.
+void program_precharge(const PrechargeHandles& pre, double vdd,
+                       const SearchTiming& t);
+
 class WordHarness {
  public:
   virtual ~WordHarness() = default;
@@ -118,6 +142,13 @@ class WordHarness {
   spice::Circuit& circuit() { return ckt_; }
   const spice::Circuit& circuit() const { return ckt_; }
 
+  /// One row's share of a column line: the wire over one vertical cell
+  /// pitch.  Column lines serve every row's search at once, and this row's
+  /// own gate loads are already devices.
+  double column_share() const {
+    return wire_for_pitch(opts_.wire, cell_pitch()).capacitance;
+  }
+
   /// ML node at the sense amplifier (search builds only).
   spice::NodeId ml_sense_node() const { return ml_sense_; }
   spice::NodeId sa_out_node() const { return sa_.out; }
@@ -126,14 +157,14 @@ class WordHarness {
  protected:
   explicit WordHarness(WordOptions opts) : opts_(opts) {}
 
-  /// Build the ML as a chain of `taps` wire segments (RC per segment from
-  /// the design pitch), attach precharge at tap 0 and the SA at the last
-  /// tap, and return all tap nodes.
-  std::vector<spice::NodeId> build_match_line(int taps, int cells_per_tap);
+  /// place_match_line into this harness's circuit (periphery "ml"); keeps
+  /// the precharge, SA and sense node.
+  MatchLine build_match_line(int taps, int cells_per_tap,
+                             bool write_clamp = false);
 
-  /// Program the precharge: ML held at VDD during [0, t_precharge], then
-  /// released.
-  void program_precharge(const SearchTiming& t);
+  void program_precharge(const SearchTiming& t) {
+    tcam::program_precharge(pre_, opts_.vdd, t);
+  }
 
   void assert_unbuilt() const;
   void mark_built(double t_stop, double dt) {

@@ -4,9 +4,12 @@
 // cross-row interactions.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
+#include "spice/measure.hpp"
 #include "tcam/full_array.hpp"
+#include "tcam/sim_harness.hpp"
 
 namespace fetcam::tcam {
 namespace {
@@ -121,6 +124,68 @@ TEST(FullArray, OneShot) {
   arr.build_search(stored, arch::bits_from_string("01"), {});
   EXPECT_THROW(arr.build_search(stored, arch::bits_from_string("01"), {}),
                std::logic_error);
+}
+
+TEST(FullArray, OneRowIsTheWordHarness) {
+  // A 1-row array places the word harness's own cells, ML and per-row
+  // column-wire share, so it must reproduce the harness to solver
+  // precision: same SA decision, ML voltage at the latch and search energy.
+  const auto query = arch::bits_from_string("01100101");
+  const auto words = stored_words({"01100101",    // exact match
+                                   "11100101",    // step-1 miss (bit 0)
+                                   "00100101",    // step-2 miss (bit 1)
+                                   "XXXXXXXX",    // all-X
+                                   "0X10X1X1"});  // mixed match
+  WordOptions wopts;
+  wopts.n_bits = 8;
+  for (const auto design :
+       {arch::TcamDesign::k1p5SgFe, arch::TcamDesign::k1p5DgFe,
+        arch::TcamDesign::k2SgFefet, arch::TcamDesign::k2DgFefet}) {
+    const bool paired = design == arch::TcamDesign::k1p5SgFe ||
+                        design == arch::TcamDesign::k1p5DgFe;
+    const Flavor flavor = design == arch::TcamDesign::k1p5SgFe ||
+                                  design == arch::TcamDesign::k2SgFefet
+                              ? Flavor::kSg
+                              : Flavor::kDg;
+    for (const auto& word : words) {
+      SCOPED_TRACE(arch::design_name(design) + " stored " +
+                   arch::to_string(word));
+      FullArrayOptions opts;
+      opts.rows = 1;
+      opts.cols = wopts.n_bits;
+      const auto arr =
+          paired ? simulate_array_search(flavor, opts, {word}, query)
+                 : simulate_two_fefet_array_search(flavor, opts, {word}, query);
+      ASSERT_TRUE(arr.ok) << arr.error;
+
+      auto h = make_word_harness(design, wopts);
+      SearchConfig cfg;
+      cfg.stored = word;
+      cfg.query = query;
+      h->build_search(cfg);
+      spice::TransientOptions topts;
+      topts.t_stop = h->t_stop();
+      topts.dt = h->suggested_dt();
+      const auto sim = run_transient(h->circuit(), topts);
+      ASSERT_TRUE(sim.ok) << sim.error;
+      const double t_latch =
+          cfg.timing.stop_after(h->search_steps()) - cfg.timing.t_tail;
+      const auto v_at = [&](spice::NodeId node) {
+        return sim.trace.voltage_at_time(h->circuit().node_name(node),
+                                         t_latch);
+      };
+      const double energy =
+          spice::total_source_energy(sim.trace, "", 0.0, h->t_stop());
+
+      EXPECT_EQ(arr.rows[0].measured_match,
+                v_at(h->sa_out_node()) > 0.5 * wopts.vdd);
+      EXPECT_EQ(arr.rows[0].measured_match, arr.rows[0].expected_match);
+      EXPECT_NEAR(arr.rows[0].v_ml_latched, v_at(h->ml_sense_node()), 1e-6);
+      EXPECT_LE(std::abs(arr.energy_total - energy) / energy, 1e-6)
+          << "array " << arr.energy_total << " J, harness " << energy
+          << " J";
+    }
+  }
 }
 
 TEST(TwoFefetArray, MixedRowsResolveIndependently) {

@@ -12,7 +12,10 @@
 //   fetcam_cli disturb                read-disturb comparison
 //   fetcam_cli halfselect             write half-select disturb study
 //   fetcam_cli search <design> <stored> <query>
-//                                     one circuit-level search
+//                                     one circuit-level search of one word
+//                                     (stored: 0/1/X digits; query: 0/1
+//                                     bits of the same length, even for
+//                                     1.5sg / 1.5dg)
 //   fetcam_cli datasheet [rows cols]  array-level macro comparison (rows,
 //                                     cols: whole, 1..1048576)
 //   fetcam_cli export <design> <stored> <query> <file.cir>
@@ -147,7 +150,7 @@ constexpr SubcommandInfo kSubcommands[] = {
     {"variability", "Monte-Carlo divider yield analysis"},
     {"disturb", "read-disturb polarization accumulation study"},
     {"halfselect", "write half-select disturb study"},
-    {"search", "one search operation on a full simulated array"},
+    {"search", "one search operation on a simulated word harness"},
     {"datasheet", "array-level area/energy/latency datasheet"},
     {"export", "SPICE netlist export of a cell/array testbench"},
     {"engine", "software match engine: bench, serve, client modes"},
@@ -373,16 +376,47 @@ int cmd_datasheet(int argc, char** argv) {
   return 0;
 }
 
+/// The <stored> <query> arguments of search / export, checked before any
+/// simulation: a ternary word and a query of the same nonzero length, even
+/// for the paired 1.5T1Fe cells.  Prints the problem and returns nullopt
+/// otherwise; callers then exit 2.
+std::optional<tcam::SearchConfig> parse_search_words(arch::TcamDesign d,
+                                                     const char* stored,
+                                                     const char* query) {
+  tcam::SearchConfig cfg;
+  try {
+    cfg.stored = arch::word_from_string(stored);
+    cfg.query = arch::bits_from_string(query);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return std::nullopt;
+  }
+  if (cfg.stored.empty() || cfg.stored.size() != cfg.query.size()) {
+    std::fprintf(stderr,
+                 "stored word (%zu digits) and query (%zu bits) must have "
+                 "the same nonzero length\n",
+                 cfg.stored.size(), cfg.query.size());
+    return std::nullopt;
+  }
+  const bool paired = d == arch::TcamDesign::k1p5SgFe ||
+                      d == arch::TcamDesign::k1p5DgFe;
+  if (paired && cfg.stored.size() % 2 != 0) {
+    std::fprintf(stderr, "1.5T1Fe word length must be even, got %zu\n",
+                 cfg.stored.size());
+    return std::nullopt;
+  }
+  return cfg;
+}
+
 int cmd_export(int argc, char** argv) {
   arch::TcamDesign d;
   if (argc < 4 || !parse_design(argv[0], d)) return usage();
-  tcam::SearchConfig cfg;
-  cfg.stored = arch::word_from_string(argv[1]);
-  cfg.query = arch::bits_from_string(argv[2]);
+  const auto cfg = parse_search_words(d, argv[1], argv[2]);
+  if (!cfg) return 2;
   tcam::WordOptions opts;
-  opts.n_bits = static_cast<int>(cfg.stored.size());
+  opts.n_bits = static_cast<int>(cfg->stored.size());
   auto h = tcam::make_word_harness(d, opts);
-  h->build_search(cfg);
+  h->build_search(*cfg);
   spice::SpiceExportOptions eopts;
   eopts.title = arch::design_name(d) + " search: stored " +
                 std::string(argv[1]) + " query " + argv[2];
@@ -400,12 +434,11 @@ int cmd_export(int argc, char** argv) {
 int cmd_search(int argc, char** argv) {
   arch::TcamDesign d;
   if (argc < 3 || !parse_design(argv[0], d)) return usage();
-  tcam::SearchConfig cfg;
-  cfg.stored = arch::word_from_string(argv[1]);
-  cfg.query = arch::bits_from_string(argv[2]);
+  const auto cfg = parse_search_words(d, argv[1], argv[2]);
+  if (!cfg) return 2;
   tcam::WordOptions opts;
-  opts.n_bits = static_cast<int>(cfg.stored.size());
-  const auto m = tcam::measure_search(d, opts, cfg);
+  opts.n_bits = static_cast<int>(cfg->stored.size());
+  const auto m = tcam::measure_search(d, opts, *cfg);
   if (!m.ok) {
     std::printf("simulation failed: %s\n", m.error.c_str());
     return 1;
