@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <random>
 #include <sstream>
@@ -222,17 +223,28 @@ double now_us() {
       .count();
 }
 
-template <typename Fn>
-double median_us(int reps, Fn&& fn) {
-  std::vector<double> t;
-  t.reserve(static_cast<std::size_t>(reps));
+/// Median wall time of each arm over `reps` rounds.  Every round times
+/// each arm once, in forward order on even rounds and reverse order on odd
+/// ones, so a host phase change (a neighbor's load, a frequency step) hits
+/// all arms alike instead of only the arms timed after it.
+std::vector<double> interleaved_medians_us(
+    int reps, const std::vector<std::function<void()>>& arms) {
+  const std::size_t n = arms.size();
+  std::vector<std::vector<double>> t(n);
   for (int i = 0; i < reps; ++i) {
-    const double t0 = now_us();
-    fn();
-    t.push_back(now_us() - t0);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t a = i % 2 == 0 ? k : n - 1 - k;
+      const double t0 = now_us();
+      arms[a]();
+      t[a].push_back(now_us() - t0);
+    }
   }
-  std::sort(t.begin(), t.end());
-  return t[t.size() / 2];
+  std::vector<double> medians;
+  for (auto& arm : t) {
+    std::sort(arm.begin(), arm.end());
+    medians.push_back(arm[arm.size() / 2]);
+  }
+  return medians;
 }
 
 struct KernelReport {
@@ -260,26 +272,30 @@ KernelReport measure_kernel() {
   std::vector<engine::PackedQuery> packed;
   for (const auto& q : qs) packed.push_back(engine::PackedQuery::pack(q));
 
-  const int reps = 15;
-  rep.unpacked_us = median_us(reps, [&] {
-    for (const auto& q : qs) benchmark::DoNotOptimize(a.search(q));
-  });
-  rep.unpacked_two_step_us = median_us(reps, [&] {
-    for (const auto& q : qs) {
-      benchmark::DoNotOptimize(arch::two_step_search(a, q));
-    }
-  });
   std::vector<std::uint64_t> mask;
-  rep.packed_us = median_us(reps, [&] {
-    for (const auto& q : packed) {
-      benchmark::DoNotOptimize(p.full_match(q, mask));
-    }
-  });
-  rep.packed_two_step_us = median_us(reps, [&] {
-    for (const auto& q : packed) {
-      benchmark::DoNotOptimize(p.two_step_match(q, mask));
-    }
-  });
+  const std::vector<double> us = interleaved_medians_us(
+      15, {[&] {
+             for (const auto& q : qs) benchmark::DoNotOptimize(a.search(q));
+           },
+           [&] {
+             for (const auto& q : qs) {
+               benchmark::DoNotOptimize(arch::two_step_search(a, q));
+             }
+           },
+           [&] {
+             for (const auto& q : packed) {
+               benchmark::DoNotOptimize(p.full_match(q, mask));
+             }
+           },
+           [&] {
+             for (const auto& q : packed) {
+               benchmark::DoNotOptimize(p.two_step_match(q, mask));
+             }
+           }});
+  rep.unpacked_us = us[0];
+  rep.unpacked_two_step_us = us[1];
+  rep.packed_us = us[2];
+  rep.packed_two_step_us = us[3];
   rep.speedup = rep.packed_us > 0.0 ? rep.unpacked_us / rep.packed_us : 0.0;
   rep.two_step_speedup = rep.packed_two_step_us > 0.0
                              ? rep.unpacked_two_step_us / rep.packed_two_step_us
@@ -311,33 +327,30 @@ SimdReport measure_simd() {
   std::vector<engine::PackedQuery> packed;
   for (const auto& q : qs) packed.push_back(engine::PackedQuery::pack(q));
 
-  const int reps = 15;
   std::vector<std::uint64_t> mask;
-  rep.scalar_us = median_us(reps, [&] {
-    for (const auto& q : packed) {
-      benchmark::DoNotOptimize(
-          p.full_match(q, mask, engine::KernelTier::kScalar));
-    }
-  });
-  rep.scalar_two_step_us = median_us(reps, [&] {
-    for (const auto& q : packed) {
-      benchmark::DoNotOptimize(
-          p.two_step_match(q, mask, engine::KernelTier::kScalar));
-    }
-  });
+  // Both tiers' arms share every round (see interleaved_medians_us), so
+  // the speedup compares times taken under the same host conditions.
+  std::vector<std::function<void()>> arms;
+  for (const engine::KernelTier tier :
+       {engine::KernelTier::kScalar, engine::KernelTier::kAvx2}) {
+    if (!engine::kernel_tier_available(tier)) continue;
+    arms.push_back([&, tier] {
+      for (const auto& q : packed) {
+        benchmark::DoNotOptimize(p.full_match(q, mask, tier));
+      }
+    });
+    arms.push_back([&, tier] {
+      for (const auto& q : packed) {
+        benchmark::DoNotOptimize(p.two_step_match(q, mask, tier));
+      }
+    });
+  }
+  const std::vector<double> us = interleaved_medians_us(15, arms);
+  rep.scalar_us = us[0];
+  rep.scalar_two_step_us = us[1];
   if (rep.available) {
-    rep.simd_us = median_us(reps, [&] {
-      for (const auto& q : packed) {
-        benchmark::DoNotOptimize(
-            p.full_match(q, mask, engine::KernelTier::kAvx2));
-      }
-    });
-    rep.simd_two_step_us = median_us(reps, [&] {
-      for (const auto& q : packed) {
-        benchmark::DoNotOptimize(
-            p.two_step_match(q, mask, engine::KernelTier::kAvx2));
-      }
-    });
+    rep.simd_us = us[2];
+    rep.simd_two_step_us = us[3];
     rep.speedup = rep.simd_us > 0.0 ? rep.scalar_us / rep.simd_us : 0.0;
     rep.two_step_speedup = rep.simd_two_step_us > 0.0
                                ? rep.scalar_two_step_us / rep.simd_two_step_us
@@ -667,8 +680,8 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
   ropts.update_rate = 0.01;
   ropts.seed = 7;
 
-  // Baseline arm — the PR 7 search path: insertion-order placement,
-  // pruning off, query_block 1 (every lane takes the single-query path).
+  // Baseline arm — the pre-blocking search path: insertion-order
+  // placement, pruning off, query_block 1 (one query per kernel pass).
   engine::TableConfig base_cfg = cfg;
   base_cfg.mat_skip = false;
   engine::RunSummary sb;

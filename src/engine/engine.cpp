@@ -256,23 +256,15 @@ void SearchEngine::match_batch(const Work& work,
     const std::size_t s0 = k * block;
     const std::size_t s1 = std::min(s0 + block, searches.size());
     obs::ScopedSpan span("engine.match_task", "engine", work.trace_id);
-    if (s1 - s0 == 1) {
-      // Single lane (block size 1, or the batch's tail): the scalar
-      // single-query path — also the golden reference the blocked path
-      // must reproduce bit for bit.
-      thread_local MatchScratch scratch;
-      table_.match_mats(packed_queries_[s0], scratch, matches[searches[s0]]);
-    } else {
-      thread_local BlockMatchScratch scratch;
-      const PackedQuery* queries[kMaxQueryBlock];
-      TableMatch* outs[kMaxQueryBlock];
-      for (std::size_t s = s0; s < s1; ++s) {
-        queries[s - s0] = &packed_queries_[s];
-        outs[s - s0] = &matches[searches[s]];
-      }
-      table_.match_mats_block(queries, static_cast<int>(s1 - s0), scratch,
-                              outs);
+    thread_local MatchScratch scratch;
+    const PackedQuery* queries[kMaxQueryBlock];
+    TableMatch* outs[kMaxQueryBlock];
+    for (std::size_t s = s0; s < s1; ++s) {
+      queries[s - s0] = &packed_queries_[s];
+      outs[s - s0] = &matches[searches[s]];
     }
+    table_.match_mats_block(queries, static_cast<int>(s1 - s0), scratch,
+                            outs);
   };
   const bool metrics = obs::metrics_on();
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;

@@ -176,7 +176,7 @@ struct EngineOptions {
   /// exact searches, and separately its nearest searches, are chunked into
   /// fixed submission-order blocks of this size so one streaming pass over
   /// a shard's planar words serves the whole block (docs/ENGINE.md "Query
-  /// blocking").  1 = the single-query path.
+  /// blocking").  1 = one query per kernel pass.
   /// Purely a bandwidth knob: per-query results are bit-identical for
   /// every block size.
   int query_block = 8;

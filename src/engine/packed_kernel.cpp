@@ -74,83 +74,20 @@ void clear_kernel_tier_override() {
 
 namespace detail {
 
-arch::SearchStats full_match_scalar(const ShardView& s,
-                                    const std::uint64_t* query,
-                                    std::uint64_t* match_mask) {
-  arch::SearchStats stats;
-  stats.rows = s.rows;
-  stats.step2_evaluated = s.rows;  // single-step: every row evaluates fully
-  const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
-  for (int r = 0; r < s.rows; ++r) {
-    if (((s.valid[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL) ==
-        0) {
-      continue;
-    }
-    bool matched = true;
-    for (int w = 0; w < s.wpr; ++w) {
-      const std::size_t at =
-          static_cast<std::size_t>(w) * pad + static_cast<std::size_t>(r);
-      if ((s.care[at] & (s.value[at] ^ query[w])) != 0) {
-        matched = false;
-        break;
-      }
-    }
-    if (matched) {
-      match_mask[static_cast<std::size_t>(r) >> 6] |= 1ULL << (r & 63);
-      ++stats.matches;
-    }
-  }
-  return stats;
-}
-
-arch::SearchStats two_step_match_scalar(const ShardView& s,
-                                        const std::uint64_t* query,
-                                        std::uint64_t* match_mask) {
-  arch::SearchStats stats;
-  stats.rows = s.rows;
-  const std::size_t pad = static_cast<std::size_t>(s.rows_pad);
-  for (int r = 0; r < s.rows; ++r) {
-    if (((s.valid[static_cast<std::size_t>(r) >> 6] >> (r & 63)) & 1ULL) ==
-        0) {
-      // Invalid rows stay erased-to-'0' at cell1 positions and miss in
-      // step 1 (same accounting as arch::two_step_search).
-      ++stats.step1_misses;
-      continue;
-    }
-    // Step 1: even (cell1) digits of every word.
-    bool alive = true;
-    for (int w = 0; w < s.wpr; ++w) {
-      const std::size_t at =
-          static_cast<std::size_t>(w) * pad + static_cast<std::size_t>(r);
-      if ((s.care[at] & (s.value[at] ^ query[w]) & kEvenDigits) != 0) {
-        alive = false;
-        break;
-      }
-    }
-    if (!alive) {
-      ++stats.step1_misses;
-      continue;
-    }
-    // Step 2: odd (cell2) digits, only for surviving rows.
-    ++stats.step2_evaluated;
-    bool matched = true;
-    for (int w = 0; w < s.wpr; ++w) {
-      const std::size_t at =
-          static_cast<std::size_t>(w) * pad + static_cast<std::size_t>(r);
-      if ((s.care[at] & (s.value[at] ^ query[w]) & kOddDigits) != 0) {
-        matched = false;
-        break;
-      }
-    }
-    if (matched) {
-      match_mask[static_cast<std::size_t>(r) >> 6] |= 1ULL << (r & 63);
-      ++stats.matches;
-    }
-  }
-  return stats;
-}
-
 namespace {
+
+/// True when every query's accumulated mismatch word has a bit under
+/// `digits` — each query has mismatched the row there, so the remaining
+/// words cannot change its outcome (acc only grows).  The blocked kernels'
+/// per-row early exit on multi-word rows.
+template <int NQ>
+bool all_queries_mismatch(const std::uint64_t (&acc)[NQ],
+                          std::uint64_t digits) {
+  for (int q = 0; q < NQ; ++q) {
+    if ((acc[q] & digits) == 0) return false;
+  }
+  return true;
+}
 
 // Shared shape of the blocked scalar kernels: one pass over the planar
 // words per 64-row block, each (care, value) word pair loaded ONCE and
@@ -182,6 +119,7 @@ void full_match_block_scalar_impl(const ShardView& s,
         const std::uint64_t c = s.care[at];
         const std::uint64_t v = s.value[at];
         for (int q = 0; q < NQ; ++q) acc[q] |= c & (v ^ queries[q][w]);
+        if (w + 1 < s.wpr && all_queries_mismatch(acc, ~0ULL)) break;
       }
       for (int q = 0; q < NQ; ++q) {
         ok[q] |= static_cast<std::uint64_t>(acc[q] == 0) << r;
@@ -219,6 +157,9 @@ void two_step_match_block_scalar_impl(const ShardView& s,
         const std::uint64_t c = s.care[at];
         const std::uint64_t v = s.value[at];
         for (int q = 0; q < NQ; ++q) acc[q] |= c & (v ^ queries[q][w]);
+        // Every query already fails step 1: the odd bits left unfinished
+        // are masked off by `alive` below, so the row's outcome is settled.
+        if (w + 1 < s.wpr && all_queries_mismatch(acc, kEvenDigits)) break;
       }
       for (int q = 0; q < NQ; ++q) {
         step1_ok[q] |=
@@ -227,9 +168,8 @@ void two_step_match_block_scalar_impl(const ShardView& s,
             static_cast<std::uint64_t>((acc[q] & kOddDigits) == 0) << r;
       }
     }
-    // Invalid (and padded) rows miss in step 1, like the single-query
-    // tiers; per-block popcount accounting reproduces the per-row
-    // counters exactly (same argument as the AVX2 tier).
+    // Invalid (and padded) rows miss in step 1, as in
+    // arch::two_step_search; per-block popcounts give its per-row counters.
     const std::uint64_t valid = s.valid[static_cast<std::size_t>(b)];
     const int real_rows = s.rows - b * 64 < 64 ? s.rows - b * 64 : 64;
     for (int q = 0; q < NQ; ++q) {
@@ -301,16 +241,6 @@ void two_step_match_block_scalar(const ShardView& s,
 #if !defined(FETCAM_HAVE_AVX2)
 // Stubs so the dispatch switch links in scalar-only builds; the tier is
 // reported unavailable, so these are unreachable.
-arch::SearchStats full_match_avx2(const ShardView& s,
-                                  const std::uint64_t* query,
-                                  std::uint64_t* match_mask) {
-  return full_match_scalar(s, query, match_mask);
-}
-arch::SearchStats two_step_match_avx2(const ShardView& s,
-                                      const std::uint64_t* query,
-                                      std::uint64_t* match_mask) {
-  return two_step_match_scalar(s, query, match_mask);
-}
 void full_match_block_avx2(const ShardView& s,
                            const std::uint64_t* const* queries, int nq,
                            std::uint64_t* const* match_masks,
@@ -432,21 +362,13 @@ arch::SearchStats PackedShard::full_match(
 arch::SearchStats PackedShard::full_match(const PackedQuery& query,
                                           std::vector<std::uint64_t>& match_mask,
                                           KernelTier tier) const {
-  check_query(query);
-  match_mask.assign(mask_words(), 0);
-  if (rows_ == 0) {
-    arch::SearchStats stats;
-    return stats;
-  }
-  switch (tier) {
-    case KernelTier::kAvx2:
-      return detail::full_match_avx2(view(), query.bits.data(),
-                                     match_mask.data());
-    case KernelTier::kScalar:
-      break;
-  }
-  return detail::full_match_scalar(view(), query.bits.data(),
-                                   match_mask.data());
+  // The kernel overwrites every word, so no fill is needed.
+  match_mask.resize(mask_words());
+  const PackedQuery* queries[1] = {&query};
+  std::uint64_t* masks[1] = {match_mask.data()};
+  arch::SearchStats stats;
+  full_match_block(queries, 1, masks, &stats, tier);
+  return stats;
 }
 
 arch::SearchStats PackedShard::two_step_match(
@@ -457,26 +379,12 @@ arch::SearchStats PackedShard::two_step_match(
 arch::SearchStats PackedShard::two_step_match(
     const PackedQuery& query, std::vector<std::uint64_t>& match_mask,
     KernelTier tier) const {
-  check_query(query);
-  if (cols_ % 2 != 0) {
-    throw std::invalid_argument(
-        "two-step search needs an even word length (shard is " +
-        std::to_string(rows_) + " rows x " + std::to_string(cols_) + " cols)");
-  }
-  match_mask.assign(mask_words(), 0);
-  if (rows_ == 0) {
-    arch::SearchStats stats;
-    return stats;
-  }
-  switch (tier) {
-    case KernelTier::kAvx2:
-      return detail::two_step_match_avx2(view(), query.bits.data(),
-                                         match_mask.data());
-    case KernelTier::kScalar:
-      break;
-  }
-  return detail::two_step_match_scalar(view(), query.bits.data(),
-                                       match_mask.data());
+  match_mask.resize(mask_words());
+  const PackedQuery* queries[1] = {&query};
+  std::uint64_t* masks[1] = {match_mask.data()};
+  arch::SearchStats stats;
+  two_step_match_block(queries, 1, masks, &stats, tier);
+  return stats;
 }
 
 void PackedShard::check_block(const PackedQuery* const* queries,

@@ -29,11 +29,13 @@
 // plain aligned-ish loads (no gathers).  Padded rows have care = value =
 // valid = 0, so they can never match or perturb statistics.
 //
-// Kernel tiers: the scalar uint64 loop is the golden reference; an AVX2
+// Kernel tiers: a portable scalar uint64 loop, always built, and an AVX2
 // path (compiled only when -DFETCAM_SIMD=ON and the compiler supports
-// -mavx2) is selected at runtime via CPU detection.  Both tiers are
-// lane- and stats-exact against each other and against the behavioral
-// reference — enforced by tests/engine/kernel_differential_test.cpp.
+// -mavx2) selected at runtime via CPU detection.  Each tier has ONE
+// exact-match kernel per search mode, query-blocked: a single query is a
+// block of one.  The references are the behavioral TcamArray::search and
+// arch::two_step_search; every lane of both tiers is mask- and
+// stats-exact against them (tests/engine/kernel_differential_test.cpp).
 //
 // Match results are reported as a row bitmask (64 rows per word) so the
 // sharded table can priority-scan hits with countr_zero instead of walking
@@ -48,9 +50,10 @@
 
 namespace fetcam::engine {
 
-/// Match-loop implementation tier.  kScalar is the golden reference and is
+/// Match-loop implementation tier.  kScalar is the portable loop and is
 /// always available; kAvx2 requires both compile-time support
 /// (-DFETCAM_SIMD=ON + a -mavx2-capable compiler) and runtime CPU support.
+/// Both produce identical masks and stats; only the cost differs.
 enum class KernelTier : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 /// Largest query block the blocked kernels accept.  Eight keeps the AVX2
@@ -81,7 +84,7 @@ void clear_kernel_tier_override();
 namespace detail {
 
 /// Borrowed view of one shard's planar arrays, consumed by the per-tier
-/// kernels.  `mask` outputs are rows_pad/64 words, caller-zeroed.
+/// kernels.  Mask outputs are rows_pad/64 words, fully overwritten.
 struct ShardView {
   const std::uint64_t* care = nullptr;   ///< wpr planes of rows_pad words
   const std::uint64_t* value = nullptr;  ///< same shape as care
@@ -91,28 +94,19 @@ struct ShardView {
   int wpr = 0;       ///< words per row (ceil(cols/64))
 };
 
-arch::SearchStats full_match_scalar(const ShardView& s,
-                                    const std::uint64_t* query,
-                                    std::uint64_t* match_mask);
-arch::SearchStats two_step_match_scalar(const ShardView& s,
-                                        const std::uint64_t* query,
-                                        std::uint64_t* match_mask);
-// Defined in packed_kernel_avx2.cpp (FETCAM_HAVE_AVX2 builds only).
-arch::SearchStats full_match_avx2(const ShardView& s,
-                                  const std::uint64_t* query,
-                                  std::uint64_t* match_mask);
-arch::SearchStats two_step_match_avx2(const ShardView& s,
-                                      const std::uint64_t* query,
-                                      std::uint64_t* match_mask);
-
-// Query-blocked kernels: match nq (1..kMaxQueryBlock) queries in ONE pass
-// over the shard's planar words, so each care/value word loaded from
-// memory is reused nq times instead of once.  queries[q] points to wpr
-// packed words; match_masks[q] points to rows_pad/64 words and is fully
-// overwritten; stats[q] is reset and filled.  Per-query masks and stats
-// are BIT-EXACT against the single-query kernels for every q — block
-// composition only changes cost, never results (the determinism argument
-// the engine's block scheduler rests on, docs/ENGINE.md).
+// Query-blocked kernels, the only exact-match kernels: match nq
+// (1..kMaxQueryBlock) queries in ONE pass over the shard's planar words,
+// so each care/value word loaded from memory is reused nq times.
+// queries[q] points to wpr packed words; match_masks[q] points to
+// rows_pad/64 words and is fully overwritten; stats[q] is reset and
+// filled.  A lane's mask and stats never depend on the rest of the block
+// — block composition only changes cost, never results (the determinism
+// argument the engine's block scheduler rests on, docs/ENGINE.md).  A row
+// (scalar) or 4-row group (AVX2) of a multi-word shard stops loading
+// words once every lane of every query has mismatched (in step 1, for
+// the two-step kernel).
+// The AVX2 variants live in packed_kernel_avx2.cpp; scalar-only builds
+// link unreachable stubs (the tier reports unavailable).
 void full_match_block_scalar(const ShardView& s,
                              const std::uint64_t* const* queries, int nq,
                              std::uint64_t* const* match_masks,
@@ -168,7 +162,8 @@ class PackedShard {
   /// never match).  Sets bit (r & 63) of match_mask[r >> 6] per matching
   /// row; stats are shaped like TcamController's single-step accounting
   /// (every row evaluates fully: step2_evaluated = rows, no step-1 misses).
-  /// Uses active_kernel_tier(); the explicit-tier overload pins one.
+  /// The one-lane call of full_match_block.  Uses active_kernel_tier();
+  /// the explicit-tier overload pins one.
   arch::SearchStats full_match(const PackedQuery& query,
                                std::vector<std::uint64_t>& match_mask) const;
   arch::SearchStats full_match(const PackedQuery& query,
@@ -176,7 +171,8 @@ class PackedShard {
                                KernelTier tier) const;
 
   /// Two-step early-terminating match, bit-exact vs arch::two_step_search
-  /// (match flags and SearchStats).  Requires an even word length.
+  /// (match flags and SearchStats).  Requires an even word length.  The
+  /// one-lane call of two_step_match_block.
   arch::SearchStats two_step_match(const PackedQuery& query,
                                    std::vector<std::uint64_t>& match_mask) const;
   arch::SearchStats two_step_match(const PackedQuery& query,
@@ -185,9 +181,9 @@ class PackedShard {
 
   /// Query-blocked match: nq (1..kMaxQueryBlock) queries in one pass over
   /// the planar words.  match_masks[q] must hold mask_words() words and is
-  /// fully overwritten; stats[q] is reset.  Per-query results are
-  /// bit-exact vs the single-query kernels regardless of block
-  /// composition.  The tier-less overloads use active_kernel_tier().
+  /// fully overwritten; stats[q] is reset.  Per-query results are those
+  /// of full_match / two_step_match whatever the rest of the block holds.
+  /// The tier-less overloads use active_kernel_tier().
   void full_match_block(const PackedQuery* const* queries, int nq,
                         std::uint64_t* const* match_masks,
                         arch::SearchStats* stats) const;
@@ -202,7 +198,7 @@ class PackedShard {
                             arch::SearchStats* stats, KernelTier tier) const;
 
   /// Convenience wrappers mirroring the behavioral API (used by the
-  /// golden-equivalence tests).
+  /// equivalence tests against TcamArray / arch::two_step_search).
   std::vector<bool> search(const arch::BitWord& query) const;
   arch::ScheduledSearchResult two_step_search(const arch::BitWord& query) const;
 

@@ -549,56 +549,13 @@ void TcamTable::match(const arch::BitWord& query, MatchScratch& scratch,
 
 void TcamTable::match_mats(const PackedQuery& query, MatchScratch& scratch,
                            TableMatch& out) const {
-  out.hit = false;
-  out.entry = kInvalidEntry;
-  out.priority = 0;
-  out.stats = arch::SearchStats{};
-  out.scanned.clear();
-
-  int skipped = 0;
-  for (int m = 0; m < config_.mats; ++m) {
-    if (config_.mat_skip && mat_skips(static_cast<std::size_t>(m), query)) {
-      ++skipped;
-      continue;
-    }
-    const auto& shard = shards_[static_cast<std::size_t>(m)];
-    const arch::SearchStats s =
-        two_step_ ? shard.two_step_match(query, scratch.mask)
-                  : shard.full_match(query, scratch.mask);
-    out.scanned.push_back({m, s});
-    add_stats(out.stats, s);
-    // Priority scan over this shard's hits: lowest (priority, id) wins.
-    scan_hits(static_cast<std::size_t>(m), scratch.mask.data(),
-              scratch.mask.size(), out);
-  }
-  add_skipped(out.stats, skipped_stats(), skipped);
-  mats_considered_.fetch_add(config_.mats, std::memory_order_relaxed);
-  if (skipped != 0) {
-    mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  }
-}
-
-void TcamTable::match_mats_block(const arch::BitWord* const* queries, int nq,
-                                 BlockMatchScratch& scratch,
-                                 TableMatch* const* outs) const {
-  if (nq < 1 || nq > kMaxQueryBlock) {
-    throw std::invalid_argument("query block size must be in [1, " +
-                                std::to_string(kMaxQueryBlock) + "], got " +
-                                std::to_string(nq));
-  }
-  if (scratch.queries.size() < static_cast<std::size_t>(nq)) {
-    scratch.queries.resize(static_cast<std::size_t>(nq));
-  }
-  const PackedQuery* packed[kMaxQueryBlock];
-  for (int q = 0; q < nq; ++q) {
-    scratch.queries[static_cast<std::size_t>(q)].repack(*queries[q]);
-    packed[q] = &scratch.queries[static_cast<std::size_t>(q)];
-  }
-  match_mats_block(packed, nq, scratch, outs);
+  const PackedQuery* queries[1] = {&query};
+  TableMatch* outs[1] = {&out};
+  match_mats_block(queries, 1, scratch, outs);
 }
 
 void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
-                                 BlockMatchScratch& scratch,
+                                 MatchScratch& scratch,
                                  TableMatch* const* outs) const {
   if (nq < 1 || nq > kMaxQueryBlock) {
     throw std::invalid_argument("query block size must be in [1, " +

@@ -100,18 +100,12 @@ struct TableMatch {
   std::vector<MatStats> scanned;
 };
 
-/// Reusable per-thread buffers for TcamTable::match (query packing + row
-/// bitmask); keeps the broadcast allocation-free on the hot path.
+/// Reusable per-thread buffers for TcamTable::match / match_mats /
+/// match_mats_block: a packed query (match) plus one row bitmask per block
+/// lane.  After the first call every lane's buffer is warm, so a
+/// steady-state broadcast allocates nothing.
 struct MatchScratch {
   PackedQuery query;
-  std::vector<std::uint64_t> mask;
-};
-
-/// Reusable per-thread buffers for TcamTable::match_mats_block: one packed
-/// query + row bitmask per block lane.  After the first call every lane's
-/// buffers are warm, so a steady-state blocked broadcast allocates nothing.
-struct BlockMatchScratch {
-  std::vector<PackedQuery> queries;
   std::vector<std::vector<std::uint64_t>> masks;
 };
 
@@ -229,31 +223,28 @@ class TcamTable {
                          const arch::TernaryWord& previous) const;
 
   /// Pure broadcast match: no accounting, const, safe to call from many
-  /// threads concurrently (against other match calls only).
+  /// threads concurrently (against other match calls only).  Packs the
+  /// query into scratch.query, then runs match_mats.
   void match(const arch::BitWord& query, MatchScratch& scratch,
              TableMatch& out) const;
 
-  /// Pre-packed match(): the caller packed the query once (e.g. per
-  /// engine batch), so the hot path does no repack.  Broadcasts over every
-  /// mat; const and concurrency-safe like match().
+  /// Pre-packed match(): the caller packed the query once, so the call
+  /// does no repack.  The one-lane call of match_mats_block; const and
+  /// concurrency-safe like match().
   void match_mats(const PackedQuery& query, MatchScratch& scratch,
                   TableMatch& out) const;
 
-  /// Query-blocked broadcast: nq (1..kMaxQueryBlock) queries against
-  /// every mat in ONE pass per shard, so each planar care/value word
-  /// loaded from memory serves all nq queries.  outs[q] receives exactly
-  /// what match_mats(queries[q], ...) would have produced — per-query
-  /// results never depend on block composition, the invariant the
-  /// engine's block scheduler (and its determinism sweep) relies on.  Mats
+  /// Query-blocked broadcast: nq (1..kMaxQueryBlock) pre-packed queries
+  /// against every mat in ONE pass per shard, so each planar care/value
+  /// word loaded from memory serves all nq queries.  outs[q] is the same
+  /// whatever the rest of the block holds — per-query results never
+  /// depend on block composition, the invariant the engine's block
+  /// scheduler (and its determinism sweep) relies on.  Mats
   /// the pruning index proves matchless for a lane are skipped for that
   /// lane only; survivors form the kernel sub-block.  Const and
   /// concurrency-safe like match().
-  void match_mats_block(const arch::BitWord* const* queries, int nq,
-                        BlockMatchScratch& scratch,
-                        TableMatch* const* outs) const;
-  /// Pre-packed variant (see match_mats).
   void match_mats_block(const PackedQuery* const* queries, int nq,
-                        BlockMatchScratch& scratch,
+                        MatchScratch& scratch,
                         TableMatch* const* outs) const;
 
   /// Top-k threshold search over every mat — the approximate-match

@@ -56,7 +56,9 @@ struct DeviceTuning {
 
 struct WordOptions {
   int n_bits = 64;
-  int rows_in_array = 64;  ///< array context for column-line loading
+  /// Rows of the surrounding array.  Recorded only: no harness reads it,
+  /// so it does not change the simulated column-line loads.
+  int rows_in_array = 64;
   double vdd = 0.8;
   DeviceTuning tuning;     ///< DSE knobs; identity by default
   WireTech wire;

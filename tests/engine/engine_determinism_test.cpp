@@ -97,6 +97,16 @@ RunOutcome run_workload(EngineOptions opts = {}) {
       }
     }
     if (!batch.empty()) futures.push_back(engine.submit(std::move(batch)));
+    // Search-only batches that leave a one-lane block at query_block 8
+    // (1 = a lone lane; 9, 17 and 65 = full blocks plus a one-lane tail).
+    std::size_t next = 0;
+    for (const std::size_t size : {1, 9, 17, 65}) {
+      std::vector<Request> lanes;
+      for (std::size_t i = 0; i < size; ++i, ++next) {
+        lanes.push_back(make_search(trace.queries[next]));
+      }
+      futures.push_back(engine.submit(std::move(lanes)));
+    }
     for (auto& f : futures) out.batches.push_back(f.get());
     out.driver_stalls = engine.driver_stalls();
     out.driver_cycles = engine.driver_cycles();
@@ -238,7 +248,7 @@ TEST(EngineDeterminism, InvariantAcrossDispatchersAndQueryBlocks) {
   // size are pure parallelism/bandwidth knobs.  Sweep both and require
   // byte-identical outcomes against the fully serial configuration.
   EngineOptions serial;
-  serial.query_block = 1;  // the single-query scalar reference path
+  serial.query_block = 1;  // one query per kernel pass, on one thread
   ThreadSweep sweep(1);
   const RunOutcome golden = run_workload(serial);
   ASSERT_FALSE(golden.batches.empty());

@@ -4,23 +4,29 @@
 // baked into each trial key) drive the scalar-packed kernel, the SIMD
 // kernel (when the build/CPU has it), and the behavioral references
 // (TcamArray::search, arch::two_step_search) over the same tables and
-// queries.  Every case asserts BIT-EXACT agreement per lane — match flags
-// row by row, mask padding, and the full SearchStats counters — across:
+// queries.  Every case asserts BIT-EXACT agreement of every lane with the
+// references — match flags row by row, mask padding, and the full
+// SearchStats counters — across:
 //
 //   * widths spanning the word boundaries (1, 7, 63, 64, 65, 128, 130),
 //   * row counts spanning the 64-row block boundaries (1, 3, 64, 65, 200),
 //   * entry styles: random ternary, all-X (wildcard), all-care,
 //     single-care-bit, erased and never-written rows,
 //   * query styles: random, all-zeros, all-ones, exact row images, and
-//     single-bit perturbations of a stored row.
+//     single-bit perturbations of a stored row,
+//   * query blocks of 1..kMaxQueryBlock lanes (a single query is a block
+//     of one),
+//   * 4-row groups built so the multi-word early exit fires on every lane
+//     but one, which mismatches late or only on an odd digit.
 //
-// The SIMD tier has no early termination; the scalar tier does.  These
-// tests are what pins the claim that early-out changes only cost, never
-// any observable outcome.
+// Both tiers stop a row (scalar) or 4-row group (AVX2) once every lane of
+// every query has mismatched.  These tests are what pins the claim that
+// early-out changes only cost, never any observable outcome.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <random>
+#include <string>
 
 #include "arch/behavioral_array.hpp"
 #include "arch/search_scheduler.hpp"
@@ -155,8 +161,19 @@ struct TierGuard {
   ~TierGuard() { clear_kernel_tier_override(); }
 };
 
+/// Single-step stats of a scan that matched `ref`: every row evaluates
+/// fully, nothing terminates in step 1.
+arch::SearchStats full_stats(const std::vector<bool>& ref) {
+  arch::SearchStats st;
+  st.rows = static_cast<int>(ref.size());
+  st.step2_evaluated = st.rows;
+  for (const bool m : ref) st.matches += m ? 1 : 0;
+  return st;
+}
+
+constexpr KernelTier kTiers[] = {KernelTier::kScalar, KernelTier::kAvx2};
+
 void run_differential(int rows, int cols, int tables, int queries) {
-  const bool simd = kernel_tier_available(KernelTier::kAvx2);
   for (int t = 0; t < tables; ++t) {
     const std::uint64_t table_key = util::trial_key(
         kSeed, static_cast<std::uint64_t>(rows) * 1000003u +
@@ -167,41 +184,29 @@ void run_differential(int rows, int cols, int tables, int queries) {
     PackedShard shard(rows, cols);
     build_pair(rng, rows, cols, array, shard);
 
-    std::vector<std::uint64_t> scalar_mask;
-    std::vector<std::uint64_t> simd_mask;
+    std::vector<std::uint64_t> mask;
     for (int qi = 0; qi < queries; ++qi) {
       const std::uint64_t key = table_key + static_cast<std::uint64_t>(qi);
       const arch::BitWord query = make_query(rng, qi, cols, array);
       const PackedQuery packed = PackedQuery::pack(query);
       const std::vector<bool> ref = array.search(query);
-
-      // Full (single-step) match: every tier vs the behavioral reference.
-      const arch::SearchStats scalar_stats =
-          shard.full_match(packed, scalar_mask, KernelTier::kScalar);
-      expect_mask_eq(ref, scalar_mask, rows, "full/scalar", key);
-      EXPECT_EQ(scalar_stats.rows, rows);
-      if (simd) {
-        const arch::SearchStats simd_stats =
-            shard.full_match(packed, simd_mask, KernelTier::kAvx2);
-        ASSERT_EQ(scalar_mask, simd_mask) << "full mask key=" << key;
-        expect_stats_eq(scalar_stats, simd_stats, "full stats", key);
-      }
-
-      // Two-step match (even widths only): tiers vs arch::two_step_search,
-      // stats included — the paper's step-1/step-2 accounting must be
-      // identical in every implementation.
-      if (cols % 2 == 0) {
-        const arch::ScheduledSearchResult two_ref =
-            arch::two_step_search(array, query);
-        const arch::SearchStats two_scalar =
-            shard.two_step_match(packed, scalar_mask, KernelTier::kScalar);
-        expect_mask_eq(two_ref.matches, scalar_mask, rows, "two/scalar", key);
-        expect_stats_eq(two_ref.stats, two_scalar, "two/scalar stats", key);
-        if (simd) {
-          const arch::SearchStats two_simd =
-              shard.two_step_match(packed, simd_mask, KernelTier::kAvx2);
-          ASSERT_EQ(scalar_mask, simd_mask) << "two-step mask key=" << key;
-          expect_stats_eq(two_ref.stats, two_simd, "two/simd stats", key);
+      for (const KernelTier tier : kTiers) {
+        if (!kernel_tier_available(tier)) continue;
+        const char* name = kernel_tier_name(tier);
+        // Full (single-step) match vs the behavioral reference.
+        const arch::SearchStats full = shard.full_match(packed, mask, tier);
+        expect_mask_eq(ref, mask, rows, name, key);
+        expect_stats_eq(full_stats(ref), full, name, key);
+        // Two-step match (even widths only) vs arch::two_step_search,
+        // stats included — the paper's step-1/step-2 accounting must be
+        // identical in every implementation.
+        if (cols % 2 == 0) {
+          const arch::ScheduledSearchResult two_ref =
+              arch::two_step_search(array, query);
+          const arch::SearchStats two =
+              shard.two_step_match(packed, mask, tier);
+          expect_mask_eq(two_ref.matches, mask, rows, name, key);
+          expect_stats_eq(two_ref.stats, two, name, key);
         }
       }
       if (::testing::Test::HasFailure()) return;  // one bad case is enough
@@ -291,13 +296,65 @@ TEST(KernelDifferential, DefaultPathFollowsOverride) {
   }
 }
 
-/// Blocked-vs-single differential: for every block size B, every lane of
-/// the blocked kernels must reproduce the single-query kernel's mask AND
-/// stats bit for bit — on every tier.  Lane q's result may never depend
-/// on its neighbors, which is the property the engine's determinism
-/// contract (results invariant under query_block) stands on.
+/// Every lane of a block of `queries` (1..kMaxQueryBlock) against the
+/// behavioral references, on every available tier: masks (padding
+/// included) and all four SearchStats fields.  Masks start all ones, so a
+/// word the kernel fails to overwrite shows up.
+void expect_block_matches_reference(const arch::TcamArray& array,
+                                    const PackedShard& shard,
+                                    const std::vector<arch::BitWord>& queries,
+                                    std::uint64_t key) {
+  const int nq = static_cast<int>(queries.size());
+  const int rows = array.rows();
+  std::vector<PackedQuery> packed(queries.size());
+  std::vector<std::vector<std::uint64_t>> masks(queries.size());
+  const PackedQuery* qp[kMaxQueryBlock];
+  std::uint64_t* mp[kMaxQueryBlock];
+  arch::SearchStats stats[kMaxQueryBlock];
+  for (int q = 0; q < nq; ++q) {
+    packed[static_cast<std::size_t>(q)].repack(
+        queries[static_cast<std::size_t>(q)]);
+    qp[q] = &packed[static_cast<std::size_t>(q)];
+  }
+  const auto reset_masks = [&] {
+    for (int q = 0; q < nq; ++q) {
+      masks[static_cast<std::size_t>(q)].assign(shard.mask_words(), ~0ULL);
+      mp[q] = masks[static_cast<std::size_t>(q)].data();
+    }
+  };
+  for (const KernelTier tier : kTiers) {
+    if (!kernel_tier_available(tier)) continue;
+    SCOPED_TRACE(std::string(kernel_tier_name(tier)) + " nq=" +
+                 std::to_string(nq));
+    reset_masks();
+    shard.full_match_block(qp, nq, mp, stats, tier);
+    for (int q = 0; q < nq; ++q) {
+      const std::vector<bool> ref =
+          array.search(queries[static_cast<std::size_t>(q)]);
+      expect_mask_eq(ref, masks[static_cast<std::size_t>(q)], rows,
+                     "full block lane", key * 10 + static_cast<std::uint64_t>(q));
+      expect_stats_eq(full_stats(ref), stats[q], "full block stats", key);
+    }
+    if (shard.cols() % 2 != 0) continue;
+    reset_masks();
+    shard.two_step_match_block(qp, nq, mp, stats, tier);
+    for (int q = 0; q < nq; ++q) {
+      const arch::ScheduledSearchResult ref =
+          arch::two_step_search(array, queries[static_cast<std::size_t>(q)]);
+      expect_mask_eq(ref.matches, masks[static_cast<std::size_t>(q)], rows,
+                     "two-step block lane",
+                     key * 10 + static_cast<std::uint64_t>(q));
+      expect_stats_eq(ref.stats, stats[q], "two-step block stats", key);
+    }
+  }
+}
+
+/// Blocked differential: for every block size, every lane of the blocked
+/// kernels must reproduce the behavioral references bit for bit on every
+/// tier.  Lane q's result may never depend on its neighbors, which is the
+/// property the engine's determinism contract (results invariant under
+/// query_block) stands on.
 void run_block_differential(int rows, int cols, int tables) {
-  const bool simd = kernel_tier_available(KernelTier::kAvx2);
   for (int t = 0; t < tables; ++t) {
     const std::uint64_t table_key = util::trial_key(
         kSeed, 77000 + static_cast<std::uint64_t>(rows) * 131u +
@@ -307,65 +364,20 @@ void run_block_differential(int rows, int cols, int tables) {
     arch::TcamArray array(rows, cols);
     PackedShard shard(rows, cols);
     build_pair(rng, rows, cols, array, shard);
-    const std::size_t words = shard.mask_words();
-
-    for (const int nq : {1, 2, 3, 4, 5, 7, 8}) {
-      // Lanes reuse the single-query styles, including exact-row images.
-      std::vector<PackedQuery> packed(static_cast<std::size_t>(nq));
-      std::vector<arch::SearchStats> single_stats(
-          static_cast<std::size_t>(nq));
-      std::vector<std::vector<std::uint64_t>> single_masks(
-          static_cast<std::size_t>(nq));
-      std::vector<std::vector<std::uint64_t>> block_masks(
-          static_cast<std::size_t>(nq));
-      const PackedQuery* qp[kMaxQueryBlock];
-      std::uint64_t* mp[kMaxQueryBlock];
-      arch::SearchStats block_stats[kMaxQueryBlock];
+    for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
+      // Lanes reuse make_query's styles, including exact-row images.
+      std::vector<arch::BitWord> queries;
       for (int q = 0; q < nq; ++q) {
-        const arch::BitWord query = make_query(rng, q, cols, array);
-        packed[static_cast<std::size_t>(q)].repack(query);
-        block_masks[static_cast<std::size_t>(q)].assign(words, ~0ULL);
-        qp[q] = &packed[static_cast<std::size_t>(q)];
-        mp[q] = block_masks[static_cast<std::size_t>(q)].data();
+        queries.push_back(make_query(rng, q, cols, array));
       }
-      const std::uint64_t key = table_key * 100 + static_cast<std::uint64_t>(nq);
-
-      for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
-        if (tier == KernelTier::kAvx2 && !simd) continue;
-        for (int q = 0; q < nq; ++q) {
-          single_stats[static_cast<std::size_t>(q)] = shard.full_match(
-              packed[static_cast<std::size_t>(q)],
-              single_masks[static_cast<std::size_t>(q)], tier);
-        }
-        shard.full_match_block(qp, nq, mp, block_stats, tier);
-        for (int q = 0; q < nq; ++q) {
-          ASSERT_EQ(single_masks[static_cast<std::size_t>(q)],
-                    block_masks[static_cast<std::size_t>(q)])
-              << "full block lane " << q << "/" << nq << " key=" << key;
-          expect_stats_eq(single_stats[static_cast<std::size_t>(q)],
-                          block_stats[q], "full block stats", key);
-        }
-        if (cols % 2 != 0) continue;
-        for (int q = 0; q < nq; ++q) {
-          single_stats[static_cast<std::size_t>(q)] = shard.two_step_match(
-              packed[static_cast<std::size_t>(q)],
-              single_masks[static_cast<std::size_t>(q)], tier);
-        }
-        shard.two_step_match_block(qp, nq, mp, block_stats, tier);
-        for (int q = 0; q < nq; ++q) {
-          ASSERT_EQ(single_masks[static_cast<std::size_t>(q)],
-                    block_masks[static_cast<std::size_t>(q)])
-              << "two-step block lane " << q << "/" << nq << " key=" << key;
-          expect_stats_eq(single_stats[static_cast<std::size_t>(q)],
-                          block_stats[q], "two-step block stats", key);
-        }
-      }
+      expect_block_matches_reference(
+          array, shard, queries, table_key * 100 + static_cast<std::uint64_t>(nq));
       if (::testing::Test::HasFailure()) return;
     }
   }
 }
 
-TEST(KernelDifferential, BlockedLanesMatchSingleAtWordBoundaries) {
+TEST(KernelDifferential, BlockedLanesMatchReferenceAtWordBoundaries) {
   // 63 / 64 / 65 columns: the packing edges, under every block size.
   for (const int cols : {63, 64, 65, 130}) {
     run_block_differential(/*rows=*/96, cols, /*tables=*/3);
@@ -373,16 +385,81 @@ TEST(KernelDifferential, BlockedLanesMatchSingleAtWordBoundaries) {
   }
 }
 
-TEST(KernelDifferential, BlockedLanesMatchSingleAtRowBoundaries) {
+TEST(KernelDifferential, BlockedLanesMatchReferenceAtRowBoundaries) {
   for (const int rows : {1, 3, 64, 65, 200}) {
     run_block_differential(rows, /*cols=*/64, /*tables=*/3);
     if (HasFailure()) return;
   }
 }
 
+TEST(KernelDifferential, EarlyExitSparesOneLateLane) {
+  // One 4-row group where every (row, query) pair but one mismatches in
+  // word 0 on an even AND an odd digit, so the multi-word early exit is
+  // one lane away from firing.  The spared pair — the last query against
+  // row 2 — then mismatches only in the final word, only on an odd digit
+  // of word 0, on an odd digit of word 0 plus an even digit of the final
+  // word, or not at all.  An exit tested on fewer queries, on the odd
+  // bits, or taken before the final word is folded in gets that lane
+  // wrong.
+  constexpr int kRows = 4;
+  constexpr int kSpared = 2;
+  std::mt19937 rng = util::trial_rng(kSeed, 65128130);
+  std::uniform_int_distribution<int> bit(0, 1);
+  for (const int cols : {65, 128, 130}) {
+    const std::size_t last_word_digit =
+        static_cast<std::size_t>((cols - 1) / 64 * 64);  // even
+    arch::BitWord base(static_cast<std::size_t>(cols));
+    for (auto& b : base) b = static_cast<std::uint8_t>(bit(rng));
+    // Lane q flips digits 4+4q (even) and 5+4q (odd); the other rows
+    // store base with a ninth lane's pair flipped, so they mismatch every
+    // query in word 0.
+    const auto flipped = [&](arch::BitWord w, int lane) {
+      for (const std::size_t c : {static_cast<std::size_t>(4 + 4 * lane),
+                                  static_cast<std::size_t>(5 + 4 * lane)}) {
+        w[c] = static_cast<std::uint8_t>(1 - w[c]);
+      }
+      return w;
+    };
+    const auto image = [](const arch::BitWord& w) {
+      arch::TernaryWord t;
+      for (const std::uint8_t b : w) {
+        t.push_back(b != 0 ? arch::Ternary::kOne : arch::Ternary::kZero);
+      }
+      return t;
+    };
+    for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
+      std::vector<arch::BitWord> queries;
+      for (int q = 0; q < nq; ++q) queries.push_back(flipped(base, q));
+      const std::vector<std::vector<std::size_t>> spared_flips = {
+          {last_word_digit}, {1}, {1, last_word_digit}, {}};
+      for (std::size_t v = 0; v < spared_flips.size(); ++v) {
+        arch::TcamArray array(kRows, cols);
+        PackedShard shard(kRows, cols);
+        for (int r = 0; r < kRows; ++r) {
+          arch::BitWord stored = flipped(base, kMaxQueryBlock);
+          if (r == kSpared) {
+            stored = queries.back();
+            for (const std::size_t c : spared_flips[v]) {
+              stored[c] = static_cast<std::uint8_t>(1 - stored[c]);
+            }
+          }
+          array.write(r, image(stored));
+          shard.write(r, image(stored));
+        }
+        SCOPED_TRACE("cols=" + std::to_string(cols) + " variant=" +
+                     std::to_string(v));
+        expect_block_matches_reference(
+            array, shard, queries,
+            static_cast<std::uint64_t>(cols * 100 + nq * 10) + v);
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(KernelDifferential, BlockedAllWildcardRows) {
   // Every valid row all-X: every lane must match every valid row, and the
-  // blocked accounting must still agree with the single-query kernels.
+  // blocked accounting must still agree with the behavioral references.
   for (const int rows : {5, 64, 70}) {
     arch::TcamArray array(rows, 64);
     PackedShard shard(rows, 64);

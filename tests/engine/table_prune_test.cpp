@@ -13,7 +13,8 @@
 //     is only taken when its stats are exactly knowable;
 //   * so accounting those searches, exact and nearest, leaves the two
 //     tables at bit-identical total_energy_j();
-//   * match_mats_block over any lane mix equals per-lane match_mats.
+//   * a pruning table's match_mats_block over any lane mix equals the
+//     non-pruning table's per-lane match.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -154,16 +155,19 @@ void run_churn(arch::TcamDesign design, std::uint64_t trial) {
               flat.search_stats().rows_searched());
     ASSERT_EQ(pruned.search_stats().step2_evaluations(),
               flat.search_stats().step2_evaluations());
-    BlockMatchScratch block_scratch;
+    std::vector<PackedQuery> packed(queries.size());
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      packed[q].repack(queries[q]);
+    }
     for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
-      const arch::BitWord* qp[kMaxQueryBlock];
+      const PackedQuery* qp[kMaxQueryBlock];
       std::vector<TableMatch> got(static_cast<std::size_t>(nq));
       TableMatch* outs[kMaxQueryBlock];
       for (int q = 0; q < nq; ++q) {
-        qp[q] = &queries[static_cast<std::size_t>(q)];
+        qp[q] = &packed[static_cast<std::size_t>(q)];
         outs[q] = &got[static_cast<std::size_t>(q)];
       }
-      pruned.match_mats_block(qp, nq, block_scratch, outs);
+      pruned.match_mats_block(qp, nq, scratch, outs);
       for (int q = 0; q < nq; ++q) {
         expect_match_eq(pruned, want[static_cast<std::size_t>(q)],
                         got[static_cast<std::size_t>(q)], "blocked", step);

@@ -26,8 +26,8 @@ and fails when:
     fields (query_block, baseline_qps, block_speedup, mats_considered,
     mats_skipped, mat_skip_rate) or reports them inconsistently;
   * --min-block-speedup X was passed and the blocked+pruned trace arm is
-    not at least X times the single-query baseline arm measured in the
-    same run;
+    not at least X times the baseline arm (query_block 1, pruning off)
+    measured in the same run;
   * --min-engine-qps N was passed and the blocked trace arm fell below
     N queries/second (the ROADMAP's 2x-over-PR-7 floor in CI);
   * --approx was passed and the approximate-match section is missing,
@@ -246,7 +246,7 @@ def check_engine(report: dict, min_block_speedup: float,
     if min_block_speedup > 0.0 and block_speedup < min_block_speedup:
         print(
             f"FAIL: blocked/pruned arm speedup {block_speedup:.2f}x "
-            f"< floor {min_block_speedup:.2f}x over the single-query arm"
+            f"< floor {min_block_speedup:.2f}x over the baseline arm"
         )
         ok = False
     if min_engine_qps > 0.0 and qps < min_engine_qps:
@@ -412,7 +412,7 @@ def main() -> int:
         type=float,
         default=0.0,
         help="floor on the blocked+pruned trace arm's qps over the "
-        "single-query baseline arm measured in the same run (0 = off)",
+        "baseline arm (query_block 1) measured in the same run (0 = off)",
     )
     parser.add_argument(
         "--min-engine-qps",
