@@ -181,7 +181,7 @@ int main() {
               "\"mat_skip_rate\": %.4f, \"search_nj\": %.3f}, "
               "\"sg2\": {\"mats_considered\": %lld, \"mats_skipped\": %lld, "
               "\"mat_skip_rate\": %.4f, \"search_nj\": %.3f}}\n",
-              engine::kernel_tier_name(engine::active_kernel_tier()),
+              engine::kernel_tier_name(engine::best_kernel_tier()),
               dg.considered, dg.skipped, dg.skip_rate, dg.search_j * 1e9,
               sg2.considered, sg2.skipped, sg2.skip_rate,
               sg2.search_j * 1e9);

@@ -191,15 +191,6 @@ arch::SearchStats approx_match(const PackedShard& shard,
                                const PackedQuery& query, int digit_bits,
                                int threshold,
                                std::vector<std::uint64_t>& within_mask,
-                               std::vector<std::uint16_t>& distances) {
-  return approx_match(shard, query, digit_bits, threshold, within_mask,
-                      distances, active_kernel_tier());
-}
-
-arch::SearchStats approx_match(const PackedShard& shard,
-                               const PackedQuery& query, int digit_bits,
-                               int threshold,
-                               std::vector<std::uint64_t>& within_mask,
                                std::vector<std::uint16_t>& distances,
                                KernelTier tier) {
   // The kernel overwrites every word and entry, so no fill is needed.
@@ -212,16 +203,6 @@ arch::SearchStats approx_match(const PackedShard& shard,
   approx_match_block(shard, queries, 1, digit_bits, &threshold, masks, dists,
                      &stats, tier);
   return stats;
-}
-
-void approx_match_block(const PackedShard& shard,
-                        const PackedQuery* const* queries, int nq,
-                        int digit_bits, const int* thresholds,
-                        std::uint64_t* const* within_masks,
-                        std::uint16_t* const* distances,
-                        arch::SearchStats* stats) {
-  approx_match_block(shard, queries, nq, digit_bits, thresholds,
-                     within_masks, distances, stats, active_kernel_tier());
 }
 
 void approx_match_block(const PackedShard& shard,

@@ -102,19 +102,14 @@ void approx_match_block_avx2(const ShardView& s,
 /// threshold get their within bit set and their distance recorded.
 /// within_mask is resized to shard.mask_words(), distances to the padded
 /// row count.  Requires query.cols == shard.cols(), cols % digit_bits ==
-/// 0, digit_bits in [1, 3], threshold >= 0.  The tier-less overloads use
-/// active_kernel_tier().
-arch::SearchStats approx_match(const PackedShard& shard,
-                               const PackedQuery& query, int digit_bits,
-                               int threshold,
-                               std::vector<std::uint64_t>& within_mask,
-                               std::vector<std::uint16_t>& distances);
+/// 0, digit_bits in [1, 3], threshold >= 0.  The one-lane call of
+/// approx_match_block.
 arch::SearchStats approx_match(const PackedShard& shard,
                                const PackedQuery& query, int digit_bits,
                                int threshold,
                                std::vector<std::uint64_t>& within_mask,
                                std::vector<std::uint16_t>& distances,
-                               KernelTier tier);
+                               KernelTier tier = best_kernel_tier());
 
 /// Query-blocked threshold match: nq (1..kMaxQueryBlock) queries, each
 /// with its own threshold, in one pass over the shard.  within_masks[q]
@@ -128,12 +123,7 @@ void approx_match_block(const PackedShard& shard,
                         int digit_bits, const int* thresholds,
                         std::uint64_t* const* within_masks,
                         std::uint16_t* const* distances,
-                        arch::SearchStats* stats);
-void approx_match_block(const PackedShard& shard,
-                        const PackedQuery* const* queries, int nq,
-                        int digit_bits, const int* thresholds,
-                        std::uint64_t* const* within_masks,
-                        std::uint16_t* const* distances,
-                        arch::SearchStats* stats, KernelTier tier);
+                        arch::SearchStats* stats,
+                        KernelTier tier = best_kernel_tier());
 
 }  // namespace fetcam::engine

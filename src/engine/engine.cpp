@@ -30,8 +30,7 @@ struct EngineMetrics {
   obs::Gauge& in_flight;
   // Per-stage request attribution (docs/OBSERVABILITY.md stage catalog).
   obs::Distribution& queue_wait;
-  /// Phase-A latency per kernel tier, indexed by KernelTier.
-  obs::Distribution* match_tier[2];
+  obs::Distribution& match;
   obs::Distribution& apply;
   obs::Distribution& batch_total;
 
@@ -51,8 +50,7 @@ struct EngineMetrics {
         reg.gauge("engine.queue.depth"),
         reg.gauge("engine.in_flight"),
         reg.latency("engine.stage.queue_wait"),
-        {&reg.latency("engine.stage.match.scalar"),
-         &reg.latency("engine.stage.match.avx2")},
+        reg.latency("engine.stage.match"),
         reg.latency("engine.stage.apply"),
         reg.latency("engine.batch.total"),
     };
@@ -270,9 +268,7 @@ void SearchEngine::match_batch(const Work& work,
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;
   util::parallel_for_chunks(blocks + near_blocks, 1, task);
   if (metrics) {
-    EngineMetrics::get()
-        .match_tier[static_cast<int>(active_kernel_tier())]
-        ->record(obs::now_ns() - a0_ns);
+    EngineMetrics::get().match.record(obs::now_ns() - a0_ns);
   }
 }
 

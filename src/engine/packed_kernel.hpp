@@ -32,16 +32,23 @@
 // Kernel tiers: a portable scalar uint64 loop, always built, and an AVX2
 // path (compiled only when -DFETCAM_SIMD=ON and the compiler supports
 // -mavx2) selected at runtime via CPU detection.  Each tier has ONE
-// exact-match kernel per search mode, query-blocked: a single query is a
-// block of one.  The references are the behavioral TcamArray::search and
+// exact-match kernel body, a template on the search mode and the query
+// block size: the two-step search is the single-step scan with step 1
+// settled on the even digits and the odd digits tested for step-1
+// survivors only, so the mode fixes just the early-exit mask and the
+// SearchStats accounting.  A single query is a block of one.  The
+// references are the behavioral TcamArray::search and
 // arch::two_step_search; every lane of both tiers is mask- and
 // stats-exact against them (tests/engine/kernel_differential_test.cpp).
+// Every entry point takes its tier as a defaulted argument,
+// best_kernel_tier(); tests and benches pass one explicitly.
 //
 // Match results are reported as a row bitmask (64 rows per word) so the
 // sharded table can priority-scan hits with countr_zero instead of walking
 // a std::vector<bool>.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -67,19 +74,9 @@ const char* kernel_tier_name(KernelTier tier);
 /// True when `tier` was compiled in AND the running CPU supports it.
 bool kernel_tier_available(KernelTier tier);
 
-/// Best available tier on this machine (runtime CPU dispatch).
+/// Best available tier on this machine (runtime CPU dispatch): the
+/// default of every kernel entry point.
 KernelTier best_kernel_tier();
-
-/// Tier PackedShard uses when no explicit tier is passed: the override if
-/// one is set, otherwise best_kernel_tier().
-KernelTier active_kernel_tier();
-
-/// Force a tier process-wide (testing / benchmarking — e.g. measuring the
-/// scalar floor on an AVX2 machine).  Throws std::invalid_argument if the
-/// tier is unavailable.  Pass reset=true via clear_kernel_tier_override to
-/// restore runtime dispatch.
-void set_kernel_tier_override(KernelTier tier);
-void clear_kernel_tier_override();
 
 namespace detail {
 
@@ -94,35 +91,66 @@ struct ShardView {
   int wpr = 0;       ///< words per row (ceil(cols/64))
 };
 
-// Query-blocked kernels, the only exact-match kernels: match nq
-// (1..kMaxQueryBlock) queries in ONE pass over the shard's planar words,
-// so each care/value word loaded from memory is reused nq times.
+/// Exact-match search mode: single-step (TcamArray::search) or the
+/// paper's two-step schedule (arch::two_step_search).
+enum class MatchMode : std::uint8_t { kFull = 0, kTwoStep = 1 };
+
+// Digit parity masks: digit c sits at bit (c & 63), and 64 is even, so
+// even global digits are even bit positions in every word.
+inline constexpr std::uint64_t kEvenDigits = 0x5555555555555555ULL;
+inline constexpr std::uint64_t kOddDigits = 0xAAAAAAAAAAAAAAAAULL;
+
+// The exact-match kernel of each tier: match nq (1..kMaxQueryBlock,
+// checked by PackedShard) queries in ONE pass over the shard's planar
+// words, so each care/value word loaded from memory is reused nq times.
 // queries[q] points to wpr packed words; match_masks[q] points to
 // rows_pad/64 words and is fully overwritten; stats[q] is reset and
 // filled.  A lane's mask and stats never depend on the rest of the block
 // — block composition only changes cost, never results (the determinism
 // argument the engine's block scheduler rests on, docs/ENGINE.md).  A row
 // (scalar) or 4-row group (AVX2) of a multi-word shard stops loading
-// words once every lane of every query has mismatched (in step 1, for
-// the two-step kernel).
-// The AVX2 variants live in packed_kernel_avx2.cpp; scalar-only builds
-// link unreachable stubs (the tier reports unavailable).
-void full_match_block_scalar(const ShardView& s,
-                             const std::uint64_t* const* queries, int nq,
-                             std::uint64_t* const* match_masks,
-                             arch::SearchStats* stats);
-void two_step_match_block_scalar(const ShardView& s,
-                                 const std::uint64_t* const* queries, int nq,
-                                 std::uint64_t* const* match_masks,
-                                 arch::SearchStats* stats);
-void full_match_block_avx2(const ShardView& s,
-                           const std::uint64_t* const* queries, int nq,
-                           std::uint64_t* const* match_masks,
-                           arch::SearchStats* stats);
-void two_step_match_block_avx2(const ShardView& s,
-                               const std::uint64_t* const* queries, int nq,
-                               std::uint64_t* const* match_masks,
-                               arch::SearchStats* stats);
+// words once every lane of every query has failed step 1 (all digits
+// single-step, the even digits two-step).  The AVX2 tier lives in
+// packed_kernel_avx2.cpp; scalar-only builds link an unreachable stub
+// (the tier reports unavailable).
+void exact_match_block_scalar(const ShardView& s, MatchMode mode,
+                              const std::uint64_t* const* queries, int nq,
+                              std::uint64_t* const* match_masks,
+                              arch::SearchStats* stats);
+void exact_match_block_avx2(const ShardView& s, MatchMode mode,
+                            const std::uint64_t* const* queries, int nq,
+                            std::uint64_t* const* match_masks,
+                            arch::SearchStats* stats);
+
+/// Reset lane stats for a scan of `s`.  Single-step accounting evaluates
+/// every row fully (step2_evaluated = rows, no step-1 misses); two-step
+/// fills those counters per block in finish_exact_block.
+template <MatchMode M>
+void begin_exact_stats(const ShardView& s, arch::SearchStats& st) {
+  st = arch::SearchStats{};
+  st.rows = s.rows;
+  if constexpr (M == MatchMode::kFull) st.step2_evaluated = s.rows;
+}
+
+/// Fold 64-row block b's per-row step-1 / step-2 pass bits into one
+/// lane's mask and stats.  Invalid (and padded) rows miss in step 1, as
+/// in arch::two_step_search; per-block popcounts give its per-row
+/// counters.  Single-step ignores step2_ok.
+template <MatchMode M>
+void finish_exact_block(const ShardView& s, int b, std::uint64_t step1_ok,
+                        std::uint64_t step2_ok, std::uint64_t* match_mask,
+                        arch::SearchStats& st) {
+  std::uint64_t match = step1_ok & s.valid[static_cast<std::size_t>(b)];
+  if constexpr (M == MatchMode::kTwoStep) {
+    const int real_rows = s.rows - b * 64 < 64 ? s.rows - b * 64 : 64;
+    const int alive_count = std::popcount(match);
+    st.step1_misses += real_rows - alive_count;
+    st.step2_evaluated += alive_count;
+    match &= step2_ok;
+  }
+  match_mask[static_cast<std::size_t>(b)] = match;
+  st.matches += std::popcount(match);
+}
 
 }  // namespace detail
 
@@ -162,40 +190,40 @@ class PackedShard {
   /// never match).  Sets bit (r & 63) of match_mask[r >> 6] per matching
   /// row; stats are shaped like TcamController's single-step accounting
   /// (every row evaluates fully: step2_evaluated = rows, no step-1 misses).
-  /// The one-lane call of full_match_block.  Uses active_kernel_tier();
-  /// the explicit-tier overload pins one.
-  arch::SearchStats full_match(const PackedQuery& query,
-                               std::vector<std::uint64_t>& match_mask) const;
+  /// The one-lane call of full_match_block.
   arch::SearchStats full_match(const PackedQuery& query,
                                std::vector<std::uint64_t>& match_mask,
-                               KernelTier tier) const;
+                               KernelTier tier = best_kernel_tier()) const {
+    return match_one(detail::MatchMode::kFull, query, match_mask, tier);
+  }
 
   /// Two-step early-terminating match, bit-exact vs arch::two_step_search
   /// (match flags and SearchStats).  Requires an even word length.  The
   /// one-lane call of two_step_match_block.
   arch::SearchStats two_step_match(const PackedQuery& query,
-                                   std::vector<std::uint64_t>& match_mask) const;
-  arch::SearchStats two_step_match(const PackedQuery& query,
                                    std::vector<std::uint64_t>& match_mask,
-                                   KernelTier tier) const;
+                                   KernelTier tier = best_kernel_tier()) const {
+    return match_one(detail::MatchMode::kTwoStep, query, match_mask, tier);
+  }
 
   /// Query-blocked match: nq (1..kMaxQueryBlock) queries in one pass over
   /// the planar words.  match_masks[q] must hold mask_words() words and is
   /// fully overwritten; stats[q] is reset.  Per-query results are those
   /// of full_match / two_step_match whatever the rest of the block holds.
-  /// The tier-less overloads use active_kernel_tier().
   void full_match_block(const PackedQuery* const* queries, int nq,
                         std::uint64_t* const* match_masks,
-                        arch::SearchStats* stats) const;
-  void full_match_block(const PackedQuery* const* queries, int nq,
-                        std::uint64_t* const* match_masks,
-                        arch::SearchStats* stats, KernelTier tier) const;
+                        arch::SearchStats* stats,
+                        KernelTier tier = best_kernel_tier()) const {
+    match_block(detail::MatchMode::kFull, queries, nq, match_masks, stats,
+                tier);
+  }
   void two_step_match_block(const PackedQuery* const* queries, int nq,
                             std::uint64_t* const* match_masks,
-                            arch::SearchStats* stats) const;
-  void two_step_match_block(const PackedQuery* const* queries, int nq,
-                            std::uint64_t* const* match_masks,
-                            arch::SearchStats* stats, KernelTier tier) const;
+                            arch::SearchStats* stats,
+                            KernelTier tier = best_kernel_tier()) const {
+    match_block(detail::MatchMode::kTwoStep, queries, nq, match_masks, stats,
+                tier);
+  }
 
   /// Convenience wrappers mirroring the behavioral API (used by the
   /// equivalence tests against TcamArray / arch::two_step_search).
@@ -215,8 +243,15 @@ class PackedShard {
 
  private:
   void check_row(int row) const;
-  void check_query(const PackedQuery& query) const;
-  void check_block(const PackedQuery* const* queries, int nq) const;
+  /// The one dispatcher behind the four match entry points: argument
+  /// checks, the empty shard, and the tier switch.
+  void match_block(detail::MatchMode mode, const PackedQuery* const* queries,
+                   int nq, std::uint64_t* const* match_masks,
+                   arch::SearchStats* stats, KernelTier tier) const;
+  /// One-lane call of match_block; sizes match_mask.
+  arch::SearchStats match_one(detail::MatchMode mode, const PackedQuery& query,
+                              std::vector<std::uint64_t>& match_mask,
+                              KernelTier tier) const;
   std::size_t plane_index(int row, int word) const {
     return static_cast<std::size_t>(word) *
                static_cast<std::size_t>(rows_pad_) +

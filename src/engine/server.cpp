@@ -9,8 +9,10 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -281,6 +283,11 @@ struct SearchServer::Impl {
     std::vector<Request> batch;
     batch.reserve(frame.count());
     const std::uint32_t wpq = frame.words_per_query;
+    // A u32 past INT32_MAX would narrow to a negative threshold, which
+    // the engine reads as "use the default".  No distance exceeds the
+    // digit count, so clamping changes no distance test.
+    const int threshold = static_cast<int>(
+        std::min<std::uint32_t>(frame.threshold, INT32_MAX));
     for (std::uint32_t q = 0; q < frame.count(); ++q) {
       arch::BitWord query(static_cast<std::size_t>(cols), 0);
       const std::uint64_t* words = frame.bits.data() +
@@ -290,8 +297,7 @@ struct SearchServer::Impl {
             static_cast<std::uint8_t>((words[c >> 6] >> (c & 63)) & 1ULL);
       }
       batch.push_back(make_search_nearest(
-          std::move(query), static_cast<int>(frame.k),
-          static_cast<int>(frame.threshold)));
+          std::move(query), static_cast<int>(frame.k), threshold));
     }
     Pending p;
     p.conn = conn;

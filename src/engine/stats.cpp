@@ -23,7 +23,7 @@ std::string stats_snapshot_json(const SearchEngine& engine,
   using obs::detail::json_number;
   std::string out = "{\n  \"schema\": \"fetcam.stats.v1\",\n";
   out += "  \"kernel_tier\": \"";
-  out += kernel_tier_name(active_kernel_tier());
+  out += kernel_tier_name(best_kernel_tier());
   out += "\",\n";
 
   out += "  \"engine\": {";

@@ -11,10 +11,6 @@ namespace fetcam::engine {
 
 namespace {
 
-// Even (cell1 / step-1) digit positions — digit c sits at bit (c & 63)
-// and 64 is even, so global parity equals bit parity (packed_kernel.hpp).
-constexpr std::uint64_t kEvenDigits = 0x5555555555555555ULL;
-
 arch::WriteVoltages table_write_voltages(arch::TcamDesign design) {
   switch (design) {
     case arch::TcamDesign::k2SgFefet:
@@ -414,7 +410,7 @@ void TcamTable::refresh_skip_masks(int mat) {
   // wipeout has exactly-known stats (every row is a step-1 miss), while an
   // odd-column proof would leave step1/step2 accounting unknowable without
   // the scan the skip exists to avoid.
-  const std::uint64_t keep = two_step_ ? kEvenDigits : ~0ULL;
+  const std::uint64_t keep = two_step_ ? detail::kEvenDigits : ~0ULL;
   for (std::size_t w = 0; w < agg_words_; ++w) {
     row[1 + w] = ag.require_one[w] & keep;
     row[1 + agg_words_ + w] = ag.require_zero[w] & keep;

@@ -30,6 +30,7 @@
 
 #include "arch/behavioral_array.hpp"
 #include "arch/search_scheduler.hpp"
+#include "engine/approx_kernel.hpp"
 #include "engine/packed_kernel.hpp"
 #include "util/rng.hpp"
 
@@ -157,10 +158,6 @@ void expect_mask_eq(const std::vector<bool>& want,
   }
 }
 
-struct TierGuard {
-  ~TierGuard() { clear_kernel_tier_override(); }
-};
-
 /// Single-step stats of a scan that matched `ref`: every row evaluates
 /// fully, nothing terminates in step 1.
 arch::SearchStats full_stats(const std::vector<bool>& ref) {
@@ -254,46 +251,87 @@ TEST(KernelDifferential, RandomizedSweep) {
   }
 }
 
-TEST(KernelDifferential, ActiveTierOverrideRoundTrip) {
-  // The dispatch plumbing itself: overrides select exactly the requested
-  // tier and clear back to the CPU-detected best.
-  TierGuard guard;
-  clear_kernel_tier_override();
-  EXPECT_EQ(active_kernel_tier(), best_kernel_tier());
-  set_kernel_tier_override(KernelTier::kScalar);
-  EXPECT_EQ(active_kernel_tier(), KernelTier::kScalar);
-  if (kernel_tier_available(KernelTier::kAvx2)) {
-    set_kernel_tier_override(KernelTier::kAvx2);
-    EXPECT_EQ(active_kernel_tier(), KernelTier::kAvx2);
-  } else {
-    EXPECT_THROW(set_kernel_tier_override(KernelTier::kAvx2),
-                 std::invalid_argument);
-  }
-  clear_kernel_tier_override();
-  EXPECT_EQ(active_kernel_tier(), best_kernel_tier());
-}
-
-TEST(KernelDifferential, DefaultPathFollowsOverride) {
-  // The tier-less PackedShard entry points must route through the active
-  // tier: force scalar, then (if present) AVX2, and check the default call
-  // reproduces the forced call bit for bit.
-  TierGuard guard;
+TEST(KernelDifferential, DefaultPathIsBestTier) {
+  // Every entry point's defaulted tier is best_kernel_tier(): the
+  // defaulted call reproduces the explicit one bit for bit, for the full,
+  // two-step and approximate match, one lane and blocked.
+  const KernelTier best = best_kernel_tier();
   std::mt19937 rng = util::trial_rng(kSeed, 4242);
   arch::TcamArray array(96, 64);
   PackedShard shard(96, 64);
   build_pair(rng, 96, 64, array, shard);
-  const arch::BitWord query = make_query(rng, 0, 64, array);
-  const PackedQuery packed = PackedQuery::pack(query);
+  constexpr int kNq = 3;
+  std::vector<PackedQuery> packed(kNq);
+  const PackedQuery* qp[kNq];
+  for (int q = 0; q < kNq; ++q) {
+    packed[static_cast<std::size_t>(q)].repack(make_query(rng, q, 64, array));
+    qp[q] = &packed[static_cast<std::size_t>(q)];
+  }
 
   std::vector<std::uint64_t> forced, defaulted;
-  for (const KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
-    if (!kernel_tier_available(tier)) continue;
-    set_kernel_tier_override(tier);
-    const arch::SearchStats a = shard.two_step_match(packed, forced, tier);
-    const arch::SearchStats b = shard.two_step_match(packed, defaulted);
-    EXPECT_EQ(forced, defaulted) << kernel_tier_name(tier);
-    expect_stats_eq(a, b, kernel_tier_name(tier), 4242);
-  }
+  arch::SearchStats a = shard.full_match(packed[0], forced, best);
+  arch::SearchStats b = shard.full_match(packed[0], defaulted);
+  EXPECT_EQ(forced, defaulted);
+  expect_stats_eq(a, b, "full", 4242);
+  a = shard.two_step_match(packed[0], forced, best);
+  b = shard.two_step_match(packed[0], defaulted);
+  EXPECT_EQ(forced, defaulted);
+  expect_stats_eq(a, b, "two-step", 4242);
+  std::vector<std::uint16_t> forced_dist, defaulted_dist;
+  a = approx_match(shard, packed[0], 2, 5, forced, forced_dist, best);
+  b = approx_match(shard, packed[0], 2, 5, defaulted, defaulted_dist);
+  EXPECT_EQ(forced, defaulted);
+  EXPECT_EQ(forced_dist, defaulted_dist);
+  expect_stats_eq(a, b, "approx", 4242);
+
+  // Blocked: `call(tier_or_null, ...)` runs once explicit, once defaulted;
+  // every lane's mask, distances and stats must agree.
+  const int thresholds[kNq] = {0, 3, 9};
+  const auto expect_same = [&](const char* what, const auto& call) {
+    std::vector<std::uint64_t> masks[2][kNq];
+    std::vector<std::uint16_t> dists[2][kNq];
+    arch::SearchStats stats[2][kNq];
+    for (int side = 0; side < 2; ++side) {
+      std::uint64_t* mp[kNq];
+      std::uint16_t* dp[kNq];
+      for (int q = 0; q < kNq; ++q) {
+        masks[side][q].assign(shard.mask_words(), 0);
+        dists[side][q].assign(shard.mask_words() * 64, 0);
+        mp[q] = masks[side][q].data();
+        dp[q] = dists[side][q].data();
+      }
+      call(side == 0, mp, dp, stats[side]);
+    }
+    for (int q = 0; q < kNq; ++q) {
+      EXPECT_EQ(masks[0][q], masks[1][q]) << what << " lane " << q;
+      EXPECT_EQ(dists[0][q], dists[1][q]) << what << " lane " << q;
+      expect_stats_eq(stats[0][q], stats[1][q], what, 4242);
+    }
+  };
+  expect_same("full block", [&](bool pinned, std::uint64_t** mp,
+                                std::uint16_t**, arch::SearchStats* st) {
+    if (pinned) {
+      shard.full_match_block(qp, kNq, mp, st, best);
+    } else {
+      shard.full_match_block(qp, kNq, mp, st);
+    }
+  });
+  expect_same("two-step block", [&](bool pinned, std::uint64_t** mp,
+                                    std::uint16_t**, arch::SearchStats* st) {
+    if (pinned) {
+      shard.two_step_match_block(qp, kNq, mp, st, best);
+    } else {
+      shard.two_step_match_block(qp, kNq, mp, st);
+    }
+  });
+  expect_same("approx block", [&](bool pinned, std::uint64_t** mp,
+                                  std::uint16_t** dp, arch::SearchStats* st) {
+    if (pinned) {
+      approx_match_block(shard, qp, kNq, 2, thresholds, mp, dp, st, best);
+    } else {
+      approx_match_block(shard, qp, kNq, 2, thresholds, mp, dp, st);
+    }
+  });
 }
 
 /// Every lane of a block of `queries` (1..kMaxQueryBlock) against the
@@ -400,7 +438,9 @@ TEST(KernelDifferential, EarlyExitSparesOneLateLane) {
   // of word 0, on an odd digit of word 0 plus an even digit of the final
   // word, or not at all.  An exit tested on fewer queries, on the odd
   // bits, or taken before the final word is folded in gets that lane
-  // wrong.
+  // wrong.  Each case also runs with the spared row's two neighbors
+  // erased, so a scalar row skip keyed on the wrong row's valid bit drops
+  // the spared row.
   constexpr int kRows = 4;
   constexpr int kSpared = 2;
   std::mt19937 rng = util::trial_rng(kSeed, 65128130);
@@ -433,25 +473,32 @@ TEST(KernelDifferential, EarlyExitSparesOneLateLane) {
       const std::vector<std::vector<std::size_t>> spared_flips = {
           {last_word_digit}, {1}, {1, last_word_digit}, {}};
       for (std::size_t v = 0; v < spared_flips.size(); ++v) {
-        arch::TcamArray array(kRows, cols);
-        PackedShard shard(kRows, cols);
-        for (int r = 0; r < kRows; ++r) {
-          arch::BitWord stored = flipped(base, kMaxQueryBlock);
-          if (r == kSpared) {
-            stored = queries.back();
-            for (const std::size_t c : spared_flips[v]) {
-              stored[c] = static_cast<std::uint8_t>(1 - stored[c]);
+        for (const bool erase_neighbors : {false, true}) {
+          arch::TcamArray array(kRows, cols);
+          PackedShard shard(kRows, cols);
+          for (int r = 0; r < kRows; ++r) {
+            arch::BitWord stored = flipped(base, kMaxQueryBlock);
+            if (r == kSpared) {
+              stored = queries.back();
+              for (const std::size_t c : spared_flips[v]) {
+                stored[c] = static_cast<std::uint8_t>(1 - stored[c]);
+              }
+            }
+            array.write(r, image(stored));
+            shard.write(r, image(stored));
+            if (erase_neighbors && (r == kSpared - 1 || r == kSpared + 1)) {
+              array.erase(r);
+              shard.erase(r);
             }
           }
-          array.write(r, image(stored));
-          shard.write(r, image(stored));
+          SCOPED_TRACE("cols=" + std::to_string(cols) + " variant=" +
+                       std::to_string(v) +
+                       (erase_neighbors ? " neighbors erased" : ""));
+          expect_block_matches_reference(
+              array, shard, queries,
+              static_cast<std::uint64_t>(cols * 100 + nq * 10) + v);
+          if (HasFailure()) return;
         }
-        SCOPED_TRACE("cols=" + std::to_string(cols) + " variant=" +
-                     std::to_string(v));
-        expect_block_matches_reference(
-            array, shard, queries,
-            static_cast<std::uint64_t>(cols * 100 + nq * 10) + v);
-        if (HasFailure()) return;
       }
     }
   }

@@ -201,6 +201,53 @@ TEST(SearchServer, WrongWidthIsRejected) {
   EXPECT_EQ(reply.error.code, wire::ErrorCode::kBadWidth);
 }
 
+TEST(SearchServer, NearestThresholdPastInt32MaxCoversEveryDigit) {
+  // A kNearest frame's u32 threshold past INT32_MAX must clamp, not
+  // narrow to a negative int that the engine reads as "use the default"
+  // (0).  No distance exceeds the digit count, so 0xFFFFFFFF must answer
+  // exactly like threshold = kCols, where every stored rule is a
+  // candidate.
+  Service svc;
+  const std::vector<arch::BitWord> queries(svc.trace.queries.begin(),
+                                           svc.trace.queries.begin() + 8);
+  constexpr int kK = 64;
+  SearchClient client;
+  client.connect("127.0.0.1", svc.server.port());
+  const auto want = client.search_nearest(queries, kCols, kK, kCols);
+  const auto exact = client.search_nearest(queries, kCols, kK, 0);
+  wire::NearestBatchFrame frame;
+  frame.words_per_query = 1;
+  frame.k = kK;
+  frame.threshold = 0xFFFFFFFFu;
+  for (const arch::BitWord& q : queries) {
+    std::uint64_t word = 0;
+    for (int c = 0; c < kCols; ++c) {
+      word |= static_cast<std::uint64_t>(q[static_cast<std::size_t>(c)] != 0)
+              << c;
+    }
+    frame.bits.push_back(word);
+  }
+  std::vector<std::uint8_t> out;
+  wire::encode_nearest_batch(out, frame);
+  client.send_raw(out.data(), out.size());
+  const SearchClient::Reply reply = client.recv_reply();
+  ASSERT_TRUE(reply.ok);
+  ASSERT_TRUE(reply.is_nearest);
+  ASSERT_EQ(reply.neighbors.size(), want.size());
+  bool wider_than_exact = false;
+  for (std::size_t q = 0; q < want.size(); ++q) {
+    ASSERT_EQ(reply.neighbors[q].size(), want[q].size()) << "q=" << q;
+    for (std::size_t i = 0; i < want[q].size(); ++i) {
+      EXPECT_EQ(reply.neighbors[q][i].entry, want[q][i].entry);
+      EXPECT_EQ(reply.neighbors[q][i].priority, want[q][i].priority);
+      EXPECT_EQ(reply.neighbors[q][i].distance, want[q][i].distance);
+    }
+    wider_than_exact |= want[q].size() > exact[q].size();
+  }
+  // Threshold 0 answers differently, so a wrap to the default shows.
+  EXPECT_TRUE(wider_than_exact);
+}
+
 TEST(WireProtocol, OverflowingCountTimesWidthIsRejected) {
   // count * words_per_query = 2^61 words, whose byte size is 0 mod 2^64:
   // a naive `len == 8 + words * 8` check passes and the decoder attempts
