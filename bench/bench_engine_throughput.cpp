@@ -13,8 +13,12 @@
 // kernel section: packed full-match throughput must be >= 4x the unpacked
 // TcamArray::search at 4096 rows x 128 cols, single thread.  The wire
 // section reports per-frame RTT p50/p99 and, with --stats-json, archives a
-// "fetcam.stats.v1" snapshot scraped from the live loopback server.
+// "fetcam.stats.v1" snapshot scraped from the live loopback server.  The
+// table_load section reports the CPU time of load_rules_clustered on the
+// lpm_serve and knn_embed sized tables, with no gate.
 #include <benchmark/benchmark.h>
+
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
@@ -517,6 +521,85 @@ ApproxReport measure_approx() {
   return rep;
 }
 
+/// Calls per table of the table-load section (median reported).
+constexpr int kTableLoadCalls = 3;
+
+double thread_cpu_ms() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) * 1e-6;
+}
+
+/// One table of the table-load section.
+struct TableLoad {
+  const char* name = "";
+  std::string trace_kind;
+  int rules = 0;
+  int mats = 0;
+  int rows_per_mat = 0;
+  int cols = 0;
+  int digit_bits = 1;
+  double cpu_ms = 0.0;  ///< median load_rules_clustered CPU time
+};
+
+/// Median CPU time of load_rules_clustered into a fresh table: every rule
+/// pays its write accounting and pruning-index update, and every spilled
+/// rule probes the open mats.  Table construction is outside the timed
+/// call.  Report only: the figure is machine-dependent and has no gate.
+TableLoad measure_table_load(const char* name,
+                             const engine::TraceSpec& spec, int mats,
+                             int rows_per_mat) {
+  const engine::Trace trace = engine::generate_trace(spec);
+  engine::TableConfig cfg;
+  cfg.mats = mats;
+  cfg.rows_per_mat = rows_per_mat;
+  cfg.cols = spec.cols;
+  cfg.digit_bits = spec.digit_bits;
+  std::vector<double> ms;
+  for (int i = 0; i < kTableLoadCalls; ++i) {
+    engine::TcamTable table(cfg);
+    const double t0 = thread_cpu_ms();
+    const auto ids = engine::load_rules_clustered(table, trace);
+    ms.push_back(thread_cpu_ms() - t0);
+    benchmark::DoNotOptimize(ids.data());
+  }
+  std::sort(ms.begin(), ms.end());
+  TableLoad load;
+  load.name = name;
+  load.trace_kind = engine::trace_kind_name(spec.kind);
+  load.rules = spec.rules;
+  load.mats = mats;
+  load.rows_per_mat = rows_per_mat;
+  load.cols = spec.cols;
+  load.digit_bits = spec.digit_bits;
+  load.cpu_ms = ms[ms.size() / 2];
+  std::cerr << "table load (" << name << ", " << load.rules << " rules, "
+            << mats << "x" << rows_per_mat << "): " << load.cpu_ms
+            << " ms CPU\n";
+  return load;
+}
+
+/// The perfbench-sized tables: lpm_serve's 128-bit IP-prefix table and
+/// knn_embed's 2-bit embedding table.
+std::vector<TableLoad> measure_table_loads() {
+  engine::TraceSpec lpm;
+  lpm.kind = engine::TraceKind::kIpPrefix;
+  lpm.cols = 128;
+  lpm.rules = 122880;
+  lpm.queries = 1;
+  lpm.seed = 1;
+  engine::TraceSpec embed;
+  embed.kind = engine::TraceKind::kEmbedding;
+  embed.cols = 128;
+  embed.digit_bits = 2;
+  embed.rules = 98304;
+  embed.queries = 1;
+  embed.seed = 1;
+  return {measure_table_load("lpm", lpm, 256, 512),
+          measure_table_load("embedding", embed, 192, 512)};
+}
+
 struct WireReport {
   int clients = 0;
   int frames_per_client = 0;
@@ -759,6 +842,7 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
   const std::vector<MulticoreConfig> configs = measure_multicore(&best_qps);
   const WireReport wire = measure_wire();
   const ApproxReport approx = measure_approx();
+  const std::vector<TableLoad> loads = measure_table_loads();
 
   std::ostringstream os;
   os << "{\n  \"kernel\": {\n"
@@ -820,6 +904,19 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
     os << (i ? ", " : "") << approx.distance_histogram[i];
   }
   os << "]\n  },\n";
+  os << "  \"table_load\": {\n    \"calls\": " << kTableLoadCalls
+     << ",\n    \"tables\": [\n";
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    const TableLoad& l = loads[i];
+    os << "      {\"name\": \"" << l.name << "\", \"trace_kind\": \""
+       << l.trace_kind << "\", \"rules\": " << l.rules
+       << ", \"mats\": " << l.mats << ", \"rows_per_mat\": "
+       << l.rows_per_mat << ", \"cols\": " << l.cols
+       << ", \"digit_bits\": " << l.digit_bits
+       << ", \"cpu_ms\": " << l.cpu_ms << "}"
+       << (i + 1 < loads.size() ? "," : "") << "\n";
+  }
+  os << "    ]\n  },\n";
   os << "  \"engine\": {\n"
      << "    \"trace_kind\": \"" << engine::trace_kind_name(spec.kind)
      << "\",\n"

@@ -9,28 +9,9 @@
 
 namespace fetcam::engine {
 
-namespace {
-
-arch::WriteVoltages table_write_voltages(arch::TcamDesign design) {
-  switch (design) {
-    case arch::TcamDesign::k2SgFefet:
-    case arch::TcamDesign::k1p5SgFe:
-      return {.vw = 4.0, .vm = 3.39, .vdd = 0.8};
-    case arch::TcamDesign::k2DgFefet:
-    case arch::TcamDesign::k1p5DgFe:
-      return {.vw = 2.0, .vm = 1.66, .vdd = 0.8};
-    case arch::TcamDesign::kCmos16T:
-      return {.vw = 0.9, .vm = 0.0, .vdd = 0.8};
-  }
-  return {};
-}
-
-}  // namespace
-
 TcamTable::TcamTable(const TableConfig& config)
     : config_(config),
-      two_step_(arch::default_op_costs(config.design).two_step),
-      write_voltages_(table_write_voltages(config.design)) {
+      two_step_(arch::default_op_costs(config.design).two_step) {
   if (config.mats <= 0 || config.rows_per_mat <= 0 || config.cols <= 0) {
     throw std::invalid_argument("table needs mats, rows_per_mat, cols > 0");
   }
@@ -73,7 +54,9 @@ TcamTable::TcamTable(const TableConfig& config)
   }
   search_counts_.resize(static_cast<std::size_t>(config.mats));
   aggregates_.resize(static_cast<std::size_t>(config.mats));
-  agg_words_ = (static_cast<std::size_t>(config.cols) + 63) / 64;
+  agg_words_ = static_cast<std::size_t>(arch::ternary_lanes(
+      static_cast<std::size_t>(config.cols)));
+  lanes_.resize(2 * agg_words_);
   for (MatAggregate& ag : aggregates_) {
     ag.require_one.assign(agg_words_, 0);
     ag.require_zero.assign(agg_words_, 0);
@@ -105,22 +88,19 @@ void TcamTable::check_entry(EntryId id) const {
 }
 
 void TcamTable::write_slot(const Slot& slot, const arch::TernaryWord& entry) {
+  if (static_cast<int>(entry.size()) != config_.cols) {
+    throw std::invalid_argument("entry width mismatch");
+  }
   auto& shard = shards_[static_cast<std::size_t>(slot.mat)];
   const bool was_valid = shard.valid(slot.row);
   const arch::TernaryWord previous =
       was_valid ? shard.entry(slot.row) : arch::TernaryWord{};
+  const WriteCost cost = cost_write(entry, was_valid ? &previous : nullptr);
   if (was_valid) aggregate_remove(slot.mat, previous);
   aggregate_add(slot.mat, entry);
-  const arch::WritePlan plan =
-      two_step_ ? arch::three_step_plan(entry, previous, write_voltages_)
-                : arch::complementary_plan(entry, write_voltages_);
-  last_write_phases_ = static_cast<int>(plan.phases.size());
-  write_pulses_ += last_write_phases_;
-  // 2FeFET designs switch every cell regardless of data; the 1.5T1Fe plans
-  // charge only switching cells (same policy as TcamController::update).
-  const int cells =
-      two_step_ ? plan.total_switching_cells() : config_.cols;
-  energy_[static_cast<std::size_t>(slot.mat)].on_write(cells);
+  last_write_phases_ = cost.phases;
+  write_pulses_ += cost.phases;
+  energy_[static_cast<std::size_t>(slot.mat)].on_write(cost.cells);
   endurance_[static_cast<std::size_t>(slot.mat)].on_write(slot.row);
   shard.write(slot.row, entry);
 }
@@ -184,23 +164,13 @@ void TcamTable::rewrite_digits(EntryId id, const arch::TernaryWord& entry) {
   const Slot& slot = slots_[static_cast<std::size_t>(id)];
   auto& shard = shards_[static_cast<std::size_t>(slot.mat)];
   const arch::TernaryWord previous = shard.entry(slot.row);
-  int changed = 0;
-  for (std::size_t c = 0; c < entry.size(); ++c) {
-    if (entry[c] != previous[c]) ++changed;
-  }
-  const arch::WritePlan plan =
-      two_step_
-          ? arch::incremental_three_step_plan(entry, previous, write_voltages_)
-          : arch::incremental_complementary_plan(entry, previous,
-                                                 write_voltages_);
-  last_write_phases_ = static_cast<int>(plan.phases.size());
-  write_pulses_ += last_write_phases_;
-  if (changed > 0) {
-    // Energy: the two-step designs pay the cells that switch polarization;
-    // the complementary designs pay the (per-cell-pair) cost of every
-    // driven column — here only the changed ones.
-    const int cells = two_step_ ? plan.total_switching_cells() : changed;
-    energy_[static_cast<std::size_t>(slot.mat)].on_write(cells);
+  const WriteCost cost = cost_rewrite(entry, previous);
+  last_write_phases_ = cost.phases;
+  write_pulses_ += cost.phases;
+  // Every changed digit switches at least one cell, so no cells means an
+  // unchanged word: nothing is driven, charged or worn.
+  if (cost.cells > 0) {
+    energy_[static_cast<std::size_t>(slot.mat)].on_write(cost.cells);
     endurance_[static_cast<std::size_t>(slot.mat)].on_write(slot.row);
     aggregate_remove(slot.mat, previous);
     aggregate_add(slot.mat, entry);
@@ -292,7 +262,8 @@ std::size_t TcamTable::free_rows(int mat) const {
 
 // The cost_* functions count what the arch write plans would drive
 // (three_step_plan / complementary_plan and their incremental variants)
-// without building the plans: phases issued and cells switched.
+// without building the plans: phases issued and cells switched.  Table
+// writes charge exactly these counts.
 WriteCost TcamTable::cost_write(const arch::TernaryWord& next,
                                 const arch::TernaryWord* previous) const {
   WriteCost cost;
@@ -314,8 +285,8 @@ WriteCost TcamTable::cost_write(const arch::TernaryWord& next,
       }
     }
     cost.phases = 3;
-    // Same charging policy as write_slot: the 1.5T1Fe plans pay switching
-    // cells only.
+    // The 1.5T1Fe plans pay switching cells only (the policy of
+    // TcamController::update).
     cost.cells = cells;
   } else {
     // One complementary phase; the 2FeFET designs pay every cell.
@@ -361,15 +332,34 @@ WriteCost TcamTable::cost_rewrite(const arch::TernaryWord& next,
 
 void TcamTable::aggregate_add(int mat, const arch::TernaryWord& word) {
   MatAggregate& ag = aggregates_[static_cast<std::size_t>(mat)];
-  for (std::size_t c = 0; c < word.size(); ++c) {
-    if (word[c] == arch::Ternary::kOne) {
-      ++ag.one_count[c];
-    } else if (word[c] == arch::Ternary::kZero) {
-      ++ag.zero_count[c];
+  std::uint64_t* care = lanes_.data();
+  std::uint64_t* value = care + agg_words_;
+  arch::pack_ternary(word, care, value);
+  for (std::size_t w = 0; w < agg_words_; ++w) {
+    // Counts move only at cared columns.
+    for (std::uint64_t cared = care[w]; cared != 0; cared &= cared - 1) {
+      const int b = std::countr_zero(cared);
+      const std::size_t c = w * 64 + static_cast<std::size_t>(b);
+      if ((value[w] >> b) & 1) {
+        ++ag.one_count[c];
+      } else {
+        ++ag.zero_count[c];
+      }
+    }
+    // A bit stays set iff the new row agrees with every earlier one: the
+    // count rule as a word AND (value is 0 wherever care is 0, so it is
+    // already care & value).  An empty mat's masks are all zero, so the
+    // first row assigns instead.
+    const std::uint64_t zero = care[w] & ~value[w];
+    if (ag.valid_rows == 0) {
+      ag.require_one[w] = value[w];
+      ag.require_zero[w] = zero;
+    } else {
+      ag.require_one[w] &= value[w];
+      ag.require_zero[w] &= zero;
     }
   }
   ++ag.valid_rows;
-  rebuild_aggregate_masks(ag);
   refresh_skip_masks(mat);
 }
 
@@ -443,25 +433,25 @@ MatAggregate TcamTable::scan_aggregate(int mat) const {
 }
 
 int TcamTable::aggregate_overlap(int mat, const arch::TernaryWord& word) const {
-  const MatAggregate& ag = aggregates_[checked_mat(mat)];
-  if (ag.valid_rows == 0) {
-    // An empty mat's aggregate becomes exactly the word's cared digits.
-    int cared = 0;
-    for (const arch::Ternary t : word) {
-      if (t != arch::Ternary::kX) ++cared;
-    }
-    return cared;
+  if (static_cast<int>(word.size()) != config_.cols) {
+    throw std::invalid_argument("word width mismatch");
   }
+  std::vector<std::uint64_t> lanes(2 * agg_words_);
+  arch::pack_ternary(word, lanes.data(), lanes.data() + agg_words_);
+  return aggregate_overlap(mat, lanes.data(), lanes.data() + agg_words_);
+}
+
+int TcamTable::aggregate_overlap(int mat, const std::uint64_t* care,
+                                 const std::uint64_t* value) const {
+  const MatAggregate& ag = aggregates_[checked_mat(mat)];
   int overlap = 0;
-  for (std::size_t c = 0; c < word.size(); ++c) {
-    const std::uint64_t bit = 1ULL << (c & 63);
-    const std::size_t w = c >> 6;
-    if ((ag.require_one[w] & bit) != 0 && word[c] == arch::Ternary::kOne) {
-      ++overlap;
-    } else if ((ag.require_zero[w] & bit) != 0 &&
-               word[c] == arch::Ternary::kZero) {
-      ++overlap;
-    }
+  for (std::size_t w = 0; w < agg_words_; ++w) {
+    // An empty mat's aggregate becomes exactly the word's cared digits.
+    overlap += std::popcount(
+        ag.valid_rows == 0
+            ? care[w]
+            : (ag.require_one[w] & value[w]) |
+                  (ag.require_zero[w] & care[w] & ~value[w]));
   }
   return overlap;
 }

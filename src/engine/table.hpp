@@ -11,11 +11,13 @@
 // search broadcast.
 //
 // Accounting: writes reuse the arch layer unchanged (one ArrayEnergyModel
-// and one EnduranceModel per mat, fed the switching-cell counts a
-// TcamController would produce).  Searches are charged as integer counts
-// per mat — scans, step-1-terminated rows, step-2 rows — for the mats a
-// search actually scanned; a mat the pruning proof skipped has exactly
-// known stats, so it is charged in closed form on read (total_energy_j).
+// and one EnduranceModel per mat), fed the phase and switching-cell counts
+// of cost_write / cost_rewrite — what a TcamController's write plan would
+// drive, counted without building the plan.  Searches are charged as
+// integer counts per mat — scans, step-1-terminated rows, step-2 rows —
+// for the mats a search actually scanned; a mat the pruning proof skipped
+// has exactly known stats, so it is charged in closed form on read
+// (total_energy_j).
 // Matching itself is pure (TcamTable::match is const and thread-safe
 // against other match calls); accounting and mutation are serial — the
 // engine's dispatcher owns them.
@@ -28,7 +30,7 @@
 
 #include "arch/endurance.hpp"
 #include "arch/energy_model.hpp"
-#include "arch/write_controller.hpp"
+#include "arch/ternary.hpp"
 #include "engine/packed_kernel.hpp"
 
 namespace fetcam::engine {
@@ -66,9 +68,11 @@ struct TableConfig {
 /// mismatches every valid row, so the whole mat is provably matchless —
 /// two AND-type ops per word replace the row scan.  All-'X' columns (and
 /// any column where even one row doesn't care) never set a bit, so they
-/// can never prune.  Maintained incrementally from per-column counts on
-/// every insert / erase / rewrite / relocate; bits at and above cols stay
-/// zero so query padding cannot fake a proof.
+/// can never prune.  Maintained incrementally on every insert / erase /
+/// rewrite / relocate: adding a row is a word-level AND of the masks with
+/// its packed digits, removing one rebuilds the masks from per-column
+/// counts.  Bits at and above cols stay zero so query padding cannot fake
+/// a proof.
 struct MatAggregate {
   std::vector<std::uint64_t> require_one;   ///< ceil(cols/64) words
   std::vector<std::uint64_t> require_zero;  ///< same shape
@@ -183,13 +187,14 @@ class TcamTable {
   /// the placer accounted for capacity and must hear about drift).
   EntryId insert(const arch::TernaryWord& entry, int priority, int mat);
   /// Rewrite an existing entry in place (same slot, same priority unless
-  /// given); charges the write plan like a controller update.
+  /// given); charges cost_write's counts, like a controller update.
   void update(EntryId id, const arch::TernaryWord& entry);
   void update(EntryId id, const arch::TernaryWord& entry, int priority);
   /// In-place DELTA rewrite: drives only the digits that differ from the
-  /// stored word (arch::incremental_*_plan), so an unchanged word costs
-  /// zero pulses.  The compiler's delta planner issues these; update()
-  /// stays the full row refresh a naive controller performs.
+  /// stored word (charged as cost_rewrite counts arch::incremental_*_plan),
+  /// so an unchanged word costs zero pulses.  The compiler's delta planner
+  /// issues these; update() stays the full row refresh a naive controller
+  /// performs.
   void rewrite_digits(EntryId id, const arch::TernaryWord& entry);
   /// Peripheral-only priority change: the priority lives in the match
   /// resolver, not in FeFET cells, so no pulses and no energy are charged
@@ -289,8 +294,14 @@ class TcamTable {
   MatAggregate scan_aggregate(int mat) const;
   /// Columns of `word` that would keep mat's aggregate bits alive if
   /// inserted there (the endurance-aware placer's tie-break: prefer mats
-  /// whose pruning index stays tight).
+  /// whose pruning index stays tight).  Throws std::invalid_argument when
+  /// the word is not cols() digits wide.
   int aggregate_overlap(int mat, const arch::TernaryWord& word) const;
+  /// The same count for a word packed by arch::pack_ternary:
+  /// arch::ternary_lanes(cols()) care and value lanes.  A caller probing
+  /// many mats with one word packs it once.
+  int aggregate_overlap(int mat, const std::uint64_t* care,
+                        const std::uint64_t* value) const;
 
   /// Pruning counters (lifetime totals; deterministic: every query tests
   /// every mat in its range exactly once, regardless of dispatch shape).
@@ -341,7 +352,8 @@ class TcamTable {
   void check_entry(EntryId id) const;
   void write_slot(const Slot& slot, const arch::TernaryWord& entry);
   /// Pruning-index maintenance: fold a word into / out of a mat's
-  /// per-column counts and refresh its aggregate masks.
+  /// per-column counts and refresh its aggregate masks — by a word-level
+  /// AND on add, by a rebuild from the counts on remove.
   void aggregate_add(int mat, const arch::TernaryWord& word);
   void aggregate_remove(int mat, const arch::TernaryWord& word);
   void rebuild_aggregate_masks(MatAggregate& ag) const;
@@ -363,7 +375,6 @@ class TcamTable {
 
   TableConfig config_;
   bool two_step_;
-  arch::WriteVoltages write_voltages_;
   /// Search energy counts of one mat (scans of each kind, and the rows
   /// they charged at the step-1 and at the full energy).
   struct MatSearchCounts {
@@ -401,6 +412,8 @@ class TcamTable {
   /// words to the even (step-1) columns, so mat_skips is one OR-reduce.
   std::vector<std::uint64_t> skip_masks_;
   std::size_t agg_words_ = 0;
+  /// aggregate_add's packing buffer: agg_words_ care then value lanes.
+  std::vector<std::uint64_t> lanes_;
   /// Pruning counters; mutable atomics because match paths are const and
   /// concurrency-safe.  Totals are deterministic, increment order is not.
   mutable std::atomic<long long> mats_considered_{0};

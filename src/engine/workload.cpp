@@ -359,12 +359,24 @@ std::vector<EntryId> load_rules_clustered(TcamTable& table,
   // Pass 2: spill rules go wherever they least damage the pruning index —
   // the open mat whose live aggregate they overlap most (ties: lowest
   // mat).  Deterministic: spill order and the greedy scan are both fixed.
+  // Each rule is packed once for its probes of every open mat.
+  const std::size_t lanes =
+      static_cast<std::size_t>(arch::ternary_lanes(
+          static_cast<std::size_t>(cfg.cols)));
+  std::vector<std::uint64_t> packed(2 * lanes);
+  std::uint64_t* care = packed.data();
+  std::uint64_t* value = care + lanes;
   for (const std::size_t rule : spill) {
+    const arch::TernaryWord& entry = trace.rules[rule].entry;
+    if (static_cast<int>(entry.size()) != cfg.cols) {
+      throw std::invalid_argument("rule width mismatch");
+    }
+    arch::pack_ternary(entry, care, value);
     int best = -1;
     int best_overlap = -1;
     for (int m = 0; m < mats; ++m) {
       if (room[static_cast<std::size_t>(m)] <= 0) continue;
-      const int overlap = table.aggregate_overlap(m, trace.rules[rule].entry);
+      const int overlap = table.aggregate_overlap(m, care, value);
       if (overlap > best_overlap) {
         best_overlap = overlap;
         best = m;

@@ -17,12 +17,15 @@
 //     non-pruning table's per-lane match.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "dense_stats.hpp"
 #include "engine/packed_kernel.hpp"
 #include "engine/table.hpp"
+#include "engine/workload.hpp"
 #include "util/rng.hpp"
 
 namespace fetcam::engine {
@@ -309,6 +312,244 @@ TEST(TablePrune, AggregateOverlapPrefersAlignedMat) {
   arch::TernaryWord sparse(16, arch::Ternary::kX);
   sparse[2] = arch::Ternary::kOne;
   EXPECT_EQ(t.aggregate_overlap(2, sparse), 1);
+}
+
+/// The column walk aggregate_overlap replaced: one digit at a time
+/// against the aggregate's mask bits.
+int column_walk_overlap(const MatAggregate& ag, const arch::TernaryWord& word) {
+  if (ag.valid_rows == 0) {
+    int cared = 0;
+    for (const arch::Ternary t : word) {
+      if (t != arch::Ternary::kX) ++cared;
+    }
+    return cared;
+  }
+  int overlap = 0;
+  for (std::size_t c = 0; c < word.size(); ++c) {
+    const std::uint64_t bit = 1ULL << (c & 63);
+    const std::size_t w = c >> 6;
+    if ((ag.require_one[w] & bit) != 0 && word[c] == arch::Ternary::kOne) {
+      ++overlap;
+    } else if ((ag.require_zero[w] & bit) != 0 &&
+               word[c] == arch::Ternary::kZero) {
+      ++overlap;
+    }
+  }
+  return overlap;
+}
+
+/// `base` with each digit redrawn at probability `p` (so mats filled from
+/// one base keep many unanimous columns).
+arch::TernaryWord near_word(std::mt19937& rng, const arch::TernaryWord& base,
+                            double p) {
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  arch::TernaryWord w = base;
+  for (arch::Ternary& t : w) {
+    if (u(rng) < p) t = static_cast<arch::Ternary>(rng() % 3);
+  }
+  return w;
+}
+
+TEST(TablePrune, PackedOverlapMatchesColumnWalk) {
+  for (const int cols : {2, 64, 66, 130}) {
+    for (const int digit_bits : {1, 2}) {
+      SCOPED_TRACE("cols " + std::to_string(cols) + " digit_bits " +
+                   std::to_string(digit_bits));
+      std::mt19937 rng = util::trial_rng(
+          kSeed, static_cast<std::uint64_t>(cols * 4 + digit_bits));
+      TableConfig cfg = prune_config(arch::TcamDesign::k1p5DgFe, true);
+      cfg.cols = cols;
+      cfg.digit_bits = digit_bits;
+      TcamTable t(cfg);
+      const std::size_t lanes =
+          static_cast<std::size_t>(arch::ternary_lanes(
+              static_cast<std::size_t>(cols)));
+      std::vector<std::uint64_t> care(lanes);
+      std::vector<std::uint64_t> value(lanes);
+      std::vector<arch::TernaryWord> bases;
+      for (int m = 0; m < cfg.mats; ++m) {
+        bases.push_back(random_word(rng, cols, 0.2));
+      }
+      const auto check = [&](const char* state) {
+        for (int m = 0; m < cfg.mats; ++m) {
+          ASSERT_EQ(t.aggregate(m), t.scan_aggregate(m)) << state;
+          for (int probe = 0; probe < 24; ++probe) {
+            // Probes near the mat's base overlap it; the rest are noise.
+            const arch::TernaryWord word =
+                probe % 2 == 0
+                    ? near_word(rng, bases[static_cast<std::size_t>(m)], 0.2)
+                    : random_word(rng, cols, 0.3 * (probe % 4));
+            const int want = column_walk_overlap(t.aggregate(m), word);
+            arch::pack_ternary(word, care.data(), value.data());
+            ASSERT_EQ(t.aggregate_overlap(m, care.data(), value.data()), want)
+                << state << " mat " << m << " probe " << probe;
+            ASSERT_EQ(t.aggregate_overlap(m, word), want)
+                << state << " mat " << m << " probe " << probe;
+          }
+        }
+      };
+      check("empty");
+      if (HasFailure()) return;
+
+      // Mat 0 stays empty; mats 1..3 fill partly, each from its base.
+      std::vector<std::vector<EntryId>> ids(
+          static_cast<std::size_t>(cfg.mats));
+      for (int m = 1; m < cfg.mats; ++m) {
+        for (int r = 0; r < 3 * m; ++r) {
+          const arch::TernaryWord w =
+              near_word(rng, bases[static_cast<std::size_t>(m)], 0.05);
+          ids[static_cast<std::size_t>(m)].push_back(t.insert(w, r, m));
+        }
+      }
+      check("partly filled");
+      if (HasFailure()) return;
+
+      // Churn: rewrites and updates on mats 2 and 3, then empty mat 3
+      // entirely and half of mat 1.
+      for (int m = 2; m < cfg.mats; ++m) {
+        for (const EntryId id : ids[static_cast<std::size_t>(m)]) {
+          const arch::TernaryWord w =
+              near_word(rng, bases[static_cast<std::size_t>(m)], 0.1);
+          if (id % 2 == 0) {
+            t.rewrite_digits(id, w);
+          } else {
+            t.update(id, w);
+          }
+        }
+      }
+      for (const EntryId id : ids[3]) t.erase(id);
+      for (std::size_t i = 0; i < ids[1].size(); i += 2) t.erase(ids[1][i]);
+      check("after churn");
+      if (HasFailure()) return;
+    }
+  }
+}
+
+/// FNV-1a over a stream of integers: a compact pin for placements and
+/// per-row wear that any single moved value changes.
+struct Digest {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+};
+
+/// What a load (then a churn) leaves behind, beyond the aggregates.
+struct LoadPin {
+  std::uint64_t locations = 0;  ///< every entry's (mat, row, subarray)
+  std::uint64_t wear = 0;       ///< every mat's per-row write counts
+  double energy_j = 0.0;
+  long long pulses = 0;
+};
+
+LoadPin pin_table(const TcamTable& t, const std::vector<EntryId>& ids) {
+  Digest where;
+  for (const EntryId id : ids) {
+    const auto loc = t.locate(id);
+    where.add(loc ? static_cast<std::uint64_t>(loc->mat) : ~0ULL);
+    where.add(loc ? static_cast<std::uint64_t>(loc->row) : ~0ULL);
+    where.add(loc ? static_cast<std::uint64_t>(loc->subarray) : ~0ULL);
+  }
+  Digest wear;
+  for (int m = 0; m < t.mats(); ++m) {
+    for (int r = 0; r < t.config().rows_per_mat; ++r) {
+      wear.add(t.endurance(m).writes(r));
+    }
+  }
+  return {where.h, wear.h, t.total_energy_j(), t.write_pulses()};
+}
+
+void expect_pin(const LoadPin& want, const LoadPin& got, const char* when) {
+  EXPECT_EQ(want.locations, got.locations) << when << std::hex << " got 0x"
+                                           << got.locations;
+  EXPECT_EQ(want.wear, got.wear) << when << std::hex << " got 0x" << got.wear;
+  EXPECT_EQ(want.energy_j, got.energy_j)
+      << when << " got " << std::hexfloat << got.energy_j;
+  EXPECT_EQ(want.pulses, got.pulses) << when;
+}
+
+TEST(TablePrune, ClusteredLoadKeepsAggregatesAndAccounting) {
+  // load_rules_clustered places every rule by aggregate_overlap and every
+  // insert folds the word into its mat's pruning index.  The aggregates
+  // must equal a rebuild from the shards, and the placements and write
+  // accounting (after the load, and after a churn of updates, delta
+  // rewrites and erases on top) are pinned to recorded values.
+  struct Case {
+    const char* name;
+    TraceKind kind;
+    arch::TcamDesign design;
+    int digit_bits;
+    int mats;
+    int rows_per_mat;
+    int rules;
+    LoadPin loaded;
+    LoadPin churned;
+  };
+  const Case cases[] = {
+      {"ip 1.5DG", TraceKind::kIpPrefix, arch::TcamDesign::k1p5DgFe, 1, 8, 32,
+       230,
+       {0x8cbf5df9b2bc7d02ULL, 0x6dcbe3e1d112f4a5ULL, 0x1.56b8840eeb4d3p-38,
+        690},
+       {0x5b20a7cba92456ecULL, 0x3ac7a26673234325ULL, 0x1.dcf879b3e1c6p-38,
+        870}},
+      {"ip 2DG", TraceKind::kIpPrefix, arch::TcamDesign::k2DgFefet, 1, 8, 32,
+       230,
+       {0x8cbf5df9b2bc7d02ULL, 0x6dcbe3e1d112f4a5ULL, 0x1.d9e42a528f31p-37,
+        230},
+       {0x5b20a7cba92456ecULL, 0x3ac7a26673234325ULL, 0x1.1d2bfaffa9fe6p-36,
+        302}},
+      {"embedding 2-bit", TraceKind::kEmbedding, arch::TcamDesign::k1p5DgFe,
+       2, 6, 32, 180,
+       {0xe81fd6e8ca6c1b87ULL, 0x3eb5edf04747145ULL, 0x1.905f713ce60b7p-39,
+        540},
+       {0xa5992fe77f5efb12ULL, 0x86cb5fc5e1ff0f65ULL, 0x1.25e57ee3c239p-38,
+        697}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TraceSpec spec;
+    spec.kind = c.kind;
+    spec.cols = 32;
+    spec.digit_bits = c.digit_bits;
+    spec.rules = c.rules;
+    spec.queries = 1;
+    spec.seed = 7;
+    const Trace trace = generate_trace(spec);
+    TableConfig cfg;
+    cfg.design = c.design;
+    cfg.mats = c.mats;
+    cfg.rows_per_mat = c.rows_per_mat;
+    cfg.cols = spec.cols;
+    cfg.digit_bits = c.digit_bits;
+    TcamTable t(cfg);
+    const std::vector<EntryId> ids = load_rules_clustered(t, trace);
+    for (int m = 0; m < c.mats; ++m) {
+      ASSERT_EQ(t.aggregate(m), t.scan_aggregate(m)) << "mat " << m;
+    }
+    expect_pin(c.loaded, pin_table(t, ids), "after load");
+
+    std::mt19937 rng = util::trial_rng(kSeed, 77);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (i % 5 == 0) {
+        t.update(ids[i], random_word(rng, spec.cols, 0.3));
+      } else if (i % 5 == 1) {
+        arch::TernaryWord w = t.entry_word(ids[i]);
+        w[i % w.size()] = arch::Ternary::kX;
+        t.rewrite_digits(ids[i], w);
+      } else if (i % 5 == 2) {
+        t.rewrite_digits(ids[i], t.entry_word(ids[i]));  // unchanged word
+      } else if (i % 11 == 3) {
+        t.erase(ids[i]);
+      }
+    }
+    for (int m = 0; m < c.mats; ++m) {
+      ASSERT_EQ(t.aggregate(m), t.scan_aggregate(m)) << "mat " << m;
+    }
+    expect_pin(c.churned, pin_table(t, ids), "after churn");
+  }
 }
 
 }  // namespace

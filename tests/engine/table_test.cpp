@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "arch/behavioral_array.hpp"
+#include "arch/write_controller.hpp"
 #include "dense_stats.hpp"
 #include "engine/table.hpp"
 #include "util/rng.hpp"

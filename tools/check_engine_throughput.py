@@ -38,6 +38,9 @@ and fails when:
   * --min-approx-qps N was passed (with --approx) and the kNN trace arm
     fell below N queries/second.
 
+The table_load section (CPU time of load_rules_clustered on the
+perfbench-sized tables) is printed when present and never gated.
+
 Absolute qps is only gated when the caller opts in with --min-qps: CI
 machines vary too much for a hardcoded number, but a caller that knows
 its hardware can pin a floor.  The kernel ratios are machine-relative
@@ -391,6 +394,23 @@ def check_stats_snapshot(path: str) -> bool:
     return ok
 
 
+def report_table_load(report: dict) -> None:
+    """Print the table-load section; report only, no threshold."""
+    load = report.get("table_load")
+    if not load:
+        print("table_load: section absent (report only)")
+        return
+    for table in load.get("tables", []):
+        print(
+            f"table_load {table.get('name')}: {table.get('rules')} "
+            f"{table.get('trace_kind')} rules into {table.get('mats')}x"
+            f"{table.get('rows_per_mat')}x{table.get('cols')} "
+            f"(digit_bits {table.get('digit_bits')}): "
+            f"{table.get('cpu_ms', 0.0):.1f} ms CPU, median of "
+            f"{load.get('calls')} calls (report only)"
+        )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -453,6 +473,7 @@ def main() -> int:
         ok = check_approx(report, args.min_approx_qps) and ok
     if args.stats:
         ok = check_stats_snapshot(args.stats) and ok
+    report_table_load(report)
 
     print("OK" if ok else "engine perf guard failed")
     return 0 if ok else 1
