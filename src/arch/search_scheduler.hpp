@@ -22,6 +22,14 @@ struct SearchStats {
   double step1_miss_rate() const {
     return rows > 0 ? static_cast<double>(step1_misses) / rows : 0.0;
   }
+  /// Merge another search's (or mat's) counts into this one.
+  SearchStats& operator+=(const SearchStats& s) {
+    rows += s.rows;
+    step1_misses += s.step1_misses;
+    step2_evaluated += s.step2_evaluated;
+    matches += s.matches;
+    return *this;
+  }
 };
 
 struct ScheduledSearchResult {

@@ -94,7 +94,6 @@ PointMetrics evaluate_point(const DesignPoint& p, const EvalOptions& opts,
   try {
     eval::FomOptions fopts;
     fopts.n_bits = p.word_bits;
-    fopts.rows = p.rows;
     fopts.vdd = p.vdd;
     fopts.tuning = p.tuning();
 

@@ -19,6 +19,39 @@ namespace {
   throw std::system_error(errno, std::generic_category(), what);
 }
 
+/// Pack `queries` (each `cols` bits) into a batch frame's query block,
+/// PackedQuery layout.
+template <class Frame>
+void pack_queries(const std::vector<arch::BitWord>& queries, int cols,
+                  Frame& frame) {
+  frame.words_per_query = static_cast<std::uint32_t>((cols + 63) / 64);
+  frame.bits.assign(queries.size() * frame.words_per_query, 0);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const arch::BitWord& query = queries[q];
+    if (static_cast<int>(query.size()) != cols) {
+      throw std::invalid_argument("query width mismatch");
+    }
+    std::uint64_t* words = frame.bits.data() + q * frame.words_per_query;
+    for (int c = 0; c < cols; ++c) {
+      if (query[static_cast<std::size_t>(c)] != 0) {
+        words[c >> 6] |= 1ULL << (c & 63);
+      }
+    }
+  }
+}
+
+/// Pass a reply through, or throw std::runtime_error on a server error
+/// frame (the message includes the server's).
+SearchClient::Reply ok_reply(SearchClient::Reply reply) {
+  if (!reply.ok) {
+    throw std::runtime_error("server error " +
+                             std::to_string(static_cast<std::uint32_t>(
+                                 reply.error.code)) +
+                             ": " + reply.error.message);
+  }
+  return reply;
+}
+
 }  // namespace
 
 SearchClient::~SearchClient() { close(); }
@@ -68,20 +101,7 @@ void SearchClient::send_batch(const std::vector<arch::BitWord>& queries,
                               int cols) {
   if (fd_ < 0) throw std::runtime_error("client is not connected");
   wire::SearchBatchFrame frame;
-  frame.words_per_query = static_cast<std::uint32_t>((cols + 63) / 64);
-  frame.bits.assign(queries.size() * frame.words_per_query, 0);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const arch::BitWord& query = queries[q];
-    if (static_cast<int>(query.size()) != cols) {
-      throw std::invalid_argument("query width mismatch");
-    }
-    std::uint64_t* words = frame.bits.data() + q * frame.words_per_query;
-    for (int c = 0; c < cols; ++c) {
-      if (query[static_cast<std::size_t>(c)] != 0) {
-        words[c >> 6] |= 1ULL << (c & 63);
-      }
-    }
-  }
+  pack_queries(queries, cols, frame);
   std::vector<std::uint8_t> out;
   wire::encode_search_batch(out, frame);
   send_all(out.data(), out.size());
@@ -96,22 +116,9 @@ void SearchClient::send_nearest_batch(
     throw std::invalid_argument("distance_threshold must be >= 0");
   }
   wire::NearestBatchFrame frame;
-  frame.words_per_query = static_cast<std::uint32_t>((cols + 63) / 64);
   frame.k = static_cast<std::uint32_t>(k);
   frame.threshold = static_cast<std::uint32_t>(threshold);
-  frame.bits.assign(queries.size() * frame.words_per_query, 0);
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const arch::BitWord& query = queries[q];
-    if (static_cast<int>(query.size()) != cols) {
-      throw std::invalid_argument("query width mismatch");
-    }
-    std::uint64_t* words = frame.bits.data() + q * frame.words_per_query;
-    for (int c = 0; c < cols; ++c) {
-      if (query[static_cast<std::size_t>(c)] != 0) {
-        words[c >> 6] |= 1ULL << (c & 63);
-      }
-    }
-  }
+  pack_queries(queries, cols, frame);
   std::vector<std::uint8_t> out;
   wire::encode_nearest_batch(out, frame);
   send_all(out.data(), out.size());
@@ -190,13 +197,7 @@ void SearchClient::send_stats_request() {
 
 std::string SearchClient::stats() {
   send_stats_request();
-  Reply reply = recv_reply();
-  if (!reply.ok) {
-    throw std::runtime_error("server error " +
-                             std::to_string(static_cast<std::uint32_t>(
-                                 reply.error.code)) +
-                             ": " + reply.error.message);
-  }
+  Reply reply = ok_reply(recv_reply());
   if (!reply.is_stats) {
     throw std::runtime_error("expected a stats reply, got a search result");
   }
@@ -206,13 +207,7 @@ std::string SearchClient::stats() {
 std::vector<wire::ResultRecord> SearchClient::search(
     const std::vector<arch::BitWord>& queries, int cols) {
   send_batch(queries, cols);
-  Reply reply = recv_reply();
-  if (!reply.ok) {
-    throw std::runtime_error("server error " +
-                             std::to_string(static_cast<std::uint32_t>(
-                                 reply.error.code)) +
-                             ": " + reply.error.message);
-  }
+  Reply reply = ok_reply(recv_reply());
   return std::move(reply.records);
 }
 
@@ -220,13 +215,7 @@ std::vector<std::vector<wire::NearestRecord>> SearchClient::search_nearest(
     const std::vector<arch::BitWord>& queries, int cols, int k,
     int threshold) {
   send_nearest_batch(queries, cols, k, threshold);
-  Reply reply = recv_reply();
-  if (!reply.ok) {
-    throw std::runtime_error("server error " +
-                             std::to_string(static_cast<std::uint32_t>(
-                                 reply.error.code)) +
-                             ": " + reply.error.message);
-  }
+  Reply reply = ok_reply(recv_reply());
   if (!reply.is_nearest) {
     throw std::runtime_error("expected a nearest reply");
   }

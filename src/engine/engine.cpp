@@ -193,76 +193,67 @@ void SearchEngine::match_batch(const Work& work,
   // and apply reads only the slots of this batch's searches.
   if (matches.size() < batch.size()) matches.resize(batch.size());
   if (nears.size() < batch.size()) nears.resize(batch.size());
-  std::vector<std::size_t> searches;  ///< kSearch request indices
-  std::vector<std::size_t> nearest;   ///< kSearchNearest request indices
+  // Search lanes in phase-A order: exact searches, then nearest ones.
+  // lanes[l] is the request index of lane l; packed_queries_[l] its query,
+  // packed once per batch and read immutably by the tasks.
+  std::vector<std::size_t> lanes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (batch[i].kind == RequestKind::kSearch) {
-      searches.push_back(i);
-    } else if (batch[i].kind == RequestKind::kSearchNearest) {
-      nearest.push_back(i);
-    }
+    if (batch[i].kind == RequestKind::kSearch) lanes.push_back(i);
   }
-  if (searches.empty() && nearest.empty()) return;
-
-  // Pack every search lane once per batch (nearest lanes after exact
-  // ones); tasks read the packs immutably.
-  const std::size_t lanes = searches.size() + nearest.size();
-  if (packed_queries_.size() < lanes) packed_queries_.resize(lanes);
-  for (std::size_t s = 0; s < searches.size(); ++s) {
-    packed_queries_[s].repack(batch[searches[s]].query);
+  const std::size_t exact = lanes.size();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (batch[i].kind == RequestKind::kSearchNearest) lanes.push_back(i);
   }
-  for (std::size_t n = 0; n < nearest.size(); ++n) {
-    packed_queries_[searches.size() + n].repack(batch[nearest[n]].query);
+  if (lanes.empty()) return;
+  if (packed_queries_.size() < lanes.size()) {
+    packed_queries_.resize(lanes.size());
+  }
+  for (std::size_t l = 0; l < lanes.size(); ++l) {
+    packed_queries_[l].repack(batch[lanes[l]].query);
   }
 
   // Phase A on the shared pool.  Exact and nearest lanes are each chunked
   // into fixed submission-order blocks of `query_block` lanes: task
-  // k < blocks matches exact block k over every mat, task blocks + j runs
+  // t < blocks matches exact block t over every mat, task blocks + j runs
   // nearest block j; chunk size 1 makes each task one pool chunk.  Each
   // task writes only its own requests' slots, so the claim schedule is
   // invisible — and because per-lane results never depend on block
   // composition (table.cpp), neither is the block size.
   const std::size_t block = static_cast<std::size_t>(options_.query_block);
-  const std::size_t blocks = (searches.size() + block - 1) / block;
-  const std::size_t near_blocks = (nearest.size() + block - 1) / block;
-  const auto task = [&](std::size_t k, std::size_t) {
-    if (k >= blocks) {
-      const std::size_t n0 = (k - blocks) * block;
-      const std::size_t n1 = std::min(n0 + block, nearest.size());
-      obs::ScopedSpan span("engine.near_task", "engine", work.trace_id);
-      thread_local NearestScratch scratch;
-      const PackedQuery* queries[kMaxQueryBlock];
-      int ks[kMaxQueryBlock];
-      int thresholds[kMaxQueryBlock];
-      NearestMatch* outs[kMaxQueryBlock];
-      for (std::size_t n = n0; n < n1; ++n) {
-        const Request& req = batch[nearest[n]];
-        queries[n - n0] = &packed_queries_[searches.size() + n];
-        outs[n - n0] = &nears[nearest[n]];
-        // Request-level overrides; non-positive / negative values defer to
-        // the validated engine defaults, so the table layer only ever sees
-        // legal (k, threshold) pairs.
-        ks[n - n0] = req.k > 0 ? req.k : options_.k;
-        thresholds[n - n0] = req.distance_threshold >= 0
-                                 ? req.distance_threshold
-                                 : options_.distance_threshold;
-      }
-      table_.nearest_mats_block(queries, ks, thresholds,
-                                static_cast<int>(n1 - n0), scratch, outs);
-      return;
-    }
-    const std::size_t s0 = k * block;
-    const std::size_t s1 = std::min(s0 + block, searches.size());
-    obs::ScopedSpan span("engine.match_task", "engine", work.trace_id);
+  const std::size_t blocks = (exact + block - 1) / block;
+  const std::size_t near_blocks = (lanes.size() - exact + block - 1) / block;
+  const auto task = [&](std::size_t t, std::size_t) {
+    const bool near = t >= blocks;
+    const std::size_t l0 = near ? exact + (t - blocks) * block : t * block;
+    const std::size_t l1 = std::min(l0 + block, near ? lanes.size() : exact);
+    const int nq = static_cast<int>(l1 - l0);
+    obs::ScopedSpan span(near ? "engine.near_task" : "engine.match_task",
+                         "engine", work.trace_id);
     thread_local MatchScratch scratch;
     const PackedQuery* queries[kMaxQueryBlock];
-    TableMatch* outs[kMaxQueryBlock];
-    for (std::size_t s = s0; s < s1; ++s) {
-      queries[s - s0] = &packed_queries_[s];
-      outs[s - s0] = &matches[searches[s]];
+    TableMatch* match_outs[kMaxQueryBlock];
+    NearestMatch* near_outs[kMaxQueryBlock];
+    int ks[kMaxQueryBlock];
+    int thresholds[kMaxQueryBlock];
+    for (std::size_t l = l0; l < l1; ++l) {
+      const Request& req = batch[lanes[l]];
+      queries[l - l0] = &packed_queries_[l];
+      match_outs[l - l0] = &matches[lanes[l]];
+      near_outs[l - l0] = &nears[lanes[l]];
+      // Request-level overrides; non-positive / negative values defer to
+      // the validated engine defaults, so the table layer only ever sees
+      // legal (k, threshold) pairs.
+      ks[l - l0] = req.k > 0 ? req.k : options_.k;
+      thresholds[l - l0] = req.distance_threshold >= 0
+                               ? req.distance_threshold
+                               : options_.distance_threshold;
     }
-    table_.match_mats_block(queries, static_cast<int>(s1 - s0), scratch,
-                            outs);
+    if (near) {
+      table_.nearest_mats_block(queries, ks, thresholds, nq, scratch,
+                                near_outs);
+    } else {
+      table_.match_mats_block(queries, nq, scratch, match_outs);
+    }
   };
   const bool metrics = obs::metrics_on();
   const std::uint64_t a0_ns = metrics ? obs::now_ns() : 0;
@@ -303,10 +294,7 @@ BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,
         out.hit = m.hit;
         out.entry = m.entry;
         out.priority = m.priority;
-        res.stats.rows += m.stats.rows;
-        res.stats.step1_misses += m.stats.step1_misses;
-        res.stats.step2_evaluated += m.stats.step2_evaluated;
-        res.stats.matches += m.stats.matches;
+        res.stats += m.stats;
         break;
       }
       case RequestKind::kSearchNearest: {
@@ -323,10 +311,7 @@ BatchResult SearchEngine::apply(Work& work, std::vector<TableMatch>& matches,
           out.distance = m.top.front().distance;
         }
         out.neighbors = std::move(m.top);
-        res.stats.rows += m.stats.rows;
-        res.stats.step1_misses += m.stats.step1_misses;
-        res.stats.step2_evaluated += m.stats.step2_evaluated;
-        res.stats.matches += m.stats.matches;
+        res.stats += m.stats;
         break;
       }
       case RequestKind::kUpdate: {

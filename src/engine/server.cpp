@@ -98,7 +98,7 @@ struct SearchServer::Impl {
   std::deque<Pending> pending;
   bool stop_requested = false;  ///< guarded by pending_mu
   /// Set by the IO thread once it has stopped accepting and reading (so no
-  /// further submit_frame can happen); the completion thread must not
+  /// further submit_queries can happen); the completion thread must not
   /// declare the drain finished before this.  Guarded by pending_mu.
   bool submissions_done = false;
 
@@ -248,63 +248,51 @@ struct SearchServer::Impl {
     }
   }
 
-  void submit_frame(const std::shared_ptr<Connection>& conn,
-                    const wire::SearchBatchFrame& frame) {
+  /// The one admission path of both query frame kinds: reject a payload
+  /// that does not parse (kMalformed) or carries another query width
+  /// (kBadWidth), else unpack each query and submit the frame as one engine
+  /// batch of make(frame, query) requests.  Returns false when it rejected.
+  template <class Frame, class Make>
+  bool submit_queries(const std::shared_ptr<Connection>& conn,
+                      const std::optional<Frame>& frame, bool is_nearest,
+                      Make&& make) {
+    if (!frame) {
+      reject(conn, wire::ErrorCode::kMalformed,
+             is_nearest ? "nearest batch payload does not parse"
+                        : "search batch payload does not parse");
+      return false;
+    }
+    const int cols = self.cols_;
+    const std::uint32_t wpq = frame->words_per_query;
+    if (frame->count() > 0 &&
+        wpq != static_cast<std::uint32_t>((cols + 63) / 64)) {
+      reject(conn, wire::ErrorCode::kBadWidth,
+             "words_per_query does not match the table width");
+      return false;
+    }
     const std::uint64_t trace_id =
         next_trace_id.fetch_add(1, std::memory_order_relaxed);
-    obs::ScopedSpan span("wire.submit", "server", trace_id);
-    const int cols = self.cols_;
+    obs::ScopedSpan span(is_nearest ? "wire.submit_nearest" : "wire.submit",
+                         "server", trace_id);
     std::vector<Request> batch;
-    batch.reserve(frame.count());
-    const std::uint32_t wpq = frame.words_per_query;
-    for (std::uint32_t q = 0; q < frame.count(); ++q) {
+    batch.reserve(frame->count());
+    for (std::uint32_t q = 0; q < frame->count(); ++q) {
       arch::BitWord query(static_cast<std::size_t>(cols), 0);
-      const std::uint64_t* words = frame.bits.data() +
+      const std::uint64_t* words = frame->bits.data() +
                                    static_cast<std::size_t>(q) * wpq;
       for (int c = 0; c < cols; ++c) {
         query[static_cast<std::size_t>(c)] =
             static_cast<std::uint8_t>((words[c >> 6] >> (c & 63)) & 1ULL);
       }
-      batch.push_back(make_search(std::move(query)));
+      batch.push_back(make(*frame, std::move(query)));
     }
     Pending p;
     p.conn = conn;
+    p.is_nearest = is_nearest;
     p.trace_id = trace_id;
     p.future = self.engine_.submit(std::move(batch), trace_id);
     enqueue_pending(conn, std::move(p));
-  }
-
-  void submit_nearest(const std::shared_ptr<Connection>& conn,
-                      const wire::NearestBatchFrame& frame) {
-    const std::uint64_t trace_id =
-        next_trace_id.fetch_add(1, std::memory_order_relaxed);
-    obs::ScopedSpan span("wire.submit_nearest", "server", trace_id);
-    const int cols = self.cols_;
-    std::vector<Request> batch;
-    batch.reserve(frame.count());
-    const std::uint32_t wpq = frame.words_per_query;
-    // A u32 past INT32_MAX would narrow to a negative threshold, which
-    // the engine reads as "use the default".  No distance exceeds the
-    // digit count, so clamping changes no distance test.
-    const int threshold = static_cast<int>(
-        std::min<std::uint32_t>(frame.threshold, INT32_MAX));
-    for (std::uint32_t q = 0; q < frame.count(); ++q) {
-      arch::BitWord query(static_cast<std::size_t>(cols), 0);
-      const std::uint64_t* words = frame.bits.data() +
-                                   static_cast<std::size_t>(q) * wpq;
-      for (int c = 0; c < cols; ++c) {
-        query[static_cast<std::size_t>(c)] =
-            static_cast<std::uint8_t>((words[c >> 6] >> (c & 63)) & 1ULL);
-      }
-      batch.push_back(make_search_nearest(
-          std::move(query), static_cast<int>(frame.k), threshold));
-    }
-    Pending p;
-    p.conn = conn;
-    p.is_nearest = true;
-    p.trace_id = trace_id;
-    p.future = self.engine_.submit(std::move(batch), trace_id);
-    enqueue_pending(conn, std::move(p));
+    return true;
   }
 
   void submit_stats(const std::shared_ptr<Connection>& conn) {
@@ -353,39 +341,30 @@ struct SearchServer::Impl {
         submit_stats(conn);
         continue;
       }
-      if (header.type == wire::FrameType::kNearest) {
-        const auto frame =
-            wire::decode_nearest_batch(payload, header.payload_len);
-        if (!frame) {
-          reject(conn, wire::ErrorCode::kMalformed,
-                 "nearest batch payload does not parse");
-          break;
-        }
-        const std::uint32_t expected_wpq =
-            static_cast<std::uint32_t>((self.cols_ + 63) / 64);
-        if (frame->count() > 0 && frame->words_per_query != expected_wpq) {
-          reject(conn, wire::ErrorCode::kBadWidth,
-                 "words_per_query does not match the table width");
-          break;
-        }
-        submit_nearest(conn, *frame);
-        continue;
-      }
-      const auto frame =
-          wire::decode_search_batch(payload, header.payload_len);
-      if (!frame) {
-        reject(conn, wire::ErrorCode::kMalformed,
-               "search batch payload does not parse");
-        break;
-      }
-      const std::uint32_t expected_wpq =
-          static_cast<std::uint32_t>((self.cols_ + 63) / 64);
-      if (frame->count() > 0 && frame->words_per_query != expected_wpq) {
-        reject(conn, wire::ErrorCode::kBadWidth,
-               "words_per_query does not match the table width");
-        break;
-      }
-      submit_frame(conn, *frame);
+      const bool admitted =
+          header.type == wire::FrameType::kNearest
+              ? submit_queries(
+                    conn,
+                    wire::decode_nearest_batch(payload, header.payload_len),
+                    true,
+                    [](const wire::NearestBatchFrame& f, arch::BitWord query) {
+                      // A u32 past INT32_MAX would narrow to a negative
+                      // threshold, which the engine reads as "use the
+                      // default".  No distance exceeds the digit count, so
+                      // clamping changes no distance test.
+                      return make_search_nearest(
+                          std::move(query), static_cast<int>(f.k),
+                          static_cast<int>(std::min<std::uint32_t>(
+                              f.threshold, INT32_MAX)));
+                    })
+              : submit_queries(
+                    conn,
+                    wire::decode_search_batch(payload, header.payload_len),
+                    false,
+                    [](const wire::SearchBatchFrame&, arch::BitWord query) {
+                      return make_search(std::move(query));
+                    });
+      if (!admitted) break;
     }
     conn->rx.erase(conn->rx.begin(),
                    conn->rx.begin() + static_cast<std::ptrdiff_t>(off));

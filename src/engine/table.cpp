@@ -488,13 +488,6 @@ arch::SearchStats TcamTable::nearest_skipped_stats() const {
 
 namespace {
 
-void add_stats(arch::SearchStats& into, const arch::SearchStats& s) {
-  into.rows += s.rows;
-  into.step1_misses += s.step1_misses;
-  into.step2_evaluated += s.step2_evaluated;
-  into.matches += s.matches;
-}
-
 /// Fold `skips` skipped mats' stats into a lane's merged stats at once:
 /// integer sums, so this equals adding them one mat at a time.
 void add_skipped(arch::SearchStats& into, const arch::SearchStats& skipped,
@@ -503,6 +496,14 @@ void add_skipped(arch::SearchStats& into, const arch::SearchStats& skipped,
   into.step1_misses += skips * skipped.step1_misses;
   into.step2_evaluated += skips * skipped.step2_evaluated;
   into.matches += skips * skipped.matches;
+}
+
+void check_block_size(int nq) {
+  if (nq < 1 || nq > kMaxQueryBlock) {
+    throw std::invalid_argument("query block size must be in [1, " +
+                                std::to_string(kMaxQueryBlock) + "], got " +
+                                std::to_string(nq));
+  }
 }
 
 }  // namespace
@@ -527,6 +528,67 @@ void TcamTable::scan_hits(std::size_t mat, const std::uint64_t* mask,
   }
 }
 
+template <class Out, class Skips, class Kernel, class Fold>
+void TcamTable::broadcast_block(const PackedQuery* const* queries, int nq,
+                                MatchScratch& scratch, Out* const* outs,
+                                const arch::SearchStats& skipped_mat,
+                                Skips&& skips, Kernel&& kernel,
+                                Fold&& fold) const {
+  if (scratch.masks.size() < static_cast<std::size_t>(nq)) {
+    scratch.masks.resize(static_cast<std::size_t>(nq));
+  }
+  const std::size_t mask_words = shards_[0].mask_words();
+  for (int q = 0; q < nq; ++q) {
+    // The kernels overwrite the masks in full, so no fill is needed.
+    scratch.masks[static_cast<std::size_t>(q)].resize(mask_words);
+    outs[q]->stats = arch::SearchStats{};
+    outs[q]->scanned.clear();
+  }
+
+  // Per mat: prune per lane, then one blocked kernel pass over the
+  // surviving lanes.  Lane results are independent of the sub-block's
+  // composition, so a lane sees identical masks and stats whether its
+  // neighbors were pruned or not.
+  const PackedQuery* kernel_queries[kMaxQueryBlock];
+  std::uint64_t* kernel_masks[kMaxQueryBlock];
+  arch::SearchStats kernel_stats[kMaxQueryBlock];
+  int lane_of[kMaxQueryBlock];
+  int skipped[kMaxQueryBlock] = {};
+  for (int m = 0; m < config_.mats; ++m) {
+    const std::size_t mat = static_cast<std::size_t>(m);
+    int live = 0;
+    for (int q = 0; q < nq; ++q) {
+      if (config_.mat_skip && skips(mat, q)) {
+        ++skipped[q];
+        continue;
+      }
+      kernel_queries[live] = queries[q];
+      kernel_masks[live] = scratch.masks[static_cast<std::size_t>(q)].data();
+      lane_of[live] = q;
+      ++live;
+    }
+    if (live == 0) continue;
+    kernel(shards_[mat], kernel_queries, live, lane_of, kernel_masks,
+           kernel_stats);
+    for (int j = 0; j < live; ++j) {
+      Out& out = *outs[lane_of[j]];
+      out.scanned.push_back({m, kernel_stats[j]});
+      out.stats += kernel_stats[j];
+      fold(mat, lane_of[j], kernel_masks[j], out);
+    }
+  }
+  long long skips_total = 0;
+  for (int q = 0; q < nq; ++q) {
+    add_skipped(outs[q]->stats, skipped_mat, skipped[q]);
+    skips_total += skipped[q];
+  }
+  mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
+                             std::memory_order_relaxed);
+  if (skips_total != 0) {
+    mats_skipped_.fetch_add(skips_total, std::memory_order_relaxed);
+  }
+}
+
 void TcamTable::match(const arch::BitWord& query, MatchScratch& scratch,
                       TableMatch& out) const {
   scratch.query.repack(query);
@@ -543,77 +605,28 @@ void TcamTable::match_mats(const PackedQuery& query, MatchScratch& scratch,
 void TcamTable::match_mats_block(const PackedQuery* const* queries, int nq,
                                  MatchScratch& scratch,
                                  TableMatch* const* outs) const {
-  if (nq < 1 || nq > kMaxQueryBlock) {
-    throw std::invalid_argument("query block size must be in [1, " +
-                                std::to_string(kMaxQueryBlock) + "], got " +
-                                std::to_string(nq));
-  }
-  if (scratch.masks.size() < static_cast<std::size_t>(nq)) {
-    scratch.masks.resize(static_cast<std::size_t>(nq));
+  check_block_size(nq);
+  for (int q = 0; q < nq; ++q) {
+    outs[q]->hit = false;
+    outs[q]->entry = kInvalidEntry;
+    outs[q]->priority = 0;
   }
   const std::size_t mask_words = shards_[0].mask_words();
-  for (int q = 0; q < nq; ++q) {
-    scratch.masks[static_cast<std::size_t>(q)].resize(mask_words);
-    TableMatch& out = *outs[q];
-    out.hit = false;
-    out.entry = kInvalidEntry;
-    out.priority = 0;
-    out.stats = arch::SearchStats{};
-    out.scanned.clear();
-  }
-
-  // Per mat: prune per lane, then one blocked kernel pass over the
-  // surviving lanes.  Lane results are independent of the sub-block's
-  // composition, so a lane sees identical masks and stats whether its
-  // neighbors were pruned or not.
-  const PackedQuery* kernel_queries[kMaxQueryBlock];
-  std::uint64_t* kernel_masks[kMaxQueryBlock];
-  arch::SearchStats kernel_stats[kMaxQueryBlock];
-  int lane_of[kMaxQueryBlock];
-  int skips[kMaxQueryBlock] = {};
-  for (int m = 0; m < config_.mats; ++m) {
-    int live = 0;
-    for (int q = 0; q < nq; ++q) {
-      if (config_.mat_skip &&
-          mat_skips(static_cast<std::size_t>(m), *queries[q])) {
-        ++skips[q];
-        continue;
-      }
-      kernel_queries[live] = queries[q];
-      kernel_masks[live] =
-          scratch.masks[static_cast<std::size_t>(q)].data();
-      lane_of[live] = q;
-      ++live;
-    }
-    if (live == 0) continue;
-    const auto& shard = shards_[static_cast<std::size_t>(m)];
-    if (two_step_) {
-      shard.two_step_match_block(kernel_queries, live, kernel_masks,
-                                 kernel_stats);
-    } else {
-      shard.full_match_block(kernel_queries, live, kernel_masks,
-                             kernel_stats);
-    }
-    for (int j = 0; j < live; ++j) {
-      TableMatch& out = *outs[lane_of[j]];
-      const arch::SearchStats& s = kernel_stats[j];
-      out.scanned.push_back({m, s});
-      add_stats(out.stats, s);
-      scan_hits(static_cast<std::size_t>(m), kernel_masks[j], mask_words,
-                out);
-    }
-  }
-  const arch::SearchStats skipped_mat = skipped_stats();
-  long long skipped = 0;
-  for (int q = 0; q < nq; ++q) {
-    add_skipped(outs[q]->stats, skipped_mat, skips[q]);
-    skipped += skips[q];
-  }
-  mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
-                             std::memory_order_relaxed);
-  if (skipped != 0) {
-    mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  }
+  broadcast_block(
+      queries, nq, scratch, outs, skipped_stats(),
+      [&](std::size_t mat, int q) { return mat_skips(mat, *queries[q]); },
+      [&](const PackedShard& shard, const PackedQuery* const* kernel_queries,
+          int live, const int*, std::uint64_t* const* masks,
+          arch::SearchStats* stats) {
+        if (two_step_) {
+          shard.two_step_match_block(kernel_queries, live, masks, stats);
+        } else {
+          shard.full_match_block(kernel_queries, live, masks, stats);
+        }
+      },
+      [&](std::size_t mat, int, const std::uint64_t* mask, TableMatch& out) {
+        scan_hits(mat, mask, mask_words, out);
+      });
 }
 
 bool TcamTable::nearest_mat_skips(std::size_t mat, const PackedQuery& query,
@@ -644,7 +657,7 @@ bool TcamTable::nearest_mat_skips(std::size_t mat, const PackedQuery& query,
 }
 
 void TcamTable::nearest_mats(const PackedQuery& query, int k, int threshold,
-                             NearestScratch& scratch,
+                             MatchScratch& scratch,
                              NearestMatch& out) const {
   const PackedQuery* queries[1] = {&query};
   NearestMatch* outs[1] = {&out};
@@ -653,13 +666,9 @@ void TcamTable::nearest_mats(const PackedQuery& query, int k, int threshold,
 
 void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
                                    const int* ks, const int* thresholds,
-                                   int nq, NearestScratch& scratch,
+                                   int nq, MatchScratch& scratch,
                                    NearestMatch* const* outs) const {
-  if (nq < 1 || nq > kMaxQueryBlock) {
-    throw std::invalid_argument("query block size must be in [1, " +
-                                std::to_string(kMaxQueryBlock) + "], got " +
-                                std::to_string(nq));
-  }
+  check_block_size(nq);
   for (int q = 0; q < nq; ++q) {
     if (ks[q] < 1) {
       throw std::invalid_argument("k must be >= 1, got " +
@@ -670,127 +679,79 @@ void TcamTable::nearest_mats_block(const PackedQuery* const* queries,
                                   std::to_string(thresholds[q]));
     }
   }
-  if (scratch.within.size() < static_cast<std::size_t>(nq)) {
-    scratch.within.resize(static_cast<std::size_t>(nq));
+  if (scratch.distances.size() < static_cast<std::size_t>(nq)) {
     scratch.distances.resize(static_cast<std::size_t>(nq));
   }
   const std::size_t mask_words = shards_[0].mask_words();
   for (int q = 0; q < nq; ++q) {
-    // The kernel overwrites both buffers in full, so no fill is needed.
-    scratch.within[static_cast<std::size_t>(q)].resize(mask_words);
+    // The kernel overwrites the distances in full, so no fill is needed.
     scratch.distances[static_cast<std::size_t>(q)].resize(mask_words * 64);
-    NearestMatch& out = *outs[q];
-    out.top.clear();
-    out.stats = arch::SearchStats{};
-    out.scanned.clear();
+    outs[q]->top.clear();
   }
-
-  // Per mat: prune per lane, then one blocked kernel pass over the
-  // surviving lanes.  Lane results are independent of the sub-block's
-  // composition, so a lane sees identical candidates and stats whether its
-  // neighbors were pruned or not.
-  const PackedQuery* kernel_queries[kMaxQueryBlock];
-  int kernel_thresholds[kMaxQueryBlock];
-  std::uint64_t* kernel_within[kMaxQueryBlock];
-  std::uint16_t* kernel_distances[kMaxQueryBlock];
-  arch::SearchStats kernel_stats[kMaxQueryBlock];
-  int lane_of[kMaxQueryBlock];
-  int skips[kMaxQueryBlock] = {};
-  for (int m = 0; m < config_.mats; ++m) {
-    int live = 0;
-    for (int q = 0; q < nq; ++q) {
-      if (config_.mat_skip &&
-          nearest_mat_skips(static_cast<std::size_t>(m), *queries[q],
-                            thresholds[q])) {
-        // Charged nearest_skipped_stats() below — identical to the kernel
-        // scan this skip replaces, so the knob changes cost only.
-        ++skips[q];
-        continue;
-      }
-      kernel_queries[live] = queries[q];
-      kernel_thresholds[live] = thresholds[q];
-      kernel_within[live] = scratch.within[static_cast<std::size_t>(q)].data();
-      kernel_distances[live] =
-          scratch.distances[static_cast<std::size_t>(q)].data();
-      lane_of[live] = q;
-      ++live;
-    }
-    if (live == 0) continue;
-    approx_match_block(shards_[static_cast<std::size_t>(m)], kernel_queries,
-                       live, config_.digit_bits, kernel_thresholds,
-                       kernel_within, kernel_distances, kernel_stats);
-    const auto& rows = row_entry_[static_cast<std::size_t>(m)];
-    for (int j = 0; j < live; ++j) {
-      const int q = lane_of[j];
-      NearestMatch& out = *outs[q];
-      const std::size_t k = static_cast<std::size_t>(ks[q]);
-      const arch::SearchStats& s = kernel_stats[j];
-      out.scanned.push_back({m, s});
-      add_stats(out.stats, s);
-      // Candidate scan: bounded insertion keeps out.top sorted by
-      // (distance, priority, id), at most k entries.
-      for (std::size_t w = 0; w < mask_words; ++w) {
-        std::uint64_t bits = kernel_within[j][w];
-        while (bits != 0) {
-          const int r = static_cast<int>(w * 64) + std::countr_zero(bits);
-          bits &= bits - 1;
-          NearCandidate cand;
-          cand.entry = rows[static_cast<std::size_t>(r)];
-          cand.priority =
-              slots_[static_cast<std::size_t>(cand.entry)].priority;
-          cand.distance = static_cast<int>(
-              kernel_distances[j][static_cast<std::size_t>(r)]);
-          if (out.top.size() == k &&
-              !near_candidate_less(cand, out.top.back())) {
-            continue;
-          }
-          const auto at = std::upper_bound(
-              out.top.begin(), out.top.end(), cand,
-              [](const NearCandidate& a, const NearCandidate& b) {
-                return near_candidate_less(a, b);
-              });
-          out.top.insert(at, cand);
-          if (out.top.size() > k) out.top.pop_back();
+  // A mat the widened proof skips is charged nearest_skipped_stats(),
+  // identical to the kernel scan it replaces, so the knob changes cost
+  // only.
+  broadcast_block(
+      queries, nq, scratch, outs, nearest_skipped_stats(),
+      [&](std::size_t mat, int q) {
+        return nearest_mat_skips(mat, *queries[q], thresholds[q]);
+      },
+      [&](const PackedShard& shard, const PackedQuery* const* kernel_queries,
+          int live, const int* lane_of, std::uint64_t* const* masks,
+          arch::SearchStats* stats) {
+        int kernel_thresholds[kMaxQueryBlock];
+        std::uint16_t* kernel_distances[kMaxQueryBlock];
+        for (int j = 0; j < live; ++j) {
+          kernel_thresholds[j] = thresholds[lane_of[j]];
+          kernel_distances[j] =
+              scratch.distances[static_cast<std::size_t>(lane_of[j])].data();
         }
-      }
-    }
-  }
-  const arch::SearchStats skipped_mat = nearest_skipped_stats();
-  long long skipped = 0;
-  for (int q = 0; q < nq; ++q) {
-    add_skipped(outs[q]->stats, skipped_mat, skips[q]);
-    skipped += skips[q];
-  }
-  mats_considered_.fetch_add(static_cast<long long>(config_.mats) * nq,
-                             std::memory_order_relaxed);
-  if (skipped != 0) {
-    mats_skipped_.fetch_add(skipped, std::memory_order_relaxed);
-  }
+        approx_match_block(shard, kernel_queries, live, config_.digit_bits,
+                           kernel_thresholds, masks, kernel_distances, stats);
+      },
+      [&](std::size_t mat, int q, const std::uint64_t* within,
+          NearestMatch& out) {
+        // Candidate scan: bounded insertion keeps out.top sorted by
+        // (distance, priority, id), at most k entries.
+        const auto& rows = row_entry_[mat];
+        const std::uint16_t* distances =
+            scratch.distances[static_cast<std::size_t>(q)].data();
+        const std::size_t k = static_cast<std::size_t>(ks[q]);
+        for (std::size_t w = 0; w < mask_words; ++w) {
+          std::uint64_t bits = within[w];
+          while (bits != 0) {
+            const int r = static_cast<int>(w * 64) + std::countr_zero(bits);
+            bits &= bits - 1;
+            NearCandidate cand;
+            cand.entry = rows[static_cast<std::size_t>(r)];
+            cand.priority =
+                slots_[static_cast<std::size_t>(cand.entry)].priority;
+            cand.distance =
+                static_cast<int>(distances[static_cast<std::size_t>(r)]);
+            if (out.top.size() == k &&
+                !near_candidate_less(cand, out.top.back())) {
+              continue;
+            }
+            const auto at = std::upper_bound(
+                out.top.begin(), out.top.end(), cand,
+                [](const NearCandidate& a, const NearCandidate& b) {
+                  return near_candidate_less(a, b);
+                });
+            out.top.insert(at, cand);
+            if (out.top.size() > k) out.top.pop_back();
+          }
+        }
+      });
 }
 
 NearestMatch TcamTable::search_nearest(const arch::BitWord& query, int k,
                                        int threshold) {
-  NearestScratch scratch;
+  MatchScratch scratch;
   NearestMatch out;
   scratch.query.repack(query);
   nearest_mats(scratch.query, k, threshold, scratch, out);
   account_nearest(out);
   return out;
-}
-
-void TcamTable::charge_scan(const MatStats& s) {
-  MatSearchCounts& c = search_counts_[static_cast<std::size_t>(s.mat)];
-  c.terminated_rows += s.stats.rows - s.stats.step2_evaluated;
-  c.step2_rows += s.stats.step2_evaluated;
-}
-
-void TcamTable::account_nearest(const NearestMatch& m) {
-  ++nearest_searches_;
-  for (const MatStats& s : m.scanned) {
-    ++search_counts_[static_cast<std::size_t>(s.mat)].nearest_scans;
-    charge_scan(s);
-  }
-  stats_.add(m.stats);
 }
 
 TableMatch TcamTable::search(const arch::BitWord& query) {
@@ -802,12 +763,23 @@ TableMatch TcamTable::search(const arch::BitWord& query) {
 }
 
 void TcamTable::account_search(const TableMatch& m) {
-  ++exact_searches_;
-  for (const MatStats& s : m.scanned) {
-    ++search_counts_[static_cast<std::size_t>(s.mat)].exact_scans;
-    charge_scan(s);
+  account(m.scanned, m.stats, false);
+}
+
+void TcamTable::account_nearest(const NearestMatch& m) {
+  account(m.scanned, m.stats, true);
+}
+
+void TcamTable::account(const std::vector<MatStats>& scanned,
+                        const arch::SearchStats& stats, bool nearest) {
+  ++(nearest ? nearest_searches_ : exact_searches_);
+  for (const MatStats& s : scanned) {
+    MatSearchCounts& c = search_counts_[static_cast<std::size_t>(s.mat)];
+    ++(nearest ? c.nearest_scans : c.exact_scans);
+    c.terminated_rows += s.stats.rows - s.stats.step2_evaluated;
+    c.step2_rows += s.stats.step2_evaluated;
   }
-  stats_.add(m.stats);
+  stats_.add(stats);
 }
 
 double TcamTable::total_energy_j() const {

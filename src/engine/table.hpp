@@ -104,13 +104,16 @@ struct TableMatch {
   std::vector<MatStats> scanned;
 };
 
-/// Reusable per-thread buffers for TcamTable::match / match_mats /
-/// match_mats_block: a packed query (match) plus one row bitmask per block
-/// lane.  After the first call every lane's buffer is warm, so a
-/// steady-state broadcast allocates nothing.
+/// Reusable per-thread buffers for both search kinds (match / match_mats /
+/// match_mats_block and search_nearest / nearest_mats / nearest_mats_block):
+/// a packed query (match, search_nearest), one row bitmask per block lane
+/// (hit rows, or rows within the threshold), and one per-row distance
+/// array per lane (threshold searches only).  After the first call every
+/// lane's buffers are warm, so a steady-state broadcast allocates nothing.
 struct MatchScratch {
   PackedQuery query;
   std::vector<std::vector<std::uint64_t>> masks;
+  std::vector<std::vector<std::uint16_t>> distances;
 };
 
 /// One approximate-match candidate.  The global order is (distance,
@@ -139,16 +142,6 @@ struct NearestMatch {
   std::vector<NearCandidate> top;
   arch::SearchStats stats;
   std::vector<MatStats> scanned;
-};
-
-/// Reusable buffers for TcamTable::nearest_mats / nearest_mats_block: a
-/// packed query (search_nearest) plus one within mask and one per-row
-/// distance array per block lane.  After the first call every lane's
-/// buffers are warm, so a steady-state blocked search allocates nothing.
-struct NearestScratch {
-  PackedQuery query;
-  std::vector<std::vector<std::uint64_t>> within;
-  std::vector<std::vector<std::uint16_t>> distances;
 };
 
 /// Physical location of an entry (used by the driver-multiplex model).
@@ -262,7 +255,7 @@ class TcamTable {
   /// concurrency-safe like match().  Throws std::invalid_argument naming
   /// `k` / `distance_threshold` when out of range.
   void nearest_mats(const PackedQuery& query, int k, int threshold,
-                    NearestScratch& scratch, NearestMatch& out) const;
+                    MatchScratch& scratch, NearestMatch& out) const;
   /// Query-blocked nearest_mats: nq (1..kMaxQueryBlock) lanes, lane q with
   /// its own ks[q] / thresholds[q], in ONE kernel pass per shard.  outs[q]
   /// receives exactly what nearest_mats(*queries[q], ks[q], thresholds[q],
@@ -272,7 +265,7 @@ class TcamTable {
   /// pattern).  nearest_mats is the one-lane call.
   void nearest_mats_block(const PackedQuery* const* queries, const int* ks,
                           const int* thresholds, int nq,
-                          NearestScratch& scratch,
+                          MatchScratch& scratch,
                           NearestMatch* const* outs) const;
 
   /// Serial convenience: whole-table nearest_mats + accounting.  At
@@ -372,6 +365,19 @@ class TcamTable {
   /// Priority-scan one shard's hit mask into the accumulated winner.
   void scan_hits(std::size_t mat, const std::uint64_t* mask,
                  std::size_t words, TableMatch& out) const;
+  /// The broadcast loop both search kinds share.  Per mat: test each lane's
+  /// skip proof (`skips(mat, lane)`), run `kernel` once over the surviving
+  /// sub-block, then fold each scanned lane's stats into its out and hand
+  /// its row mask to `fold(mat, lane, mask, out)`.  Skipped mats are charged
+  /// `skipped_mat` per lane, and the pruning counters move once per block.
+  /// Lane results never depend on the sub-block's composition.  The
+  /// callables are template arguments, so no call per mat or lane is
+  /// indirect.
+  template <class Out, class Skips, class Kernel, class Fold>
+  void broadcast_block(const PackedQuery* const* queries, int nq,
+                       MatchScratch& scratch, Out* const* outs,
+                       const arch::SearchStats& skipped_mat, Skips&& skips,
+                       Kernel&& kernel, Fold&& fold) const;
 
   TableConfig config_;
   bool two_step_;
@@ -383,8 +389,10 @@ class TcamTable {
     long long terminated_rows = 0;  ///< rows - step2_evaluated
     long long step2_rows = 0;
   };
-  /// Fold one scanned mat's stats into its counts.
-  void charge_scan(const MatStats& s);
+  /// Charge one search of either kind (account_search / account_nearest):
+  /// one scan and its rows per scanned mat, and the merged stats.
+  void account(const std::vector<MatStats>& scanned,
+               const arch::SearchStats& stats, bool nearest);
 
   std::vector<PackedShard> shards_;
   /// Write energy per mat (searches are charged through search_counts_).

@@ -238,6 +238,33 @@ inline FrameHeader decode_header(const std::uint8_t* p,
 
 // ---- frames --------------------------------------------------------------
 
+/// The query block both batch payloads share: `fixed` bytes of fields,
+/// u32 count and u32 words_per_query first, then count * words_per_query
+/// u64 query words.  Reads the block into `frame` (a SearchBatchFrame or
+/// NearestBatchFrame) and returns false unless the payload holds its fixed
+/// fields and exactly that many words.
+template <class Frame>
+bool decode_query_words(const std::uint8_t* payload, std::size_t len,
+                        std::size_t fixed, Frame& frame) {
+  if (len < fixed) return false;
+  const std::uint32_t count = get_u32(payload);
+  const std::uint32_t wpq = get_u32(payload + 4);
+  if (count > 0 && wpq == 0) return false;
+  // count * wpq is exact in u64 (both factors < 2^32), but `words * 8`
+  // can wrap — e.g. count = 2^31, wpq = 2^30 gives words = 2^61, whose
+  // byte size is 0 mod 2^64 and would slip past the length check into a
+  // 2^61-word resize.  Bound words by the bytes actually present first.
+  const std::uint64_t words = static_cast<std::uint64_t>(count) * wpq;
+  if (words > (len - fixed) / 8) return false;
+  if (len != fixed + words * 8) return false;
+  frame.words_per_query = wpq;
+  frame.bits.resize(words);
+  for (std::uint64_t i = 0; i < words; ++i) {
+    frame.bits[i] = get_u64(payload + fixed + i * 8);
+  }
+  return true;
+}
+
 inline void encode_search_batch(std::vector<std::uint8_t>& out,
                                 const SearchBatchFrame& frame) {
   const std::uint32_t payload =
@@ -251,23 +278,8 @@ inline void encode_search_batch(std::vector<std::uint8_t>& out,
 /// Decode a kSearchBatch payload (header already validated/stripped).
 inline std::optional<SearchBatchFrame> decode_search_batch(
     const std::uint8_t* payload, std::size_t len) {
-  if (len < 8) return std::nullopt;
-  const std::uint32_t count = get_u32(payload);
-  const std::uint32_t wpq = get_u32(payload + 4);
-  if (count > 0 && wpq == 0) return std::nullopt;
-  // count * wpq is exact in u64 (both factors < 2^32), but `words * 8`
-  // can wrap — e.g. count = 2^31, wpq = 2^30 gives words = 2^61, whose
-  // byte size is 0 mod 2^64 and would slip past the length check into a
-  // 2^61-word resize.  Bound words by the bytes actually present first.
-  const std::uint64_t words = static_cast<std::uint64_t>(count) * wpq;
-  if (words > (len - 8) / 8) return std::nullopt;
-  if (len != 8 + words * 8) return std::nullopt;
   SearchBatchFrame frame;
-  frame.words_per_query = wpq;
-  frame.bits.resize(words);
-  for (std::uint64_t i = 0; i < words; ++i) {
-    frame.bits[i] = get_u64(payload + 8 + i * 8);
-  }
+  if (!decode_query_words(payload, len, 8, frame)) return std::nullopt;
   return frame;
 }
 
@@ -314,33 +326,18 @@ inline void encode_nearest_batch(std::vector<std::uint8_t>& out,
 /// Decode a kNearest payload (header already validated/stripped).
 inline std::optional<NearestBatchFrame> decode_nearest_batch(
     const std::uint8_t* payload, std::size_t len) {
-  if (len < 16) return std::nullopt;
-  const std::uint32_t count = get_u32(payload);
-  const std::uint32_t wpq = get_u32(payload + 4);
-  const std::uint32_t k = get_u32(payload + 8);
-  const std::uint32_t threshold = get_u32(payload + 12);
-  if (count > 0 && wpq == 0) return std::nullopt;
-  if (k < 1 || k > kMaxNearestK) return std::nullopt;
-  // Same u64-first overflow discipline as decode_search_batch: bound the
-  // word count by the bytes actually present before any multiply-by-8.
-  const std::uint64_t words = static_cast<std::uint64_t>(count) * wpq;
-  if (words > (len - 16) / 8) return std::nullopt;
-  if (len != 16 + words * 8) return std::nullopt;
+  NearestBatchFrame frame;
+  if (!decode_query_words(payload, len, 16, frame)) return std::nullopt;
+  frame.k = get_u32(payload + 8);
+  frame.threshold = get_u32(payload + 12);
+  if (frame.k < 1 || frame.k > kMaxNearestK) return std::nullopt;
   // Reject requests whose worst-case reply (k full candidate lists per
   // query) could not be framed — the response length is checked here, on
   // the request, so the server never builds an unsendable reply.
   const std::uint64_t reply_worst =
-      4 + static_cast<std::uint64_t>(count) *
-              (4 + static_cast<std::uint64_t>(k) * 16);
+      4 + static_cast<std::uint64_t>(frame.count()) *
+              (4 + static_cast<std::uint64_t>(frame.k) * 16);
   if (reply_worst > kMaxPayload) return std::nullopt;
-  NearestBatchFrame frame;
-  frame.words_per_query = wpq;
-  frame.k = k;
-  frame.threshold = threshold;
-  frame.bits.resize(words);
-  for (std::uint64_t i = 0; i < words; ++i) {
-    frame.bits[i] = get_u64(payload + 16 + i * 8);
-  }
   return frame;
 }
 

@@ -387,53 +387,35 @@ std::vector<EntryId> load_rules_clustered(TcamTable& table,
   return ids;
 }
 
-RunSummary run_trace(SearchEngine& engine, const TcamTable& table,
-                     const Trace& trace, const std::vector<EntryId>& rule_ids,
-                     const RunOptions& options) {
-  RunSummary sum;
+namespace {
+
+/// The trace driver both search kinds share.  Request j of the run is
+/// make(j); the requests go to the engine in batches of `batch_size`
+/// (every batch submitted first, the bounded queue applying backpressure)
+/// and the results come back in order.  Fills the fields both summaries
+/// carry; fold(result, first) sees each batch's result, `first` being the
+/// run index of its first request.
+template <class Summary, class Make, class Fold>
+void drive_trace(SearchEngine& engine, const TcamTable& table,
+                 std::size_t requests, int batch_size, Make&& make,
+                 Fold&& fold, Summary& sum) {
   const double energy_before = table.total_energy_j();
-  const int batch_size = options.batch_size > 0 ? options.batch_size : 256;
-  std::uniform_real_distribution<double> u(0.0, 1.0);
-
-  // Build all batches first (request kinds are needed again when the
-  // results come back, to count hits over searches only).
+  const std::size_t per_batch =
+      static_cast<std::size_t>(batch_size > 0 ? batch_size : 256);
+  // Request kinds are needed again when the results come back, to count
+  // hits over searches only.
   std::vector<std::vector<Request>> batches;
-  std::vector<std::vector<RequestKind>> kinds;
-  std::vector<Request> batch;
-  std::vector<RequestKind> batch_kinds;
-  batch.reserve(static_cast<std::size_t>(batch_size));
-  for (std::size_t j = 0; j < trace.queries.size(); ++j) {
-    bool is_update = false;
-    if (options.update_rate > 0.0 && !rule_ids.empty()) {
-      auto rng = util::trial_rng(options.seed, static_cast<std::uint64_t>(j),
-                                 kUpdateStream);
-      if (u(rng) < options.update_rate) {
-        // Rule refresh: rewrite a stored rule in place (the classic TCAM
-        // table-maintenance write) — driver-multiplex pressure without
-        // changing what later queries match.
-        const std::size_t r = std::uniform_int_distribution<std::size_t>(
-            0, rule_ids.size() - 1)(rng);
-        batch.push_back(make_update(rule_ids[r], trace.rules[r].entry));
-        is_update = true;
-      }
+  std::vector<RequestKind> kinds;
+  kinds.reserve(requests);
+  for (std::size_t j = 0; j < requests; ++j) {
+    if (j % per_batch == 0) {
+      batches.emplace_back();
+      batches.back().reserve(std::min(per_batch, requests - j));
     }
-    if (!is_update) batch.push_back(make_search(trace.queries[j]));
-    batch_kinds.push_back(batch.back().kind);
-    if (static_cast<int>(batch.size()) == batch_size) {
-      batches.push_back(std::move(batch));
-      kinds.push_back(std::move(batch_kinds));
-      batch.clear();
-      batch_kinds.clear();
-      batch.reserve(static_cast<std::size_t>(batch_size));
-    }
-  }
-  if (!batch.empty()) {
-    batches.push_back(std::move(batch));
-    kinds.push_back(std::move(batch_kinds));
+    batches.back().push_back(make(j));
+    kinds.push_back(batches.back().back().kind);
   }
 
-  // Submit everything (bounded queue applies backpressure), then collect
-  // in order.
   const double t0 = obs::now_us();
   std::vector<std::future<BatchResult>> futures;
   futures.reserve(batches.size());
@@ -441,26 +423,23 @@ RunSummary run_trace(SearchEngine& engine, const TcamTable& table,
 
   std::vector<double> batch_wall_us;
   batch_wall_us.reserve(futures.size());
-  long long rows_searched = 0;
-  long long step1_misses = 0;
-  for (std::size_t b = 0; b < futures.size(); ++b) {
-    const BatchResult res = futures[b].get();
+  std::size_t first = 0;
+  for (auto& future : futures) {
+    const BatchResult res = future.get();
     ++sum.batches;
     sum.requests += res.results.size();
-    sum.driver_stalls += res.driver_stalls;
-    sum.write_cycles += res.write_cycles;
     sum.model_time_s += res.model_latency_s;
-    rows_searched += res.stats.rows;
-    step1_misses += res.stats.step1_misses;
     batch_wall_us.push_back(res.wall_us);
     for (std::size_t i = 0; i < res.results.size(); ++i) {
-      if (kinds[b][i] == RequestKind::kSearch) {
+      const RequestKind kind = kinds[first + i];
+      if (kind == RequestKind::kSearch ||
+          kind == RequestKind::kSearchNearest) {
         ++sum.searches;
         if (res.results[i].hit) ++sum.hits;
-      } else if (kinds[b][i] == RequestKind::kUpdate) {
-        ++sum.writes;
       }
     }
+    fold(res, first);
+    first += res.results.size();
   }
   sum.wall_s = (obs::now_us() - t0) * 1e-6;
 
@@ -468,11 +447,6 @@ RunSummary run_trace(SearchEngine& engine, const TcamTable& table,
                      ? static_cast<double>(sum.hits) /
                            static_cast<double>(sum.searches)
                      : 0.0;
-  sum.step1_miss_rate =
-      rows_searched > 0
-          ? static_cast<double>(step1_misses) /
-                static_cast<double>(rows_searched)
-          : 0.0;
   sum.energy_j = table.total_energy_j() - energy_before;
   sum.energy_per_search_j =
       sum.searches > 0 ? sum.energy_j / static_cast<double>(sum.searches)
@@ -489,6 +463,47 @@ RunSummary run_trace(SearchEngine& engine, const TcamTable& table,
                           ? batch_wall_us.size() - 1
                           : (batch_wall_us.size() * 99) / 100];
   }
+}
+
+}  // namespace
+
+RunSummary run_trace(SearchEngine& engine, const TcamTable& table,
+                     const Trace& trace, const std::vector<EntryId>& rule_ids,
+                     const RunOptions& options) {
+  RunSummary sum;
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  long long rows_searched = 0;
+  long long step1_misses = 0;
+  drive_trace(
+      engine, table, trace.queries.size(), options.batch_size,
+      [&](std::size_t j) {
+        if (options.update_rate > 0.0 && !rule_ids.empty()) {
+          auto rng = util::trial_rng(
+              options.seed, static_cast<std::uint64_t>(j), kUpdateStream);
+          if (u(rng) < options.update_rate) {
+            // Rule refresh: rewrite a stored rule in place (the classic
+            // TCAM table-maintenance write) — driver-multiplex pressure
+            // without changing what later queries match.
+            const std::size_t r = std::uniform_int_distribution<std::size_t>(
+                0, rule_ids.size() - 1)(rng);
+            return make_update(rule_ids[r], trace.rules[r].entry);
+          }
+        }
+        return make_search(trace.queries[j]);
+      },
+      [&](const BatchResult& res, std::size_t) {
+        sum.driver_stalls += res.driver_stalls;
+        sum.write_cycles += res.write_cycles;
+        rows_searched += res.stats.rows;
+        step1_misses += res.stats.step1_misses;
+      },
+      sum);
+  sum.writes = sum.requests - sum.searches;  // the rest are rule refreshes
+  sum.step1_miss_rate =
+      rows_searched > 0
+          ? static_cast<double>(step1_misses) /
+                static_cast<double>(rows_searched)
+          : 0.0;
   return sum;
 }
 
@@ -536,8 +551,6 @@ NearestRunSummary run_nearest_trace(SearchEngine& engine,
   sum.threshold = options.threshold;
   sum.distance_histogram.assign(
       static_cast<std::size_t>(options.threshold) + 1, 0);
-  const double energy_before = table.total_energy_j();
-  const int batch_size = options.batch_size > 0 ? options.batch_size : 256;
   const int digit_bits = table.config().digit_bits;
   // Evenly-strided recall sample (see NearestRunOptions::recall_sample).
   const std::size_t stride =
@@ -546,51 +559,28 @@ NearestRunSummary run_nearest_trace(SearchEngine& engine,
                 1, trace.queries.size() /
                        static_cast<std::size_t>(options.recall_sample))
           : 0;
-
-  std::vector<std::vector<Request>> batches;
-  std::vector<Request> batch;
-  batch.reserve(static_cast<std::size_t>(batch_size));
-  for (const arch::BitWord& q : trace.queries) {
-    batch.push_back(make_search_nearest(q, options.k, options.threshold));
-    if (static_cast<int>(batch.size()) == batch_size) {
-      batches.push_back(std::move(batch));
-      batch.clear();
-      batch.reserve(static_cast<std::size_t>(batch_size));
-    }
-  }
-  if (!batch.empty()) batches.push_back(std::move(batch));
-
-  const double t0 = obs::now_us();
-  std::vector<std::future<BatchResult>> futures;
-  futures.reserve(batches.size());
-  for (auto& b : batches) futures.push_back(engine.submit(std::move(b)));
-
-  std::vector<double> batch_wall_us;
-  batch_wall_us.reserve(futures.size());
   // Sampled (query, engine top-k) pairs, scored against the brute-force
   // reference AFTER the clock stops — the O(rules x cols) reference must
   // not pollute the throughput measurement.
   std::vector<std::pair<std::size_t, std::vector<NearCandidate>>> sampled;
-  std::size_t query_index = 0;
-  for (auto& future : futures) {
-    const BatchResult res = future.get();
-    ++sum.batches;
-    sum.requests += res.results.size();
-    sum.model_time_s += res.model_latency_s;
-    batch_wall_us.push_back(res.wall_us);
-    for (const RequestResult& r : res.results) {
-      ++sum.searches;
-      if (r.hit) {
-        ++sum.hits;
-        sum.distance_histogram[static_cast<std::size_t>(r.distance)] += 1;
-      }
-      if (stride > 0 && query_index % stride == 0) {
-        sampled.emplace_back(query_index, r.neighbors);
-      }
-      ++query_index;
-    }
-  }
-  sum.wall_s = (obs::now_us() - t0) * 1e-6;
+  drive_trace(
+      engine, table, trace.queries.size(), options.batch_size,
+      [&](std::size_t j) {
+        return make_search_nearest(trace.queries[j], options.k,
+                                   options.threshold);
+      },
+      [&](const BatchResult& res, std::size_t first) {
+        for (std::size_t i = 0; i < res.results.size(); ++i) {
+          const RequestResult& r = res.results[i];
+          if (r.hit) {
+            sum.distance_histogram[static_cast<std::size_t>(r.distance)] += 1;
+          }
+          if (stride > 0 && (first + i) % stride == 0) {
+            sampled.emplace_back(first + i, r.neighbors);
+          }
+        }
+      },
+      sum);
 
   double recall_sum = 0.0;
   for (const auto& [q, neighbors] : sampled) {
@@ -611,29 +601,9 @@ NearestRunSummary run_nearest_trace(SearchEngine& engine,
     ++sum.recall_queries;
   }
 
-  sum.hit_rate = sum.searches > 0
-                     ? static_cast<double>(sum.hits) /
-                           static_cast<double>(sum.searches)
-                     : 0.0;
   sum.recall_at_k = sum.recall_queries > 0
                         ? recall_sum / static_cast<double>(sum.recall_queries)
                         : 1.0;
-  sum.energy_j = table.total_energy_j() - energy_before;
-  sum.energy_per_search_j =
-      sum.searches > 0 ? sum.energy_j / static_cast<double>(sum.searches)
-                       : 0.0;
-  sum.qps = sum.wall_s > 0.0
-                ? static_cast<double>(sum.searches) / sum.wall_s
-                : 0.0;
-  if (!batch_wall_us.empty()) {
-    std::sort(batch_wall_us.begin(), batch_wall_us.end());
-    sum.p50_batch_us = batch_wall_us[batch_wall_us.size() / 2];
-    sum.p99_batch_us =
-        batch_wall_us[(batch_wall_us.size() * 99) / 100 >=
-                              batch_wall_us.size()
-                          ? batch_wall_us.size() - 1
-                          : (batch_wall_us.size() * 99) / 100];
-  }
   return sum;
 }
 

@@ -52,7 +52,6 @@ tcam::WordOptions word_options(TcamDesign design, const FomOptions& opts) {
   }
   tcam::WordOptions w;
   w.n_bits = opts.n_bits;
-  w.rows_in_array = opts.rows;
   w.vdd = opts.vdd;
   w.tuning = opts.tuning;
   return w;

@@ -31,6 +31,9 @@ struct FomOptions {
   /// Word length: >= 1, and >= 2 for the 1.5T1Fe designs, or every entry
   /// point throws std::invalid_argument before it builds a harness.
   int n_bits = 64;
+  /// Read by nothing: no harness models the surrounding array's rows.  Kept
+  /// only because the benchmark harness (perfbench/sim.cpp) still sets it;
+  /// delete it with that line.
   int rows = 64;
   double vdd = 0.8;             ///< array supply (paper: 0.8 V)
   tcam::DeviceTuning tuning;    ///< DSE knobs; identity by default

@@ -56,8 +56,9 @@ struct DeviceTuning {
 
 struct WordOptions {
   int n_bits = 64;
-  /// Rows of the surrounding array.  Recorded only: no harness reads it,
-  /// so it does not change the simulated column-line loads.
+  /// Read by nothing: it does not change the simulated column-line loads.
+  /// Kept only because the benchmark harness (perfbench/sim.cpp) still
+  /// sets it; delete it with that line.
   int rows_in_array = 64;
   double vdd = 0.8;
   DeviceTuning tuning;     ///< DSE knobs; identity by default

@@ -262,8 +262,8 @@ TEST(ApproxNearest, BlockedLanesMatchSingleLaneSearch) {
         cfg.mat_skip = skip;
         TcamTable table(cfg);
         load_rules_clustered(table, trace);
-        NearestScratch single_scratch;
-        NearestScratch block_scratch;  // reused: lanes warm up as nq grows
+        MatchScratch single_scratch;
+        MatchScratch block_scratch;  // reused: lanes warm up as nq grows
         for (int nq = 1; nq <= kMaxQueryBlock; ++nq) {
           std::vector<PackedQuery> packed;
           int ks[kMaxQueryBlock];
@@ -324,7 +324,7 @@ TEST(ApproxNearest, BlockedSearchValidatesEveryLane) {
   TcamTable table(nearest_config(2, true));
   const PackedQuery q = PackedQuery::pack(arch::BitWord(24, 0));
   const PackedQuery* queries[2] = {&q, &q};
-  NearestScratch scratch;
+  MatchScratch scratch;
   NearestMatch a, b;
   NearestMatch* outs[2] = {&a, &b};
   const int ks_ok[2] = {1, 4};

@@ -765,7 +765,7 @@ class PerCycleReference {
         MatchScratch scratch;
         table_.match(req.query, scratch, matches[i]);
       } else if (req.kind == RequestKind::kSearchNearest) {
-        NearestScratch scratch;
+        MatchScratch scratch;
         table_.nearest_mats(PackedQuery::pack(req.query),
                             req.k > 0 ? req.k : opts_.k,
                             req.distance_threshold >= 0

@@ -191,14 +191,23 @@ TEST(SearchServer, TruncatedPayloadIsRejectedAsMalformed) {
 }
 
 TEST(SearchServer, WrongWidthIsRejected) {
+  // Both query frame kinds share one width check: each must earn kBadWidth.
   Service svc;
-  SearchClient bad;
-  bad.connect("127.0.0.1", svc.server.port());
   const std::vector<arch::BitWord> queries(2, arch::BitWord(80, 0));
-  bad.send_batch(queries, 80);  // table is 16 cols -> 1 word, this sends 2
-  const auto reply = bad.recv_reply();
-  ASSERT_FALSE(reply.ok);
-  EXPECT_EQ(reply.error.code, wire::ErrorCode::kBadWidth);
+  for (const bool nearest : {false, true}) {
+    SCOPED_TRACE(nearest ? "kNearest" : "kSearchBatch");
+    SearchClient bad;
+    bad.connect("127.0.0.1", svc.server.port());
+    // The table is 16 cols -> 1 word per query; these frames carry 2.
+    if (nearest) {
+      bad.send_nearest_batch(queries, 80, 1, 0);
+    } else {
+      bad.send_batch(queries, 80);
+    }
+    const auto reply = bad.recv_reply();
+    ASSERT_FALSE(reply.ok);
+    EXPECT_EQ(reply.error.code, wire::ErrorCode::kBadWidth);
+  }
 }
 
 TEST(SearchServer, NearestThresholdPastInt32MaxCoversEveryDigit) {
@@ -257,6 +266,12 @@ TEST(WireProtocol, OverflowingCountTimesWidthIsRejected) {
   wire::put_u32(payload, 0x40000000u);  // words_per_query
   EXPECT_FALSE(
       wire::decode_search_batch(payload.data(), payload.size()).has_value());
+  // The kNearest decoder shares the bound: the same count and width, with
+  // a legal k, in its 16-byte fixed fields.
+  wire::put_u32(payload, 1);  // k
+  wire::put_u32(payload, 0);  // threshold
+  EXPECT_FALSE(
+      wire::decode_nearest_batch(payload.data(), payload.size()).has_value());
 }
 
 TEST(WireProtocol, NearestResultCountIsBoundedBeforeReserve) {

@@ -12,6 +12,7 @@
 #include "arch/write_controller.hpp"
 #include "dense_stats.hpp"
 #include "engine/table.hpp"
+#include "engine/workload.hpp"
 #include "util/rng.hpp"
 
 namespace fetcam::engine {
@@ -239,6 +240,136 @@ TEST(TcamTable, BroadcastMatchesFlatBehavioralReference) {
                     return arch::word_matches(r.w, query);
                   })));
   }
+}
+
+void expect_same_stats(const arch::SearchStats& got,
+                       const arch::SearchStats& want, const std::string& what) {
+  EXPECT_EQ(got.rows, want.rows) << what;
+  EXPECT_EQ(got.step1_misses, want.step1_misses) << what;
+  EXPECT_EQ(got.step2_evaluated, want.step2_evaluated) << what;
+  EXPECT_EQ(got.matches, want.matches) << what;
+}
+
+void expect_same_scanned(const std::vector<MatStats>& got,
+                         const std::vector<MatStats>& want,
+                         const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].mat, want[i].mat) << what << " i=" << i;
+    expect_same_stats(got[i].stats, want[i].stats,
+                      what + " mat " + std::to_string(want[i].mat));
+  }
+}
+
+TEST(TcamTable, ScratchReuseAcrossSearchKindsMatchesFreshScratch) {
+  // One MatchScratch serves both search kinds: exact blocks grow its masks,
+  // nearest blocks its masks and distances.  Alternating the kinds with
+  // block sizes 1..8 in both orders (a nearest block right after a larger
+  // exact one, and the reverse) must hand every lane exactly what a fresh
+  // scratch gives the same block.
+  TraceSpec spec;
+  spec.kind = TraceKind::kEmbedding;
+  spec.cols = 130;  // three query words; 65 two-bit digits
+  spec.rules = 500;
+  spec.queries = 64;
+  spec.match_rate = 0.6;
+  spec.digit_bits = 2;
+  spec.seed = 29;
+  const Trace trace = generate_trace(spec);
+  TableConfig cfg;
+  cfg.design = arch::TcamDesign::k1p5DgFe;
+  cfg.mats = 6;
+  cfg.rows_per_mat = 96;  // two mask words per lane
+  cfg.cols = spec.cols;
+  cfg.subarrays_per_mat = 2;
+  cfg.digit_bits = 2;
+  cfg.mat_skip = true;
+  TcamTable table(cfg);
+  load_rules_clustered(table, trace);
+  std::vector<PackedQuery> packed;
+  for (const arch::BitWord& q : trace.queries) {
+    packed.push_back(PackedQuery::pack(q));
+  }
+
+  struct Step {
+    bool nearest;
+    int nq;
+  };
+  const Step steps[] = {{false, 8}, {true, 1}, {false, 3}, {true, 8},
+                        {false, 2}, {true, 5}, {false, 6}, {true, 2},
+                        {false, 1}, {true, 7}, {false, 7}, {true, 3},
+                        {false, 5}, {true, 4}, {false, 4}, {true, 6}};
+  MatchScratch reused;
+  std::size_t next = 0;
+  bool saw_hit = false;
+  bool saw_candidate = false;
+  bool saw_skip = false;
+  for (const Step& step : steps) {
+    const PackedQuery* queries[kMaxQueryBlock];
+    int ks[kMaxQueryBlock];
+    int thresholds[kMaxQueryBlock];
+    for (int q = 0; q < step.nq; ++q) {
+      queries[q] = &packed[next++ % packed.size()];
+      ks[q] = 1 + q % 4;
+      thresholds[q] = q % 3;
+    }
+    const std::string what = std::string(step.nearest ? "nearest" : "exact") +
+                             " nq=" + std::to_string(step.nq);
+    if (step.nearest) {
+      std::vector<NearestMatch> got(static_cast<std::size_t>(step.nq));
+      std::vector<NearestMatch> want(static_cast<std::size_t>(step.nq));
+      NearestMatch* got_outs[kMaxQueryBlock];
+      NearestMatch* want_outs[kMaxQueryBlock];
+      for (int q = 0; q < step.nq; ++q) {
+        got_outs[q] = &got[static_cast<std::size_t>(q)];
+        want_outs[q] = &want[static_cast<std::size_t>(q)];
+      }
+      table.nearest_mats_block(queries, ks, thresholds, step.nq, reused,
+                               got_outs);
+      MatchScratch fresh;
+      table.nearest_mats_block(queries, ks, thresholds, step.nq, fresh,
+                               want_outs);
+      for (std::size_t q = 0; q < want.size(); ++q) {
+        const std::string lane = what + " lane " + std::to_string(q);
+        ASSERT_EQ(got[q].top.size(), want[q].top.size()) << lane;
+        saw_candidate = saw_candidate || !want[q].top.empty();
+        saw_skip = saw_skip ||
+                   want[q].scanned.size() < static_cast<std::size_t>(cfg.mats);
+        for (std::size_t i = 0; i < want[q].top.size(); ++i) {
+          EXPECT_EQ(got[q].top[i].entry, want[q].top[i].entry) << lane;
+          EXPECT_EQ(got[q].top[i].priority, want[q].top[i].priority) << lane;
+          EXPECT_EQ(got[q].top[i].distance, want[q].top[i].distance) << lane;
+        }
+        expect_same_stats(got[q].stats, want[q].stats, lane);
+        expect_same_scanned(got[q].scanned, want[q].scanned, lane);
+      }
+    } else {
+      std::vector<TableMatch> got(static_cast<std::size_t>(step.nq));
+      std::vector<TableMatch> want(static_cast<std::size_t>(step.nq));
+      TableMatch* got_outs[kMaxQueryBlock];
+      TableMatch* want_outs[kMaxQueryBlock];
+      for (int q = 0; q < step.nq; ++q) {
+        got_outs[q] = &got[static_cast<std::size_t>(q)];
+        want_outs[q] = &want[static_cast<std::size_t>(q)];
+      }
+      table.match_mats_block(queries, step.nq, reused, got_outs);
+      MatchScratch fresh;
+      table.match_mats_block(queries, step.nq, fresh, want_outs);
+      for (std::size_t q = 0; q < want.size(); ++q) {
+        const std::string lane = what + " lane " + std::to_string(q);
+        EXPECT_EQ(got[q].hit, want[q].hit) << lane;
+        saw_hit = saw_hit || want[q].hit;
+        EXPECT_EQ(got[q].entry, want[q].entry) << lane;
+        EXPECT_EQ(got[q].priority, want[q].priority) << lane;
+        expect_same_stats(got[q].stats, want[q].stats, lane);
+        expect_same_scanned(got[q].scanned, want[q].scanned, lane);
+      }
+    }
+  }
+  // The blocks exercise hits, candidates and pruned mats.
+  EXPECT_TRUE(saw_hit);
+  EXPECT_TRUE(saw_candidate);
+  EXPECT_TRUE(saw_skip);
 }
 
 TEST(TcamTable, TargetedInsertHonorsMatAndRefusesFullMat) {
