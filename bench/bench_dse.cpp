@@ -7,8 +7,8 @@
 //
 // The JSON mode runs dse::run_dse_comparison on the default space (exact
 // arm simulated once, pruned arm replayed against it) and writes the
-// fetcam.dse.v1 document consumed by CI's DSE guard
-// (tools/check_dse_frontier.py).  Gates:
+// fetcam.dse.v1 document that CI's bench gate checks
+// (tools/check_bench.py, rules "dse: ..."):
 //   * the frontier holds both cell families (a 2FeFET and a 1.5T1Fe
 //     design) — neither family is allowed to silently fall out of the
 //     reproduction's trade-off space;

@@ -8,9 +8,10 @@
 //   bench_engine_throughput --engine-json=PATH   # machine-readable report
 //                           [--stats-json=PATH]  # + live kStats scrape
 //
-// The JSON mode feeds BENCH_engine.json consumed by CI's engine perf smoke
-// guard (tools/check_engine_throughput.py).  The headline gate is the
-// kernel section: packed full-match throughput must be >= 4x the unpacked
+// The JSON mode writes the fetcam.engine.v1 document (BENCH_engine.json)
+// that CI's bench gate checks (tools/check_bench.py, rules "engine: ..."; the
+// stats scrape gets the "stats: ..." rules).  The headline gate is the kernel
+// section: packed full-match throughput must be >= 4x the unpacked
 // TcamArray::search at 4096 rows x 128 cols, single thread.  The wire
 // section reports per-frame RTT p50/p99 and, with --stats-json, archives a
 // "fetcam.stats.v1" snapshot scraped from the live loopback server.  The
@@ -308,6 +309,7 @@ KernelReport measure_kernel() {
 }
 
 struct SimdReport {
+  bool compiled = false;         ///< AVX2 tier compiled into this build
   bool available = false;        ///< AVX2 compiled in AND CPU supports it
   std::string active_tier;       ///< tier the default path dispatches to
   double scalar_us = 0.0;        ///< full_match pinned to kScalar
@@ -322,6 +324,9 @@ struct SimdReport {
 /// this isolates the vector kernel from the packing win measured above.
 SimdReport measure_simd() {
   SimdReport rep;
+#if defined(FETCAM_HAVE_AVX2)
+  rep.compiled = true;
+#endif
   rep.available = engine::kernel_tier_available(engine::KernelTier::kAvx2);
   rep.active_tier = engine::kernel_tier_name(engine::best_kernel_tier());
 
@@ -845,7 +850,7 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
   const std::vector<TableLoad> loads = measure_table_loads();
 
   std::ostringstream os;
-  os << "{\n  \"kernel\": {\n"
+  os << "{\n  \"schema\": \"fetcam.engine.v1\",\n  \"kernel\": {\n"
      << "    \"rows\": " << k.rows << ",\n"
      << "    \"cols\": " << k.cols << ",\n"
      << "    \"queries_per_rep\": " << k.queries << ",\n"
@@ -857,6 +862,7 @@ int emit_engine_json(const std::string& path, const std::string& stats_path) {
      << "    \"two_step_speedup\": " << k.two_step_speedup << "\n"
      << "  },\n";
   os << "  \"simd\": {\n"
+     << "    \"compiled\": " << (simd.compiled ? "true" : "false") << ",\n"
      << "    \"available\": " << (simd.available ? "true" : "false") << ",\n"
      << "    \"active_tier\": \"" << simd.active_tier << "\",\n"
      << "    \"scalar_us\": " << simd.scalar_us << ",\n"

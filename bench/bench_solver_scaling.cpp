@@ -14,8 +14,8 @@
 //   bench_solver_scaling --solver-json=PATH   # machine-readable report
 //   bench_solver_scaling --solver-json=PATH --no-transient  # kernels only
 //
-// The JSON mode feeds BENCH_solver.json consumed by CI's solver perf smoke
-// guard (tools/check_solver_speedup.py).
+// The JSON mode writes the fetcam.solver.v1 document (BENCH_solver.json)
+// that CI's bench gate checks (tools/check_bench.py, rules "solver: ...").
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -460,7 +460,7 @@ DenseReplayRow measure_dense_replay(arch::TcamDesign design, int n_bits) {
 
 int emit_solver_json(const std::string& path, bool with_transient) {
   std::ostringstream os;
-  os << "{\n  \"kernels\": [\n";
+  os << "{\n  \"schema\": \"fetcam.solver.v1\",\n  \"kernels\": [\n";
   const int sizes[] = {64, 128, 256, 512, 1024, 2048};
   bool first = true;
   for (const int n : sizes) {

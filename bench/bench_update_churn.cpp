@@ -7,8 +7,8 @@
 //   bench_update_churn                      # google-benchmark kernels
 //   bench_update_churn --update-json=PATH   # machine-readable report
 //
-// The JSON mode feeds BENCH_update.json consumed by CI's update-cost guard
-// (tools/check_update_writes.py).  Gates:
+// The JSON mode writes the fetcam.update.v1 document (BENCH_update.json)
+// that CI's bench gate checks (tools/check_bench.py, rules "update: ..."):
 //   * planned delta write phases <= 50 % of the naive full-rewrite
 //     baseline over the churn run; and
 //   * the endurance-aware run's wear spread (max - min per-mat writes)
@@ -287,7 +287,7 @@ int emit_update_json(const std::string& path) {
             << ", max_row=" << naive_place.max_row_writes << "\n";
 
   std::ostringstream os;
-  os << "{\n";
+  os << "{\n  \"schema\": \"fetcam.update.v1\",\n";
   json_arm(os, "endurance_aware", aware, false);
   json_arm(os, "capacity_only", naive_place, true);
   os << "}\n";
